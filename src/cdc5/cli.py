@@ -21,7 +21,7 @@ from .cyclespace import cycle_space_basis, enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, UnsupportedFormatError
 from .flows import has_nz4flow
 from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6
-from .search import FlowCache, SearchOptions, find_5cdc_containing
+from .search import SearchOptions, SweepReport, circuit_sweep, find_5cdc_containing
 
 WORKERS_ENV = "CDC5_WORKERS"
 
@@ -255,35 +255,31 @@ def cmd_find(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Per-process state for sweep workers: host graph and flow memo per graph6
-# line, so circuits of the same graph share work within a worker.
-_WORKER_GRAPHS: dict[str, tuple[MultiGraph, FlowCache]] = {}
+def _outcomes(report: SweepReport) -> list[tuple[str, Optional[dict], str]]:
+    return [
+        (e.outcome, e.certificate.to_doc() if e.certificate else None, e.detail)
+        for e in report.entries
+    ]
 
 
-def _sweep_task(task: tuple) -> tuple[int, int, str, Optional[dict], str]:
-    gi, ci, g6, ids, dim_guard, budget_ms = task
-    state = _WORKER_GRAPHS.get(g6)
-    if state is None:
-        g = parse_graph6(g6)
-        state = (g, FlowCache(g))
-        _WORKER_GRAPHS[g6] = state
-    g, cache = state
-    c0 = EdgeSet.of(g, ids)
-    options = SearchOptions(dim_guard=dim_guard, budget_ms=budget_ms)
-    try:
-        cert = find_5cdc_containing(g, c0, options, cache)
-    except CapacityError as exc:
-        return gi, ci, "inconclusive", None, str(exc)
-    if cert is None:
-        return gi, ci, "none", None, "search space exhausted"
-    return gi, ci, "found", cert.to_doc(), ""
+def _sweep_chunk(task: tuple) -> list[tuple[str, Optional[dict], str]]:
+    """Pool worker: one run of circuits of one graph, swept with a search
+    context of its own, so no state outlives the task."""
+    g6, id_lists, options = task
+    g = parse_graph6(g6)
+    return _outcomes(circuit_sweep(g, options, [EdgeSet.of(g, ids) for ids in id_lists]))
 
 
-def _run_tasks(tasks: list[tuple], pool, workers: int) -> list[tuple]:
+def _run_circuits(
+    g: MultiGraph, line: str, circuits: list[EdgeSet], options: SearchOptions, pool, workers: int
+) -> list[tuple[str, Optional[dict], str]]:
+    """(outcome, certificate document, detail) per circuit, in order."""
     if pool is None:
-        return [_sweep_task(task) for task in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    return list(pool.imap(_sweep_task, tasks, chunksize=chunk))
+        return _outcomes(circuit_sweep(g, options, circuits))
+    size = max(1, len(circuits) // (workers * 4))
+    ids = [c.ids() for c in circuits]
+    tasks = [(line, ids[i:i + size], options) for i in range(0, len(ids), size)]
+    return [result for chunk in pool.imap(_sweep_chunk, tasks) for result in chunk]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -328,14 +324,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 counts["inconclusive"] += 1
                 continue
 
-            tasks = [
-                (gi, ci, line, c.ids(), args.dim_guard, args.budget_ms)
-                for ci, c in enumerate(circuits)
-            ]
-            results = _run_tasks(tasks, pool, workers)
+            options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
+            results = _run_circuits(g, line, circuits, options, pool, workers)
             circuit_rows = []
             local = {"found": 0, "none": 0, "inconclusive": 0}
-            for (_, ci, outcome, doc, detail), circuit in zip(results, circuits):
+            for ci, ((outcome, doc, detail), circuit) in enumerate(zip(results, circuits)):
                 row: dict[str, Any] = {
                     "index": ci,
                     "edges": list(circuit.ids()),

@@ -1,13 +1,13 @@
 """Cycle double covers: verification, extension, and witness extraction.
 
 A CDC is a multiset of nonempty even subgraphs covering every edge exactly
-twice.  The constructions here revolve around one mechanism: if a graph has
-a nowhere-zero 4-flow, then any prescribed even subgraph c' sits inside a
-double cover by at most four even subgraphs, found by sweeping candidates A
-over the cycle space and solving a GF(2) affine system for a partner B so
-that {c', A, B, c' ^ A ^ B} covers everything exactly twice.  Extending a
-family C1..Ck whose pairwise overlaps form a matching M then reduces to that
-mechanism on G - M.
+twice.  The constructions here revolve around one closed form: a
+nowhere-zero 4-flow φ over the Klein group splits into two even subgraphs
+S1 = {e : φ(e) & 1} and S2 = {e : φ(e) & 2}, and for any even subgraph c'
+the family {c', c' ^ S1, c' ^ S2, c' ^ S1 ^ S2} covers every edge exactly
+twice, because each edge lies in S1, S2 or both (Jaeger 1979).  Extending a
+family C1..Ck whose pairwise overlaps form a matching M then reduces to
+that closed form on G - M, with c' the symmetric difference of the Ci.
 """
 
 from __future__ import annotations
@@ -15,15 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cyclespace import (
-    cycle_space_basis,
-    enumerate_even_subgraphs,
-    is_even_subgraph,
-    solve_affine,
-    sym_diff,
-)
+from .cyclespace import is_even_subgraph, sym_diff
 from .errors import ConditionError, FlowMissingError, InvariantViolationError, PreconditionError
-from .flows import cdc_to_flow, has_nz4flow
+from .flows import Flow4, cdc_to_flow, find_nz4flow, has_nz4flow
 from .graphs import EdgeSet, MultiGraph, delete_edges, is_matching
 
 
@@ -94,18 +88,16 @@ def contains_element_superset(s: CdcLike, c0: EdgeSet) -> Optional[int]:
     return None
 
 
-def four_cdc_containing(g: MultiGraph, c_prime: EdgeSet, guard: int = 24) -> Cdc:
+def four_cdc_containing(
+    g: MultiGraph, c_prime: EdgeSet, flow: Optional[Flow4] = None
+) -> Cdc:
     """Double cover of g by at most 4 even subgraphs, one equal to c_prime
     (which is dropped like any other empty member if it is empty).
 
-    Requires a nowhere-zero 4-flow on g; under that hypothesis a cover
-    always exists, so running out of candidates is an internal bug, not a
-    negative answer.  Candidates A run over the cycle space in enumeration
-    order; the partner B must pick up every edge outside c_prime and A
-    (forced in) while avoiding c_prime's overlap with A (forced out), which
-    makes each edge land in exactly two of c_prime, A, B, c_prime ^ A ^ B.
-    The first feasible A wins and B is the canonical affine solution, so the
-    result is deterministic.
+    Requires a nowhere-zero 4-flow on g: the given one, or else the one
+    find_nz4flow constructs.  With S1 and S2 the edges whose flow value has
+    bit 1 and bit 2 set, the cover is c_prime, c_prime ^ S1, c_prime ^ S2
+    and c_prime ^ S1 ^ S2, in that order, so the result is deterministic.
     """
     if c_prime.host is not g:
         raise ValueError("c_prime does not belong to the given graph")
@@ -113,27 +105,25 @@ def four_cdc_containing(g: MultiGraph, c_prime: EdgeSet, guard: int = 24) -> Cdc
         raise PreconditionError("a loop lies in no even subgraph, so no double cover exists")
     if not is_even_subgraph(g, c_prime):
         raise PreconditionError("c_prime is not an even subgraph")
-    if not has_nz4flow(g):
-        raise FlowMissingError("graph has no nowhere-zero 4-flow")
-    basis = cycle_space_basis(g)
-    full = EdgeSet.full(g)
-    for a in enumerate_even_subgraphs(basis, guard):
-        sol = solve_affine(basis, full - (c_prime | a), c_prime & a)
-        if sol is None:
-            continue
-        b = sol.particular_set()
-        d = c_prime ^ a ^ b
-        elements = tuple(x for x in (c_prime, a, b, d) if x)
-        cdc = Cdc(g, elements)
-        report = verify_cdc(g, cdc)
-        if not report.valid:
-            raise InvariantViolationError(
-                f"constructed cover fails verification: {report}"
-            )
-        return cdc
-    raise InvariantViolationError(
-        "no cover found although a nowhere-zero 4-flow exists"
-    )
+    if flow is None:
+        flow = find_nz4flow(g)
+        if flow is None:
+            raise FlowMissingError("graph has no nowhere-zero 4-flow")
+    elif flow.host is not g:
+        raise ValueError("flow does not belong to the given graph")
+    s1 = s2 = 0
+    for e, value in enumerate(flow.values):
+        if value & 1:
+            s1 |= 1 << e
+        if value & 2:
+            s2 |= 1 << e
+    base = c_prime.mask
+    masks = (base, base ^ s1, base ^ s2, base ^ s1 ^ s2)
+    cdc = Cdc(g, tuple(EdgeSet(g, mask) for mask in masks if mask))
+    report = verify_cdc(g, cdc)
+    if not report.valid:
+        raise InvariantViolationError(f"constructed cover fails verification: {report}")
+    return cdc
 
 
 def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
@@ -149,7 +139,9 @@ def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
     return tuple(sorted(bad))
 
 
-def extend_to_cdc(g: MultiGraph, covers: Sequence[EdgeSet]) -> Cdc:
+def extend_to_cdc(
+    g: MultiGraph, covers: Sequence[EdgeSet], flow: Optional[Flow4] = None
+) -> Cdc:
     """Extend even subgraphs C1..Ck to a double cover of at most k+3
     elements that keeps every Ci as an element.
 
@@ -161,6 +153,9 @@ def extend_to_cdc(g: MultiGraph, covers: Sequence[EdgeSet]) -> Cdc:
     The overlap M is deleted, the symmetric difference of the Ci (exactly
     the once-covered edges) is completed to a ≤4-element cover of G - M,
     and that cover's symmetric-difference member is replaced by C1..Ck.
+    A caller that already holds a nowhere-zero 4-flow of G - M (on a graph
+    equal to delete_edges(g, M).graph) passes it as flow, and condition 3
+    is then not decided again.
     """
     if not g.is_cubic():
         raise PreconditionError("host graph must be cubic")
@@ -183,16 +178,22 @@ def extend_to_cdc(g: MultiGraph, covers: Sequence[EdgeSet]) -> Cdc:
             2, "twice-covered edges do not form a matching", _matching_conflicts(g, m_set)
         )
     deletion = delete_edges(g, m_set)
-    if not has_nz4flow(deletion.graph):
-        raise ConditionError(
-            3, "graph minus the matching has no nowhere-zero 4-flow", m_set.ids()
-        )
+    if flow is None:
+        flow = find_nz4flow(deletion.graph)
+        if flow is None:
+            raise ConditionError(
+                3, "graph minus the matching has no nowhere-zero 4-flow", m_set.ids()
+            )
+    elif flow.host != deletion.graph:
+        raise ValueError("flow does not belong to the graph minus the matching")
+    else:
+        flow = Flow4(deletion.graph, flow.values)
 
     if covers:
         c_prime = deletion.to_new(sym_diff(covers))
     else:
         c_prime = EdgeSet.empty(deletion.graph)
-    inner = four_cdc_containing(deletion.graph, c_prime)
+    inner = four_cdc_containing(deletion.graph, c_prime, flow)
     lifted = [deletion.to_old(g, el) for el in inner]
     if c_prime:
         lifted.remove(deletion.to_old(g, c_prime))

@@ -5,16 +5,21 @@ The search space is a pair (C1, C2): C1 runs over the even subgraphs
 containing c0 (an affine subspace of the cycle space), C2 over the whole
 cycle space with the empty set allowed.  A pair is accepted when
 M = C1 ∩ C2 is a matching and G - M still has a nowhere-zero 4-flow; the
-cover is then assembled by completing around C1 and C2 on G - M.  Success
-is therefore always certified, and a None return means the whole space was
-exhausted, a definitive negative.
+cover then follows in closed form from that flow on G - M (see cover.py).
+Success is therefore always certified, and a None return means the whole
+space was exhausted, a definitive negative.
+
+Everything that depends on the host graph alone (the cycle-space basis,
+the even subgraphs in canonical order, and the flows of G - M decided so
+far) lives in a SearchContext, built once per graph and passed to every
+search on it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .certificates import Certificate, build_certificate
 from .cover import extend_to_cdc
@@ -26,7 +31,7 @@ from .cyclespace import (
     solve_affine,
 )
 from .errors import CapacityError, PreconditionError
-from .flows import has_nz4flow
+from .flows import Flow4, find_nz4flow
 from .graphs import (
     EdgeSet,
     MultiGraph,
@@ -50,24 +55,6 @@ class SearchOptions:
     budget_ms: Optional[int] = None
 
 
-class FlowCache:
-    """Memoizes has_nz4flow(G - D) per deleted edge set; one instance is
-    meant to be shared across all searches on the same host graph."""
-
-    def __init__(self, g: MultiGraph):
-        self.g = g
-        self._memo: dict[int, bool] = {}
-
-    def minus(self, drop: EdgeSet) -> bool:
-        if drop.host is not self.g:
-            raise ValueError("edge set does not belong to the cached graph")
-        got = self._memo.get(drop.mask)
-        if got is None:
-            got = has_nz4flow(delete_edges(self.g, drop).graph)
-            self._memo[drop.mask] = got
-        return got
-
-
 def _check_search_host(g: MultiGraph) -> None:
     if not g.is_cubic():
         raise PreconditionError("graph must be cubic")
@@ -75,11 +62,88 @@ def _check_search_host(g: MultiGraph) -> None:
         raise PreconditionError("graph has a bridge, so it has no cycle double cover")
 
 
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_bits(mask: int, m: int) -> int:
+    """mask read backwards in m bits: bit e moves to bit m - 1 - e."""
+    width = (m + 7) // 8
+    flipped = mask.to_bytes(width, "little").translate(_BYTE_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * width - m)
+
+
+def _id_order_key(mask: int, size: int, m: int) -> int:
+    """Integer key ordering edge sets by `size`, then by ascending edge-id
+    tuple.  Two sets of equal size compare, as id tuples, by the lowest
+    edge on which they differ: the set holding it comes first.  That edge
+    is the highest differing bit of the bit-reversed masks, so the set with
+    the larger reversed mask comes first, and its complement in m bits
+    ascends."""
+    return (size << m) | (((1 << m) - 1) ^ _reversed_bits(mask, m))
+
+
+class SearchContext:
+    """Search state of one host graph, shared by every search on it: the
+    cycle-space basis, the even subgraphs as bit masks in canonical order
+    (size, then ascending edge ids; sorted on first use), and a memo of the
+    nowhere-zero 4-flow of G - M per deleted edge set M (None when G - M
+    has none).  Holding the flow, not just the answer, lets a found pair's
+    cover be built without deciding the flow again."""
+
+    def __init__(self, g: MultiGraph):
+        _check_search_host(g)
+        self.g = g
+        self.basis = cycle_space_basis(g)
+        self._even: Optional[list[int]] = None
+        self._flows: dict[int, Optional[Flow4]] = {}
+
+    def even_masks(self, dim_guard: int) -> list[int]:
+        """All 2^dim even subgraphs in canonical order, empty set first."""
+        if self._even is None:
+            m = self.g.m
+            self._even = sorted(
+                (s.mask for s in enumerate_even_subgraphs(self.basis, dim_guard)),
+                key=lambda mask: _id_order_key(mask, mask.bit_count(), m),
+            )
+        return self._even
+
+    def c1_candidates(self, c0: EdgeSet) -> list[int]:
+        """Masks of the even subgraphs containing c0, ordered by how many
+        edges they add to c0, then by ascending edge ids."""
+        sol = solve_affine(self.basis, c0, EdgeSet.empty(self.g))
+        if sol is None:
+            raise PreconditionError("c0 is not in the cycle space")
+        m = self.g.m
+        outside = ~c0.mask
+        return sorted(
+            (sol.solution(k).mask for k in range(1 << sol.dimension)),
+            key=lambda mask: _id_order_key(mask, (mask & outside).bit_count(), m),
+        )
+
+    def c2_candidates(self, c1: int, dim_guard: int) -> Iterator[int]:
+        """Masks of all even subgraphs in the order they are tried with C1:
+        by the size of their intersection with c1, canonical order within,
+        sorted by one stable bucket pass."""
+        buckets: list[list[int]] = [[] for _ in range(c1.bit_count() + 1)]
+        for c2 in self.even_masks(dim_guard):
+            buckets[(c1 & c2).bit_count()].append(c2)
+        for bucket in buckets:
+            yield from bucket
+
+    def flow_minus(self, drop: EdgeSet) -> Optional[Flow4]:
+        """A nowhere-zero 4-flow of G - drop, or None; decided once per drop."""
+        if drop.host is not self.g:
+            raise ValueError("edge set does not belong to the context's graph")
+        if drop.mask not in self._flows:
+            self._flows[drop.mask] = find_nz4flow(delete_edges(self.g, drop).graph)
+        return self._flows[drop.mask]
+
+
 def find_5cdc_containing(
     g: MultiGraph,
     c0: EdgeSet,
     options: Optional[SearchOptions] = None,
-    flow_cache: Optional[FlowCache] = None,
+    context: Optional[SearchContext] = None,
 ) -> Optional[Certificate]:
     """First witness pair in canonical order, assembled and certified.
 
@@ -87,10 +151,14 @@ def find_5cdc_containing(
     C2 candidates by the size of their intersection with C1 (the empty set
     first, so graphs with a nowhere-zero 4-flow succeed immediately), then
     by position in the canonical even-subgraph list.  The order fixes which
-    certificate is produced, never whether one exists.
+    certificate is produced, never whether one exists.  Searches on the
+    same graph share work through one context; without one, a fresh
+    context is built for this call.
     """
     opts = options or SearchOptions()
-    _check_search_host(g)
+    ctx = context or SearchContext(g)
+    if ctx.g is not g:
+        raise ValueError("search context belongs to a different graph")
     if c0.host is not g:
         raise ValueError("c0 does not belong to the given graph")
     if not is_even_subgraph(g, c0):
@@ -98,46 +166,30 @@ def find_5cdc_containing(
 
     started = time.monotonic()
     deadline = None if opts.budget_ms is None else started + opts.budget_ms / 1000.0
-    basis = cycle_space_basis(g)
-    if basis.dim > opts.dim_guard:
+    if ctx.basis.dim > opts.dim_guard:
         raise CapacityError(
-            f"cycle-space dimension {basis.dim} exceeds guard {opts.dim_guard}"
+            f"cycle-space dimension {ctx.basis.dim} exceeds guard {opts.dim_guard}"
         )
-    cache = flow_cache or FlowCache(g)
-    if cache.g is not g:
-        raise ValueError("flow cache belongs to a different graph")
-
-    sol = solve_affine(basis, c0, EdgeSet.empty(g))
-    if sol is None:
-        raise PreconditionError("c0 is not in the cycle space")
-    c1_list = sorted(
-        (sol.solution(k) for k in range(1 << sol.dimension)),
-        key=lambda s: (len(s - c0), s.ids()),
-    )
-    canonical = sorted(
-        enumerate_even_subgraphs(basis, opts.dim_guard), key=lambda s: (len(s), s.ids())
-    )
 
     tried = 0
-    for c1 in c1_list:
-        order = sorted(range(len(canonical)), key=lambda i: (len(c1 & canonical[i]), i))
-        for i in order:
-            c2 = canonical[i]
+    for c1 in ctx.c1_candidates(c0):
+        for c2 in ctx.c2_candidates(c1, opts.dim_guard):
             tried += 1
             if opts.max_candidates is not None and tried > opts.max_candidates:
                 raise CapacityError("candidate guard exhausted", candidates_tried=tried - 1)
             if deadline is not None and time.monotonic() > deadline:
                 raise CapacityError("time budget exhausted", candidates_tried=tried - 1)
-            overlap = c1 & c2
+            overlap = EdgeSet(g, c1 & c2)
             if len(overlap) * 2 > g.n or not is_matching(g, overlap):
                 continue
-            if not cache.minus(overlap):
+            flow = ctx.flow_minus(overlap)
+            if flow is None:
                 continue
-            covers = [c for c in (c1, c2) if c]
-            cdc = extend_to_cdc(g, covers)
+            c1_set, c2_set = EdgeSet(g, c1), EdgeSet(g, c2)
+            cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], flow)
             elapsed_ms = int((time.monotonic() - started) * 1000)
             return build_certificate(
-                g, c0, c1, c2, overlap, cdc.elements, tried, elapsed_ms
+                g, c0, c1_set, c2_set, overlap, cdc.elements, tried, elapsed_ms
             )
     return None
 
@@ -145,10 +197,10 @@ def find_5cdc_containing(
 def has_5cdc(
     g: MultiGraph,
     options: Optional[SearchOptions] = None,
-    flow_cache: Optional[FlowCache] = None,
+    context: Optional[SearchContext] = None,
 ) -> Optional[Certificate]:
     """Unconstrained existence: search with an empty prescribed subgraph."""
-    return find_5cdc_containing(g, EdgeSet.empty(g), options, flow_cache)
+    return find_5cdc_containing(g, EdgeSet.empty(g), options, context)
 
 
 @dataclass(frozen=True)
@@ -177,18 +229,24 @@ class SweepReport:
         return sum(1 for e in self.entries if e.outcome == "inconclusive")
 
 
-def circuit_sweep(g: MultiGraph, options: Optional[SearchOptions] = None) -> SweepReport:
-    """Run the search for every circuit of g.  A "none" entry would be a
-    counterexample to the conjecture that every circuit of a bridgeless
-    cubic graph lies in some 5-element cover; "inconclusive" records a
-    per-circuit guard hit, never a negative."""
+def circuit_sweep(
+    g: MultiGraph,
+    options: Optional[SearchOptions] = None,
+    circuits: Optional[Sequence[EdgeSet]] = None,
+) -> SweepReport:
+    """Run the search for every circuit of g (or for the given ones), all
+    sharing one search context.  A "none" entry would be a counterexample
+    to the conjecture that every circuit of a bridgeless cubic graph lies
+    in some 5-element cover; "inconclusive" records a per-circuit guard
+    hit, never a negative."""
     opts = options or SearchOptions()
-    _check_search_host(g)
-    cache = FlowCache(g)
+    ctx = SearchContext(g)
+    if circuits is None:
+        circuits = enumerate_circuits(g, opts.dim_guard)
     entries = []
-    for circuit in enumerate_circuits(g, opts.dim_guard):
+    for circuit in circuits:
         try:
-            cert = find_5cdc_containing(g, circuit, opts, cache)
+            cert = find_5cdc_containing(g, circuit, opts, ctx)
         except CapacityError as exc:
             entries.append(CircuitOutcome(circuit, "inconclusive", None, str(exc)))
             continue
@@ -228,14 +286,14 @@ def petersen_shortcut_check(g: MultiGraph) -> ShortcutReport:
 
     For every circuit C, partner circuits C' are scanned in canonical order
     for M = C ∩ C' a matching with G - M bridgeless; each such pair is
-    cross-validated with has_nz4flow(G - M) instead of trusting the
-    shortcut.  Pairs with M = ∅ always fail the flow check here (G itself
+    cross-validated by deciding the flow on G - M (the context's memo)
+    instead of trusting the shortcut.  Pairs with M = ∅ always fail the flow check here (G itself
     has no nowhere-zero 4-flow) and are recorded as skips; a failing pair
     with M nonempty would be a genuine discrepancy.
     """
     if not g.is_simple() or write_graph6(g) != write_graph6(petersen_graph()):
         raise PreconditionError("graph is not the canonical Petersen graph")
-    cache = FlowCache(g)
+    ctx = SearchContext(g)
     circuits = enumerate_circuits(g)
     entries = []
     discrepancies = []
@@ -249,7 +307,7 @@ def petersen_shortcut_check(g: MultiGraph) -> ShortcutReport:
                 continue
             if bridges(delete_edges(g, m_set).graph):
                 continue
-            if cache.minus(m_set):
+            if ctx.flow_minus(m_set) is not None:
                 partner, matching = other, m_set
                 break
             skips.append((other, m_set))

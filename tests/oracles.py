@@ -144,3 +144,22 @@ def bridged_cubic_multigraph() -> MultiGraph:
     triangles joined in the middle."""
     edges = [(0, 1), (0, 1), (0, 2), (1, 2), (3, 4), (3, 4), (3, 5), (4, 5), (2, 5)]
     return MultiGraph(6, edges)
+
+
+
+def flower_snark(k: int) -> MultiGraph:
+    """The flower snark J_k on 4k vertices: claws a_i-(b_i, c_i, d_i),
+    the b_i on a k-cycle, and the c_i and d_i on one 2k-cycle
+    c_0..c_{k-1} d_0..d_{k-1}.  Odd k gives a snark."""
+
+    def v(i: int, j: int) -> int:  # j = 0, 1, 2, 3 for a, b, c, d
+        return 4 * (i % k) + j
+
+    edges = []
+    for i in range(k):
+        edges += [(v(i, 0), v(i, 1)), (v(i, 0), v(i, 2)), (v(i, 0), v(i, 3))]
+        edges.append((v(i, 1), v(i + 1, 1)))
+        last = i == k - 1
+        edges.append((v(i, 2), v(0, 3) if last else v(i + 1, 2)))
+        edges.append((v(i, 3), v(0, 2) if last else v(i + 1, 3)))
+    return MultiGraph(4 * k, edges)

@@ -8,13 +8,14 @@ from cdc5 import (
     EdgeSet,
     InvariantViolationError,
     build_certificate,
+    circuit_sweep,
     find_5cdc_containing,
     petersen_graph,
     verify_certificate,
     write_graph6,
 )
 
-from .oracles import complete_graph
+from .oracles import complete_graph, flower_snark
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +214,29 @@ class TestVerifyCertificate:
         doc["path"] = "m-empty"
         problems = verify_certificate(doc)
         assert any("4-flow" in p for p in problems)
+
+
+class TestFlowWitness:
+    """A search's cover is its own witness for the flow condition on G - M,
+    so verification never needs the exponential flow decider for it;
+    test_flow_condition_is_rechecked covers the fallback."""
+
+    @pytest.fixture()
+    def no_decider(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("verify_certificate decided a flow")
+
+        monkeypatch.setattr("cdc5.certificates.has_nz4flow", refuse)
+
+    def test_petersen_sweep(self, no_decider):
+        report = circuit_sweep(petersen_graph())
+        assert report.found == 57
+        for entry in report.entries:
+            assert verify_certificate(entry.certificate.to_doc()) == []
+
+    def test_flower_snark_j5(self, no_decider):
+        g = flower_snark(5)
+        inner = EdgeSet.of(g, [e for e, (u, v) in enumerate(g.edges) if u % 4 == v % 4 == 1])
+        cert = find_5cdc_containing(g, inner)
+        assert cert.path == "theorem2"
+        assert verify_certificate(cert.to_doc()) == []

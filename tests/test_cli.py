@@ -289,6 +289,27 @@ class TestSweep:
             right["stats"].pop("elapsed_ms")
             assert left == right
 
+    def test_repeat_sweeps_do_equal_flow_work(self, petersen_file, tmp_path, monkeypatch):
+        # No search state may outlive a command: a second in-process sweep
+        # must decide every flow the first one decided.
+        import cdc5.flows
+
+        original = cdc5.flows.three_edge_color
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(cdc5.flows, "three_edge_color", counting)
+        work = []
+        for run in ("first", "second"):
+            calls.clear()
+            out = str(tmp_path / run)
+            assert main(["sweep", "--graph", petersen_file, "--out", out, "--workers", "1"]) == 0
+            work.append(len(calls))
+        assert work[0] > 0 and work[0] == work[1]
+
     def test_workers_env_variable(self, k4_file, tmp_path, monkeypatch):
         monkeypatch.setenv("CDC5_WORKERS", "2")
         out = str(tmp_path / "sweep")

@@ -1,7 +1,6 @@
 import pytest
 
 from cdc5 import (
-    CapacityError,
     Cdc,
     ConditionError,
     EdgeSet,
@@ -10,10 +9,12 @@ from cdc5 import (
     PreconditionError,
     contains_element_superset,
     cycle_space_basis,
+    delete_edges,
     enumerate_circuits,
     enumerate_even_subgraphs,
     extend_to_cdc,
     extract_witness,
+    find_nz4flow,
     four_cdc_containing,
     has_nz4flow,
     is_matching,
@@ -136,10 +137,21 @@ class TestFourCdcContaining:
         with pytest.raises(PreconditionError):
             four_cdc_containing(K4, EdgeSet.of(K4, [0]))
 
-    def test_guard(self, catalog):
-        g = next(g for g in catalog if g.n == 10 and has_nz4flow(g))
-        with pytest.raises(CapacityError):
-            four_cdc_containing(g, EdgeSet.empty(g), guard=3)
+    def test_cover_is_the_closed_form_of_the_flow(self):
+        # {c', c' ^ S1, c' ^ S2, c' ^ S1 ^ S2} with S1, S2 the bit planes.
+        triangle = EdgeSet.of(K4, [0, 1, 2])
+        flow = find_nz4flow(K4)
+        s1 = EdgeSet.of(K4, [e for e, val in enumerate(flow.values) if val & 1])
+        s2 = EdgeSet.of(K4, [e for e, val in enumerate(flow.values) if val & 2])
+        expected = [triangle, triangle ^ s1, triangle ^ s2, triangle ^ s1 ^ s2]
+        assert list(four_cdc_containing(K4, triangle)) == [x for x in expected if x]
+        assert four_cdc_containing(K4, triangle, flow).elements == four_cdc_containing(
+            K4, triangle
+        ).elements
+
+    def test_flow_of_another_graph_rejected(self):
+        with pytest.raises(ValueError):
+            four_cdc_containing(K4, EdgeSet.empty(K4), find_nz4flow(complete_graph(4)))
 
 
 class TestExtendToCdc:
@@ -163,6 +175,14 @@ class TestExtendToCdc:
         assert verify_cdc(K4, cdc).valid
         elements = list(cdc)
         assert t1 in elements and t2 in elements
+
+    def test_given_flow_replaces_the_decision(self):
+        t1 = EdgeSet.of(K4, [0, 1, 2])
+        t2 = EdgeSet.of(K4, [2, 4, 5])
+        flow = find_nz4flow(delete_edges(K4, t1 & t2).graph)
+        assert extend_to_cdc(K4, [t1, t2], flow).elements == extend_to_cdc(K4, [t1, t2]).elements
+        with pytest.raises(ValueError):
+            extend_to_cdc(K4, [t1, t2], find_nz4flow(K4))
 
     def test_prism_pair(self):
         g = prism_graph()

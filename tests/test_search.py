@@ -5,19 +5,22 @@ import pytest
 from cdc5 import (
     CapacityError,
     EdgeSet,
-    FlowCache,
     MultiGraph,
     PreconditionError,
+    SearchContext,
     SearchOptions,
     circuit_sweep,
+    cycle_space_basis,
     delete_edges,
     enumerate_circuits,
+    enumerate_even_subgraphs,
     find_5cdc_containing,
     has_5cdc,
     has_nz4flow,
     is_matching,
     petersen_graph,
     petersen_shortcut_check,
+    solve_affine,
     verify_certificate,
 )
 
@@ -93,7 +96,7 @@ class TestFindOnPetersen:
     def test_shared_cache_does_not_change_the_answer(self, petersen):
         pentagon = EdgeSet.of(petersen, range(5))
         a = find_5cdc_containing(petersen, pentagon)
-        b = find_5cdc_containing(petersen, pentagon, flow_cache=FlowCache(petersen))
+        b = find_5cdc_containing(petersen, pentagon, context=SearchContext(petersen))
         assert normalized(a) == normalized(b)
 
 
@@ -120,7 +123,7 @@ class TestFindPreconditions:
     def test_wrong_cache_rejected(self, petersen):
         with pytest.raises(ValueError):
             find_5cdc_containing(
-                petersen, EdgeSet.empty(petersen), flow_cache=FlowCache(complete_graph(4))
+                petersen, EdgeSet.empty(petersen), context=SearchContext(complete_graph(4))
             )
 
 
@@ -212,3 +215,48 @@ class TestPetersenShortcut:
         )
         with pytest.raises(PreconditionError):
             petersen_shortcut_check(relabeled)
+
+
+def reference_canonical(g):
+    """The canonical even-subgraph list as a plain sort on edge-id tuples."""
+    basis = cycle_space_basis(g)
+    return sorted(enumerate_even_subgraphs(basis), key=lambda s: (len(s), s.ids()))
+
+
+def reference_c1_list(g, c0):
+    """C1 candidates sorted by (edges added to c0, edge-id tuple)."""
+    sol = solve_affine(cycle_space_basis(g), c0, EdgeSet.empty(g))
+    return sorted(
+        (sol.solution(k) for k in range(1 << sol.dimension)),
+        key=lambda s: (len(s - c0), s.ids()),
+    )
+
+
+def reference_c2_order(c1, canonical):
+    """C2 candidates sorted by (intersection with c1, canonical position)."""
+    order = sorted(range(len(canonical)), key=lambda i: (len(c1 & canonical[i]), i))
+    return [canonical[i] for i in order]
+
+
+class TestCandidateOrder:
+    """SearchContext sorts by integer keys; its orders must equal the
+    tuple-key sorts they replace, which fix every certificate produced."""
+
+    def assert_same_orders(self, g):
+        ctx = SearchContext(g)
+        canonical = reference_canonical(g)
+        assert ctx.even_masks(16) == [s.mask for s in canonical]
+        for c0 in [EdgeSet.empty(g)] + enumerate_circuits(g):
+            c1_list = reference_c1_list(g, c0)
+            assert ctx.c1_candidates(c0) == [s.mask for s in c1_list]
+            c2_order = reference_c2_order(c1_list[0], canonical)
+            assert list(ctx.c2_candidates(c1_list[0].mask, 16)) == [s.mask for s in c2_order]
+
+    def test_catalog(self, catalog):
+        for g in catalog:
+            self.assert_same_orders(g)
+
+    def test_petersen_and_blanusa_snarks(self, snarks):
+        # snarks.g6 holds Petersen, then the two Blanusa snarks.
+        for g in snarks[:3]:
+            self.assert_same_orders(g)
