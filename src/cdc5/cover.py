@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 from .cyclespace import is_even_subgraph, sym_diff
 from .errors import ConditionError, FlowMissingError, InvariantViolationError, PreconditionError
-from .flows import Flow4, cdc_to_flow, find_nz4flow, has_nz4flow
+from .flows import Flow4, cdc_to_flow, find_nz4flow
 from .graphs import EdgeSet, MultiGraph, delete_edges, is_matching
 
 
@@ -216,8 +216,9 @@ def extract_witness(
     matching (a second shared edge at a vertex would leave the third edge
     there uncoverable), and the remaining elements together with C1 ^ C2
     double-cover G - M, which therefore has a nowhere-zero 4-flow.  Both
-    facts are re-checked; a failure means the inputs were inconsistent in a
-    way verify_cdc cannot see, or a genuine bug.
+    facts are re-checked, the second by building that flow from the residual
+    cover with cdc_to_flow; a failure means the inputs were inconsistent in
+    a way verify_cdc cannot see, or a genuine bug.
     """
     elements = tuple(_element_seq(s))
     if not g.is_cubic():
@@ -247,6 +248,4 @@ def extract_witness(
         cdc_to_flow(deletion.graph, residual)
     except PreconditionError as exc:
         raise InvariantViolationError(f"residual cover is not a double cover: {exc}") from exc
-    if not has_nz4flow(deletion.graph):
-        raise InvariantViolationError("graph minus the matching has no nowhere-zero 4-flow")
     return m_set, c1, c2

@@ -10,6 +10,7 @@ by suppressing degree-2 vertices.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,6 +18,8 @@ from .errors import InvariantViolationError, PreconditionError
 from .graphs import EdgeSet, MultiGraph, SuppressionMap, bridges, components, suppress_degree2
 
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
+
+_POPCOUNT3 = (0, 1, 1, 2, 1, 2, 2, 3)  # free colors in a 3-bit mask
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,17 @@ class Flow4:
 def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     """First proper 3-edge-coloring in backtracking order, or None.
 
-    Deterministic: edges are colored in identifier order and colors tried in
-    ascending order, so the first success is a canonical one.  A loop makes
-    a proper coloring impossible.  Parallel edges are fine.
+    Color permutations map proper colorings to proper colorings, so the
+    three edges at g.edges[0][0] are fixed to colors 0, 1, 2 in identifier
+    order before the search.  Each step then branches on the uncolored edge
+    with the fewest free colors, ties going to the lowest identifier, and
+    tries its free colors in ascending order.  The scan for that edge stops
+    at the first edge with at most one free color: a forced edge is taken at
+    once, and an edge with none backtracks at once (one it stopped short of
+    is met at the next step, which changes no result).  The first coloring
+    this depth-first search completes is returned, so the answer is
+    deterministic.  A loop makes a proper coloring impossible.  Parallel
+    edges are fine.
     """
     for v in range(g.n):
         if g.degree(v) != 3:
@@ -43,29 +54,52 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     if g.loop_mask():
         return None
     m = g.m
+    if m == 0:
+        return ()
+    endpoints = g.edges
     colors = [-1] * m
     used = [0] * g.n
-    endpoints = g.edges
-
-    def go(e: int) -> bool:
-        if e == m:
-            return True
+    for c, e in enumerate(g.incident(endpoints[0][0])):
         u, v = endpoints[e]
-        avail = ~(used[u] | used[v]) & 7
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            colors[e] = low.bit_length() - 1
-            used[u] |= low
-            used[v] |= low
-            if go(e + 1):
-                return True
-            used[u] ^= low
-            used[v] ^= low
-        colors[e] = -1
-        return False
-
-    return tuple(colors) if go(0) else None
+        colors[e] = c
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+    uncolored = [e for e in range(m) if colors[e] < 0]  # ascending ids
+    trail: list[tuple[int, int]] = []  # (edge, free colors not tried yet)
+    while uncolored:
+        best, best_free, fewest = -1, 0, 4
+        for e in uncolored:
+            u, v = endpoints[e]
+            free = ~(used[u] | used[v]) & 7
+            count = _POPCOUNT3[free]
+            if count < fewest:
+                best, best_free, fewest = e, free, count
+                if count < 2:
+                    break
+        if fewest:
+            e, rest = best, best_free
+            uncolored.remove(e)
+        else:
+            # Undo until an edge on the trail has a color left to try.
+            while True:
+                if not trail:
+                    return None
+                e, rest = trail.pop()
+                u, v = endpoints[e]
+                bit = 1 << colors[e]
+                used[u] ^= bit
+                used[v] ^= bit
+                colors[e] = -1
+                if rest:
+                    break
+                insort(uncolored, e)
+        low = rest & -rest
+        trail.append((e, rest ^ low))
+        u, v = endpoints[e]
+        colors[e] = low.bit_length() - 1
+        used[u] |= low
+        used[v] |= low
+    return tuple(colors)
 
 
 def _component_subgraphs(g: MultiGraph):
@@ -89,29 +123,14 @@ def _check_flow_host(g: MultiGraph) -> None:
             )
 
 
-def has_nz4flow(g: MultiGraph) -> bool:
-    """Decide whether g (degrees 2 and 3) admits a nowhere-zero 4-flow.
+def find_nz4flow(g: MultiGraph) -> Optional[Flow4]:
+    """Construct a nowhere-zero 4-flow on g (degrees 2 and 3), or None.
 
     Chain: a bridge rules it out; components that are plain circuits always
-    admit one; everything else is suppressed to a 3-regular graph and decided
-    per component by 3-edge-colorability.
+    admit one; everything else is suppressed to a 3-regular graph, colored
+    per component, and the colors are turned into Klein values and lifted
+    along the suppression paths.
     """
-    _check_flow_host(g)
-    if bridges(g).mask:
-        return False
-    suppressed = suppress_degree2(g).suppressed_graph
-    if suppressed.n == 0:
-        return True
-    for sub, _ in _component_subgraphs(suppressed):
-        if three_edge_color(sub) is None:
-            return False
-    return True
-
-
-def find_nz4flow(g: MultiGraph) -> Optional[Flow4]:
-    """Construct a nowhere-zero 4-flow (same decision chain as has_nz4flow):
-    color the suppressed graph, turn colors into Klein values, lift along the
-    suppression paths."""
     _check_flow_host(g)
     if bridges(g).mask:
         return None
@@ -125,6 +144,11 @@ def find_nz4flow(g: MultiGraph) -> Optional[Flow4]:
         for local, e in enumerate(edge_ids):
             colors[e] = col[local]
     return lift_flow(coloring_to_flow(suppressed, tuple(colors)), smap, g)
+
+
+def has_nz4flow(g: MultiGraph) -> bool:
+    """Decide whether g (degrees 2 and 3) admits a nowhere-zero 4-flow."""
+    return find_nz4flow(g) is not None
 
 
 def coloring_to_flow(g: MultiGraph, coloring: EdgeColoring3) -> Flow4:

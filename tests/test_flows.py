@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cdc5 import (
@@ -21,6 +23,7 @@ from .oracles import (
     bridged_cubic_graph,
     bridged_cubic_multigraph,
     complete_graph,
+    flower_snark,
     prism_graph,
     subdivide,
     theta_multigraph,
@@ -34,6 +37,14 @@ COLORING_HOSTS = [
     bridged_cubic_multigraph(),
     MultiGraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)]),
 ]
+
+
+def shuffled(g, seed):
+    """g with its vertices relabelled by a seeded permutation and its edges
+    renumbered in sorted endpoint order, as a graph6 reader would give it."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return MultiGraph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
 
 
 def assert_proper(g, coloring):
@@ -83,6 +94,34 @@ class TestThreeEdgeColor:
         # Edge 0 gets the first color and its disjoint partner repeats it.
         coloring = three_edge_color(g)
         assert coloring[0] == 0
+
+
+class TestColoringOrder:
+    @pytest.mark.parametrize("k", range(3, 14))
+    @pytest.mark.parametrize("seed", [None, 1, 2], ids=["own", "shuffle1", "shuffle2"])
+    def test_flower_snarks_decided_by_parity(self, k, seed):
+        # Isaacs' J_k is 3-edge-colorable exactly for even k.  J13 (n=52)
+        # guards the search order: an identifier-order backtracker needs
+        # minutes on it.
+        g = flower_snark(k) if seed is None else shuffled(flower_snark(k), seed)
+        assert has_nz4flow(g) == (k % 2 == 0)
+
+    def test_first_vertex_is_fixed_to_colors_in_id_order(self, catalog):
+        hosts = list(catalog) + COLORING_HOSTS
+        for k in (4, 6, 8, 10, 12):
+            hosts += [flower_snark(k), shuffled(flower_snark(k), k)]
+        colored = 0
+        for g in hosts:
+            coloring = three_edge_color(g)
+            if coloring is None:
+                continue
+            assert_proper(g, coloring)
+            assert three_edge_color(g) == coloring
+            at_first = g.incident(g.edges[0][0])
+            assert [coloring[e] for e in at_first] == [0, 1, 2]
+            colored += 1
+        # Petersen and the bridged multigraph are the only uncolorable hosts.
+        assert colored == len(hosts) - 2
 
 
 class TestHasNz4Flow:
