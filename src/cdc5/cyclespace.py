@@ -29,6 +29,14 @@ class CycleBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
+    def check_guard(self, guard: int) -> None:
+        """Raise CapacityError when dim exceeds guard: listing the whole
+        space costs 2^dim."""
+        if self.dim > guard:
+            raise CapacityError(
+                f"cycle-space dimension {self.dim} exceeds enumeration guard {guard}"
+            )
+
 
 def cycle_space_basis(g: MultiGraph) -> CycleBasis:
     """Basis of the cycle space from a lowest-edge-id spanning forest.
@@ -88,10 +96,11 @@ def is_even_subgraph(g: MultiGraph, s: EdgeSet) -> bool:
     """True iff s has no loop and every vertex meets 0 or 2 of its edges."""
     if s.host is not g:
         raise ValueError("EdgeSet does not belong to the given graph")
-    if s.mask & g.loop_mask():
+    mask = s.mask
+    if mask & g.loop_mask():
         return False
-    for v in range(g.n):
-        if (s.mask & g.vertex_mask(v)).bit_count() not in (0, 2):
+    for vm in g.vertex_masks:
+        if (mask & vm).bit_count() not in (0, 2):
             return False
     return True
 
@@ -131,10 +140,7 @@ def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[Edg
     element k differs from element k-1 by the basis vector indexed by the
     lowest set bit of k.  The empty set comes first.
     """
-    if basis.dim > guard:
-        raise CapacityError(
-            f"cycle-space dimension {basis.dim} exceeds enumeration guard {guard}"
-        )
+    basis.check_guard(guard)
     host = basis.host
     masks = [v.mask for v in basis.vectors]
     cur = 0
@@ -144,15 +150,53 @@ def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[Edg
         yield EdgeSet(host, cur)
 
 
+def canonical_masks(base: int, vectors: Sequence[int]) -> list[int]:
+    """Every mask of the coset base + span(vectors), each once, in canonical
+    order: by size, then by ascending edge-id tuple.
+
+    No sort key on edge ids is needed.  The vectors are first brought to
+    reduced echelon form with lowest-bit pivots (each row's lowest edge is
+    its pivot, and no other row holds that edge), and base is reduced
+    against them.  Two members then differ first, counting edges upwards,
+    at the pivot of their lowest-pivot differing row, and the member
+    holding that edge comes first among sets of equal size.  So doubling
+    the list from the highest pivot down, members with the row before
+    members without, lists the coset in edge-id order, and one stable sort
+    by size finishes it.  Zero, duplicate and dependent vectors add
+    nothing; the input is not modified.
+    """
+    rows: dict[int, int] = {}  # pivot bit -> reduced row
+    for vec in vectors:
+        for pivot, row in rows.items():
+            if vec >> pivot & 1:
+                vec ^= row
+        if not vec:
+            continue
+        pivot = (vec & -vec).bit_length() - 1
+        for other, row in rows.items():
+            if row >> pivot & 1:
+                rows[other] = row ^ vec
+        rows[pivot] = vec
+    for pivot, row in rows.items():
+        if base >> pivot & 1:
+            base ^= row
+    out = [base]
+    for pivot in sorted(rows, reverse=True):
+        row = rows[pivot]
+        out = [x ^ row for x in out] + out
+    out.sort(key=int.bit_count)
+    return out
+
+
 def enumerate_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     """All circuits of g, sorted by cardinality then ascending edge-id tuple."""
     basis = cycle_space_basis(g)
-    out = [
-        s
-        for s in enumerate_even_subgraphs(basis, guard)
-        if s.mask and is_even_subgraph(g, s) and edge_set_connected(g, s)
-    ]
-    out.sort(key=lambda s: (len(s), s.ids()))
+    basis.check_guard(guard)
+    out = []
+    for mask in canonical_masks(0, [v.mask for v in basis.vectors]):
+        s = EdgeSet(g, mask)
+        if mask and edge_set_connected(g, s):
+            out.append(s)
     return out
 
 

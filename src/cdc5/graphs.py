@@ -70,6 +70,11 @@ class MultiGraph:
     def vertex_mask(self, v: int) -> int:
         return self._vertex_masks[v]
 
+    @property
+    def vertex_masks(self) -> tuple[int, ...]:
+        """vertex_mask(v) for every vertex, in vertex order."""
+        return self._vertex_masks
+
     def loop_mask(self) -> int:
         return self._loop_mask
 

@@ -12,21 +12,23 @@ space was exhausted, a definitive negative.
 Everything that depends on the host graph alone (the cycle-space basis,
 the even subgraphs in canonical order, and the flows of G - M decided so
 far) lives in a SearchContext, built once per graph and passed to every
-search on it.
+search on it.  Both candidate orders come in closed form from
+cyclespace.canonical_masks, with no sort on edge ids.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .certificates import Certificate, build_certificate
 from .cover import extend_to_cdc
 from .cyclespace import (
+    canonical_masks,
     cycle_space_basis,
     enumerate_circuits,
-    enumerate_even_subgraphs,
     is_even_subgraph,
     solve_affine,
 )
@@ -62,33 +64,14 @@ def _check_search_host(g: MultiGraph) -> None:
         raise PreconditionError("graph has a bridge, so it has no cycle double cover")
 
 
-_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reversed_bits(mask: int, m: int) -> int:
-    """mask read backwards in m bits: bit e moves to bit m - 1 - e."""
-    width = (m + 7) // 8
-    flipped = mask.to_bytes(width, "little").translate(_BYTE_REVERSED)
-    return int.from_bytes(flipped, "big") >> (8 * width - m)
-
-
-def _id_order_key(mask: int, size: int, m: int) -> int:
-    """Integer key ordering edge sets by `size`, then by ascending edge-id
-    tuple.  Two sets of equal size compare, as id tuples, by the lowest
-    edge on which they differ: the set holding it comes first.  That edge
-    is the highest differing bit of the bit-reversed masks, so the set with
-    the larger reversed mask comes first, and its complement in m bits
-    ascends."""
-    return (size << m) | (((1 << m) - 1) ^ _reversed_bits(mask, m))
-
-
 class SearchContext:
     """Search state of one host graph, shared by every search on it: the
     cycle-space basis, the even subgraphs as bit masks in canonical order
-    (size, then ascending edge ids; sorted on first use), and a memo of the
-    nowhere-zero 4-flow of G - M per deleted edge set M (None when G - M
-    has none).  Holding the flow, not just the answer, lets a found pair's
-    cover be built without deciding the flow again."""
+    (size, then ascending edge ids; built in closed form by
+    cyclespace.canonical_masks on first use), and a memo of the nowhere-zero
+    4-flow of G - M per deleted edge set M (None when G - M has none).
+    Holding the flow, not just the answer, lets a found pair's cover be
+    built without deciding the flow again."""
 
     def __init__(self, g: MultiGraph):
         _check_search_host(g)
@@ -98,37 +81,34 @@ class SearchContext:
         self._flows: dict[int, Optional[Flow4]] = {}
 
     def even_masks(self, dim_guard: int) -> list[int]:
-        """All 2^dim even subgraphs in canonical order, empty set first."""
+        """All 2^dim even subgraphs in canonical order, empty set first.
+        The guard is checked on every call, built or cached."""
+        self.basis.check_guard(dim_guard)
         if self._even is None:
-            m = self.g.m
-            self._even = sorted(
-                (s.mask for s in enumerate_even_subgraphs(self.basis, dim_guard)),
-                key=lambda mask: _id_order_key(mask, mask.bit_count(), m),
-            )
+            self._even = canonical_masks(0, [v.mask for v in self.basis.vectors])
         return self._even
 
     def c1_candidates(self, c0: EdgeSet) -> list[int]:
         """Masks of the even subgraphs containing c0, ordered by how many
-        edges they add to c0, then by ascending edge ids."""
+        edges they add to c0, then by ascending edge ids.  Every candidate
+        contains c0, so the edges it adds are its size less |c0|, and the
+        canonical order of the coset is this order."""
         sol = solve_affine(self.basis, c0, EdgeSet.empty(self.g))
         if sol is None:
             raise PreconditionError("c0 is not in the cycle space")
-        m = self.g.m
-        outside = ~c0.mask
-        return sorted(
-            (sol.solution(k).mask for k in range(1 << sol.dimension)),
-            key=lambda mask: _id_order_key(mask, (mask & outside).bit_count(), m),
+        return canonical_masks(
+            sol.particular_set().mask, [sol.combine(k).mask for k in sol.kernel]
         )
 
     def c2_candidates(self, c1: int, dim_guard: int) -> Iterator[int]:
         """Masks of all even subgraphs in the order they are tried with C1:
         by the size of their intersection with c1, canonical order within,
-        sorted by one stable bucket pass."""
+        sorted by one stable bucket pass (made at the call, so the guard is
+        checked there)."""
         buckets: list[list[int]] = [[] for _ in range(c1.bit_count() + 1)]
         for c2 in self.even_masks(dim_guard):
             buckets[(c1 & c2).bit_count()].append(c2)
-        for bucket in buckets:
-            yield from bucket
+        return chain.from_iterable(buckets)
 
     def flow_minus(self, drop: EdgeSet) -> Optional[Flow4]:
         """A nowhere-zero 4-flow of G - drop, or None; decided once per drop."""

@@ -6,6 +6,7 @@ agreement with the package is a meaningful check and not a tautology.  All
 of it is exponential in the edge count; callers keep the inputs small.
 """
 
+import random
 from itertools import product
 
 from cdc5 import MultiGraph
@@ -163,3 +164,11 @@ def flower_snark(k: int) -> MultiGraph:
         edges.append((v(i, 2), v(0, 3) if last else v(i + 1, 2)))
         edges.append((v(i, 3), v(0, 2) if last else v(i + 1, 3)))
     return MultiGraph(4 * k, edges)
+
+
+def shuffled(g: MultiGraph, seed: int) -> MultiGraph:
+    """g with its vertices relabelled by a seeded permutation and its edges
+    renumbered in sorted endpoint order, as a graph6 reader would give it."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return MultiGraph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))

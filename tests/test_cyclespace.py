@@ -6,6 +6,7 @@ from cdc5 import (
     CapacityError,
     EdgeSet,
     MultiGraph,
+    canonical_masks,
     coordinates_of,
     cycle_space_basis,
     edge_set_connected,
@@ -193,6 +194,50 @@ class TestEnumerateCircuits:
     def test_guard(self, petersen):
         with pytest.raises(CapacityError):
             enumerate_circuits(petersen, guard=5)
+
+
+def brute_coset(base, vectors):
+    span = {0}
+    for vec in vectors:
+        span |= {x ^ vec for x in span}
+    return {base ^ x for x in span}
+
+
+def id_order(mask):
+    return (mask.bit_count(), tuple(e for e in range(mask.bit_length()) if mask >> e & 1))
+
+
+class TestCanonicalMasks:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_sorted_brute_force_coset(self, seed):
+        rng = random.Random(seed)
+        m = 60 if seed % 4 == 0 else rng.randint(1, 60)
+        independent = [rng.getrandbits(m) for _ in range(rng.randint(1, 9))]
+        vectors = list(independent)
+        vectors += [0] * rng.randint(1, 2)
+        vectors += rng.sample(independent, min(2, len(independent)))
+        for _ in range(rng.randint(1, 3)):
+            combo = 0
+            for vec in rng.sample(independent, rng.randint(1, len(independent))):
+                combo ^= vec
+            vectors.append(combo)
+        rng.shuffle(vectors)
+        # Nonzero, and in general holding pivot edges of the reduced rows,
+        # so it must be reduced before the coset is listed.
+        base = (rng.getrandbits(m) ^ independent[0]) or 1
+        given = list(vectors)
+        got = canonical_masks(base, vectors)
+        assert vectors == given
+        assert got == sorted(brute_coset(base, vectors), key=id_order)
+
+    def test_base_inside_the_span_gives_the_span(self):
+        vectors = [0b0110, 0b1100, 0b1010]
+        got = canonical_masks(0b1010, vectors)
+        assert got == [0, 0b0110, 0b1010, 0b1100]
+
+    def test_no_vectors_gives_the_base(self):
+        assert canonical_masks(0b101, []) == [0b101]
+        assert canonical_masks(0, [0, 0]) == [0]
 
 
 class TestSymDiff:

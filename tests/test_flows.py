@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from cdc5 import (
@@ -25,6 +23,7 @@ from .oracles import (
     complete_graph,
     flower_snark,
     prism_graph,
+    shuffled,
     subdivide,
     theta_multigraph,
     three_colorable,
@@ -37,14 +36,6 @@ COLORING_HOSTS = [
     bridged_cubic_multigraph(),
     MultiGraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)]),
 ]
-
-
-def shuffled(g, seed):
-    """g with its vertices relabelled by a seeded permutation and its edges
-    renumbered in sorted endpoint order, as a graph6 reader would give it."""
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return MultiGraph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
 
 
 def assert_proper(g, coloring):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from cdc5 import (
     find_5cdc_containing,
     has_5cdc,
     has_nz4flow,
+    is_circuit,
     is_matching,
     petersen_graph,
     petersen_shortcut_check,
@@ -24,7 +26,13 @@ from cdc5 import (
     verify_certificate,
 )
 
-from .oracles import bridged_cubic_graph, complete_graph, prism_graph
+from .oracles import (
+    bridged_cubic_graph,
+    complete_graph,
+    flower_snark,
+    prism_graph,
+    shuffled,
+)
 
 
 def normalized(cert):
@@ -151,6 +159,20 @@ class TestGuards:
         )
         assert normalized(roomy) == normalized(baseline)
 
+    def test_context_checks_the_guard_on_every_call(self, petersen):
+        # Petersen has dimension 6: a list built under a roomy guard must
+        # not be handed out under a tighter one.
+        ctx = SearchContext(petersen)
+        assert len(ctx.even_masks(16)) == 64
+        assert len(list(ctx.c2_candidates(0, 16))) == 64
+        with pytest.raises(CapacityError):
+            ctx.even_masks(4)
+        with pytest.raises(CapacityError):
+            ctx.c2_candidates(0, 4)
+        with pytest.raises(CapacityError):
+            SearchContext(petersen).even_masks(4)
+        assert len(ctx.even_masks(6)) == 64
+
 
 class TestCircuitSweep:
     def test_k4_all_seven(self):
@@ -239,14 +261,16 @@ def reference_c2_order(c1, canonical):
 
 
 class TestCandidateOrder:
-    """SearchContext sorts by integer keys; its orders must equal the
+    """SearchContext builds its orders in closed form; they must equal the
     tuple-key sorts they replace, which fix every certificate produced."""
 
-    def assert_same_orders(self, g):
+    def assert_same_orders(self, g, prescriptions=None):
         ctx = SearchContext(g)
         canonical = reference_canonical(g)
         assert ctx.even_masks(16) == [s.mask for s in canonical]
-        for c0 in [EdgeSet.empty(g)] + enumerate_circuits(g):
+        if prescriptions is None:
+            prescriptions = [EdgeSet.empty(g)] + enumerate_circuits(g)
+        for c0 in prescriptions:
             c1_list = reference_c1_list(g, c0)
             assert ctx.c1_candidates(c0) == [s.mask for s in c1_list]
             c2_order = reference_c2_order(c1_list[0], canonical)
@@ -260,3 +284,16 @@ class TestCandidateOrder:
         # snarks.g6 holds Petersen, then the two Blanusa snarks.
         for g in snarks[:3]:
             self.assert_same_orders(g)
+
+    def test_flower_snark_j5(self):
+        self.assert_same_orders(flower_snark(5))
+
+    def test_shuffled_flower_snark_j7(self):
+        # Dimension 15, the size of the orders a find on J7 builds.  The
+        # whole even-subgraph order is checked; C1 and C2 orders only for
+        # the empty prescription and a few sampled circuits, to stay fast.
+        g = shuffled(flower_snark(7), 7)
+        rng = random.Random(7)
+        circuits = [s for s in rng.sample(reference_canonical(g), 300) if is_circuit(g, s)]
+        assert len(circuits) >= 3
+        self.assert_same_orders(g, [EdgeSet.empty(g)] + circuits[:3])
