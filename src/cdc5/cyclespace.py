@@ -192,12 +192,8 @@ def enumerate_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     """All circuits of g, sorted by cardinality then ascending edge-id tuple."""
     basis = cycle_space_basis(g)
     basis.check_guard(guard)
-    out = []
-    for mask in canonical_masks(0, [v.mask for v in basis.vectors]):
-        s = EdgeSet(g, mask)
-        if mask and edge_set_connected(g, s):
-            out.append(s)
-    return out
+    masks = canonical_masks(0, [v.mask for v in basis.vectors])
+    return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
 
 
 def sym_diff(sets: Sequence[EdgeSet]) -> EdgeSet:

@@ -146,10 +146,7 @@ def find_5cdc_containing(
 
     started = time.monotonic()
     deadline = None if opts.budget_ms is None else started + opts.budget_ms / 1000.0
-    if ctx.basis.dim > opts.dim_guard:
-        raise CapacityError(
-            f"cycle-space dimension {ctx.basis.dim} exceeds guard {opts.dim_guard}"
-        )
+    ctx.basis.check_guard(opts.dim_guard)
 
     tried = 0
     for c1 in ctx.c1_candidates(c0):

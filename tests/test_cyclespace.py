@@ -187,6 +187,16 @@ class TestEnumerateCircuits:
         got = {frozenset(c.ids()) for c in enumerate_circuits(g)}
         assert got == circuit_subsets(g)
 
+    def test_k5_keeps_only_circuits(self):
+        # K5 has vertices of degree 4, so its cycle space also holds
+        # connected sets that are not circuits: two triangles sharing one
+        # vertex, or all of K5.
+        g = complete_graph(5)
+        circuits = enumerate_circuits(g)
+        assert len(circuits) == 37
+        assert {frozenset(c.ids()) for c in circuits} == circuit_subsets(g)
+        assert circuits == sorted(circuits, key=lambda c: (len(c), c.ids()))
+
     def test_sorted_by_size_then_ids(self, petersen):
         circuits = enumerate_circuits(petersen)
         assert circuits == sorted(circuits, key=lambda c: (len(c), c.ids()))
