@@ -11,7 +11,7 @@ forced to zero by solve_affine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError
 from .graphs import EdgeSet, MultiGraph
@@ -150,6 +150,27 @@ def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[Edg
         yield EdgeSet(host, cur)
 
 
+def reduced_echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Reduced echelon form of the span of the given masks, with lowest-bit
+    pivots, as {pivot bit: row}.  Each row's lowest bit is its pivot, and no
+    other row holds that bit.  So a mask x lies in the span exactly when it
+    equals the sum of the rows whose pivots it holds.  Zero, duplicate and
+    dependent vectors add nothing; the input is not modified."""
+    rows: dict[int, int] = {}
+    for vec in vectors:
+        for pivot, row in rows.items():
+            if vec >> pivot & 1:
+                vec ^= row
+        if not vec:
+            continue
+        pivot = (vec & -vec).bit_length() - 1
+        for other, row in rows.items():
+            if row >> pivot & 1:
+                rows[other] = row ^ vec
+        rows[pivot] = vec
+    return rows
+
+
 def canonical_masks(base: int, vectors: Sequence[int]) -> list[int]:
     """Every mask of the coset base + span(vectors), each once, in canonical
     order: by size, then by ascending edge-id tuple.
@@ -165,18 +186,7 @@ def canonical_masks(base: int, vectors: Sequence[int]) -> list[int]:
     by size finishes it.  Zero, duplicate and dependent vectors add
     nothing; the input is not modified.
     """
-    rows: dict[int, int] = {}  # pivot bit -> reduced row
-    for vec in vectors:
-        for pivot, row in rows.items():
-            if vec >> pivot & 1:
-                vec ^= row
-        if not vec:
-            continue
-        pivot = (vec & -vec).bit_length() - 1
-        for other, row in rows.items():
-            if row >> pivot & 1:
-                rows[other] = row ^ vec
-        rows[pivot] = vec
+    rows = reduced_echelon(vectors)
     for pivot, row in rows.items():
         if base >> pivot & 1:
             base ^= row

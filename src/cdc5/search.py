@@ -9,19 +9,22 @@ cover then follows in closed form from that flow on G - M (see cover.py).
 Success is therefore always certified, and a None return means the whole
 space was exhausted, a definitive negative.
 
-Everything that depends on the host graph alone (the cycle-space basis,
-the even subgraphs in canonical order, and the flows of G - M decided so
-far) lives in a SearchContext, built once per graph and passed to every
-search on it.  Both candidate orders come in closed form from
-cyclespace.canonical_masks, with no sort on edge ids.
+The pairs are tried in a fixed order (see find_5cdc_containing), but most
+of them are counted rather than listed.  Whether a pair is accepted depends
+only on M, and for a fixed C1 the C2 sharing one overlap M form a coset of
+2^(dim - r) members, r being the rank of the cycle space projected onto
+C1's edges.  So a bucket of C2 with no acceptable M is skipped by adding
+its size in closed form, and the canonical order is walked only inside
+the first bucket that holds a winner.  The walk reads the short end of the
+order, every even subgraph up to some size, which the context generates
+from the short circuits of the host and grows one size at a time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .certificates import Certificate, build_certificate
 from .cover import extend_to_cdc
@@ -30,9 +33,10 @@ from .cyclespace import (
     cycle_space_basis,
     enumerate_circuits,
     is_even_subgraph,
+    reduced_echelon,
     solve_affine,
 )
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, InvariantViolationError, PreconditionError
 from .flows import Flow4, find_nz4flow
 from .graphs import (
     EdgeSet,
@@ -47,10 +51,11 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Capacity guards.  dim_guard bounds the cycle-space dimension (the
-    candidate lists grow as 2^dim); max_candidates and budget_ms bound the
-    number of (C1, C2) pairs examined and the wall-clock time.  Hitting any
-    guard raises CapacityError, which is never conflated with a negative."""
+    """Capacity guards.  dim_guard bounds the cycle-space dimension (an
+    exhaustive search counts 2^dim C2 for each C1); max_candidates and
+    budget_ms bound the number of (C1, C2) pairs examined and the
+    wall-clock time.  Hitting any guard raises CapacityError, which is
+    never conflated with a negative."""
 
     dim_guard: int = 16
     max_candidates: Optional[int] = None
@@ -66,49 +71,117 @@ def _check_search_host(g: MultiGraph) -> None:
 
 class SearchContext:
     """Search state of one host graph, shared by every search on it: the
-    cycle-space basis, the even subgraphs as bit masks in canonical order
-    (size, then ascending edge ids; built in closed form by
-    cyclespace.canonical_masks on first use), and a memo of the nowhere-zero
-    4-flow of G - M per deleted edge set M (None when G - M has none).
-    Holding the flow, not just the answer, lets a found pair's cover be
-    built without deciding the flow again."""
+    cycle-space basis, the short end of the canonical order of the even
+    subgraphs (size, then ascending edge ids), and a memo of the
+    nowhere-zero 4-flow of G - M per deleted edge set M (None when G - M
+    has none).  Holding the flow, not just the answer, lets a found pair's
+    cover be built without deciding the flow again.
+
+    The short end holds every even subgraph with at most `width` edges.  On
+    a cubic host an even subgraph is a vertex-disjoint union of circuits,
+    so it is built from the circuits of each length (a depth-first search
+    from each circuit's lowest vertex, pruned by the distance back to it;
+    parallel edges give 2-circuits) and their disjoint unions.  It starts
+    at the empty set and grows by one size whenever a search needs it, so
+    its cost follows the searches made, not 2^dim."""
 
     def __init__(self, g: MultiGraph):
         _check_search_host(g)
         self.g = g
         self.basis = cycle_space_basis(g)
-        self._even: Optional[list[int]] = None
         self._flows: dict[int, Optional[Flow4]] = {}
+        self._short: list[int] = [0]  # the short end, in canonical order
+        self._layers: list[list[tuple[int, int]]] = [[(0, 0)]]  # (edges, vertices) by size
+        self._circuits: list[list[tuple[int, int]]] = [[]]  # (edges, vertices) by length
+        self._adjacent = [[(e, g.other_end(e, v)) for e in g.incident(v)] for v in range(g.n)]
+        self._distances = [self._distances_from(s) for s in range(g.n)]
 
-    def even_masks(self, dim_guard: int) -> list[int]:
-        """All 2^dim even subgraphs in canonical order, empty set first.
-        The guard is checked on every call, built or cached."""
-        self.basis.check_guard(dim_guard)
-        if self._even is None:
-            self._even = canonical_masks(0, [v.mask for v in self.basis.vectors])
-        return self._even
+    @property
+    def width(self) -> int:
+        """The largest size the short end is complete up to."""
+        return len(self._layers) - 1
+
+    def short_end(self, width: int, check_time: Callable[[], None] = lambda: None) -> list[int]:
+        """Masks of every even subgraph with at most width edges, in
+        canonical order, growing the cached short end as far as needed.
+        check_time is called as the short end grows and may raise to stop."""
+        while self.width < min(width, self.g.m):
+            self._grow(check_time)
+        return [x for x in self._short if x.bit_count() <= width]
+
+    def _grow(self, check_time: Callable[[], None]) -> None:
+        """Append the even subgraphs of size width + 1 to the short end.
+        Each one is its circuit through its lowest edge joined with the
+        vertex-disjoint rest, whose lowest edge is then higher, so every
+        union is built once."""
+        size = self.width + 1
+        circuits = self._circuits_of_length(size, check_time)
+        layer = list(circuits)
+        for length in range(2, size - 1):
+            check_time()
+            for c, c_verts in self._circuits[length]:
+                low = c & -c
+                for rest, rest_verts in self._layers[size - length]:
+                    if not c_verts & rest_verts and rest & -rest > low:
+                        layer.append((c | rest, c_verts | rest_verts))
+        # Among sets of one size, the one holding the lowest edge where two
+        # differ comes first: the larger of the masks written lowest bit first.
+        digits = f"0{self.g.m}b"
+        layer.sort(key=lambda item: format(item[0], digits)[::-1], reverse=True)
+        self._circuits.append(circuits)
+        self._layers.append(layer)
+        self._short.extend(x for x, _ in layer)
+
+    def _circuits_of_length(
+        self, length: int, check_time: Callable[[], None]
+    ) -> list[tuple[int, int]]:
+        """Every circuit with `length` edges as (edge mask, vertex mask).  A
+        circuit is found from its lowest vertex s, through vertices above s
+        only, leaving s by the lower of its two edges at s."""
+        adjacent = self._adjacent
+        found: list[tuple[int, int]] = []
+
+        def extend(s, dist, first, v, depth, edges, verts):
+            for e, w in adjacent[v]:
+                if w == s:
+                    if depth + 1 == length and e > first and not edges >> e & 1:
+                        found.append((edges | 1 << e, verts))
+                elif w > s and not verts >> w & 1 and depth + 1 + dist[w] <= length:
+                    extend(s, dist, first, w, depth + 1, edges | 1 << e, verts | 1 << w)
+
+        for s in range(self.g.n):
+            check_time()
+            dist = self._distances[s]
+            for e, w in adjacent[s]:
+                if w > s and 1 + dist[w] <= length:
+                    extend(s, dist, e, w, 1, 1 << e, 1 << s | 1 << w)
+        return found
+
+    def _distances_from(self, s: int) -> list[int]:
+        """Breadth-first distances from s through vertices s and above; the
+        others, and those out of reach, get a distance no circuit reaches."""
+        far = self.g.m + 1
+        dist = [far] * self.g.n
+        dist[s] = 0
+        queue = [s]
+        for v in queue:
+            for _, w in self._adjacent[v]:
+                if w > s and dist[w] == far:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
 
     def c1_candidates(self, c0: EdgeSet) -> list[int]:
         """Masks of the even subgraphs containing c0, ordered by how many
         edges they add to c0, then by ascending edge ids.  Every candidate
         contains c0, so the edges it adds are its size less |c0|, and the
-        canonical order of the coset is this order."""
+        canonical order of the coset is this order; c0 itself comes first."""
         sol = solve_affine(self.basis, c0, EdgeSet.empty(self.g))
         if sol is None:
             raise PreconditionError("c0 is not in the cycle space")
         return canonical_masks(
             sol.particular_set().mask, [sol.combine(k).mask for k in sol.kernel]
         )
-
-    def c2_candidates(self, c1: int, dim_guard: int) -> Iterator[int]:
-        """Masks of all even subgraphs in the order they are tried with C1:
-        by the size of their intersection with c1, canonical order within,
-        sorted by one stable bucket pass (made at the call, so the guard is
-        checked there)."""
-        buckets: list[list[int]] = [[] for _ in range(c1.bit_count() + 1)]
-        for c2 in self.even_masks(dim_guard):
-            buckets[(c1 & c2).bit_count()].append(c2)
-        return chain.from_iterable(buckets)
 
     def flow_minus(self, drop: EdgeSet) -> Optional[Flow4]:
         """A nowhere-zero 4-flow of G - drop, or None; decided once per drop."""
@@ -117,6 +190,143 @@ class SearchContext:
         if drop.mask not in self._flows:
             self._flows[drop.mask] = find_nz4flow(delete_edges(self.g, drop).graph)
         return self._flows[drop.mask]
+
+
+class _Tally:
+    """The (C1, C2) pairs counted so far, against the candidate and time
+    guards."""
+
+    def __init__(self, opts: SearchOptions, started: float):
+        self.tried = 0
+        self.limit = opts.max_candidates
+        self.deadline = None if opts.budget_ms is None else started + opts.budget_ms / 1000.0
+
+    def add(self, count: int) -> None:
+        """Count pairs passed over; raise when the candidate guard falls
+        among them, reporting the pairs tried up to the guard."""
+        if self.limit is not None and self.tried + count > self.limit:
+            raise CapacityError("candidate guard exhausted", candidates_tried=self.limit)
+        self.tried += count
+
+    def check_time(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise CapacityError("time budget exhausted", candidates_tried=self.tried)
+
+
+def _overlaps(
+    g: MultiGraph, c1: int, rows: dict[int, int], check_time: Callable[[], None]
+) -> Iterator[tuple[int, list[int]]]:
+    """For k = 0, 1, ..., |c1|: how many k-edge subsets M of c1 are the
+    overlap c1 ∩ C2 of some even subgraph C2, and those M that are
+    matchings, in canonical order.
+
+    rows is the reduced echelon form of the cycle space projected onto c1,
+    and M is an overlap exactly when it lies in that projection: when the
+    syndromes of its edges sum to zero, a pivot edge's syndrome being the
+    rest of its row and any other edge's the edge itself.  The counts come
+    from a dynamic programme over c1's edges that keeps, per syndrome, how
+    many k-subsets of the edges so far sum to it, one k at a time.  At full
+    rank every syndrome is zero and the counts are binomials.  Syndromes
+    have |c1| - r bits, one per component of G - c1 less one per component
+    of G.  On a bridgeless cubic host every component of G - c1 that meets
+    c1 holds two or more of c1's vertices, so |c1| - r < |c1| / 2 < r, and
+    the programme never holds more sums than the projection has members."""
+    edges = [e for e in range(g.m) if c1 >> e & 1]
+    pivots = sum(1 << p for p in rows)
+    syndrome = [rows[e] & ~pivots if e in rows else 1 << e for e in edges]
+    ends = [1 << u | 1 << v for u, v in map(g.endpoints, edges)]
+    size = len(edges)
+
+    def matchings(k: int) -> list[int]:
+        """The k-edge matchings in c1 whose syndromes sum to zero."""
+        found: list[int] = []
+
+        def extend(start: int, left: int, mask: int, verts: int, total: int) -> None:
+            if not left:
+                if not total:
+                    found.append(mask)
+                return
+            check_time()
+            for i in range(start, size - left + 1):
+                if not verts & ends[i]:
+                    bit, more = 1 << edges[i], verts | ends[i]
+                    extend(i + 1, left - 1, mask | bit, more, total ^ syndrome[i])
+
+        extend(0, k, 0, 0, 0)
+        return found
+
+    # sums[i]: syndrome -> number of k-subsets of edges[:i] with that sum
+    sums: list[dict[int, int]] = [{0: 1}] * (size + 1)
+    for k in range(size + 1):
+        check_time()
+        if k:
+            below, sums = sums, [{}]
+            for i in range(size):
+                counts = dict(sums[i])
+                for x, c in below[i].items():
+                    y = x ^ syndrome[i]
+                    counts[y] = counts.get(y, 0) + c
+                sums.append(counts)
+        yield sums[size].get(0, 0), matchings(k) if 2 * k <= g.n else []
+
+
+def _walk_bucket(
+    ctx: SearchContext, c1: int, k: int, matchings: list[int], tally: _Tally
+) -> Optional[int]:
+    """The first C2 in canonical order with |c1 ∩ C2| = k whose overlap is
+    a matching with a flow, counting the bucket's members up to it; None
+    when the bucket holds no such C2.
+
+    Flows are decided in the order the walk meets the overlaps, as an
+    exhaustive walk would decide them, and the walk grows the short end
+    until it meets a winner or has met every matching whose flow is not
+    known to be missing.  So it decides exactly the flows the exhaustive
+    order decides, and a bucket whose matchings are all known to fail is
+    not walked at all."""
+    g = ctx.g
+    flows = ctx._flows
+    pending = {m for m in matchings if m not in flows or flows[m] is not None}
+    walked = 0
+    while pending:
+        short = ctx._short
+        for c2 in short[walked:]:
+            m = c1 & c2
+            if m.bit_count() != k:
+                continue
+            tally.check_time()
+            tally.add(1)
+            if m in pending:
+                if ctx.flow_minus(EdgeSet(g, m)) is not None:
+                    return c2
+                pending.discard(m)
+        walked = len(short)
+        if pending:
+            if ctx.width >= g.m:
+                raise InvariantViolationError("an overlap of the cycle space was never met")
+            ctx._grow(tally.check_time)
+    return None
+
+
+def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
+    """The first C2 accepted with c1, in the engine's order, with every pair
+    passed over counted in tally; None after all 2^dim of them."""
+    rows = reduced_echelon(v.mask & c1 for v in ctx.basis.vectors)
+    share = 1 << (ctx.basis.dim - len(rows))
+    for k, (count, matchings) in enumerate(_overlaps(ctx.g, c1, rows, tally.check_time)):
+        start = tally.tried
+        c2 = _walk_bucket(ctx, c1, k, matchings, tally)
+        if c2 is not None:
+            return c2
+        tally.tried = start
+        tally.add(count * share)
+    return None
+
+
+def _c1_order(ctx: SearchContext, c0: EdgeSet) -> Iterator[int]:
+    """C1 candidates in order: c0 first, the rest of its coset only when
+    c0 has failed."""
+    yield c0.mask
+    yield from ctx.c1_candidates(c0)[1:]
 
 
 def find_5cdc_containing(
@@ -131,9 +341,9 @@ def find_5cdc_containing(
     C2 candidates by the size of their intersection with C1 (the empty set
     first, so graphs with a nowhere-zero 4-flow succeed immediately), then
     by position in the canonical even-subgraph list.  The order fixes which
-    certificate is produced, never whether one exists.  Searches on the
-    same graph share work through one context; without one, a fresh
-    context is built for this call.
+    certificate is produced and its candidates_tried, never whether one
+    exists.  Searches on the same graph share work through one context;
+    without one, a fresh context is built for this call.
     """
     opts = options or SearchOptions()
     ctx = context or SearchContext(g)
@@ -145,29 +355,19 @@ def find_5cdc_containing(
         raise PreconditionError("c0 is not an even subgraph")
 
     started = time.monotonic()
-    deadline = None if opts.budget_ms is None else started + opts.budget_ms / 1000.0
     ctx.basis.check_guard(opts.dim_guard)
-
-    tried = 0
-    for c1 in ctx.c1_candidates(c0):
-        for c2 in ctx.c2_candidates(c1, opts.dim_guard):
-            tried += 1
-            if opts.max_candidates is not None and tried > opts.max_candidates:
-                raise CapacityError("candidate guard exhausted", candidates_tried=tried - 1)
-            if deadline is not None and time.monotonic() > deadline:
-                raise CapacityError("time budget exhausted", candidates_tried=tried - 1)
-            overlap = EdgeSet(g, c1 & c2)
-            if len(overlap) * 2 > g.n or not is_matching(g, overlap):
-                continue
-            flow = ctx.flow_minus(overlap)
-            if flow is None:
-                continue
-            c1_set, c2_set = EdgeSet(g, c1), EdgeSet(g, c2)
-            cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], flow)
-            elapsed_ms = int((time.monotonic() - started) * 1000)
-            return build_certificate(
-                g, c0, c1_set, c2_set, overlap, cdc.elements, tried, elapsed_ms
-            )
+    tally = _Tally(opts, started)
+    for c1 in _c1_order(ctx, c0):
+        c2 = _first_partner(ctx, c1, tally)
+        if c2 is None:
+            continue
+        c1_set, c2_set = EdgeSet(g, c1), EdgeSet(g, c2)
+        overlap = c1_set & c2_set
+        cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], ctx.flow_minus(overlap))
+        elapsed_ms = int((time.monotonic() - started) * 1000)
+        return build_certificate(
+            g, c0, c1_set, c2_set, overlap, cdc.elements, tally.tried, elapsed_ms
+        )
     return None
 
 

@@ -172,3 +172,19 @@ def shuffled(g: MultiGraph, seed: int) -> MultiGraph:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return MultiGraph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+
+
+def random_cubic_multigraph(n: int, seed: int) -> MultiGraph:
+    """A loopless bridgeless cubic multigraph on n vertices (n even) with at
+    least one pair of parallel edges: the first random pairing of the 3n
+    half-edges, drawn from the seed, that has these properties."""
+    rng = random.Random(seed)
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = sorted(tuple(sorted(ends[i : i + 2])) for i in range(0, 3 * n, 2))
+        if any(u == v for u, v in edges) or len(set(edges)) == len(edges):
+            continue
+        g = MultiGraph(n, edges)
+        if not brute_bridges(g):
+            return g

@@ -10,11 +10,14 @@ from cdc5 import (
     PreconditionError,
     SearchContext,
     SearchOptions,
+    build_certificate,
+    canonical_masks,
     circuit_sweep,
     cycle_space_basis,
     delete_edges,
     enumerate_circuits,
     enumerate_even_subgraphs,
+    extend_to_cdc,
     find_5cdc_containing,
     has_5cdc,
     has_nz4flow,
@@ -26,11 +29,15 @@ from cdc5 import (
     verify_certificate,
 )
 
+from cdc5.cyclespace import reduced_echelon
+from cdc5.search import _overlaps
+
 from .oracles import (
     bridged_cubic_graph,
     complete_graph,
     flower_snark,
     prism_graph,
+    random_cubic_multigraph,
     shuffled,
 )
 
@@ -160,18 +167,55 @@ class TestGuards:
         assert normalized(roomy) == normalized(baseline)
 
     def test_context_checks_the_guard_on_every_call(self, petersen):
-        # Petersen has dimension 6: a list built under a roomy guard must
-        # not be handed out under a tighter one.
+        # Petersen has dimension 6: a context used under a roomy guard must
+        # not let a search through under a tighter one.
         ctx = SearchContext(petersen)
-        assert len(ctx.even_masks(16)) == 64
-        assert len(list(ctx.c2_candidates(0, 16))) == 64
+        empty = EdgeSet.empty(petersen)
+        roomy = find_5cdc_containing(petersen, empty, SearchOptions(dim_guard=16), ctx)
+        want = reference_search(petersen, empty, SearchContext(petersen))
+        assert normalized(roomy) == normalized(want)
         with pytest.raises(CapacityError):
-            ctx.even_masks(4)
+            find_5cdc_containing(petersen, empty, SearchOptions(dim_guard=4), ctx)
         with pytest.raises(CapacityError):
-            ctx.c2_candidates(0, 4)
+            find_5cdc_containing(
+                petersen, empty, SearchOptions(dim_guard=4), SearchContext(petersen)
+            )
+        exact = find_5cdc_containing(petersen, empty, SearchOptions(dim_guard=6), ctx)
+        assert normalized(exact) == normalized(want)
+
+    @pytest.mark.parametrize("limit", [1, 63, 64, 65])
+    def test_candidate_guard_inside_a_skipped_bucket(self, petersen, limit):
+        # With C1 = ∅ every one of the 64 even subgraphs lands in the bucket
+        # of M = ∅, which fails on Petersen and is counted in closed form.
+        want = reference_search(petersen, EdgeSet.empty(petersen), SearchContext(petersen))
+        assert want.candidates_tried > 65
+        with pytest.raises(CapacityError) as exc:
+            has_5cdc(petersen, SearchOptions(max_candidates=limit))
+        assert exc.value.candidates_tried == limit
+
+    def test_candidate_guard_one_below_the_winner(self):
+        g = flower_snark(5)
+        circuit = max(enumerate_circuits(g)[:40], key=lambda c: (len(c), c.ids()))
+        want = reference_search(g, circuit, SearchContext(g))
+        assert want.candidates_tried > 2
+        with pytest.raises(CapacityError) as exc:
+            find_5cdc_containing(
+                g, circuit, SearchOptions(max_candidates=want.candidates_tried - 1)
+            )
+        assert exc.value.candidates_tried == want.candidates_tried - 1
+        got = find_5cdc_containing(
+            g, circuit, SearchOptions(max_candidates=want.candidates_tried)
+        )
+        assert normalized(got) == normalized(want)
+
+    def test_time_budget_stops_a_search_counted_in_closed_form(self):
+        # On J7 the empty prescription fails with C1 = ∅ after one flow
+        # decision, its 2^15 C2 counted at once; the budget must still stop
+        # the search in the C1 that follow.
         with pytest.raises(CapacityError):
-            SearchContext(petersen).even_masks(4)
-        assert len(ctx.even_masks(6)) == 64
+            has_5cdc(flower_snark(7), SearchOptions(budget_ms=1))
+        control = has_5cdc(flower_snark(6), SearchOptions(budget_ms=1))
+        assert control is not None and control.path == "m-empty"
 
 
 class TestCircuitSweep:
@@ -255,45 +299,166 @@ def reference_c1_list(g, c0):
 
 
 def reference_c2_order(c1, canonical):
-    """C2 candidates sorted by (intersection with c1, canonical position)."""
-    order = sorted(range(len(canonical)), key=lambda i: (len(c1 & canonical[i]), i))
-    return [canonical[i] for i in order]
+    """C2 candidates sorted by (intersection with c1, canonical position),
+    the latter kept by the stable sort."""
+    return sorted(canonical, key=lambda s: (c1.mask & s.mask).bit_count())
+
+
+def reference_search(g, c0, context, canonical=None):
+    """The exhaustive search: every (C1, C2) pair in the pinned order, each
+    one counted and tested, flows decided through `context` as pairs are met.
+    Its certificate is built the way the engine builds one."""
+    canonical = canonical or reference_canonical(g)
+    tried = 0
+    for c1 in reference_c1_list(g, c0):
+        for c2 in reference_c2_order(c1, canonical):
+            tried += 1
+            overlap = c1 & c2
+            if len(overlap) * 2 > g.n or not is_matching(g, overlap):
+                continue
+            flow = context.flow_minus(overlap)
+            if flow is None:
+                continue
+            cdc = extend_to_cdc(g, [c for c in (c1, c2) if c], flow)
+            return build_certificate(g, c0, c1, c2, overlap, cdc.elements, tried, 0)
+    return None
+
+
+def search_differences(g, prescriptions, canonical=None):
+    """Run the engine and the reference search on every prescription, each
+    side with one context for the whole graph.  Return the prescriptions
+    where the certificates (c1, c2, candidates_tried and every other byte
+    except elapsed_ms) or the sets of flows decided differ, and the
+    engine's certificates."""
+    canonical = canonical or reference_canonical(g)
+    engine, reference = SearchContext(g), SearchContext(g)
+    differences, certificates = [], []
+    for c0 in prescriptions:
+        got = find_5cdc_containing(g, c0, context=engine)
+        certificates.append(got)
+        want = reference_search(g, c0, reference, canonical)
+        same = (got is None) == (want is None)
+        if same and got is not None:
+            same = normalized(got) == normalized(want)
+        # Both sides memoize exactly the overlaps whose flow they decided.
+        if not same or engine._flows.keys() != reference._flows.keys():
+            differences.append(c0.ids())
+    return differences, certificates
 
 
 class TestCandidateOrder:
-    """SearchContext builds its orders in closed form; they must equal the
-    tuple-key sorts they replace, which fix every certificate produced."""
-
-    def assert_same_orders(self, g, prescriptions=None):
-        ctx = SearchContext(g)
-        canonical = reference_canonical(g)
-        assert ctx.even_masks(16) == [s.mask for s in canonical]
-        if prescriptions is None:
-            prescriptions = [EdgeSet.empty(g)] + enumerate_circuits(g)
-        for c0 in prescriptions:
-            c1_list = reference_c1_list(g, c0)
-            assert ctx.c1_candidates(c0) == [s.mask for s in c1_list]
-            c2_order = reference_c2_order(c1_list[0], canonical)
-            assert list(ctx.c2_candidates(c1_list[0].mask, 16)) == [s.mask for s in c2_order]
+    """The engine counts skipped buckets in closed form and walks only the
+    short end of the order; it must give what the exhaustive reference
+    search gives, and decide the same flows."""
 
     def test_catalog(self, catalog):
+        # Every even c0, the empty one included: the catalog holds "none"
+        # answers and a pair whose C1 is not c0.
+        outcomes = set()
         for g in catalog:
-            self.assert_same_orders(g)
+            prescriptions = list(enumerate_even_subgraphs(cycle_space_basis(g)))
+            differences, certificates = search_differences(g, prescriptions)
+            assert differences == []
+            outcomes.update(
+                "none" if cert is None else "c0" if cert.c1 == cert.c0 else "other"
+                for cert in certificates
+            )
+        assert outcomes == {"none", "c0", "other"}
 
     def test_petersen_and_blanusa_snarks(self, snarks):
         # snarks.g6 holds Petersen, then the two Blanusa snarks.
         for g in snarks[:3]:
-            self.assert_same_orders(g)
+            prescriptions = [EdgeSet.empty(g)] + enumerate_circuits(g)
+            assert search_differences(g, prescriptions)[0] == []
 
     def test_flower_snark_j5(self):
-        self.assert_same_orders(flower_snark(5))
+        g = flower_snark(5)
+        assert search_differences(g, [EdgeSet.empty(g)] + enumerate_circuits(g))[0] == []
 
     def test_shuffled_flower_snark_j7(self):
-        # Dimension 15, the size of the orders a find on J7 builds.  The
-        # whole even-subgraph order is checked; C1 and C2 orders only for
-        # the empty prescription and a few sampled circuits, to stay fast.
+        # Dimension 15, the size of a find on J7.  The empty prescription
+        # fails with C1 = ∅ and goes on through the whole order of C1.
         g = shuffled(flower_snark(7), 7)
+        canonical = reference_canonical(g)
         rng = random.Random(7)
-        circuits = [s for s in rng.sample(reference_canonical(g), 300) if is_circuit(g, s)]
+        circuits = [s for s in rng.sample(canonical, 300) if is_circuit(g, s)]
         assert len(circuits) >= 3
-        self.assert_same_orders(g, [EdgeSet.empty(g)] + circuits[:3])
+        prescriptions = [EdgeSet.empty(g)] + circuits[:3]
+        assert search_differences(g, prescriptions, canonical)[0] == []
+
+
+class TestOverlapBuckets:
+    """The bucket of C2 with |C1 ∩ C2| = k holds (overlaps of size k) times
+    2^(dim - r) members; the counts and the matchings among the overlaps
+    must equal those of a scan of the whole cycle space."""
+
+    def assert_buckets(self, g, c1s):
+        basis = cycle_space_basis(g)
+        whole = canonical_masks(0, [v.mask for v in basis.vectors])
+        for c1 in c1s:
+            rows = reduced_echelon(v.mask & c1 for v in basis.vectors)
+            share = 1 << (basis.dim - len(rows))
+            got = list(_overlaps(g, c1, rows, lambda: None))
+            sizes = [0] * (c1.bit_count() + 1)
+            overlaps = [set() for _ in sizes]
+            for x in whole:
+                sizes[(x & c1).bit_count()] += 1
+                overlaps[(x & c1).bit_count()].add(x & c1)
+            assert [count * share for count, _ in got] == sizes
+            for k, (_, matchings) in enumerate(got):
+                want = [EdgeSet(g, m) for m in overlaps[k]]
+                want = sorted((m for m in want if is_matching(g, m)), key=EdgeSet.ids)
+                assert matchings == [m.mask for m in want]
+
+    def test_catalog(self, catalog):
+        # Every even subgraph as C1, so projections of every rank occur,
+        # down to those with fewer members than syndromes.
+        for g in catalog:
+            basis = cycle_space_basis(g)
+            self.assert_buckets(g, canonical_masks(0, [v.mask for v in basis.vectors]))
+
+    def test_corpus_and_j5(self, snarks):
+        for g in snarks[:3] + [flower_snark(5)]:
+            circuits = enumerate_circuits(g)
+            self.assert_buckets(g, [c.mask for c in circuits[:: max(1, len(circuits) // 60)]])
+
+
+class TestShortEnd:
+    """The short end of the canonical order, built from short circuits and
+    their disjoint unions, against a filter of the whole order."""
+
+    def assert_short_end(self, g):
+        ctx = SearchContext(g)
+        whole = canonical_masks(0, [v.mask for v in cycle_space_basis(g).vectors])
+        for width in range(g.m + 1):
+            assert ctx.short_end(width) == [x for x in whole if x.bit_count() <= width]
+
+    def test_catalog(self, catalog):
+        for g in catalog:
+            self.assert_short_end(g)
+
+    def test_corpus(self, snarks):
+        for g in snarks:
+            self.assert_short_end(g)
+
+    def test_flower_snark_j5(self):
+        self.assert_short_end(flower_snark(5))
+
+    def test_multigraph_with_parallel_edges(self):
+        g = random_cubic_multigraph(12, 5)
+        assert not g.is_simple()
+        self.assert_short_end(g)
+
+    def test_stopped_growth_leaves_the_cache_whole(self, petersen):
+        calls = []
+
+        def stop_on_the_fortieth_call():
+            calls.append(None)
+            if len(calls) == 40:
+                raise CapacityError("time budget exhausted")
+
+        ctx = SearchContext(petersen)
+        with pytest.raises(CapacityError):
+            ctx.short_end(petersen.m, stop_on_the_fortieth_call)
+        fresh = SearchContext(petersen)
+        assert ctx.short_end(petersen.m) == fresh.short_end(petersen.m)
