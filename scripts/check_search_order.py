@@ -6,10 +6,10 @@ the short end of the canonical order.  The reference search in
 tests/test_search.py lists and tests every (C1, C2) pair in the pinned
 order.  This script runs both on every circuit of tests/data/snarks.g6
 and on one circuit of each of 16 seeded relabellings of the flower snark
-J7 (tests/oracles.py), and compares c1, c2, candidates_tried, the
-certificate bytes with elapsed_ms removed, and the set of flows each side
-decided.  It prints the counts and the run time, and exits with status 1
-when any search differs.
+J7 (tests/oracles.py), and compares the C1 order, c1, c2,
+candidates_tried, the certificate bytes with elapsed_ms removed, and the
+set of flows each side decided.  It prints the counts and the run time,
+and exits with status 1 when any search differs.
 
 Run it from the root of a source checkout:
 

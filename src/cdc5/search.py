@@ -17,7 +17,13 @@ C1's edges.  So a bucket of C2 with no acceptable M is skipped by adding
 its size in closed form, and the canonical order is walked only inside
 the first bucket that holds a winner.  The walk reads the short end of the
 order, every even subgraph up to some size, which the context generates
-from the short circuits of the host and grows one size at a time.
+from the short circuits of the host and grows one size at a time.  Both
+parts fall back to closed-form lists when a search must go far: the
+overlaps of a C1 are read from a list of the projection once finding
+them one size at a time has cost more than its 2^r members, and the rest
+of the canonical order is listed once growing its short end gets dear.
+So a C1 whose buckets all fail costs about what a walk of the 2^dim
+order would.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .certificates import Certificate, build_certificate
 from .cover import extend_to_cdc
 from .cyclespace import (
+    EvenLayers,
     canonical_masks,
     cycle_space_basis,
     enumerate_circuits,
@@ -77,99 +84,49 @@ class SearchContext:
     has none).  Holding the flow, not just the answer, lets a found pair's
     cover be built without deciding the flow again.
 
-    The short end holds every even subgraph with at most `width` edges.  On
-    a cubic host an even subgraph is a vertex-disjoint union of circuits,
-    so it is built from the circuits of each length (a depth-first search
-    from each circuit's lowest vertex, pruned by the distance back to it;
-    parallel edges give 2-circuits) and their disjoint unions.  It starts
-    at the empty set and grows by one size whenever a search needs it, so
-    its cost follows the searches made, not 2^dim."""
+    The short end starts at the empty set and grows by one size whenever a
+    walk of the order passes it, so its cost follows the searches made,
+    not 2^dim.  A size is built from the short circuits of the host and
+    their disjoint unions (cyclespace.EvenLayers) while that stays cheap:
+    once the circuit search for one size visits more than 2^dim / 8 paths,
+    the rest of the order is listed in closed form by
+    cyclespace.canonical_masks instead (a path of the search costs about
+    eight times a member of that list)."""
 
     def __init__(self, g: MultiGraph):
         _check_search_host(g)
         self.g = g
         self.basis = cycle_space_basis(g)
         self._flows: dict[int, Optional[Flow4]] = {}
-        self._short: list[int] = [0]  # the short end, in canonical order
-        self._layers: list[list[tuple[int, int]]] = [[(0, 0)]]  # (edges, vertices) by size
-        self._circuits: list[list[tuple[int, int]]] = [[]]  # (edges, vertices) by length
-        self._adjacent = [[(e, g.other_end(e, v)) for e in g.incident(v)] for v in range(g.n)]
-        self._distances = [self._distances_from(s) for s in range(g.n)]
+        self._order: list[int] = [0]  # the short end, in canonical order
+        self._layers: Optional[EvenLayers] = None  # built on the first growth
 
-    @property
-    def width(self) -> int:
-        """The largest size the short end is complete up to."""
-        return len(self._layers) - 1
+    def canonical_order(self, check_time: Callable[[], None] = lambda: None) -> Iterator[int]:
+        """Masks of every even subgraph in canonical order, empty set first,
+        growing the cached short end as the iteration passes it.  check_time
+        is called as the short end grows and may raise to stop; a stopped
+        growth leaves the cache as it was."""
+        walked = 0
+        while True:
+            order = self._order
+            yield from order[walked:]
+            walked = len(order)
+            if not self._grow(check_time):
+                return
 
-    def short_end(self, width: int, check_time: Callable[[], None] = lambda: None) -> list[int]:
-        """Masks of every even subgraph with at most width edges, in
-        canonical order, growing the cached short end as far as needed.
-        check_time is called as the short end grows and may raise to stop."""
-        while self.width < min(width, self.g.m):
-            self._grow(check_time)
-        return [x for x in self._short if x.bit_count() <= width]
-
-    def _grow(self, check_time: Callable[[], None]) -> None:
-        """Append the even subgraphs of size width + 1 to the short end.
-        Each one is its circuit through its lowest edge joined with the
-        vertex-disjoint rest, whose lowest edge is then higher, so every
-        union is built once."""
-        size = self.width + 1
-        circuits = self._circuits_of_length(size, check_time)
-        layer = list(circuits)
-        for length in range(2, size - 1):
-            check_time()
-            for c, c_verts in self._circuits[length]:
-                low = c & -c
-                for rest, rest_verts in self._layers[size - length]:
-                    if not c_verts & rest_verts and rest & -rest > low:
-                        layer.append((c | rest, c_verts | rest_verts))
-        # Among sets of one size, the one holding the lowest edge where two
-        # differ comes first: the larger of the masks written lowest bit first.
-        digits = f"0{self.g.m}b"
-        layer.sort(key=lambda item: format(item[0], digits)[::-1], reverse=True)
-        self._circuits.append(circuits)
-        self._layers.append(layer)
-        self._short.extend(x for x, _ in layer)
-
-    def _circuits_of_length(
-        self, length: int, check_time: Callable[[], None]
-    ) -> list[tuple[int, int]]:
-        """Every circuit with `length` edges as (edge mask, vertex mask).  A
-        circuit is found from its lowest vertex s, through vertices above s
-        only, leaving s by the lower of its two edges at s."""
-        adjacent = self._adjacent
-        found: list[tuple[int, int]] = []
-
-        def extend(s, dist, first, v, depth, edges, verts):
-            for e, w in adjacent[v]:
-                if w == s:
-                    if depth + 1 == length and e > first and not edges >> e & 1:
-                        found.append((edges | 1 << e, verts))
-                elif w > s and not verts >> w & 1 and depth + 1 + dist[w] <= length:
-                    extend(s, dist, first, w, depth + 1, edges | 1 << e, verts | 1 << w)
-
-        for s in range(self.g.n):
-            check_time()
-            dist = self._distances[s]
-            for e, w in adjacent[s]:
-                if w > s and 1 + dist[w] <= length:
-                    extend(s, dist, e, w, 1, 1 << e, 1 << s | 1 << w)
-        return found
-
-    def _distances_from(self, s: int) -> list[int]:
-        """Breadth-first distances from s through vertices s and above; the
-        others, and those out of reach, get a distance no circuit reaches."""
-        far = self.g.m + 1
-        dist = [far] * self.g.n
-        dist[s] = 0
-        queue = [s]
-        for v in queue:
-            for _, w in self._adjacent[v]:
-                if w > s and dist[w] == far:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+    def _grow(self, check_time: Callable[[], None]) -> bool:
+        """Extend the short end by one size, or to the whole order; False
+        when it is the whole order already."""
+        total = 1 << self.basis.dim
+        if len(self._order) == total:
+            return False
+        if self._layers is None:
+            self._layers = EvenLayers(self.g)
+        if self._layers.paths * 8 > total:
+            self._order = canonical_masks(0, [v.mask for v in self.basis.vectors])
+        else:
+            self._order.extend(self._layers.next_layer(check_time))
+        return True
 
     def c1_candidates(self, c0: EdgeSet) -> list[int]:
         """Masks of the even subgraphs containing c0, ordered by how many
@@ -190,6 +147,10 @@ class SearchContext:
         if drop.mask not in self._flows:
             self._flows[drop.mask] = find_nz4flow(delete_edges(self.g, drop).graph)
         return self._flows[drop.mask]
+
+    def known_flowless(self, drop: int) -> bool:
+        """Whether G - drop (a mask) is already known to have no flow."""
+        return drop in self._flows and self._flows[drop] is None
 
 
 class _Tally:
@@ -218,45 +179,31 @@ def _overlaps(
 ) -> Iterator[tuple[int, list[int]]]:
     """For k = 0, 1, ..., |c1|: how many k-edge subsets M of c1 are the
     overlap c1 ∩ C2 of some even subgraph C2, and those M that are
-    matchings, in canonical order.
+    matchings with 2k <= n, in canonical order.
 
     rows is the reduced echelon form of the cycle space projected onto c1,
     and M is an overlap exactly when it lies in that projection: when the
     syndromes of its edges sum to zero, a pivot edge's syndrome being the
     rest of its row and any other edge's the edge itself.  The counts come
     from a dynamic programme over c1's edges that keeps, per syndrome, how
-    many k-subsets of the edges so far sum to it, one k at a time.  At full
-    rank every syndrome is zero and the counts are binomials.  Syndromes
-    have |c1| - r bits, one per component of G - c1 less one per component
-    of G.  On a bridgeless cubic host every component of G - c1 that meets
-    c1 holds two or more of c1's vertices, so |c1| - r < |c1| / 2 < r, and
-    the programme never holds more sums than the projection has members."""
+    many k-subsets of the edges so far sum to it, one k at a time; at full
+    rank every syndrome is zero and the counts are binomials.  The k-edge
+    matchings are the (k - 1)-edge ones extended by a higher edge, kept
+    when their syndromes sum to zero.  Both are built one k at a time, so a
+    search that wins at a small k pays for small k only.  Once their work
+    (sums held, partial matchings built) exceeds the 2^r members of the
+    projection, the projection is listed instead and the remaining sizes
+    are read from it."""
     edges = [e for e in range(g.m) if c1 >> e & 1]
     pivots = sum(1 << p for p in rows)
     syndrome = [rows[e] & ~pivots if e in rows else 1 << e for e in edges]
     ends = [1 << u | 1 << v for u, v in map(g.endpoints, edges)]
     size = len(edges)
-
-    def matchings(k: int) -> list[int]:
-        """The k-edge matchings in c1 whose syndromes sum to zero."""
-        found: list[int] = []
-
-        def extend(start: int, left: int, mask: int, verts: int, total: int) -> None:
-            if not left:
-                if not total:
-                    found.append(mask)
-                return
-            check_time()
-            for i in range(start, size - left + 1):
-                if not verts & ends[i]:
-                    bit, more = 1 << edges[i], verts | ends[i]
-                    extend(i + 1, left - 1, mask | bit, more, total ^ syndrome[i])
-
-        extend(0, k, 0, 0, 0)
-        return found
-
+    work, projection = 0, 1 << len(rows)
     # sums[i]: syndrome -> number of k-subsets of edges[:i] with that sum
     sums: list[dict[int, int]] = [{0: 1}] * (size + 1)
+    # (mask, vertices, syndrome sum, next edge index) of the k-edge matchings
+    partial = [(0, 0, 0, 0)]
     for k in range(size + 1):
         check_time()
         if k:
@@ -267,7 +214,38 @@ def _overlaps(
                     y = x ^ syndrome[i]
                     counts[y] = counts.get(y, 0) + c
                 sums.append(counts)
-        yield sums[size].get(0, 0), matchings(k) if 2 * k <= g.n else []
+            shorter, partial = partial if 2 * k <= g.n else [], []
+            for mask, verts, total, start in shorter:
+                check_time()
+                for i in range(start, size):
+                    if not verts & ends[i]:
+                        partial.append(
+                            (mask | 1 << edges[i], verts | ends[i], total ^ syndrome[i], i + 1)
+                        )
+            work += sum(map(len, sums)) + len(partial)
+            if work > projection:
+                break
+        yield sums[size].get(0, 0), [mask for mask, _, total, _ in partial if not total]
+    else:
+        return
+    members: list[list[int]] = [[] for _ in range(size + 1)]
+    for x in canonical_masks(0, list(rows.values())):
+        members[x.bit_count()].append(x)
+    ends_of = {1 << e: end for e, end in zip(edges, ends)}
+
+    def matching(x: int) -> bool:
+        verts = 0
+        while x:
+            end = ends_of[x & -x]
+            if verts & end:
+                return False
+            verts |= end
+            x &= x - 1
+        return True
+
+    for k in range(k, size + 1):
+        check_time()
+        yield len(members[k]), [x for x in members[k] if 2 * k <= g.n and matching(x)]
 
 
 def _walk_bucket(
@@ -278,33 +256,26 @@ def _walk_bucket(
     when the bucket holds no such C2.
 
     Flows are decided in the order the walk meets the overlaps, as an
-    exhaustive walk would decide them, and the walk grows the short end
-    until it meets a winner or has met every matching whose flow is not
-    known to be missing.  So it decides exactly the flows the exhaustive
-    order decides, and a bucket whose matchings are all known to fail is
-    not walked at all."""
-    g = ctx.g
-    flows = ctx._flows
-    pending = {m for m in matchings if m not in flows or flows[m] is not None}
-    walked = 0
-    while pending:
-        short = ctx._short
-        for c2 in short[walked:]:
-            m = c1 & c2
-            if m.bit_count() != k:
-                continue
-            tally.check_time()
-            tally.add(1)
-            if m in pending:
-                if ctx.flow_minus(EdgeSet(g, m)) is not None:
-                    return c2
-                pending.discard(m)
-        walked = len(short)
-        if pending:
-            if ctx.width >= g.m:
-                raise InvariantViolationError("an overlap of the cycle space was never met")
-            ctx._grow(tally.check_time)
-    return None
+    exhaustive walk would decide them, and the walk goes on until it meets
+    a winner or has met every matching whose flow is not known to be
+    missing.  So it decides exactly the flows the exhaustive order decides,
+    and a bucket whose matchings are all known to fail is not walked."""
+    pending = {m for m in matchings if not ctx.known_flowless(m)}
+    if not pending:
+        return None
+    for c2 in ctx.canonical_order(tally.check_time):
+        m = c1 & c2
+        if m.bit_count() != k:
+            continue
+        tally.check_time()
+        tally.add(1)
+        if m in pending:
+            if ctx.flow_minus(EdgeSet(ctx.g, m)) is not None:
+                return c2
+            pending.discard(m)
+            if not pending:
+                return None
+    raise InvariantViolationError("an overlap of the cycle space was never met")
 
 
 def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:

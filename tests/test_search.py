@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -29,7 +30,7 @@ from cdc5 import (
     verify_certificate,
 )
 
-from cdc5.cyclespace import reduced_echelon
+from cdc5.cyclespace import EvenLayers, reduced_echelon
 from cdc5.search import _overlaps
 
 from .oracles import (
@@ -327,9 +328,11 @@ def reference_search(g, c0, context, canonical=None):
 def search_differences(g, prescriptions, canonical=None):
     """Run the engine and the reference search on every prescription, each
     side with one context for the whole graph.  Return the prescriptions
-    where the certificates (c1, c2, candidates_tried and every other byte
-    except elapsed_ms) or the sets of flows decided differ, and the
-    engine's certificates."""
+    where the C1 orders, the certificates (c1, c2, candidates_tried and
+    every other byte except elapsed_ms) or the sets of flows decided
+    differ, and the engine's certificates.  The C1 order is compared in
+    full although the engine lists it only when c0 fails; its first entry
+    must be c0, which the engine tries first."""
     canonical = canonical or reference_canonical(g)
     engine, reference = SearchContext(g), SearchContext(g)
     differences, certificates = [], []
@@ -337,7 +340,8 @@ def search_differences(g, prescriptions, canonical=None):
         got = find_5cdc_containing(g, c0, context=engine)
         certificates.append(got)
         want = reference_search(g, c0, reference, canonical)
-        same = (got is None) == (want is None)
+        same = engine.c1_candidates(c0) == [s.mask for s in reference_c1_list(g, c0)]
+        same = same and (got is None) == (want is None)
         if same and got is not None:
             same = normalized(got) == normalized(want)
         # Both sides memoize exactly the overlaps whose flow they decided.
@@ -425,13 +429,19 @@ class TestOverlapBuckets:
 
 class TestShortEnd:
     """The short end of the canonical order, built from short circuits and
-    their disjoint unions, against a filter of the whole order."""
+    their disjoint unions, against a filter of the whole order; and the
+    context's walk of the order, which grows its short end as it goes and
+    lists the rest in closed form once growing gets dear."""
 
     def assert_short_end(self, g):
-        ctx = SearchContext(g)
         whole = canonical_masks(0, [v.mask for v in cycle_space_basis(g).vectors])
-        for width in range(g.m + 1):
-            assert ctx.short_end(width) == [x for x in whole if x.bit_count() <= width]
+        layers = EvenLayers(g)
+        short = [0]
+        for width in range(1, g.m + 1):
+            short += layers.next_layer()
+            assert layers.size == width
+            assert short == [x for x in whole if x.bit_count() <= width]
+        assert list(SearchContext(g).canonical_order()) == whole
 
     def test_catalog(self, catalog):
         for g in catalog:
@@ -449,6 +459,19 @@ class TestShortEnd:
         assert not g.is_simple()
         self.assert_short_end(g)
 
+    def test_walk_grows_the_short_end_only_as_far_as_it_goes(self):
+        # A walk of the first 50 of J7's 2^15 even subgraphs builds the
+        # short end to size 9 (58 members) only.  A full walk lists the
+        # rest in closed form once the circuit search gets dear.
+        g = flower_snark(7)
+        whole = canonical_masks(0, [v.mask for v in cycle_space_basis(g).vectors])
+        ctx = SearchContext(g)
+        first = list(itertools.islice(ctx.canonical_order(), 50))
+        assert first == whole[:50]
+        assert len(ctx._order) == 58
+        assert list(ctx.canonical_order()) == whole
+        assert ctx._layers.size < g.m
+
     def test_stopped_growth_leaves_the_cache_whole(self, petersen):
         calls = []
 
@@ -457,8 +480,12 @@ class TestShortEnd:
             if len(calls) == 40:
                 raise CapacityError("time budget exhausted")
 
-        ctx = SearchContext(petersen)
+        layers = EvenLayers(petersen)
         with pytest.raises(CapacityError):
-            ctx.short_end(petersen.m, stop_on_the_fortieth_call)
-        fresh = SearchContext(petersen)
-        assert ctx.short_end(petersen.m) == fresh.short_end(petersen.m)
+            for _ in range(petersen.m):
+                layers.next_layer(stop_on_the_fortieth_call)
+        stopped_at = layers.size
+        rest = [layers.next_layer() for _ in range(stopped_at, petersen.m)]
+        fresh = EvenLayers(petersen)
+        want = [fresh.next_layer() for _ in range(petersen.m)]
+        assert rest == want[stopped_at:]
