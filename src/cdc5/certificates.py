@@ -4,31 +4,50 @@ A certificate carries the graph (both as graph6 and as an explicit edge
 list, so a third party need not reimplement edge numbering), the prescribed
 subgraph c0, the witness pair (c1, c2) with their matching intersection,
 the final cover, a per-edge coverage tally, which construction path fired,
-and search statistics.  verify_certificate re-derives everything from the
-document alone; it never trusts stored claims it can recompute.  The flow
-condition on G - M is read off the cover itself whenever the cover allows
-it, so checking a certificate from the search takes linear time.
+and search statistics.  One check core re-derives everything and trusts
+no stored claim it can recompute: verify_certificate runs it on the graph
+and edge sets a document names, build_certificate on those the search
+holds.  The flow condition on G - M is read off the cover itself whenever
+the cover allows it, so checking a certificate takes linear time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Sequence
 
-from .cover import contains_element_superset, verify_cdc
+from .cover import contains_element_superset, replays_as_flow, verify_cdc
 from .cyclespace import is_even_subgraph
-from .errors import (
-    Graph6Error,
-    InvariantViolationError,
-    PreconditionError,
-    UnsupportedFormatError,
-)
-from .flows import cdc_to_flow, has_nz4flow
+from .errors import Graph6Error, InvariantViolationError, UnsupportedFormatError
+from .flows import has_nz4flow
 from .graphs import EdgeSet, MultiGraph, delete_edges, is_matching, parse_graph6, write_graph6
 
 PATH_THEOREM = "theorem2"
 PATH_M_EMPTY = "m-empty"
+
+
+def dump_json(value: Any) -> str:
+    """The text of json.dumps(value, indent=2), byte for byte, joined from
+    leaves the C encoder writes (object keys must be strings)."""
+    return _dump(value, "\n")
+
+
+def _dump(value: Any, newline: str) -> str:
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        parts = [int.__repr__(x) if type(x) is int else _dump(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, dict) and value:
+        parts = [encode_basestring_ascii(k) + ": " + _dump(x, inner) for k, x in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return json.dumps(value)
 
 
 @dataclass(frozen=True)
@@ -68,7 +87,7 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2) + "\n"
+        return dump_json(self.to_doc()) + "\n"
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "Certificate":
@@ -105,9 +124,18 @@ def build_certificate(
     candidates_tried: int,
     elapsed_ms: int,
 ) -> Certificate:
-    """Assemble and fully re-verify a certificate; a verification failure
-    here means the search produced inconsistent data."""
-    cert = Certificate(
+    """Assemble a certificate after running the full check on the graph and
+    edge sets given, claiming every edge covered twice; a failed check here
+    means the search produced inconsistent data."""
+    path = PATH_M_EMPTY if not matching else PATH_THEOREM
+    stats = {"candidates_tried": candidates_tried, "elapsed_ms": elapsed_ms}
+    coverage = (2,) * g.m
+    problems = _check(g, c0, c1, c2, matching, elements, coverage, path, stats)
+    if problems:
+        raise InvariantViolationError(
+            "constructed certificate fails verification: " + "; ".join(problems)
+        )
+    return Certificate(
         graph6=write_graph6(g),
         n=g.n,
         m=g.m,
@@ -117,17 +145,11 @@ def build_certificate(
         c2=c2.ids(),
         matching=matching.ids(),
         cdc=tuple(el.ids() for el in elements),
-        coverage=tuple(verify_cdc(g, elements).coverage),
-        path=PATH_M_EMPTY if not matching else PATH_THEOREM,
+        coverage=coverage,
+        path=path,
         candidates_tried=candidates_tried,
         elapsed_ms=elapsed_ms,
     )
-    problems = verify_certificate(cert.to_doc())
-    if problems:
-        raise InvariantViolationError(
-            "constructed certificate fails verification: " + "; ".join(problems)
-        )
-    return cert
 
 
 def _is_id_array(value: Any) -> bool:
@@ -189,37 +211,10 @@ def _ordered_ids(name: str, ids: list[int], m: int, problems: list[str]) -> bool
     return ok
 
 
-def _replays_as_flow(
-    g: MultiGraph, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet, elements: list[EdgeSet]
-) -> bool:
-    """Whether a valid cover is its own witness for the flow condition: the
-    elements other than c1 and c2, together with c1 ^ c2, must form a
-    double cover of G - M by at most four elements, which cdc_to_flow turns
-    into a nowhere-zero 4-flow of G - M.  Linear in the size of the cover;
-    False means only that this shortcut does not apply."""
-    if c1 & c2 != matching:
-        return False
-    rest = list(elements)
-    for c in (c1, c2):
-        if c:
-            if c not in rest:
-                return False
-            rest.remove(c)
-    if c1 ^ c2:
-        rest.append(c1 ^ c2)
-    if len(rest) > 4:
-        return False
-    deletion = delete_edges(g, matching)
-    try:
-        cdc_to_flow(deletion.graph, [deletion.to_new(el) for el in rest])
-    except PreconditionError:
-        return False
-    return True
-
-
 def verify_certificate(doc: dict[str, Any]) -> list[str]:
     """Re-verify a certificate document from scratch.  Returns a list of
-    problems; empty means the certificate is sound."""
+    problems; empty means the certificate is sound.  The document is parsed
+    here, the rest is the check core build_certificate runs too."""
     problems = _structural_problems(doc)
     if problems:
         return problems
@@ -248,10 +243,7 @@ def verify_certificate(doc: dict[str, Any]) -> list[str]:
         return sorted(tuple(sorted(p)) for p in pairs)
 
     if normalize(g.edges) != normalize(parsed.edges):
-        problems.append("edges field does not describe the graph6 graph")
-        return problems
-    if not g.is_cubic():
-        problems.append("graph is not cubic")
+        return ["edges field does not describe the graph6 graph"]
 
     ok = True
     for name in ("c0", "c1", "c2", "matching"):
@@ -260,13 +252,22 @@ def verify_certificate(doc: dict[str, Any]) -> list[str]:
         ok &= _ordered_ids(f"cdc[{i}]", el, g.m, problems)
     if not ok:
         return problems
-
-    c0 = EdgeSet.of(g, doc["c0"])
-    c1 = EdgeSet.of(g, doc["c1"])
-    c2 = EdgeSet.of(g, doc["c2"])
-    matching = EdgeSet.of(g, doc["matching"])
+    c0, c1, c2, matching = (EdgeSet.of(g, doc[name]) for name in ("c0", "c1", "c2", "matching"))
     elements = [EdgeSet.of(g, el) for el in doc["cdc"]]
+    return _check(g, c0, c1, c2, matching, elements, doc["coverage"], doc["path"], doc["stats"])
 
+
+def _check(
+    g: MultiGraph, c0: EdgeSet, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet,
+    elements: Sequence[EdgeSet], coverage: Sequence[int], path: str, stats: dict[str, int],
+) -> list[str]:
+    """The check core: every problem of a certificate over g whose fields
+    are given as edge sets, in time linear in its size unless the cover
+    cannot witness the flow condition itself."""
+    problems = []
+    cubic = g.is_cubic()
+    if not cubic:
+        problems.append("graph is not cubic")
     for name, s in (("c0", c0), ("c1", c1), ("c2", c2)):
         if not is_even_subgraph(g, s):
             problems.append(f"{name} is not an even subgraph")
@@ -274,7 +275,8 @@ def verify_certificate(doc: dict[str, Any]) -> list[str]:
         problems.append("c0 is not a subset of c1")
     if (c1 & c2) != matching:
         problems.append("matching is not the intersection of c1 and c2")
-    if not is_matching(g, matching):
+    is_m = is_matching(g, matching)
+    if not is_m:
         problems.append("matching edges share an endpoint")
 
     if len(elements) > 5:
@@ -286,9 +288,8 @@ def verify_certificate(doc: dict[str, Any]) -> list[str]:
         problems.append(f"cdc[{i}] is not an even subgraph")
     for e in report.coverage_errors:
         problems.append(f"edge {e} is covered {report.coverage[e]} times, expected 2")
-    if list(report.coverage) != doc["coverage"]:
-        stored = doc["coverage"]
-        wrong = [e for e in range(min(len(stored), g.m)) if stored[e] != report.coverage[e]]
+    if tuple(coverage) != report.coverage:
+        wrong = [e for e in range(min(len(coverage), g.m)) if coverage[e] != report.coverage[e]]
         detail = f" at edges {wrong}" if wrong else ""
         problems.append("coverage field does not match the recomputed tally" + detail)
     if c1 and c1 not in elements:
@@ -298,18 +299,18 @@ def verify_certificate(doc: dict[str, Any]) -> list[str]:
     if contains_element_superset(elements, c0) is None:
         problems.append("no cover element contains c0")
 
-    if doc["path"] not in (PATH_THEOREM, PATH_M_EMPTY):
-        problems.append(f"unknown path '{doc['path']}'")
-    elif (doc["path"] == PATH_M_EMPTY) != (not matching):
+    if path not in (PATH_THEOREM, PATH_M_EMPTY):
+        problems.append(f"unknown path '{path}'")
+    elif (path == PATH_M_EMPTY) != (not matching):
         problems.append("path field is inconsistent with the matching")
 
-    if g.is_cubic() and is_matching(g, matching):
-        witnessed = report.valid and _replays_as_flow(g, c1, c2, matching, elements)
+    if cubic and is_m:
+        witnessed = report.valid and replays_as_flow(g, c1, c2, matching, elements)
         if not witnessed and not has_nz4flow(delete_edges(g, matching).graph):
             problems.append("graph minus the matching has no nowhere-zero 4-flow")
 
-    if doc["stats"]["candidates_tried"] < 1:
+    if stats["candidates_tried"] < 1:
         problems.append("candidates_tried must be at least 1")
-    if doc["stats"]["elapsed_ms"] < 0:
+    if stats["elapsed_ms"] < 0:
         problems.append("elapsed_ms must be nonnegative")
     return problems

@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Any, Optional
 
-from .certificates import verify_certificate
+from .certificates import dump_json, verify_certificate
 from .cyclespace import cycle_space_basis, enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, UnsupportedFormatError
 from .flows import has_nz4flow
@@ -337,7 +337,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 if outcome == "found":
                     name = f"cert_g{gi:03d}_c{ci:03d}.json"
                     with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
-                        f.write(json.dumps(doc, indent=2) + "\n")
+                        f.write(dump_json(doc) + "\n")
                     row["certificate"] = name
                 elif detail:
                     row["detail"] = detail
@@ -364,10 +364,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "total_ms": int((time.monotonic() - started) * 1000),
     }
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2) + "\n")
+        handle.write(dump_json(report) + "\n")
 
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(dump_json(report))
     else:
         for entry in graph_reports:
             if entry["status"] == "ok":
@@ -435,7 +435,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         rows.append(row)
 
     if args.format == "json":
-        print(json.dumps({"command": "stats", "input": args.graph, "graphs": rows}, indent=2))
+        print(dump_json({"command": "stats", "input": args.graph, "graphs": rows}))
     else:
         for row in rows:
             if "error" in row:

@@ -15,16 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cyclespace import is_even_subgraph, sym_diff
+from .cyclespace import is_even_subgraph
 from .errors import ConditionError, FlowMissingError, InvariantViolationError, PreconditionError
-from .flows import Flow4, cdc_to_flow, find_nz4flow
+from .flows import Flow4, find_nz4flow
 from .graphs import EdgeSet, MultiGraph, delete_edges, is_matching
 
 
 @dataclass(frozen=True)
 class Cdc:
     """An ordered family of nonempty even subgraphs over a common host.
-    Construction functions only return instances that pass verify_cdc."""
+    The constructions here build it in closed form from a nowhere-zero
+    4-flow, so it passes verify_cdc whenever that flow is one."""
 
     host: MultiGraph
     elements: tuple[EdgeSet, ...]
@@ -57,25 +58,33 @@ def _element_seq(s: CdcLike) -> Sequence[EdgeSet]:
     return s.elements if isinstance(s, Cdc) else s
 
 
+def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
+    """The edges lying in exactly one, exactly two and more than two of the
+    given masks, as three masks updated by AND and XOR per member."""
+    once = twice = more = 0
+    for x in masks:
+        once, twice, more = (
+            once ^ (x & ~(twice | more)), twice ^ ((once | twice) & x), more | (twice & x)
+        )
+    return once, twice, more
+
+
 def verify_cdc(g: MultiGraph, s: CdcLike) -> CdcReport:
     """Check the double-cover property: every element a nonempty even
-    subgraph, every edge covered exactly twice (repeats count)."""
+    subgraph, every edge covered exactly twice (repeats count).  The
+    per-edge tally is counted edge by edge only for a cover that fails;
+    a valid cover's is all twos."""
     elements = _element_seq(s)
-    counts = [0] * g.m
-    empty = []
-    non_even = []
-    for i, el in enumerate(elements):
+    for el in elements:
         if el.host is not g:
             raise ValueError("element does not belong to the given graph")
-        if not el:
-            empty.append(i)
-        if not is_even_subgraph(g, el):
-            non_even.append(i)
-        for e in el:
-            counts[e] += 1
+    empty = tuple(i for i, el in enumerate(elements) if not el)
+    non_even = tuple(i for i, el in enumerate(elements) if not is_even_subgraph(g, el))
+    if coverage_masks([el.mask for el in elements])[1] == (1 << g.m) - 1:
+        return CdcReport(not empty and not non_even, empty, non_even, (2,) * g.m, ())
+    counts = tuple(sum(el.mask >> e & 1 for el in elements) for e in range(g.m))
     errors = tuple(e for e, c in enumerate(counts) if c != 2)
-    valid = not empty and not non_even and not errors
-    return CdcReport(valid, tuple(empty), tuple(non_even), tuple(counts), errors)
+    return CdcReport(False, empty, non_even, counts, errors)
 
 
 def contains_element_superset(s: CdcLike, c0: EdgeSet) -> Optional[int]:
@@ -111,19 +120,11 @@ def four_cdc_containing(
             raise FlowMissingError("graph has no nowhere-zero 4-flow")
     elif flow.host is not g:
         raise ValueError("flow does not belong to the given graph")
-    s1 = s2 = 0
-    for e, value in enumerate(flow.values):
-        if value & 1:
-            s1 |= 1 << e
-        if value & 2:
-            s2 |= 1 << e
+    s1 = sum(1 << e for e, value in enumerate(flow.values) if value & 1)
+    s2 = sum(1 << e for e, value in enumerate(flow.values) if value & 2)
     base = c_prime.mask
     masks = (base, base ^ s1, base ^ s2, base ^ s1 ^ s2)
-    cdc = Cdc(g, tuple(EdgeSet(g, mask) for mask in masks if mask))
-    report = verify_cdc(g, cdc)
-    if not report.valid:
-        raise InvariantViolationError(f"constructed cover fails verification: {report}")
-    return cdc
+    return Cdc(g, tuple(EdgeSet(g, mask) for mask in masks if mask))
 
 
 def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
@@ -150,12 +151,12 @@ def extend_to_cdc(
     2. the edges lying in exactly two form a matching M;
     3. G - M has a nowhere-zero 4-flow.
 
-    The overlap M is deleted, the symmetric difference of the Ci (exactly
-    the once-covered edges) is completed to a ≤4-element cover of G - M,
-    and that cover's symmetric-difference member is replaced by C1..Ck.
-    A caller that already holds a nowhere-zero 4-flow of G - M (on a graph
-    equal to delete_edges(g, M).graph) passes it as flow, and condition 3
-    is then not decided again.
+    With c' the once-covered edges (the symmetric difference of the Ci) and
+    S1, S2 the bit planes of a nowhere-zero 4-flow of G - M, the cover is
+    c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and C1..Ck: four_cdc_containing's cover
+    of G - M with c' replaced by the Ci.  A caller that already holds that
+    flow (on a graph equal to delete_edges(g, M).graph) passes it as flow,
+    and condition 3 is then not decided again.
     """
     if not g.is_cubic():
         raise PreconditionError("host graph must be cubic")
@@ -165,44 +166,27 @@ def extend_to_cdc(
         if not is_even_subgraph(g, c):
             raise PreconditionError(f"covers[{i}] is not an even subgraph")
 
-    counts = [0] * g.m
-    for c in covers:
-        for e in c:
-            counts[e] += 1
-    over = tuple(e for e, cnt in enumerate(counts) if cnt > 2)
-    if over:
-        raise ConditionError(1, "some edge lies in more than two covers", over)
-    m_set = EdgeSet.of(g, (e for e, cnt in enumerate(counts) if cnt == 2))
+    once, twice, more = coverage_masks([c.mask for c in covers])
+    if more:
+        raise ConditionError(1, "some edge lies in more than two covers", EdgeSet(g, more).ids())
+    m_set = EdgeSet(g, twice)
     if not is_matching(g, m_set):
         raise ConditionError(
             2, "twice-covered edges do not form a matching", _matching_conflicts(g, m_set)
         )
-    deletion = delete_edges(g, m_set)
+    kept = EdgeSet(g, (1 << g.m) - 1 ^ twice).ids()  # edge ids of G - M, in order
     if flow is None:
-        flow = find_nz4flow(deletion.graph)
+        flow = find_nz4flow(delete_edges(g, m_set).graph)
         if flow is None:
             raise ConditionError(
                 3, "graph minus the matching has no nowhere-zero 4-flow", m_set.ids()
             )
-    elif flow.host != deletion.graph:
+    elif flow.host.n != g.n or flow.host.edges != tuple(g.edges[e] for e in kept):
         raise ValueError("flow does not belong to the graph minus the matching")
-    else:
-        flow = Flow4(deletion.graph, flow.values)
-
-    if covers:
-        c_prime = deletion.to_new(sym_diff(covers))
-    else:
-        c_prime = EdgeSet.empty(deletion.graph)
-    inner = four_cdc_containing(deletion.graph, c_prime, flow)
-    lifted = [deletion.to_old(g, el) for el in inner]
-    if c_prime:
-        lifted.remove(deletion.to_old(g, c_prime))
-    elements = tuple(lifted) + tuple(c for c in covers if c)
-    cdc = Cdc(g, elements)
-    report = verify_cdc(g, cdc)
-    if not report.valid:
-        raise InvariantViolationError(f"extended cover fails verification: {report}")
-    return cdc
+    s1 = sum(1 << e for e, value in zip(kept, flow.values) if value & 1)
+    s2 = sum(1 << e for e, value in zip(kept, flow.values) if value & 2)
+    lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
+    return Cdc(g, tuple(lifted) + tuple(c for c in covers if c))
 
 
 def extract_witness(
@@ -216,9 +200,9 @@ def extract_witness(
     matching (a second shared edge at a vertex would leave the third edge
     there uncoverable), and the remaining elements together with C1 ^ C2
     double-cover G - M, which therefore has a nowhere-zero 4-flow.  Both
-    facts are re-checked, the second by building that flow from the residual
-    cover with cdc_to_flow; a failure means the inputs were inconsistent in
-    a way verify_cdc cannot see, or a genuine bug.
+    facts are re-checked, the second with replays_as_flow; a failure means
+    the inputs were inconsistent in a way verify_cdc cannot see, or a
+    genuine bug.
     """
     elements = tuple(_element_seq(s))
     if not g.is_cubic():
@@ -237,15 +221,34 @@ def extract_witness(
     if not is_matching(g, m_set):
         raise InvariantViolationError("element intersection is not a matching")
 
-    # Residual double cover of G - M certifies the flow condition.
-    deletion = delete_edges(g, m_set)
-    residual = [deletion.to_new(el) for el in rest[1:]]
-    if c1 ^ c2:
-        residual.append(deletion.to_new(c1 ^ c2))
-    if len(residual) > 4:
-        raise InvariantViolationError("residual cover has too many elements")
-    try:
-        cdc_to_flow(deletion.graph, residual)
-    except PreconditionError as exc:
-        raise InvariantViolationError(f"residual cover is not a double cover: {exc}") from exc
+    if not replays_as_flow(g, c1, c2, m_set, elements):
+        raise InvariantViolationError("residual cover is not a double cover of G - M")
     return m_set, c1, c2
+
+
+def replays_as_flow(
+    g: MultiGraph, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet, elements: Sequence[EdgeSet]
+) -> bool:
+    """Whether a cover is its own witness for the flow condition on G - M:
+    the elements other than c1 and c2, with c1 ^ c2, must be at most four
+    masks r0..r3 covering E - M exactly twice, and the flow cdc_to_flow
+    reads off them, whose bit planes are S1 = r1 ^ r3 and S2 = r2 ^ r3,
+    must be conserved: S1 and S2 meet every vertex in an even number of
+    edges, loops aside.  Linear in the size of the cover; False means only
+    that this witness does not apply."""
+    if c1 & c2 != matching:
+        return False
+    rest = [el.mask for el in elements]
+    for c in (c1.mask, c2.mask):
+        if c:
+            if c not in rest:
+                return False
+            rest.remove(c)
+    if c1 ^ c2:
+        rest.append((c1 ^ c2).mask)
+    once, twice, more = coverage_masks(rest)
+    if len(rest) > 4 or once or more or twice != (1 << g.m) - 1 ^ matching.mask:
+        return False
+    _, r1, r2, r3 = rest + [0] * (4 - len(rest))
+    s1, s2 = (r1 ^ r3) & ~g.loop_mask(), (r2 ^ r3) & ~g.loop_mask()
+    return not any((s1 & vm).bit_count() & 1 or (s2 & vm).bit_count() & 1 for vm in g.vertex_masks)

@@ -269,24 +269,26 @@ def write_graph6(g: MultiGraph) -> str:
     parse_graph6(write_graph6(g)) recovers g up to edge-id order, and
     write_graph6(parse_graph6(s)) == s byte for byte.
     """
-    if g.n > 62:
-        raise UnsupportedFormatError(f"graph6 short form needs n <= 62, got {g.n}")
-    if not g.is_simple():
-        raise UnsupportedFormatError("graph6 cannot represent loops or parallel edges")
-    present = set()
-    for u, v in g.edges:
-        present.add((u, v) if u < v else (v, u))
+    check_graph6_writable(g)
     nbits = g.n * (g.n - 1) // 2
     need = (nbits + 5) // 6
-    stream = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            stream = stream << 1 | ((u, v) in present)
-    stream <<= 6 * need - nbits
+    stream = 0  # pair (u, v), u < v, is bit v(v-1)/2 + u from the top
+    for u, v in g.edges:
+        if u > v:
+            u, v = v, u
+        stream |= 1 << (6 * need - 1 - v * (v - 1) // 2 - u)
     out = [g.n + 63]
     for k in range(need - 1, -1, -1):
         out.append((stream >> 6 * k & 63) + 63)
     return bytes(out).decode("ascii")
+
+
+def check_graph6_writable(g: MultiGraph) -> None:
+    """Raise UnsupportedFormatError unless write_graph6 can encode g."""
+    if g.n > 62:
+        raise UnsupportedFormatError(f"graph6 short form needs n <= 62, got {g.n}")
+    if not g.is_simple():
+        raise UnsupportedFormatError("graph6 cannot represent loops or parallel edges")
 
 
 # ---------------------------------------------------------------------------

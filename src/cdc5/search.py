@@ -49,6 +49,7 @@ from .graphs import (
     EdgeSet,
     MultiGraph,
     bridges,
+    check_graph6_writable,
     delete_edges,
     is_matching,
     petersen_graph,
@@ -314,7 +315,8 @@ def find_5cdc_containing(
     by position in the canonical even-subgraph list.  The order fixes which
     certificate is produced and its candidates_tried, never whether one
     exists.  Searches on the same graph share work through one context;
-    without one, a fresh context is built for this call.
+    without one, a fresh context is built for this call.  A graph that
+    graph6 cannot encode raises UnsupportedFormatError before the search.
     """
     opts = options or SearchOptions()
     ctx = context or SearchContext(g)
@@ -324,6 +326,7 @@ def find_5cdc_containing(
         raise ValueError("c0 does not belong to the given graph")
     if not is_even_subgraph(g, c0):
         raise PreconditionError("c0 is not an even subgraph")
+    check_graph6_writable(g)  # the certificate names the graph in graph6
 
     started = time.monotonic()
     ctx.basis.check_guard(opts.dim_guard)

@@ -1,19 +1,28 @@
 import copy
 import json
+import random
 
 import pytest
 
+import cdc5.cover
+import cdc5.search
 from cdc5 import (
+    Cdc,
     Certificate,
     EdgeSet,
+    Flow4,
     InvariantViolationError,
     build_certificate,
     circuit_sweep,
+    enumerate_circuits,
+    extend_to_cdc,
     find_5cdc_containing,
     petersen_graph,
+    verify_cdc,
     verify_certificate,
     write_graph6,
 )
+from cdc5.certificates import dump_json
 
 from .oracles import complete_graph, flower_snark
 
@@ -85,6 +94,141 @@ class TestBuildGate:
         elements = tuple(EdgeSet.of(g, ids) for ids in petersen_cert.cdc)
         with pytest.raises(InvariantViolationError):
             build_certificate(g, c0, c1, c2, EdgeSet.empty(g), elements, 1, 0)
+
+
+def replace_one_element(g, cdc):
+    """The cover with its first element swapped for an even subgraph that
+    is not in it."""
+    other = next(c for c in enumerate_circuits(g) if c not in cdc.elements)
+    return Cdc(g, (other,) + cdc.elements[1:])
+
+
+def flip_bit_plane(flow, e):
+    """The flow with bit 1 of edge e's value flipped: S1 gains or loses e."""
+    values = list(flow.values)
+    values[e] ^= 1
+    return Flow4(flow.host, tuple(values))
+
+
+class TestSearchGate:
+    """The certificate check is the one gate on a found cover: a corrupted
+    cover must stop the search, and the same corruption must fail
+    verify_certificate on a document."""
+
+    PENTAGON = range(5)
+
+    def corrupt_search(self, monkeypatch, corrupt):
+        g = petersen_graph()
+        original = cdc5.search.extend_to_cdc
+
+        def corrupted(host, covers, flow=None):
+            return corrupt(host, covers, flow, original)
+
+        monkeypatch.setattr(cdc5.search, "extend_to_cdc", corrupted)
+        with pytest.raises(InvariantViolationError):
+            find_5cdc_containing(g, EdgeSet.of(g, self.PENTAGON))
+
+    def test_replaced_element_stops_the_search(self, monkeypatch):
+        def corrupt(host, covers, flow, original):
+            return replace_one_element(host, original(host, covers, flow))
+
+        self.corrupt_search(monkeypatch, corrupt)
+
+    @pytest.mark.parametrize("edge", range(14))
+    def test_flipped_bit_plane_stops_the_search(self, monkeypatch, edge):
+        # The Petersen pentagon's pair overlaps in one edge, so G - M has
+        # 14 edges; flip S1 at each of them.
+        def corrupt(host, covers, flow, original):
+            assert flow.host.m == 14
+            return original(host, covers, flip_bit_plane(flow, edge))
+
+        self.corrupt_search(monkeypatch, corrupt)
+
+    def corrupted_doc(self, petersen_cert, cdc):
+        doc = copy.deepcopy(petersen_cert.to_doc())
+        doc["cdc"] = [list(el.ids()) for el in cdc]
+        # A consistent stored tally, so only the cover itself can fail.
+        doc["coverage"] = list(verify_cdc(cdc.host, cdc).coverage)
+        return doc
+
+    def witness(self, petersen_cert):
+        g = petersen_graph()
+        covers = [EdgeSet.of(g, petersen_cert.c1), EdgeSet.of(g, petersen_cert.c2)]
+        return g, covers, cdc5.search.SearchContext(g).flow_minus(covers[0] & covers[1])
+
+    def test_replaced_element_fails_verification(self, petersen_cert):
+        g, covers, flow = self.witness(petersen_cert)
+        cdc = replace_one_element(g, extend_to_cdc(g, covers, flow))
+        assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
+
+    def test_flipped_bit_plane_fails_verification(self, petersen_cert):
+        g, covers, flow = self.witness(petersen_cert)
+        for e in range(flow.host.m):
+            cdc = extend_to_cdc(g, covers, flip_bit_plane(flow, e))
+            assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
+
+    def test_intact_cover_passes(self, petersen_cert):
+        g, covers, flow = self.witness(petersen_cert)
+        doc = self.corrupted_doc(petersen_cert, extend_to_cdc(g, covers, flow))
+        assert doc == petersen_cert.to_doc()
+        assert verify_certificate(doc) == []
+
+    def test_cover_is_checked_once_per_answer(self, monkeypatch):
+        calls = []
+        original = cdc5.cover.verify_cdc
+
+        def counting(g, s):
+            calls.append(None)
+            return original(g, s)
+
+        monkeypatch.setattr(cdc5.cover, "verify_cdc", counting)
+        monkeypatch.setattr(cdc5.certificates, "verify_cdc", counting)
+        assert circuit_sweep(petersen_graph()).found == 57
+        assert len(calls) == 57
+
+
+def random_json(rng, depth=0):
+    """A random JSON tree of the kinds json.dumps writes."""
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 2**64 + 3, -(2**80), rng.randrange(-10**6, 10**6)])
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.choice([0.5, -1e300, 3.0, 1e-7])
+    if kind in (3, 4, 5):
+        return random_text(rng)
+    if kind in (6, 7):
+        # Mixed int and bool lists: True must come out as true, not 1.
+        items = [rng.choice([0, 7, True, False, -3]) for _ in range(rng.randrange(6))]
+        return items + [random_json(rng, depth + 1) for _ in range(rng.randrange(3))]
+    if kind == 8:
+        return tuple(random_json(rng, depth + 1) for _ in range(rng.randrange(4)))
+    return {random_text(rng): random_json(rng, depth + 1) for _ in range(rng.randrange(5))}
+
+
+def random_text(rng):
+    pool = 'ab Z09"\\/\x00\x07\n\t\x1f\x7fé€\u2028\U0001f600'
+    return "".join(rng.choice(pool) for _ in range(rng.randrange(8)))
+
+
+class TestDumpJson:
+    def test_matches_json_dumps_on_random_trees(self):
+        rng = random.Random(20240611)
+        for _ in range(2000):
+            tree = random_json(rng)
+            assert dump_json(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, [[]], {"a": {}}, [True, 1, False, 0], None, "", "\u00e9\"\\", -(2**70)],
+    )
+    def test_edge_cases(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2)
+
+    def test_certificate_text(self, petersen_cert, k4_cert):
+        for cert in (petersen_cert, k4_cert):
+            assert cert.to_json() == json.dumps(cert.to_doc(), indent=2) + "\n"
 
 
 class TestVerifyCertificate:

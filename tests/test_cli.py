@@ -265,6 +265,26 @@ class TestSweep:
         report = read_json(os.path.join(out, "report.json"))
         assert report["graphs"][0]["status"] == "inconclusive"
 
+    def test_files_and_stdout_are_json_dumps_text(self, petersen_file, tmp_path, capsys):
+        # Every indented JSON output must be json.dumps(..., indent=2) to
+        # the byte: all 57 certificates, the report and the JSON stdout.
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--graph", petersen_file, "--out", str(out), "--workers", "1",
+             "--format", "json"]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
+        names = sorted(os.listdir(out))
+        assert len(names) == 58 and "report.json" in names
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert main(["stats", "--graph", petersen_file, "--format", "json"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
+
     def test_parallel_matches_serial(self, small_batch_file, tmp_path):
         serial = str(tmp_path / "serial")
         parallel = str(tmp_path / "parallel")

@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
 from cdc5 import (
     Cdc,
+    CdcReport,
     ConditionError,
     EdgeSet,
     FlowMissingError,
+    InvariantViolationError,
     MultiGraph,
     PreconditionError,
+    cdc_to_flow,
     contains_element_superset,
     cycle_space_basis,
     delete_edges,
@@ -17,12 +22,20 @@ from cdc5 import (
     find_nz4flow,
     four_cdc_containing,
     has_nz4flow,
+    is_even_subgraph,
     is_matching,
     petersen_graph,
     verify_cdc,
 )
+from cdc5.cover import coverage_masks, replays_as_flow
 
-from .oracles import bridged_cubic_graph, complete_graph, prism_graph, theta_multigraph
+from .oracles import (
+    bridged_cubic_graph,
+    complete_graph,
+    prism_graph,
+    random_cubic_multigraph,
+    theta_multigraph,
+)
 
 K4 = complete_graph(4)
 # K4 edge ids: (0,1)=0 (0,2)=1 (1,2)=2 (0,3)=3 (1,3)=4 (2,3)=5
@@ -69,6 +82,92 @@ class TestVerifyCdc:
     def test_accepts_cdc_instances(self):
         cdc = Cdc(K4, tuple(HAMILTONIANS))
         assert verify_cdc(K4, cdc).valid
+
+
+def loop_verify_cdc(g, elements):
+    """verify_cdc edge by edge, the reference for the bit-parallel one."""
+    counts = [0] * g.m
+    for el in elements:
+        for e in el:
+            counts[e] += 1
+    empty = tuple(i for i, el in enumerate(elements) if not el)
+    non_even = tuple(i for i, el in enumerate(elements) if not is_even_subgraph(g, el))
+    errors = tuple(e for e, c in enumerate(counts) if c != 2)
+    valid = not empty and not non_even and not errors
+    return CdcReport(valid, empty, non_even, tuple(counts), errors)
+
+
+def reference_replays_as_flow(g, c1, c2, matching, elements):
+    """The flow witness as cdc_to_flow decides it on delete_edges(g, M)."""
+    if c1 & c2 != matching:
+        return False
+    rest = list(elements)
+    for c in (c1, c2):
+        if c:
+            if c not in rest:
+                return False
+            rest.remove(c)
+    if c1 ^ c2:
+        rest.append(c1 ^ c2)
+    deletion = delete_edges(g, matching)
+    try:
+        cdc_to_flow(deletion.graph, [deletion.to_new(el) for el in rest])
+    except (ValueError, PreconditionError, InvariantViolationError):
+        return False
+    return True
+
+
+def random_covers(g, rng, count):
+    """Valid covers from extend_to_cdc on pairs of even subgraphs, each
+    also with one element swapped, dropped or doubled, random families of
+    even and odd edge sets, and double covers by odd sets: (c1, c2,
+    elements) triples."""
+    evens = list(enumerate_even_subgraphs(cycle_space_basis(g)))
+    out = []
+    while len(out) < count:
+        c1, c2 = rng.choice(evens), rng.choice(evens)
+        try:
+            cover = list(extend_to_cdc(g, [c for c in (c1, c2) if c]))
+        except ConditionError:
+            cover = [rng.choice(evens) for _ in range(rng.randrange(6))]
+        out.append((c1, c2, cover))
+        if cover:
+            i = rng.randrange(len(cover))
+            swapped = cover[:i] + [rng.choice(evens)] + cover[i + 1:]
+            dropped, doubled = cover[:i] + cover[i + 1:], cover + [cover[i]]
+            out += [(c1, c2, swapped), (c1, c2, dropped), (c1, c2, doubled)]
+        odd = EdgeSet(g, rng.getrandbits(g.m))
+        out.append((c1, c2, [c1, c2, odd][: rng.randrange(4)]))
+        # A double cover by odd sets: each edge lies in odd or its
+        # complement, and in the full set.
+        empty, full = EdgeSet.empty(g), EdgeSet.full(g)
+        out.append((empty, empty, [odd, full - odd, full]))
+    return out
+
+
+class TestBitParallelCounts:
+    GRAPHS = [K4, petersen_graph(), prism_graph(), theta_multigraph(), random_cubic_multigraph(8, 3)]
+
+    def test_coverage_masks(self):
+        once, twice, more = coverage_masks([0b0111, 0b0110, 0b1100, 0b0100])
+        assert (once, twice, more) == (0b1001, 0b0010, 0b0100)
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_verify_cdc_matches_the_edge_loop(self, g):
+        rng = random.Random(g.m)
+        for c1, c2, cover in random_covers(g, rng, 150):
+            assert verify_cdc(g, cover) == loop_verify_cdc(g, cover)
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_replays_as_flow_matches_cdc_to_flow(self, g):
+        rng = random.Random(g.n)
+        seen = set()
+        for c1, c2, cover in random_covers(g, rng, 150):
+            m_set = c1 & c2 if rng.random() < 0.9 else EdgeSet.empty(g)
+            want = reference_replays_as_flow(g, c1, c2, m_set, cover)
+            assert replays_as_flow(g, c1, c2, m_set, cover) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestContainsElementSuperset:

@@ -11,6 +11,7 @@ from cdc5 import (
     PreconditionError,
     SearchContext,
     SearchOptions,
+    UnsupportedFormatError,
     build_certificate,
     canonical_masks,
     circuit_sweep,
@@ -40,6 +41,7 @@ from .oracles import (
     prism_graph,
     random_cubic_multigraph,
     shuffled,
+    theta_multigraph,
 )
 
 
@@ -135,6 +137,19 @@ class TestFindPreconditions:
     def test_wrong_host_prescription_rejected(self, petersen):
         with pytest.raises(ValueError):
             find_5cdc_containing(petersen, EdgeSet.empty(complete_graph(4)))
+
+    @pytest.mark.parametrize("g", [theta_multigraph(), random_cubic_multigraph(12, 5)])
+    def test_multigraph_rejected_before_the_search(self, g, monkeypatch):
+        # A certificate names its graph in graph6, which has no parallel
+        # edges; the search must refuse before it runs, not after.
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("cdc5.search._first_partner", no_search)
+        with pytest.raises(UnsupportedFormatError):
+            find_5cdc_containing(g, EdgeSet.empty(g))
+        with pytest.raises(UnsupportedFormatError):
+            has_5cdc(g, context=SearchContext(g))
 
     def test_wrong_cache_rejected(self, petersen):
         with pytest.raises(ValueError):
