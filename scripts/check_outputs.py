@@ -4,8 +4,11 @@
 Runs `cdc5 sweep --workers 1` over tests/data/snarks.g6 into a temporary
 directory, in process. Every file it writes (each certificate and
 report.json) must equal json.dumps(json.loads(text), indent=2) + "\\n" byte
-for byte, and verify_certificate must accept every certificate. It prints
-the counts and the run time, and exits with status 1 on any mismatch.
+for byte, and verify_certificate must accept every certificate. It then
+runs the same sweep with `--workers 2`, which must write the same files,
+each equal to the serial one byte for byte once the values of elapsed_ms
+and total_ms are removed. It prints the counts and the run time, and exits
+with status 1 on any mismatch.
 
 Run it from the root of a source checkout:
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 import time
@@ -28,14 +32,24 @@ sys.path[:0] = [str(ROOT / "src")]
 from cdc5 import verify_certificate  # noqa: E402
 from cdc5.cli import main as cdc5_main  # noqa: E402
 
+CORPUS = str(ROOT / "tests" / "data" / "snarks.g6")
+TIMING = re.compile(r'("(?:elapsed_ms|total_ms)": )\d+')
+
+
+def sweep(out: str, workers: int) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cdc5_main(["sweep", "--graph", CORPUS, "--out", out, "--workers", str(workers)])
+
+
+def untimed(path: Path) -> str:
+    return TIMING.sub(r"\1", path.read_text(encoding="utf-8"))
+
 
 def main() -> int:
     started = time.monotonic()
     problems = []
-    with tempfile.TemporaryDirectory() as out:
-        corpus = str(ROOT / "tests" / "data" / "snarks.g6")
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cdc5_main(["sweep", "--graph", corpus, "--out", out, "--workers", "1"])
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as parallel:
+        code = sweep(out, 1)
         if code != 0:
             problems.append(f"sweep exited with status {code}")
         paths = sorted(Path(out).iterdir())
@@ -48,6 +62,17 @@ def main() -> int:
             if path.name.startswith("cert_"):
                 certificates += 1
                 problems += [f"{path.name}: {p}" for p in verify_certificate(doc)]
+        code = sweep(parallel, 2)
+        if code != 0:
+            problems.append(f"sweep --workers 2 exited with status {code}")
+        if sorted(p.name for p in Path(parallel).iterdir()) != [p.name for p in paths]:
+            problems.append("sweep --workers 2 wrote other files than --workers 1")
+        else:
+            problems += [
+                f"{path.name}: --workers 2 differs from --workers 1"
+                for path in paths
+                if untimed(path) != untimed(Path(parallel) / path.name)
+            ]
     elapsed = time.monotonic() - started
     print(f"files: {len(paths)}, certificates: {certificates}")
     print(f"problems: {len(problems)}, time: {elapsed:.1f} s")

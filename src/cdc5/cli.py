@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -21,7 +20,7 @@ from .cyclespace import cycle_space_basis, enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, UnsupportedFormatError
 from .flows import has_nz4flow
 from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6
-from .search import SearchOptions, SweepReport, circuit_sweep, find_5cdc_containing
+from .search import SearchOptions, Sweep, find_5cdc_containing
 
 WORKERS_ENV = "CDC5_WORKERS"
 
@@ -48,14 +47,12 @@ def _positive_int(text: str) -> int:
 
 def _default_workers() -> int:
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value > 0:
-            return value
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return _positive_int(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise _Fail(EXIT_USAGE, f"{WORKERS_ENV}={env!r} is not a positive integer") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,6 +118,8 @@ def _graph_lines(path: str) -> list[str]:
             raw = handle.read()
     except OSError as exc:
         raise _Fail(EXIT_USAGE, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Fail(EXIT_USAGE, f"{path} is not an ASCII graph6 file: {exc}") from exc
     lines = []
     for line in raw.splitlines():
         line = line.strip()
@@ -184,12 +183,29 @@ def _load_graph(path: str, index: int) -> MultiGraph:
         raise _Fail(EXIT_USAGE, f"{path}:{index}: {exc}") from exc
 
 
+def _make_out(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _Fail(EXIT_USAGE, f"cannot use {path} as the output directory: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _Fail(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise _Fail(EXIT_USAGE, f"cannot read {args.certificate}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Fail(EXIT_USAGE, f"{args.certificate} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _Fail(EXIT_USAGE, f"{args.certificate} is not valid JSON: {exc}") from exc
     problems = verify_certificate(doc)
@@ -229,10 +245,9 @@ def cmd_find(args: argparse.Namespace) -> int:
         print("none: the search space was exhausted without a cover")
         return EXIT_NEGATIVE
 
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     path = os.path.join(args.out, "certificate.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(cert.to_json())
+    _write(path, cert.to_json())
     if args.format == "json":
         print(
             json.dumps(
@@ -255,104 +270,19 @@ def cmd_find(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _outcomes(report: SweepReport) -> list[tuple[str, Optional[dict], str]]:
-    return [
-        (e.outcome, e.certificate.to_doc() if e.certificate else None, e.detail)
-        for e in report.entries
-    ]
-
-
-def _sweep_chunk(task: tuple) -> list[tuple[str, Optional[dict], str]]:
-    """Pool worker: one run of circuits of one graph, swept with a search
-    context of its own, so no state outlives the task."""
-    g6, id_lists, options = task
-    g = parse_graph6(g6)
-    return _outcomes(circuit_sweep(g, options, [EdgeSet.of(g, ids) for ids in id_lists]))
-
-
-def _run_circuits(
-    g: MultiGraph, line: str, circuits: list[EdgeSet], options: SearchOptions, pool, workers: int
-) -> list[tuple[str, Optional[dict], str]]:
-    """(outcome, certificate document, detail) per circuit, in order."""
-    if pool is None:
-        return _outcomes(circuit_sweep(g, options, circuits))
-    size = max(1, len(circuits) // (workers * 4))
-    ids = [c.ids() for c in circuits]
-    tasks = [(line, ids[i:i + size], options) for i in range(0, len(ids), size)]
-    return [result for chunk in pool.imap(_sweep_chunk, tasks) for result in chunk]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    lines = _graph_lines(args.graph)
     workers = args.workers if args.workers is not None else _default_workers()
-    os.makedirs(args.out, exist_ok=True)
-
+    lines = _graph_lines(args.graph)
+    _make_out(args.out)
+    options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
+    run = Sweep(lines, options, workers, args.keep_going)
     graph_reports: list[dict[str, Any]] = []
-    counts = {"found": 0, "none": 0, "inconclusive": 0}
-    had_error = False
-    aborted = False
-    pool = multiprocessing.Pool(workers) if workers > 1 else None
-    try:
-        for gi, line in enumerate(lines):
-            if aborted:
-                graph_reports.append({"index": gi, "graph6": line, "status": "skipped"})
-                continue
-            entry: dict[str, Any] = {"index": gi, "graph6": line}
-            try:
-                g = parse_graph6(line)
-            except (Graph6Error, UnsupportedFormatError) as exc:
-                entry.update(status="error", reason=str(exc))
-                graph_reports.append(entry)
-                had_error = True
-                continue
-            if not g.is_cubic():
-                entry.update(status="rejected", reason="graph is not cubic")
-                graph_reports.append(entry)
-                had_error = True
-                continue
-            if bridges(g):
-                entry.update(status="rejected", reason="graph has a bridge")
-                graph_reports.append(entry)
-                had_error = True
-                continue
-            try:
-                circuits = enumerate_circuits(g, args.dim_guard)
-            except CapacityError as exc:
-                entry.update(status="inconclusive", reason=str(exc))
-                graph_reports.append(entry)
-                counts["inconclusive"] += 1
-                continue
-
-            options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
-            results = _run_circuits(g, line, circuits, options, pool, workers)
-            circuit_rows = []
-            local = {"found": 0, "none": 0, "inconclusive": 0}
-            for ci, ((outcome, doc, detail), circuit) in enumerate(zip(results, circuits)):
-                row: dict[str, Any] = {
-                    "index": ci,
-                    "edges": list(circuit.ids()),
-                    "outcome": outcome,
-                }
-                if outcome == "found":
-                    name = f"cert_g{gi:03d}_c{ci:03d}.json"
-                    with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
-                        f.write(dump_json(doc) + "\n")
-                    row["certificate"] = name
-                elif detail:
-                    row["detail"] = detail
-                local[outcome] += 1
-                circuit_rows.append(row)
-            entry.update(status="ok", circuits=circuit_rows, counts=local)
-            graph_reports.append(entry)
-            for key in counts:
-                counts[key] += local[key]
-            if local["none"] and not args.keep_going:
-                aborted = True
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for entry, certificates in run:
+        for name, doc in certificates.items():
+            _write(os.path.join(args.out, name), dump_json(doc) + "\n")
+        graph_reports.append(entry)
+    counts = run.counts
 
     report = {
         "command": "sweep",
@@ -360,11 +290,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "options": {"dim_guard": args.dim_guard, "budget_ms": args.budget_ms},
         "graphs": graph_reports,
         "counts": counts,
-        "aborted": aborted,
+        "aborted": run.aborted,
         "total_ms": int((time.monotonic() - started) * 1000),
     }
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as handle:
-        handle.write(dump_json(report) + "\n")
+    _write(os.path.join(args.out, "report.json"), dump_json(report) + "\n")
 
     if args.format == "json":
         print(dump_json(report))
@@ -397,7 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if counts["none"]:
         return EXIT_NEGATIVE
-    if had_error:
+    if any(entry["status"] in ("error", "rejected") for entry in graph_reports):
         return EXIT_USAGE
     if counts["inconclusive"]:
         return EXIT_INCONCLUSIVE

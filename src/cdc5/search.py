@@ -28,9 +28,10 @@ order would.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .certificates import Certificate, build_certificate
 from .cover import extend_to_cdc
@@ -43,7 +44,13 @@ from .cyclespace import (
     reduced_echelon,
     solve_affine,
 )
-from .errors import CapacityError, InvariantViolationError, PreconditionError
+from .errors import (
+    CapacityError,
+    Graph6Error,
+    InvariantViolationError,
+    PreconditionError,
+    UnsupportedFormatError,
+)
 from .flows import Flow4, find_nz4flow
 from .graphs import (
     EdgeSet,
@@ -52,6 +59,7 @@ from .graphs import (
     check_graph6_writable,
     delete_edges,
     is_matching,
+    parse_graph6,
     petersen_graph,
     write_graph6,
 )
@@ -354,60 +362,125 @@ def has_5cdc(
     return find_5cdc_containing(g, EdgeSet.empty(g), options, context)
 
 
-@dataclass(frozen=True)
-class CircuitOutcome:
-    circuit: EdgeSet
-    outcome: str  # "found" | "none" | "inconclusive"
-    certificate: Optional[Certificate]
-    detail: str = ""
+class Sweep:
+    """A sweep of the conjecture over a catalog: find_5cdc_containing for
+    every circuit of every graph in a list of graph6 lines.  Iterating runs
+    it and yields, per graph, its report entry and the certificate
+    documents of its found circuits, keyed by file name; counts and aborted
+    hold the totals so far.  A "none" would be a counterexample to the
+    conjecture that every circuit of a bridgeless cubic graph lies in some
+    5-element cover; unless keep_going is set, it stops the sweep after its
+    graph and the graphs left are reported skipped.  "inconclusive" records
+    a guard hit, never a negative.
+
+    A graph's circuits are split into min(workers, circuits) contiguous
+    ranges, and each range is searched in order with one search context,
+    so its circuits share one flow memo.  One worker maps the ranges in
+    process; more map them over a pool made once per sweep.  Either way
+    the entries and the certificates are the same, up to elapsed_ms."""
+
+    def __init__(
+        self,
+        lines: Sequence[str],
+        options: Optional[SearchOptions] = None,
+        workers: int = 1,
+        keep_going: bool = False,
+    ):
+        if workers < 1:
+            raise ValueError("a sweep needs at least one worker")
+        self.lines = lines
+        self.options = options or SearchOptions()
+        self.workers = workers
+        self.keep_going = keep_going
+        self.counts = {"found": 0, "none": 0, "inconclusive": 0}
+        self.aborted = False
+
+    def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, dict]]]:
+        pool = multiprocessing.Pool(self.workers) if self.workers > 1 else None
+        mapper = map if pool is None else pool.imap
+        try:
+            for gi, line in enumerate(self.lines):
+                yield self._graph(gi, line, mapper)
+        finally:
+            if pool is not None:
+                pool.close()
+                pool.join()
+
+    def _graph(
+        self, gi: int, line: str, mapper: Callable
+    ) -> tuple[dict[str, Any], dict[str, dict]]:
+        entry: dict[str, Any] = {"index": gi, "graph6": line}
+        if self.aborted:
+            entry["status"] = "skipped"
+            return entry, {}
+        try:
+            g = parse_graph6(line)
+        except (Graph6Error, UnsupportedFormatError) as exc:
+            entry.update(status="error", reason=str(exc))
+            return entry, {}
+        if not g.is_cubic() or bridges(g):
+            reason = "graph has a bridge" if g.is_cubic() else "graph is not cubic"
+            entry.update(status="rejected", reason=reason)
+            return entry, {}
+        try:
+            circuits = enumerate_circuits(g, self.options.dim_guard)
+        except CapacityError as exc:
+            entry.update(status="inconclusive", reason=str(exc))
+            self.counts["inconclusive"] += 1
+            return entry, {}
+
+        tasks = _split(g, circuits, self.options, self.workers)
+        results = [result for part in mapper(_sweep_range, tasks) for result in part]
+        rows, certificates = [], {}
+        local = {"found": 0, "none": 0, "inconclusive": 0}
+        for ci, (circuit, (outcome, doc, detail)) in enumerate(zip(circuits, results)):
+            row: dict[str, Any] = {"index": ci, "edges": list(circuit.ids()), "outcome": outcome}
+            if outcome == "found":
+                name = f"cert_g{gi:03d}_c{ci:03d}.json"
+                certificates[name] = doc
+                row["certificate"] = name
+            elif detail:
+                row["detail"] = detail
+            local[outcome] += 1
+            rows.append(row)
+        entry.update(status="ok", circuits=rows, counts=local)
+        for key in self.counts:
+            self.counts[key] += local[key]
+        if local["none"] and not self.keep_going:
+            self.aborted = True
+        return entry, certificates
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    host: MultiGraph
-    entries: tuple[CircuitOutcome, ...]
-
-    @property
-    def found(self) -> int:
-        return sum(1 for e in self.entries if e.outcome == "found")
-
-    @property
-    def none(self) -> int:
-        return sum(1 for e in self.entries if e.outcome == "none")
-
-    @property
-    def inconclusive(self) -> int:
-        return sum(1 for e in self.entries if e.outcome == "inconclusive")
+def _split(
+    g: MultiGraph, circuits: list[EdgeSet], options: SearchOptions, workers: int
+) -> list[tuple[MultiGraph, list[EdgeSet], SearchOptions]]:
+    """Tasks for _sweep_range: the circuits in min(workers, len(circuits))
+    contiguous ranges, in order, none empty, their sizes at most one apart."""
+    parts = min(workers, len(circuits))
+    cuts = [len(circuits) * i // parts for i in range(1, parts + 1)]
+    return [(g, circuits[a:b], options) for a, b in zip([0] + cuts, cuts)]
 
 
-def circuit_sweep(
-    g: MultiGraph,
-    options: Optional[SearchOptions] = None,
-    circuits: Optional[Sequence[EdgeSet]] = None,
-) -> SweepReport:
-    """Run the search for every circuit of g (or for the given ones), all
-    sharing one search context.  A "none" entry would be a counterexample
-    to the conjecture that every circuit of a bridgeless cubic graph lies
-    in some 5-element cover; "inconclusive" records a per-circuit guard
-    hit, never a negative."""
-    opts = options or SearchOptions()
+def _sweep_range(
+    task: tuple[MultiGraph, list[EdgeSet], SearchOptions]
+) -> list[tuple[str, Optional[dict], str]]:
+    """(outcome, certificate document, detail) for each circuit of one
+    range, searched in order with one search context of its own, so no
+    search state outlives the call."""
+    g, circuits, options = task
     ctx = SearchContext(g)
-    if circuits is None:
-        circuits = enumerate_circuits(g, opts.dim_guard)
-    entries = []
+    results: list[tuple[str, Optional[dict], str]] = []
     for circuit in circuits:
         try:
-            cert = find_5cdc_containing(g, circuit, opts, ctx)
+            cert = find_5cdc_containing(g, circuit, options, ctx)
         except CapacityError as exc:
-            entries.append(CircuitOutcome(circuit, "inconclusive", None, str(exc)))
+            results.append(("inconclusive", None, str(exc)))
             continue
         if cert is None:
-            entries.append(
-                CircuitOutcome(circuit, "none", None, "search space exhausted")
-            )
+            results.append(("none", None, "search space exhausted"))
         else:
-            entries.append(CircuitOutcome(circuit, "found", cert))
-    return SweepReport(g, tuple(entries))
+            results.append(("found", cert.to_doc(), ""))
+    return results
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from cdc5 import parse_graph6, petersen_graph
+from cdc5 import Sweep, parse_graph6, petersen_graph, write_graph6
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -10,6 +10,14 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 def read_graph6_lines(name: str) -> list[str]:
     with open(os.path.join(DATA_DIR, name), "r", encoding="ascii") as handle:
         return [line.strip() for line in handle if line.strip()]
+
+
+def sweep_graph(g, options=None):
+    """A sweep of g alone: the graph read back from its graph6 line, whose
+    edge ids the report uses, the report entry and the certificates."""
+    line = write_graph6(g)
+    [(entry, certificates)] = Sweep([line], options)
+    return parse_graph6(line), entry, certificates
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from cdc5 import (
     MultiGraph,
     brute_force_cdc,
     cdc_to_flow,
-    circuit_sweep,
     cycle_space_basis,
     extract_witness,
     find_5cdc_containing,
@@ -44,7 +43,7 @@ from cdc5 import (
 from cdc5.cli import main
 from cdc5.errors import FlowMissingError
 
-from .conftest import DATA_DIR, read_graph6_lines
+from .conftest import DATA_DIR, read_graph6_lines, sweep_graph
 from .oracles import circuit_subsets, subdivide
 
 SNARKS_FILE = os.path.join(DATA_DIR, "snarks.g6")
@@ -70,11 +69,12 @@ def _normalized_cert(doc: dict) -> str:
 
 @pytest.fixture(scope="session")
 def petersen_sweep():
-    g = petersen_graph()
+    """The Petersen graph as the sweep read it, its report entry and its
+    certificates, and the time the sweep took."""
     started = time.monotonic()
-    report = circuit_sweep(g)
+    g, entry, certificates = sweep_graph(petersen_graph())
     elapsed = time.monotonic() - started
-    return g, report, elapsed
+    return g, (entry, certificates), elapsed
 
 
 @pytest.fixture(scope="session")
@@ -119,20 +119,22 @@ def snark_sweep_cli(tmp_path_factory):
 
 
 def test_criterion_1_petersen_census(petersen_sweep):
-    g, report, elapsed = petersen_sweep
+    g, (entry, certificates), elapsed = petersen_sweep
+    rows = entry["circuits"]
 
-    swept = {frozenset(entry.circuit.ids()) for entry in report.entries}
+    swept = {frozenset(row["edges"]) for row in rows}
     independent = set(circuit_subsets(g))
     problems = []
     if swept != independent:
         problems.append("circuit census mismatch")
-    if len(report.entries) != 57:
-        problems.append(f"expected 57 circuits, saw {len(report.entries)}")
-    if report.found != 57:
-        problems.append(f"only {report.found} of 57 searches succeeded")
+    if len(rows) != 57:
+        problems.append(f"expected 57 circuits, saw {len(rows)}")
+    found = entry["counts"]["found"]
+    if found != 57:
+        problems.append(f"only {found} of 57 searches succeeded")
     bad_certs = 0
-    for entry in report.entries:
-        if entry.certificate is None or verify_certificate(entry.certificate.to_doc()):
+    for row in rows:
+        if "certificate" not in row or verify_certificate(certificates[row["certificate"]]):
             bad_certs += 1
     if bad_certs:
         problems.append(f"{bad_certs} certificates failed independent verification")
@@ -315,10 +317,8 @@ def test_criterion_5_property_suites(
     roundtrips = 0
     if not problems:
         docs = []
-        _, sweep_report, _ = petersen_sweep
-        docs.extend(
-            e.certificate.to_doc() for e in sweep_report.entries if e.certificate
-        )
+        _, (_, sweep_certificates), _ = petersen_sweep
+        docs.extend(sweep_certificates.values())
         docs.extend(cert.to_doc() for cert in catalog_equivalence[2])
         _, out, _ = snark_sweep_cli[0]
         for name in sorted(os.listdir(out)):
@@ -351,18 +351,10 @@ def test_criterion_5_property_suites(
 def test_criterion_6_determinism(petersen_sweep, snark_sweep_cli):
     problems = []
 
-    g, first_report, _ = petersen_sweep
-    second_report = circuit_sweep(petersen_graph())
-    first_docs = [
-        _normalized_cert(e.certificate.to_doc())
-        for e in first_report.entries
-        if e.certificate
-    ]
-    second_docs = [
-        _normalized_cert(e.certificate.to_doc())
-        for e in second_report.entries
-        if e.certificate
-    ]
+    g, (_, first_certificates), _ = petersen_sweep
+    _, _, second_certificates = sweep_graph(petersen_graph())
+    first_docs = [_normalized_cert(doc) for doc in first_certificates.values()]
+    second_docs = [_normalized_cert(doc) for doc in second_certificates.values()]
     if first_docs != second_docs:
         problems.append("repeat Petersen sweeps differ")
 

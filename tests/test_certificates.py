@@ -13,7 +13,6 @@ from cdc5 import (
     Flow4,
     InvariantViolationError,
     build_certificate,
-    circuit_sweep,
     enumerate_circuits,
     extend_to_cdc,
     find_5cdc_containing,
@@ -24,6 +23,7 @@ from cdc5 import (
 )
 from cdc5.certificates import dump_json
 
+from .conftest import sweep_graph
 from .oracles import complete_graph, flower_snark
 
 
@@ -183,7 +183,7 @@ class TestSearchGate:
 
         monkeypatch.setattr(cdc5.cover, "verify_cdc", counting)
         monkeypatch.setattr(cdc5.certificates, "verify_cdc", counting)
-        assert circuit_sweep(petersen_graph()).found == 57
+        assert sweep_graph(petersen_graph())[1]["counts"]["found"] == 57
         assert len(calls) == 57
 
 
@@ -373,10 +373,11 @@ class TestFlowWitness:
         monkeypatch.setattr("cdc5.certificates.has_nz4flow", refuse)
 
     def test_petersen_sweep(self, no_decider):
-        report = circuit_sweep(petersen_graph())
-        assert report.found == 57
-        for entry in report.entries:
-            assert verify_certificate(entry.certificate.to_doc()) == []
+        _, entry, certificates = sweep_graph(petersen_graph())
+        assert entry["counts"]["found"] == 57
+        assert len(certificates) == 57
+        for doc in certificates.values():
+            assert verify_certificate(doc) == []
 
     def test_flower_snark_j5(self, no_decider):
         g = flower_snark(5)

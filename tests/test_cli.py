@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+import cdc5.search
 from cdc5 import petersen_graph, verify_certificate, write_graph6
 from cdc5.cli import main
 
@@ -37,6 +39,22 @@ def small_batch_file(tmp_path):
     lines = [write_graph6(complete_graph(4)), write_graph6(prism_graph())]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return str(path)
+
+
+@pytest.fixture()
+def undecodable_file(tmp_path):
+    """A file that is neither ASCII nor UTF-8 text."""
+    path = tmp_path / "binary.g6"
+    path.write_bytes(b"C~\xff\n")
+    return str(path)
+
+
+@pytest.fixture()
+def no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
 
 
 def read_json(path):
@@ -128,6 +146,17 @@ class TestFind:
     def test_odd_edge_set_rejected(self, k4_file):
         assert main(["find", "--graph", k4_file, "--circuit", "0", "--edge-ids"]) == 2
 
+    def test_undecodable_file_is_usage_error(self, undecodable_file, capsys):
+        assert main(["find", "--graph", undecodable_file]) == 2
+        assert "not an ASCII graph6 file" in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_usage_error(self, k4_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="ascii")
+        code = main(["find", "--graph", k4_file, "--circuit", "0,1,2", "--out", str(taken)])
+        assert code == 2
+        assert "output directory" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_roundtrip(self, k4_file, tmp_path, capsys):
@@ -159,6 +188,12 @@ class TestVerify:
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
         assert main(["verify", str(path)]) == 2
+
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"graph6": "\xff"}')
+        assert main(["verify", str(path)]) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
 
 
 class TestStats:
@@ -193,6 +228,10 @@ class TestStats:
         assert main(["stats", "--graph", str(path)]) == 2
         text = capsys.readouterr().out
         assert "unreadable" in text
+
+    def test_undecodable_file_is_usage_error(self, undecodable_file, capsys):
+        assert main(["stats", "--graph", undecodable_file]) == 2
+        assert "not an ASCII graph6 file" in capsys.readouterr().err
 
     def test_comment_lines_skipped(self, tmp_path, capsys):
         path = tmp_path / "commented.g6"
@@ -286,28 +325,30 @@ class TestSweep:
         assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
 
     def test_parallel_matches_serial(self, small_batch_file, tmp_path):
+        # 8 workers exceed K4's 7 circuits: K4 gets 7 ranges of one circuit.
         serial = str(tmp_path / "serial")
-        parallel = str(tmp_path / "parallel")
         assert main(
             ["sweep", "--graph", small_batch_file, "--out", serial, "--workers", "1"]
         ) == 0
-        assert main(
-            ["sweep", "--graph", small_batch_file, "--out", parallel, "--workers", "4"]
-        ) == 0
         serial_report = read_json(os.path.join(serial, "report.json"))
-        parallel_report = read_json(os.path.join(parallel, "report.json"))
         serial_report.pop("total_ms")
-        parallel_report.pop("total_ms")
-        assert serial_report == parallel_report
         serial_certs = sorted(f for f in os.listdir(serial) if f.startswith("cert_"))
-        parallel_certs = sorted(f for f in os.listdir(parallel) if f.startswith("cert_"))
-        assert serial_certs == parallel_certs
-        for name in serial_certs:
-            left = read_json(os.path.join(serial, name))
-            right = read_json(os.path.join(parallel, name))
-            left["stats"].pop("elapsed_ms")
-            right["stats"].pop("elapsed_ms")
-            assert left == right
+        for workers in ("2", "4", "8"):
+            parallel = str(tmp_path / f"parallel{workers}")
+            assert main(
+                ["sweep", "--graph", small_batch_file, "--out", parallel, "--workers", workers]
+            ) == 0
+            parallel_report = read_json(os.path.join(parallel, "report.json"))
+            parallel_report.pop("total_ms")
+            assert serial_report == parallel_report
+            parallel_certs = sorted(f for f in os.listdir(parallel) if f.startswith("cert_"))
+            assert serial_certs == parallel_certs
+            for name in serial_certs:
+                left = read_json(os.path.join(serial, name))
+                right = read_json(os.path.join(parallel, name))
+                left["stats"].pop("elapsed_ms")
+                right["stats"].pop("elapsed_ms")
+                assert left == right
 
     def test_repeat_sweeps_do_equal_flow_work(self, petersen_file, tmp_path, monkeypatch):
         # No search state may outlive a command: a second in-process sweep
@@ -334,6 +375,48 @@ class TestSweep:
         monkeypatch.setenv("CDC5_WORKERS", "2")
         out = str(tmp_path / "sweep")
         assert main(["sweep", "--graph", k4_file, "--out", out]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_workers_env_variable_is_usage_error(
+        self, value, k4_file, tmp_path, monkeypatch, no_pool, capsys
+    ):
+        monkeypatch.setenv("CDC5_WORKERS", value)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--graph", k4_file, "--out", str(out)]) == 2
+        assert "CDC5_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_file_is_usage_error(self, undecodable_file, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--graph", undecodable_file, "--out", out, "--workers", "1"]) == 2
+        assert "not an ASCII graph6 file" in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_usage_error(self, k4_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="ascii")
+        assert main(["sweep", "--graph", k4_file, "--out", str(taken), "--workers", "1"]) == 2
+        assert "output directory" in capsys.readouterr().err
+
+    def test_counterexample_exits_1_and_stops_unless_keep_going(
+        self, small_batch_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cdc5.search, "find_5cdc_containing", lambda *args: None)
+        out = str(tmp_path / "stopped")
+        assert main(["sweep", "--graph", small_batch_file, "--out", out, "--workers", "1"]) == 1
+        assert "COUNTEREXAMPLE" in capsys.readouterr().out
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["aborted"]
+        assert report["counts"] == {"found": 0, "none": 7, "inconclusive": 0}
+        assert [entry["status"] for entry in report["graphs"]] == ["ok", "skipped"]
+        out = str(tmp_path / "kept")
+        assert main(
+            ["sweep", "--graph", small_batch_file, "--out", out, "--workers", "1",
+             "--keep-going"]
+        ) == 1
+        capsys.readouterr()
+        report = read_json(os.path.join(out, "report.json"))
+        assert not report["aborted"]
+        assert [entry["status"] for entry in report["graphs"]] == ["ok", "ok"]
 
     def test_json_format_prints_report(self, k4_file, tmp_path, capsys):
         out = str(tmp_path / "sweep")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import cdc5.flows
 from cdc5 import (
     CapacityError,
     EdgeSet,
@@ -14,7 +15,6 @@ from cdc5 import (
     UnsupportedFormatError,
     build_certificate,
     canonical_masks,
-    circuit_sweep,
     cycle_space_basis,
     delete_edges,
     enumerate_circuits,
@@ -32,8 +32,9 @@ from cdc5 import (
 )
 
 from cdc5.cyclespace import EvenLayers, reduced_echelon
-from cdc5.search import _overlaps
+from cdc5.search import _overlaps, _split, _sweep_range
 
+from .conftest import sweep_graph
 from .oracles import (
     bridged_cubic_graph,
     complete_graph,
@@ -236,35 +237,86 @@ class TestGuards:
 
 class TestCircuitSweep:
     def test_k4_all_seven(self):
-        g = complete_graph(4)
-        report = circuit_sweep(g)
-        assert len(report.entries) == 7
-        assert report.found == 7
-        assert report.none == 0 and report.inconclusive == 0
-        assert [e.circuit for e in report.entries] == enumerate_circuits(g)
-        for entry in report.entries:
-            assert entry.certificate is not None
-            assert tuple(entry.circuit.ids()) == entry.certificate.c0
+        g, entry, certificates = sweep_graph(complete_graph(4))
+        rows, counts = entry["circuits"], entry["counts"]
+        assert len(rows) == 7
+        assert counts["found"] == 7
+        assert counts["none"] == 0 and counts["inconclusive"] == 0
+        assert [row["edges"] for row in rows] == [list(c.ids()) for c in enumerate_circuits(g)]
+        for row in rows:
+            assert row["certificate"] in certificates
+            assert row["edges"] == certificates[row["certificate"]]["c0"]
 
     def test_prism(self):
-        report = circuit_sweep(prism_graph())
-        assert report.none == 0 and report.inconclusive == 0
-        assert report.found == len(report.entries)
+        _, entry, _ = sweep_graph(prism_graph())
+        counts = entry["counts"]
+        assert counts["none"] == 0 and counts["inconclusive"] == 0
+        assert counts["found"] == len(entry["circuits"])
 
     def test_petersen_all_57(self, petersen):
-        report = circuit_sweep(petersen)
-        assert len(report.entries) == 57
-        assert report.found == 57
+        _, entry, _ = sweep_graph(petersen)
+        assert len(entry["circuits"]) == 57
+        assert entry["counts"]["found"] == 57
 
     def test_guard_hits_are_inconclusive_not_negative(self, petersen):
-        report = circuit_sweep(petersen, SearchOptions(max_candidates=1))
-        assert report.none == 0
-        assert report.found + report.inconclusive == len(report.entries)
-        assert report.inconclusive > 0
-        for entry in report.entries:
-            if entry.outcome == "inconclusive":
-                assert entry.certificate is None
-                assert entry.detail
+        _, entry, certificates = sweep_graph(petersen, SearchOptions(max_candidates=1))
+        counts = entry["counts"]
+        assert counts["none"] == 0
+        assert counts["found"] + counts["inconclusive"] == len(entry["circuits"])
+        assert counts["inconclusive"] > 0
+        for row in entry["circuits"]:
+            if row["outcome"] == "inconclusive":
+                assert "certificate" not in row
+                assert row["detail"]
+        assert len(certificates) == counts["found"]
+
+
+class TestSweepSplit:
+    """A graph's circuits go to min(workers, circuits) contiguous ranges,
+    each searched with one search context."""
+
+    def test_ranges_are_contiguous_balanced_and_never_empty(self):
+        g = complete_graph(4)
+        circuits = enumerate_circuits(g)
+        for workers in (1, 2, 3, 7, 8):
+            parts = [task[1] for task in _split(g, circuits, SearchOptions(), workers)]
+            assert len(parts) == min(workers, len(circuits))
+            assert [c for part in parts for c in part] == circuits
+            sizes = [len(part) for part in parts]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert _split(g, [], SearchOptions(), 4) == []
+
+    def test_ranges_decide_at_most_their_number_times_the_serial_flows(
+        self, petersen, monkeypatch
+    ):
+        # A search decides the same flows whatever its context holds, so a
+        # range decides a subset of the serial sweep's flows, each once:
+        # r ranges decide at most r times as many.  The ranges run in
+        # process, as the serial sweep runs its single range.
+        original = cdc5.flows.three_edge_color
+        calls = []
+
+        def counting(g):
+            calls.append(None)
+            return original(g)
+
+        monkeypatch.setattr(cdc5.flows, "three_edge_color", counting)
+        for g in (complete_graph(4), prism_graph(), petersen):
+            circuits = enumerate_circuits(g)
+            work, outcomes = {}, {}
+            for workers in (1, 2, 8):
+                calls.clear()
+                tasks = _split(g, circuits, SearchOptions(), workers)
+                results = [result for part in map(_sweep_range, tasks) for result in part]
+                work[workers] = (len(tasks), len(calls))
+                for _, doc, _ in results:
+                    doc["stats"].pop("elapsed_ms")
+                outcomes[workers] = results
+            serial = work[1][1]
+            assert serial > 0
+            for ranges, colourings in work.values():
+                assert colourings <= ranges * serial
+            assert outcomes[2] == outcomes[1] and outcomes[8] == outcomes[1]
 
 
 class TestPetersenShortcut:
