@@ -235,6 +235,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         print("none: the graph has a bridge, so it has no cycle double cover")
         return EXIT_NEGATIVE
 
+    _make_out(args.out)
     options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
     try:
         cert = find_5cdc_containing(g, c0, options)
@@ -245,7 +246,6 @@ def cmd_find(args: argparse.Namespace) -> int:
         print("none: the search space was exhausted without a cover")
         return EXIT_NEGATIVE
 
-    _make_out(args.out)
     path = os.path.join(args.out, "certificate.json")
     _write(path, cert.to_json())
     if args.format == "json":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import InvariantViolationError, PreconditionError
@@ -20,6 +21,14 @@ from .graphs import EdgeSet, MultiGraph, SuppressionMap, bridges, components, su
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
 
 _POPCOUNT3 = (0, 1, 1, 2, 1, 2, 2, 3)  # free colors in a 3-bit mask
+
+# bytes.translate tables for the five non-identity permutations of the
+# colors 0, 1, 2, acting on 3-bit used-color masks.
+_COLOR_PERMUTATIONS = tuple(
+    bytes(sum(1 << p[c] for c in range(3) if mask >> c & 1) for mask in range(256))
+    for p in permutations(range(3))
+    if p != (0, 1, 2)
+)
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,17 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     this depth-first search completes is returned, so the answer is
     deterministic.  A loop makes a proper coloring impossible.  Parallel
     edges are fine.
+
+    The search remembers the branch states it has proved dead.  What lies
+    below a node depends only on the set of uncolored edges and the used
+    colors at each vertex, and a color permutation maps the completions of
+    a state onto those of the permuted state; so a branch node (two or more
+    free colors) is keyed by its sorted uncolored edges and the least of
+    the six color-permuted byte strings of the used-color masks.  Once every color of a branch has
+    been undone its key joins the failed set, and a later branch node with
+    the same key backtracks at once.  Only states without a completion are
+    cut and the order is untouched, so the first coloring found is the one
+    the search without the set would find.
     """
     for v in range(g.n):
         if g.degree(v) != 3:
@@ -65,7 +85,9 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
         used[u] |= 1 << c
         used[v] |= 1 << c
     uncolored = [e for e in range(m) if colors[e] < 0]  # ascending ids
-    trail: list[tuple[int, int]] = []  # (edge, free colors not tried yet)
+    failed: set[tuple[tuple[int, ...], bytes]] = set()
+    # (edge, free colors not tried yet, branch key or None if forced)
+    trail: list[tuple[int, int, Optional[tuple[tuple[int, ...], bytes]]]] = []
     while uncolored:
         best, best_free, fewest = -1, 0, 4
         for e in uncolored:
@@ -76,6 +98,12 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
                 best, best_free, fewest = e, free, count
                 if count < 2:
                     break
+        key = None
+        if fewest > 1:
+            b = bytes(used)
+            key = (tuple(uncolored), min(b, *map(b.translate, _COLOR_PERMUTATIONS)))
+            if key in failed:
+                fewest = 0  # a known dead end: backtrack at once
         if fewest:
             e, rest = best, best_free
             uncolored.remove(e)
@@ -84,7 +112,7 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
             while True:
                 if not trail:
                     return None
-                e, rest = trail.pop()
+                e, rest, key = trail.pop()
                 u, v = endpoints[e]
                 bit = 1 << colors[e]
                 used[u] ^= bit
@@ -92,9 +120,11 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
                 colors[e] = -1
                 if rest:
                     break
+                if key is not None:
+                    failed.add(key)
                 insort(uncolored, e)
         low = rest & -rest
-        trail.append((e, rest ^ low))
+        trail.append((e, rest ^ low, key))
         u, v = endpoints[e]
         colors[e] = low.bit_length() - 1
         used[u] |= low

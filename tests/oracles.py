@@ -7,9 +7,11 @@ of it is exponential in the edge count; callers keep the inputs small.
 """
 
 import random
+from bisect import insort
 from itertools import product
+from typing import Optional
 
-from cdc5 import MultiGraph
+from cdc5 import MultiGraph, PreconditionError
 
 
 def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -97,6 +99,69 @@ def three_colorable(g: MultiGraph) -> bool:
         if all(len({colors[e] for e in inc}) == len(inc) for inc in incident):
             return True
     return False
+
+
+_POPCOUNT3 = (0, 1, 1, 2, 1, 2, 2, 3)  # free colors in a 3-bit mask
+
+
+def reference_three_edge_color(g: MultiGraph) -> Optional[tuple[int, ...]]:
+    """The 3-edge-colorer as it was before it remembered failed states,
+    kept verbatim: the same fixed first vertex, branching order and color
+    order, with no memo.  The engine must return the same first coloring."""
+    for v in range(g.n):
+        if g.degree(v) != 3:
+            raise PreconditionError(
+                f"vertex {v} has degree {g.degree(v)}; 3-edge-coloring needs a 3-regular graph"
+            )
+    if g.loop_mask():
+        return None
+    m = g.m
+    if m == 0:
+        return ()
+    endpoints = g.edges
+    colors = [-1] * m
+    used = [0] * g.n
+    for c, e in enumerate(g.incident(endpoints[0][0])):
+        u, v = endpoints[e]
+        colors[e] = c
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+    uncolored = [e for e in range(m) if colors[e] < 0]  # ascending ids
+    trail: list[tuple[int, int]] = []  # (edge, free colors not tried yet)
+    while uncolored:
+        best, best_free, fewest = -1, 0, 4
+        for e in uncolored:
+            u, v = endpoints[e]
+            free = ~(used[u] | used[v]) & 7
+            count = _POPCOUNT3[free]
+            if count < fewest:
+                best, best_free, fewest = e, free, count
+                if count < 2:
+                    break
+        if fewest:
+            e, rest = best, best_free
+            uncolored.remove(e)
+        else:
+            # Undo until an edge on the trail has a color left to try.
+            while True:
+                if not trail:
+                    return None
+                e, rest = trail.pop()
+                u, v = endpoints[e]
+                bit = 1 << colors[e]
+                used[u] ^= bit
+                used[v] ^= bit
+                colors[e] = -1
+                if rest:
+                    break
+                insort(uncolored, e)
+        low = rest & -rest
+        trail.append((e, rest ^ low))
+        u, v = endpoints[e]
+        colors[e] = low.bit_length() - 1
+        used[u] |= low
+        used[v] |= low
+    return tuple(colors)
 
 
 def subdivide(g: MultiGraph, e: int, times: int = 1) -> MultiGraph:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import cdc5.cli
 import cdc5.search
 from cdc5 import petersen_graph, verify_certificate, write_graph6
 from cdc5.cli import main
@@ -150,7 +151,12 @@ class TestFind:
         assert main(["find", "--graph", undecodable_file]) == 2
         assert "not an ASCII graph6 file" in capsys.readouterr().err
 
-    def test_out_naming_a_file_is_usage_error(self, k4_file, tmp_path, capsys):
+    def test_out_naming_a_file_is_usage_error(self, k4_file, tmp_path, monkeypatch, capsys):
+        # The output directory is checked before the search starts.
+        def no_search(*args):
+            pytest.fail("the search ran before --out was checked")
+
+        monkeypatch.setattr(cdc5.cli, "find_5cdc_containing", no_search)
         taken = tmp_path / "taken"
         taken.write_text("", encoding="ascii")
         code = main(["find", "--graph", k4_file, "--circuit", "0,1,2", "--out", str(taken)])

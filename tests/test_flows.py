@@ -16,6 +16,7 @@ from cdc5 import (
     three_edge_color,
     verify_flow,
 )
+from cdc5.flows import _COLOR_PERMUTATIONS
 
 from .oracles import (
     bridged_cubic_graph,
@@ -23,6 +24,8 @@ from .oracles import (
     complete_graph,
     flower_snark,
     prism_graph,
+    random_cubic_multigraph,
+    reference_three_edge_color,
     shuffled,
     subdivide,
     theta_multigraph,
@@ -88,12 +91,12 @@ class TestThreeEdgeColor:
 
 
 class TestColoringOrder:
-    @pytest.mark.parametrize("k", range(3, 14))
+    @pytest.mark.parametrize("k", range(3, 16))
     @pytest.mark.parametrize("seed", [None, 1, 2], ids=["own", "shuffle1", "shuffle2"])
     def test_flower_snarks_decided_by_parity(self, k, seed):
-        # Isaacs' J_k is 3-edge-colorable exactly for even k.  J13 (n=52)
-        # guards the search order: an identifier-order backtracker needs
-        # minutes on it.
+        # Isaacs' J_k is 3-edge-colorable exactly for even k.  J15 (n=60)
+        # is the largest flower snark graph6 can hold; the colorer's
+        # failed-state memo is what keeps the odd ones cheap to refute.
         g = flower_snark(k) if seed is None else shuffled(flower_snark(k), seed)
         assert has_nz4flow(g) == (k % 2 == 0)
 
@@ -113,6 +116,37 @@ class TestColoringOrder:
             colored += 1
         # Petersen and the bridged multigraph are the only uncolorable hosts.
         assert colored == len(hosts) - 2
+
+
+class TestFailedStateMemo:
+    """The colorer prunes states it has proved dead, keyed up to a color
+    permutation; its first coloring must stay the one the plain
+    backtracker finds."""
+
+    def test_color_tables_are_the_six_permutations(self):
+        identity = bytes(range(256))
+        tables = [identity] + list(_COLOR_PERMUTATIONS)
+        assert all(len(t) == 256 for t in tables)
+        on_masks = {t[:8] for t in tables}
+        assert len(on_masks) == 6
+        for t in on_masks:
+            assert sorted(t) == list(range(8))
+            for a in range(8):
+                assert bin(t[a]).count("1") == bin(a).count("1")
+                for b in range(8):
+                    assert t[a | b] == t[a] | t[b]
+
+    def test_same_first_coloring_as_reference(self, catalog, snarks):
+        hosts = list(catalog) + list(snarks) + COLORING_HOSTS
+        for k in range(3, 14):
+            hosts += [flower_snark(k)] + [shuffled(flower_snark(k), s) for s in (1, 2, 3)]
+        for n in range(4, 15, 2):
+            hosts += [random_cubic_multigraph(n, seed) for seed in range(10)]
+        hosts.append(MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 1), (2, 3), (2, 3)]))
+        answers = [three_edge_color(g) for g in hosts]
+        assert answers == [reference_three_edge_color(g) for g in hosts]
+        assert answers[-1] is None
+        assert any(a is None for a in answers[:-1]) and any(answers)
 
 
 class TestHasNz4Flow:
