@@ -10,25 +10,13 @@ by suppressing degree-2 vertices.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import InvariantViolationError, PreconditionError
 from .graphs import EdgeSet, MultiGraph, SuppressionMap, bridges, components, suppress_degree2
 
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
-
-_POPCOUNT3 = (0, 1, 1, 2, 1, 2, 2, 3)  # free colors in a 3-bit mask
-
-# bytes.translate tables for the five non-identity permutations of the
-# colors 0, 1, 2, acting on 3-bit used-color masks.
-_COLOR_PERMUTATIONS = tuple(
-    bytes(sum(1 << p[c] for c in range(3) if mask >> c & 1) for mask in range(256))
-    for p in permutations(range(3))
-    if p != (0, 1, 2)
-)
 
 
 @dataclass(frozen=True)
@@ -40,6 +28,12 @@ class Flow4:
     values: tuple[int, ...]
 
 
+def _dead_key(unc: int, b0: int, b1: int, b2: int) -> tuple[int, int, int, int]:
+    """Memo key of a branch state: U and the blocked-edge masks inside U,
+    sorted so that the six color permutations of a state share one key."""
+    return (unc, *sorted((b0 & unc, b1 & unc, b2 & unc)))
+
+
 def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     """First proper 3-edge-coloring in backtracking order, or None.
 
@@ -47,24 +41,32 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     three edges at g.edges[0][0] are fixed to colors 0, 1, 2 in identifier
     order before the search.  Each step then branches on the uncolored edge
     with the fewest free colors, ties going to the lowest identifier, and
-    tries its free colors in ascending order.  The scan for that edge stops
-    at the first edge with at most one free color: a forced edge is taken at
-    once, and an edge with none backtracks at once (one it stopped short of
-    is met at the next step, which changes no result).  The first coloring
-    this depth-first search completes is returned, so the answer is
+    tries its free colors in ascending order.  The first coloring this
+    depth-first search completes is returned, so the answer is
     deterministic.  A loop makes a proper coloring impossible.  Parallel
     edges are fine.
 
-    The search remembers the branch states it has proved dead.  What lies
-    below a node depends only on the set of uncolored edges and the used
-    colors at each vertex, and a color permutation maps the completions of
-    a state onto those of the permuted state; so a branch node (two or more
-    free colors) is keyed by its sorted uncolored edges and the least of
-    the six color-permuted byte strings of the used-color masks.  Once every color of a branch has
-    been undone its key joins the failed set, and a later branch node with
-    the same key backtracks at once.  Only states without a completion are
-    cut and the order is untouched, so the first coloring found is the one
-    the search without the set would find.
+    The state is four edge masks: U, the uncolored edges, and Bc, the
+    edges sharing an endpoint with an edge of color c (c is free at e in U
+    exactly when e is not in Bc).  Coloring e with c is U ^= 1 << e and
+    Bc |= near[e], the incident edges of both endpoints, parallel edges
+    included.  The step takes the lowest edge of tight = U & (B0&B1 |
+    B0&B2 | B1&B2), whose edges have at most one free color (none means
+    backtrack, one a forced move); else the lowest edge of U & (B0|B1|B2),
+    with two; else the lowest edge of U.  A trail entry keeps the edge,
+    its colors not tried yet and the masks from before it was colored;
+    undoing restores them and sets the edge's bit in U again.
+
+    The search remembers the branch states (no tight edge) it has proved
+    dead, keyed by _dead_key: U and the sorted masks B0 & U, B1 & U,
+    B2 & U.  The key is sound: the selection and every later step read the
+    masks only inside U, so whether a completion exists depends on U and
+    the masks restricted to it alone; and a color permutation permutes the
+    three masks and keeps whether a completion exists.  Once every color of
+    a branch has been undone its key joins the failed set, and a later
+    branch node with the same key backtracks at once.  Only states without
+    a completion are cut and the order is untouched, so the first coloring
+    found is the one the search without the set would find.
     """
     for v in range(g.n):
         if g.degree(v) != 3:
@@ -73,62 +75,55 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
             )
     if g.loop_mask():
         return None
-    m = g.m
-    if m == 0:
+    if not g.m:
         return ()
-    endpoints = g.edges
-    colors = [-1] * m
-    used = [0] * g.n
-    for c, e in enumerate(g.incident(endpoints[0][0])):
-        u, v = endpoints[e]
-        colors[e] = c
-        used[u] |= 1 << c
-        used[v] |= 1 << c
-    uncolored = [e for e in range(m) if colors[e] < 0]  # ascending ids
-    failed: set[tuple[tuple[int, ...], bytes]] = set()
-    # (edge, free colors not tried yet, branch key or None if forced)
-    trail: list[tuple[int, int, Optional[tuple[tuple[int, ...], bytes]]]] = []
-    while uncolored:
-        best, best_free, fewest = -1, 0, 4
-        for e in uncolored:
-            u, v = endpoints[e]
-            free = ~(used[u] | used[v]) & 7
-            count = _POPCOUNT3[free]
-            if count < fewest:
-                best, best_free, fewest = e, free, count
-                if count < 2:
-                    break
+    vm = g.vertex_masks
+    near = [vm[u] | vm[v] for u, v in g.edges]
+    colors = [0] * g.m
+    e0, e1, e2 = g.incident(g.edges[0][0])
+    colors[e1], colors[e2] = 1, 2
+    unc = (1 << g.m) - 1 ^ (1 << e0 | 1 << e1 | 1 << e2)
+    b0, b1, b2 = near[e0], near[e1], near[e2]
+    failed: set[tuple[int, int, int, int]] = set()
+    # (edge, colors not tried yet, branch key or None, B0, B1, B2 before)
+    trail: list[tuple[int, int, Optional[tuple[int, int, int, int]], int, int, int]] = []
+    while unc:
+        tight = unc & (b0 & b1 | (b0 | b1) & b2)
         key = None
-        if fewest > 1:
-            b = bytes(used)
-            key = (tuple(uncolored), min(b, *map(b.translate, _COLOR_PERMUTATIONS)))
+        if tight:  # at most one free color
+            bit = tight & -tight
+            rest = 1 if not b0 & bit else 2 if not b1 & bit else 4 if not b2 & bit else 0
+        else:  # two free colors, or three if nothing is blocked
+            pick = unc & (b0 | b1 | b2) or unc
+            bit = pick & -pick
+            rest = 6 if b0 & bit else 5 if b1 & bit else 3 if b2 & bit else 7
+            key = _dead_key(unc, b0, b1, b2)
             if key in failed:
-                fewest = 0  # a known dead end: backtrack at once
-        if fewest:
-            e, rest = best, best_free
-            uncolored.remove(e)
+                rest = 0  # a known dead end: backtrack at once
+        if rest:
+            e = bit.bit_length() - 1
         else:
             # Undo until an edge on the trail has a color left to try.
             while True:
                 if not trail:
                     return None
-                e, rest, key = trail.pop()
-                u, v = endpoints[e]
-                bit = 1 << colors[e]
-                used[u] ^= bit
-                used[v] ^= bit
-                colors[e] = -1
+                e, rest, key, b0, b1, b2 = trail.pop()
+                bit = 1 << e
+                unc |= bit
                 if rest:
                     break
                 if key is not None:
                     failed.add(key)
-                insort(uncolored, e)
         low = rest & -rest
-        trail.append((e, rest ^ low, key))
-        u, v = endpoints[e]
-        colors[e] = low.bit_length() - 1
-        used[u] |= low
-        used[v] |= low
+        trail.append((e, rest ^ low, key, b0, b1, b2))
+        unc ^= bit
+        colors[e] = low >> 1
+        if low == 1:
+            b0 |= near[e]
+        elif low == 2:
+            b1 |= near[e]
+        else:
+            b2 |= near[e]
     return tuple(colors)
 
 

@@ -11,6 +11,7 @@ plain integer XOR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, Optional
 
 from .errors import Graph6Error, InvariantViolationError, PreconditionError, UnsupportedFormatError
@@ -253,13 +254,13 @@ def parse_graph6(text: str) -> MultiGraph:
     pad = 6 * need - nbits
     if pad and stream & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", offset=len(data) - 1)
-    edges = []
-    bit = 6 * need - 1
-    for v in range(1, n):
-        for u in range(v):
-            if stream >> bit & 1:
-                edges.append((u, v))
-            bit -= 1
+    edges = []  # set bits, highest first; pair (u, v) is bit v(v-1)/2 + u from the top
+    while stream:
+        p = stream.bit_length() - 1
+        stream ^= 1 << p
+        i = 6 * need - 1 - p
+        v = (1 + isqrt(1 + 8 * i)) // 2
+        edges.append((i - v * (v - 1) // 2, v))
     return MultiGraph(n, edges)
 
 

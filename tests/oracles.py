@@ -89,6 +89,15 @@ def brute_bridges(g: MultiGraph) -> list[int]:
     ]
 
 
+def graph6_edges(line: str) -> list[tuple[int, int]]:
+    """Edges of a short-form graph6 line, found by testing the payload bit
+    of every vertex pair in column-major upper-triangle order."""
+    n = ord(line[0]) - 63
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in line[1:])
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return [pair for pair, bit in zip(pairs, bits) if bit == "1"]
+
+
 def three_colorable(g: MultiGraph) -> bool:
     """Whether a proper 3-edge-coloring exists, by trying all 3^m
     assignments.  The host must be loop-free (a loop meets its vertex

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from cdc5 import (
@@ -6,17 +9,22 @@ from cdc5 import (
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
+    bridges,
     cdc_to_flow,
     coloring_to_flow,
+    delete_edges,
     find_nz4flow,
     has_nz4flow,
+    is_circuit,
+    is_matching,
     lift_flow,
     petersen_graph,
     suppress_degree2,
     three_edge_color,
     verify_flow,
 )
-from cdc5.flows import _COLOR_PERMUTATIONS
+from cdc5.cyclespace import EvenLayers
+from cdc5.flows import _component_subgraphs, _dead_key
 
 from .oracles import (
     bridged_cubic_graph,
@@ -123,18 +131,21 @@ class TestFailedStateMemo:
     permutation; its first coloring must stay the one the plain
     backtracker finds."""
 
-    def test_color_tables_are_the_six_permutations(self):
-        identity = bytes(range(256))
-        tables = [identity] + list(_COLOR_PERMUTATIONS)
-        assert all(len(t) == 256 for t in tables)
-        on_masks = {t[:8] for t in tables}
-        assert len(on_masks) == 6
-        for t in on_masks:
-            assert sorted(t) == list(range(8))
-            for a in range(8):
-                assert bin(t[a]).count("1") == bin(a).count("1")
-                for b in range(8):
-                    assert t[a | b] == t[a] | t[b]
+    def test_dead_key_is_a_state_up_to_color_permutation(self):
+        rng = random.Random(10)
+        for _ in range(500):
+            m = rng.randint(1, 90)
+            unc, *masks = (rng.getrandbits(m) for _ in range(4))
+            key = _dead_key(unc, *masks)
+            assert {_dead_key(unc, *p) for p in permutations(masks)} == {key}
+            outside = [b ^ rng.getrandbits(m) & ~unc for b in masks]
+            assert _dead_key(unc, *outside) == key
+            other = unc ^ 1 << rng.randrange(m)
+            assert _dead_key(other, *masks) != key
+            if unc:
+                inside = [masks[0] ^ unc & -unc, *masks[1:]]
+                differs = sorted(b & unc for b in inside) != sorted(b & unc for b in masks)
+                assert (_dead_key(unc, *inside) != key) == differs
 
     def test_same_first_coloring_as_reference(self, catalog, snarks):
         hosts = list(catalog) + list(snarks) + COLORING_HOSTS
@@ -147,6 +158,31 @@ class TestFailedStateMemo:
         assert answers == [reference_three_edge_color(g) for g in hosts]
         assert answers[-1] is None
         assert any(a is None for a in answers[:-1]) and any(answers)
+
+    def test_same_first_coloring_on_search_hosts(self, snarks):
+        # The hosts a search hands the colorer: the cubic components of the
+        # suppressed, bridgeless G - M for the 1- and 2-edge matchings M
+        # inside every sixth circuit of length at most 9.
+        hosts = {}
+        for g in [snarks[0], snarks[1], snarks[2], flower_snark(5), shuffled(flower_snark(7), 1)]:
+            layers, circuits = EvenLayers(g), []
+            while layers.size < 9:
+                circuits += [x for x in layers.next_layer() if is_circuit(g, EdgeSet(g, x))]
+            for c in circuits[::6]:
+                for k in (1, 2):
+                    for pair in combinations([e for e in range(g.m) if c >> e & 1], k):
+                        drop = EdgeSet(g, sum(1 << e for e in pair))
+                        if not is_matching(g, drop):
+                            continue
+                        h = delete_edges(g, drop).graph
+                        if bridges(h).mask:
+                            continue
+                        for sub, _ in _component_subgraphs(suppress_degree2(h).suppressed_graph):
+                            hosts.setdefault(sub.edges, sub)
+        assert len(hosts) > 500
+        assert [three_edge_color(h) for h in hosts.values()] == [
+            reference_three_edge_color(h) for h in hosts.values()
+        ]
 
 
 class TestHasNz4Flow:

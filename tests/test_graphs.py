@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cdc5 import (
@@ -21,6 +23,7 @@ from .oracles import (
     bridged_cubic_multigraph,
     brute_bridges,
     complete_graph,
+    graph6_edges,
     prism_graph,
     subdivide,
     theta_multigraph,
@@ -164,6 +167,23 @@ class TestGraph6:
         assert sorted(tuple(sorted(p)) for p in h.edges) == sorted(
             tuple(sorted(p)) for p in g.edges
         )
+
+    def test_edges_match_the_per_pair_reading(self):
+        rng = random.Random(6)
+        for _ in range(3000):
+            n = rng.randint(0, 62)
+            nbits = n * (n - 1) // 2
+            stream = rng.getrandbits(nbits)
+            for _ in range(rng.randint(0, 4)):  # sparser graphs too
+                stream &= rng.getrandbits(nbits)
+            need = (nbits + 5) // 6
+            stream <<= 6 * need - nbits
+            line = chr(63 + n) + "".join(
+                chr(63 + (stream >> 6 * (need - 1 - i) & 63)) for i in range(need)
+            )
+            g = parse_graph6(line)
+            assert g.n == n
+            assert list(g.edges) == graph6_edges(line)
 
     def test_empty_input_rejected(self):
         with pytest.raises(Graph6Error) as exc:
