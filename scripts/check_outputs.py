@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the files a corpus sweep writes.
+"""Check the files a corpus sweep and a catalog sweep write.
 
 Runs `cdc5 sweep --workers 1` over tests/data/snarks.g6 into a temporary
 directory, in process. Every file it writes (each certificate and
@@ -7,8 +7,10 @@ report.json) must equal json.dumps(json.loads(text), indent=2) + "\\n" byte
 for byte, and verify_certificate must accept every certificate. It then
 runs the same sweep with `--workers 2`, which must write the same files,
 each equal to the serial one byte for byte once the values of elapsed_ms
-and total_ms are removed. It prints the counts and the run time, and exits
-with status 1 on any mismatch.
+and total_ms are removed. It does the same for the catalog
+tests/data/cubic_bridgeless_connected_n4_10.g6, whose certificates mostly
+have an empty c2 and an empty matching. It prints the counts and the run
+time, and exits with status 1 on any mismatch.
 
 Run it from the root of a source checkout:
 
@@ -33,23 +35,27 @@ from cdc5 import verify_certificate  # noqa: E402
 from cdc5.cli import main as cdc5_main  # noqa: E402
 
 CORPUS = str(ROOT / "tests" / "data" / "snarks.g6")
+# Connected bridgeless cubic graphs up to 10 vertices: most of their
+# certificates have an empty c2 and an empty matching.
+CATALOG = str(ROOT / "tests" / "data" / "cubic_bridgeless_connected_n4_10.g6")
 TIMING = re.compile(r'("(?:elapsed_ms|total_ms)": )\d+')
 
 
-def sweep(out: str, workers: int) -> int:
+def sweep(graph: str, out: str, workers: int) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
-        return cdc5_main(["sweep", "--graph", CORPUS, "--out", out, "--workers", str(workers)])
+        return cdc5_main(["sweep", "--graph", graph, "--out", out, "--workers", str(workers)])
 
 
 def untimed(path: Path) -> str:
     return TIMING.sub(r"\1", path.read_text(encoding="utf-8"))
 
 
-def main() -> int:
-    started = time.monotonic()
+def check(graph: str) -> tuple[int, int, list[str]]:
+    """Sweep graph with one worker and with two, and check what they write:
+    (files, certificates, problems)."""
     problems = []
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as parallel:
-        code = sweep(out, 1)
+        code = sweep(graph, out, 1)
         if code != 0:
             problems.append(f"sweep exited with status {code}")
         paths = sorted(Path(out).iterdir())
@@ -62,7 +68,7 @@ def main() -> int:
             if path.name.startswith("cert_"):
                 certificates += 1
                 problems += [f"{path.name}: {p}" for p in verify_certificate(doc)]
-        code = sweep(parallel, 2)
+        code = sweep(graph, parallel, 2)
         if code != 0:
             problems.append(f"sweep --workers 2 exited with status {code}")
         if sorted(p.name for p in Path(parallel).iterdir()) != [p.name for p in paths]:
@@ -73,12 +79,21 @@ def main() -> int:
                 for path in paths
                 if untimed(path) != untimed(Path(parallel) / path.name)
             ]
+    return len(paths), certificates, problems
+
+
+def main() -> int:
+    started = time.monotonic()
+    files, certificates, problems = check(CORPUS)
+    catalog_files, catalog_certificates, catalog_problems = check(CATALOG)
+    problems += [f"catalog: {line}" for line in catalog_problems]
     elapsed = time.monotonic() - started
-    print(f"files: {len(paths)}, certificates: {certificates}")
+    print(f"files: {files}, certificates: {certificates}")
+    print(f"catalog files: {catalog_files}, certificates: {catalog_certificates}")
     print(f"problems: {len(problems)}, time: {elapsed:.1f} s")
     for line in problems:
         print(f"  {line}")
-    return 1 if problems or not certificates else 0
+    return 1 if problems or not certificates or not catalog_certificates else 0
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from cdc5 import enumerate_circuits, is_circuit, parse_graph6  # noqa: E402
-from tests.oracles import flower_snark, shuffled  # noqa: E402
+from cdc5 import enumerate_circuits, parse_graph6  # noqa: E402
+from tests.oracles import flower_snark, is_circuit, shuffled  # noqa: E402
 from tests.test_search import reference_canonical, search_differences  # noqa: E402
 
 J7_RELABELLINGS = 16

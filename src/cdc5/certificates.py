@@ -8,7 +8,9 @@ and search statistics.  One check core re-derives everything and trusts
 no stored claim it can recompute: verify_certificate runs it on the graph
 and edge sets a document names, build_certificate on those the search
 holds.  The flow condition on G - M is read off the cover itself whenever
-the cover allows it, so checking a certificate takes linear time.
+the cover allows it, so checking a certificate takes linear time.  A
+certificate's text is rendered in the frame of its graph, which holds the
+fields that depend on the graph alone, rendered once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from .cover import contains_element_superset, replays_as_flow, verify_cdc
 from .cyclespace import is_even_subgraph
@@ -32,6 +34,9 @@ def dump_json(value: Any) -> str:
     """The text of json.dumps(value, indent=2), byte for byte, joined from
     leaves the C encoder writes (object keys must be strings)."""
     return _dump(value, "\n")
+
+
+_FIELD = "\n  "  # the line break and indent of a top-level field, as _dump takes it
 
 
 def _dump(value: Any, newline: str) -> str:
@@ -87,7 +92,8 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return dump_json(self.to_doc()) + "\n"
+        """dump_json(self.to_doc()) + "\n", rendered in a frame of its own."""
+        return CertificateFrame(self.graph6, self.n, self.m, self.edges, self.coverage).render(self)
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "Certificate":
@@ -114,6 +120,49 @@ class Certificate:
         return parse_graph6(self.graph6)
 
 
+class CertificateFrame:
+    """The text that the certificates of one graph share: the JSON of
+    graph6, n, m, edges and coverage, rendered once.  render puts in the
+    fields of one certificate over that graph, so a sweep renders a
+    graph's constant fields once, not once per circuit."""
+
+    def __init__(
+        self, graph6: str, n: int, m: int,
+        edges: Sequence[tuple[int, int]], coverage: Sequence[int],
+    ):
+        self.graph = (graph6, n, m, tuple(edges))
+        self.coverage = tuple(coverage)
+        head = dump_json({"graph6": graph6, "n": n, "m": m, "edges": self.graph[3]})
+        self._head = head[:-2] + ',\n  "c0": '  # without its closing "\n}"
+        self._coverage = _dump(self.coverage, _FIELD)
+
+    def render(self, cert: Certificate) -> str:
+        """dump_json(cert.to_doc()) + "\n", byte for byte; a coverage other
+        than the frame's is rendered for this certificate alone."""
+        if (cert.graph6, cert.n, cert.m, cert.edges) != self.graph:
+            raise ValueError("certificate belongs to another graph than its frame")
+        coverage = self._coverage if cert.coverage == self.coverage else _dump(cert.coverage, _FIELD)
+        stats = {"candidates_tried": cert.candidates_tried, "elapsed_ms": cert.elapsed_ms}
+        return "".join((
+            self._head, _dump(cert.c0, _FIELD),
+            ',\n  "c1": ', _dump(cert.c1, _FIELD),
+            ',\n  "c2": ', _dump(cert.c2, _FIELD),
+            ',\n  "matching": ', _dump(cert.matching, _FIELD),
+            ',\n  "cdc": ', _dump(cert.cdc, _FIELD),
+            ',\n  "coverage": ', coverage,
+            ',\n  "path": ', _dump(cert.path, _FIELD),
+            ',\n  "stats": ', _dump(stats, _FIELD),
+            "\n}\n",
+        ))
+
+
+def graph_frame(g: MultiGraph) -> CertificateFrame:
+    """The frame of the certificates build_certificate makes over g, whose
+    coverage is all twos; raises UnsupportedFormatError when graph6 cannot
+    encode g."""
+    return CertificateFrame(write_graph6(g), g.n, g.m, g.edges, (2,) * g.m)
+
+
 def build_certificate(
     g: MultiGraph,
     c0: EdgeSet,
@@ -123,23 +172,29 @@ def build_certificate(
     elements: tuple[EdgeSet, ...],
     candidates_tried: int,
     elapsed_ms: int,
+    frame: Optional[CertificateFrame] = None,
 ) -> Certificate:
     """Assemble a certificate after running the full check on the graph and
     edge sets given, claiming every edge covered twice; a failed check here
-    means the search produced inconsistent data."""
+    means the search produced inconsistent data.  frame, g's graph_frame,
+    saves writing g's graph6 again."""
+    frame = frame or graph_frame(g)
     path = PATH_M_EMPTY if not matching else PATH_THEOREM
     stats = {"candidates_tried": candidates_tried, "elapsed_ms": elapsed_ms}
-    coverage = (2,) * g.m
+    graph6, n, m, edges = frame.graph
+    if (n, edges) != (g.n, g.edges):
+        raise ValueError("certificate frame belongs to another graph")
+    coverage = frame.coverage
     problems = _check(g, c0, c1, c2, matching, elements, coverage, path, stats)
     if problems:
         raise InvariantViolationError(
             "constructed certificate fails verification: " + "; ".join(problems)
         )
     return Certificate(
-        graph6=write_graph6(g),
-        n=g.n,
-        m=g.m,
-        edges=g.edges,
+        graph6=graph6,
+        n=n,
+        m=m,
+        edges=edges,
         c0=c0.ids(),
         c1=c1.ids(),
         c2=c2.ids(),

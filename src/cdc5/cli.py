@@ -9,6 +9,7 @@ guard stopped the search before an answer was reached).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,7 +56,10 @@ def _default_workers() -> int:
         raise _Fail(EXIT_USAGE, f"{WORKERS_ENV}={env!r} is not a positive integer") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="cdc5",
         description="Search and verify 5-element cycle double covers of cubic "
@@ -279,8 +283,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run = Sweep(lines, options, workers, args.keep_going)
     graph_reports: list[dict[str, Any]] = []
     for entry, certificates in run:
-        for name, doc in certificates.items():
-            _write(os.path.join(args.out, name), dump_json(doc) + "\n")
+        for name, text in certificates.items():
+            _write(os.path.join(args.out, name), text)
         graph_reports.append(entry)
     counts = run.counts
 

@@ -105,34 +105,6 @@ def is_even_subgraph(g: MultiGraph, s: EdgeSet) -> bool:
     return True
 
 
-def edge_set_connected(g: MultiGraph, s: EdgeSet) -> bool:
-    """True iff the member edges induce a connected subgraph (vacuously for ∅)."""
-    if not s.mask:
-        return True
-    first = (s.mask & -s.mask).bit_length() - 1
-    root = g.endpoints(first)[0]
-    seen_edges = 0
-    seen_vertices = {root}
-    queue = [root]
-    while queue:
-        v = queue.pop()
-        for e in g.incident(v):
-            if e not in s:
-                continue
-            if not seen_edges >> e & 1:
-                seen_edges |= 1 << e
-            w = g.other_end(e, v)
-            if w not in seen_vertices:
-                seen_vertices.add(w)
-                queue.append(w)
-    return seen_edges == s.mask
-
-
-def is_circuit(g: MultiGraph, s: EdgeSet) -> bool:
-    """True iff s is a nonempty connected even subgraph."""
-    return bool(s.mask) and is_even_subgraph(g, s) and edge_set_connected(g, s)
-
-
 def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[EdgeSet]:
     """Yield all 2^dim cycle-space elements.
 
@@ -289,11 +261,34 @@ class EvenLayers:
 
 
 def enumerate_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
-    """All circuits of g, sorted by cardinality then ascending edge-id tuple."""
+    """All circuits of g, sorted by cardinality then ascending edge-id tuple.
+
+    The even subgraphs are listed in that order, and one is kept when a
+    walk along it closes a circuit through all its edges: the walk leaves
+    its lowest edge's first endpoint, and at each vertex it reaches it
+    takes the one other member edge there.  A vertex with more member
+    edges (hosts of higher degree) stops it."""
     basis = cycle_space_basis(g)
     basis.check_guard(guard)
-    masks = canonical_masks(0, [v.mask for v in basis.vectors])
-    return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
+    vm, ends = g.vertex_masks, g.edges
+    out = []
+    for mask in canonical_masks(0, [v.mask for v in basis.vectors]):
+        if not mask:
+            continue
+        low = mask & -mask
+        start, at = ends[low.bit_length() - 1]
+        edge, steps = low, 1
+        while at != start:
+            edge = mask & vm[at] ^ edge  # the member edges at `at` but the one walked in
+            if edge & (edge - 1):
+                break
+            u, v = ends[edge.bit_length() - 1]
+            at = v if u == at else u
+            steps += 1
+        else:  # the walk met start only at its ends, so no other edge is there
+            if steps == mask.bit_count():
+                out.append(EdgeSet(g, mask))
+    return out
 
 
 def sym_diff(sets: Sequence[EdgeSet]) -> EdgeSet:

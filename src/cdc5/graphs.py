@@ -10,6 +10,7 @@ plain integer XOR.
 
 from __future__ import annotations
 
+from binascii import a2b_base64
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, Optional
@@ -213,6 +214,11 @@ def is_matching(g: MultiGraph, s: EdgeSet) -> bool:
 # graph6 (short form, n <= 62)
 
 _G6_HEADER = ">>graph6<<"
+# Each payload byte 63..126 holds six bits, as a base64 digit does.
+_G6_DIGITS = bytes(range(63, 127))
+_G6_AS_BASE64 = bytes.maketrans(
+    _G6_DIGITS, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+)
 
 
 def parse_graph6(text: str) -> MultiGraph:
@@ -245,12 +251,14 @@ def parse_graph6(text: str) -> MultiGraph:
             f"expected {need} payload bytes for n={n}, got {len(data) - 1}",
             offset=min(len(data), need + 1),
         )
-    stream = 0
-    for i in range(1, len(data)):
-        val = data[i] - 63
-        if not 0 <= val <= 63:
-            raise Graph6Error(f"payload byte {data[i]} outside graph6 range", offset=i)
-        stream = stream << 6 | val
+    payload = data[1:]
+    bad = payload.translate(None, _G6_DIGITS)
+    if bad:
+        i = payload.index(bad[0]) + 1
+        raise Graph6Error(f"payload byte {data[i]} outside graph6 range", offset=i)
+    fill = -need % 4  # base64 decodes whole groups of four digits
+    digits = payload.translate(_G6_AS_BASE64) + b"A" * fill
+    stream = int.from_bytes(a2b_base64(digits), "big") >> 6 * fill
     pad = 6 * need - nbits
     if pad and stream & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", offset=len(data) - 1)

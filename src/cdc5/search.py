@@ -14,9 +14,10 @@ of them are counted rather than listed.  Whether a pair is accepted depends
 only on M, and for a fixed C1 the C2 sharing one overlap M form a coset of
 2^(dim - r) members, r being the rank of the cycle space projected onto
 C1's edges.  So a bucket of C2 with no acceptable M is skipped by adding
-its size in closed form, and the canonical order is walked only inside
-the first bucket that holds a winner.  The walk reads the short end of the
-order, every even subgraph up to some size, which the context generates
+its size in closed form, counted only then, and the canonical order is
+walked only inside the first bucket that holds a winner.  The walk reads
+the short end of the order, every even subgraph up to some size, which
+the context generates
 from the short circuits of the host and grows one size at a time.  Both
 parts fall back to closed-form lists when a search must go far: the
 overlaps of a C1 are read from a list of the projection once finding
@@ -31,9 +32,10 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .certificates import Certificate, build_certificate
+from .certificates import Certificate, CertificateFrame, build_certificate, graph_frame
 from .cover import extend_to_cdc
 from .cyclespace import (
     EvenLayers,
@@ -56,7 +58,6 @@ from .graphs import (
     EdgeSet,
     MultiGraph,
     bridges,
-    check_graph6_writable,
     delete_edges,
     is_matching,
     parse_graph6,
@@ -88,10 +89,11 @@ def _check_search_host(g: MultiGraph) -> None:
 class SearchContext:
     """Search state of one host graph, shared by every search on it: the
     cycle-space basis, the short end of the canonical order of the even
-    subgraphs (size, then ascending edge ids), and a memo of the
+    subgraphs (size, then ascending edge ids), a memo of the
     nowhere-zero 4-flow of G - M per deleted edge set M (None when G - M
-    has none).  Holding the flow, not just the answer, lets a found pair's
-    cover be built without deciding the flow again.
+    has none), and the frame of the graph's certificates.  Holding the
+    flow, not just the answer, lets a found pair's cover be built without
+    deciding the flow again.
 
     The short end starts at the empty set and grows by one size whenever a
     walk of the order passes it, so its cost follows the searches made,
@@ -109,6 +111,12 @@ class SearchContext:
         self._flows: dict[int, Optional[Flow4]] = {}
         self._order: list[int] = [0]  # the short end, in canonical order
         self._layers: Optional[EvenLayers] = None  # built on the first growth
+
+    @cached_property
+    def frame(self) -> CertificateFrame:
+        """The certificate frame of the graph, with its graph6 text, made on
+        first use; UnsupportedFormatError when graph6 cannot encode it."""
+        return graph_frame(self.g)
 
     def canonical_order(self, check_time: Callable[[], None] = lambda: None) -> Iterator[int]:
         """Masks of every even subgraph in canonical order, empty set first,
@@ -185,10 +193,10 @@ class _Tally:
 
 def _overlaps(
     g: MultiGraph, c1: int, rows: dict[int, int], check_time: Callable[[], None]
-) -> Iterator[tuple[int, list[int]]]:
-    """For k = 0, 1, ..., |c1|: how many k-edge subsets M of c1 are the
-    overlap c1 ∩ C2 of some even subgraph C2, and those M that are
-    matchings with 2k <= n, in canonical order.
+) -> Iterator[tuple[Callable[[], int], list[int]]]:
+    """For k = 0, 1, ..., |c1|: a function that counts the k-edge subsets M
+    of c1 that are the overlap c1 ∩ C2 of some even subgraph C2, and those
+    M that are matchings with 2k <= n, in canonical order.
 
     rows is the reduced echelon form of the cycle space projected onto c1,
     and M is an overlap exactly when it lies in that projection: when the
@@ -196,26 +204,27 @@ def _overlaps(
     rest of its row and any other edge's the edge itself.  The counts come
     from a dynamic programme over c1's edges that keeps, per syndrome, how
     many k-subsets of the edges so far sum to it, one k at a time; at full
-    rank every syndrome is zero and the counts are binomials.  The k-edge
-    matchings are the (k - 1)-edge ones extended by a higher edge, kept
-    when their syndromes sum to zero.  Both are built one k at a time, so a
-    search that wins at a small k pays for small k only.  Once their work
-    (sums held, partial matchings built) exceeds the 2^r members of the
-    projection, the projection is listed instead and the remaining sizes
-    are read from it."""
+    rank every syndrome is zero and the counts are binomials.  It runs only
+    as far as a count is asked for, and a search asks for a bucket's count
+    only when the bucket fails; counts must be asked for in increasing k.  The k-edge matchings are the (k - 1)-edge
+    ones extended by a higher edge, kept when their syndromes sum to zero.
+    Both are built one k at a time, so a search that wins at a small k pays
+    for small k only.  Once their work (sums held, partial matchings
+    built) exceeds the 2^r members of the projection, the projection is
+    listed instead and the remaining sizes are read from it."""
     edges = [e for e in range(g.m) if c1 >> e & 1]
     pivots = sum(1 << p for p in rows)
     syndrome = [rows[e] & ~pivots if e in rows else 1 << e for e in edges]
     ends = [1 << u | 1 << v for u, v in map(g.endpoints, edges)]
     size = len(edges)
     work, projection = 0, 1 << len(rows)
-    # sums[i]: syndrome -> number of k-subsets of edges[:i] with that sum
-    sums: list[dict[int, int]] = [{0: 1}] * (size + 1)
-    # (mask, vertices, syndrome sum, next edge index) of the k-edge matchings
-    partial = [(0, 0, 0, 0)]
-    for k in range(size + 1):
-        check_time()
-        if k:
+    # sums[i]: syndrome -> number of level-subsets of edges[:i] with that sum
+    level, sums = 0, [{0: 1}] * (size + 1)
+
+    def count(k: int) -> int:
+        nonlocal work, level, sums
+        while level < k:
+            check_time()
             below, sums = sums, [{}]
             for i in range(size):
                 counts = dict(sums[i])
@@ -223,18 +232,27 @@ def _overlaps(
                     y = x ^ syndrome[i]
                     counts[y] = counts.get(y, 0) + c
                 sums.append(counts)
-            shorter, partial = partial if 2 * k <= g.n else [], []
+            level += 1
+            work += sum(map(len, sums))
+        return sums[size].get(0, 0)
+
+    # (mask, vertices, syndrome sum, next edge index) of the k-edge matchings
+    matchings = [(0, 0, 0, 0)]
+    for k in range(size + 1):
+        check_time()
+        if k:
+            shorter, matchings = matchings if 2 * k <= g.n else [], []
             for mask, verts, total, start in shorter:
                 check_time()
                 for i in range(start, size):
                     if not verts & ends[i]:
-                        partial.append(
+                        matchings.append(
                             (mask | 1 << edges[i], verts | ends[i], total ^ syndrome[i], i + 1)
                         )
-            work += sum(map(len, sums)) + len(partial)
+            work += len(matchings)
             if work > projection:
                 break
-        yield sums[size].get(0, 0), [mask for mask, _, total, _ in partial if not total]
+        yield partial(count, k), [mask for mask, _, total, _ in matchings if not total]
     else:
         return
     members: list[list[int]] = [[] for _ in range(size + 1)]
@@ -254,7 +272,7 @@ def _overlaps(
 
     for k in range(k, size + 1):
         check_time()
-        yield len(members[k]), [x for x in members[k] if 2 * k <= g.n and matching(x)]
+        yield partial(len, members[k]), [x for x in members[k] if 2 * k <= g.n and matching(x)]
 
 
 def _walk_bucket(
@@ -298,7 +316,7 @@ def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
         if c2 is not None:
             return c2
         tally.tried = start
-        tally.add(count * share)
+        tally.add(count() * share)
     return None
 
 
@@ -334,7 +352,7 @@ def find_5cdc_containing(
         raise ValueError("c0 does not belong to the given graph")
     if not is_even_subgraph(g, c0):
         raise PreconditionError("c0 is not an even subgraph")
-    check_graph6_writable(g)  # the certificate names the graph in graph6
+    frame = ctx.frame  # the certificate names the graph in graph6
 
     started = time.monotonic()
     ctx.basis.check_guard(opts.dim_guard)
@@ -348,7 +366,7 @@ def find_5cdc_containing(
         cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], ctx.flow_minus(overlap))
         elapsed_ms = int((time.monotonic() - started) * 1000)
         return build_certificate(
-            g, c0, c1_set, c2_set, overlap, cdc.elements, tally.tried, elapsed_ms
+            g, c0, c1_set, c2_set, overlap, cdc.elements, tally.tried, elapsed_ms, frame
         )
     return None
 
@@ -365,8 +383,9 @@ def has_5cdc(
 class Sweep:
     """A sweep of the conjecture over a catalog: find_5cdc_containing for
     every circuit of every graph in a list of graph6 lines.  Iterating runs
-    it and yields, per graph, its report entry and the certificate
-    documents of its found circuits, keyed by file name; counts and aborted
+    it and yields, per graph, its report entry and the certificate texts
+    of its found circuits (Certificate.to_json, rendered in the frame of
+    the range's search context), keyed by file name; counts and aborted
     hold the totals so far.  A "none" would be a counterexample to the
     conjecture that every circuit of a bridgeless cubic graph lies in some
     5-element cover; unless keep_going is set, it stops the sweep after its
@@ -395,7 +414,7 @@ class Sweep:
         self.counts = {"found": 0, "none": 0, "inconclusive": 0}
         self.aborted = False
 
-    def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, dict]]]:
+    def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, str]]]:
         pool = multiprocessing.Pool(self.workers) if self.workers > 1 else None
         mapper = map if pool is None else pool.imap
         try:
@@ -408,7 +427,7 @@ class Sweep:
 
     def _graph(
         self, gi: int, line: str, mapper: Callable
-    ) -> tuple[dict[str, Any], dict[str, dict]]:
+    ) -> tuple[dict[str, Any], dict[str, str]]:
         entry: dict[str, Any] = {"index": gi, "graph6": line}
         if self.aborted:
             entry["status"] = "skipped"
@@ -433,11 +452,11 @@ class Sweep:
         results = [result for part in mapper(_sweep_range, tasks) for result in part]
         rows, certificates = [], {}
         local = {"found": 0, "none": 0, "inconclusive": 0}
-        for ci, (circuit, (outcome, doc, detail)) in enumerate(zip(circuits, results)):
+        for ci, (circuit, (outcome, text, detail)) in enumerate(zip(circuits, results)):
             row: dict[str, Any] = {"index": ci, "edges": list(circuit.ids()), "outcome": outcome}
             if outcome == "found":
                 name = f"cert_g{gi:03d}_c{ci:03d}.json"
-                certificates[name] = doc
+                certificates[name] = text
                 row["certificate"] = name
             elif detail:
                 row["detail"] = detail
@@ -463,13 +482,13 @@ def _split(
 
 def _sweep_range(
     task: tuple[MultiGraph, list[EdgeSet], SearchOptions]
-) -> list[tuple[str, Optional[dict], str]]:
-    """(outcome, certificate document, detail) for each circuit of one
-    range, searched in order with one search context of its own, so no
-    search state outlives the call."""
+) -> list[tuple[str, Optional[str], str]]:
+    """(outcome, certificate text, detail) for each circuit of one range,
+    searched in order with one search context of its own, so no search
+    state outlives the call."""
     g, circuits, options = task
     ctx = SearchContext(g)
-    results: list[tuple[str, Optional[dict], str]] = []
+    results: list[tuple[str, Optional[str], str]] = []
     for circuit in circuits:
         try:
             cert = find_5cdc_containing(g, circuit, options, ctx)
@@ -479,7 +498,7 @@ def _sweep_range(
         if cert is None:
             results.append(("none", None, "search space exhausted"))
         else:
-            results.append(("found", cert.to_doc(), ""))
+            results.append(("found", ctx.frame.render(cert), ""))
     return results
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -14,10 +15,12 @@ def read_graph6_lines(name: str) -> list[str]:
 
 def sweep_graph(g, options=None):
     """A sweep of g alone: the graph read back from its graph6 line, whose
-    edge ids the report uses, the report entry and the certificates."""
+    edge ids the report uses, the report entry and the certificates, parsed
+    from the texts the sweep hands back."""
     line = write_graph6(g)
     [(entry, certificates)] = Sweep([line], options)
-    return parse_graph6(line), entry, certificates
+    docs = {name: json.loads(text) for name, text in certificates.items()}
+    return parse_graph6(line), entry, docs
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,14 @@ from bisect import insort
 from itertools import product
 from typing import Optional
 
-from cdc5 import MultiGraph, PreconditionError
+from cdc5 import (
+    EdgeSet,
+    MultiGraph,
+    PreconditionError,
+    canonical_masks,
+    cycle_space_basis,
+    is_even_subgraph,
+)
 
 
 def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -87,6 +94,44 @@ def brute_bridges(g: MultiGraph) -> list[int]:
     return [
         e for e in range(g.m) if not g.is_loop(e) and component_count(e) > base
     ]
+
+
+def edge_set_connected(g: MultiGraph, s: EdgeSet) -> bool:
+    """True iff the member edges induce a connected subgraph (vacuously for ∅),
+    by a breadth-first search from the lowest edge's first endpoint."""
+    if not s.mask:
+        return True
+    first = (s.mask & -s.mask).bit_length() - 1
+    root = g.endpoints(first)[0]
+    seen_edges = 0
+    seen_vertices = {root}
+    queue = [root]
+    while queue:
+        v = queue.pop()
+        for e in g.incident(v):
+            if e not in s:
+                continue
+            seen_edges |= 1 << e
+            w = g.other_end(e, v)
+            if w not in seen_vertices:
+                seen_vertices.add(w)
+                queue.append(w)
+    return seen_edges == s.mask
+
+
+def is_circuit(g: MultiGraph, s: EdgeSet) -> bool:
+    """True iff s is a nonempty connected even subgraph."""
+    return bool(s.mask) and is_even_subgraph(g, s) and edge_set_connected(g, s)
+
+
+def filtered_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
+    """The circuits of g in enumerate_circuits' order, by testing every
+    member of the canonical order with is_circuit (a breadth-first search
+    per member)."""
+    basis = cycle_space_basis(g)
+    basis.check_guard(guard)
+    masks = canonical_masks(0, [v.mask for v in basis.vectors])
+    return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
 
 
 def graph6_edges(line: str) -> list[tuple[int, int]]:

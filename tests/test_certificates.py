@@ -1,6 +1,8 @@
 import copy
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,9 @@ from cdc5 import (
     EdgeSet,
     Flow4,
     InvariantViolationError,
+    SearchContext,
+    Sweep,
+    UnsupportedFormatError,
     build_certificate,
     enumerate_circuits,
     extend_to_cdc,
@@ -21,10 +26,10 @@ from cdc5 import (
     verify_certificate,
     write_graph6,
 )
-from cdc5.certificates import dump_json
+from cdc5.certificates import dump_json, graph_frame
 
 from .conftest import sweep_graph
-from .oracles import complete_graph, flower_snark
+from .oracles import complete_graph, flower_snark, random_cubic_multigraph
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +234,59 @@ class TestDumpJson:
     def test_certificate_text(self, petersen_cert, k4_cert):
         for cert in (petersen_cert, k4_cert):
             assert cert.to_json() == json.dumps(cert.to_doc(), indent=2) + "\n"
+
+
+def untimed(text):
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+
+
+class TestCertificateFrame:
+    """A certificate's text is the frame of its graph with its own fields
+    put in, and equals dump_json(cert.to_doc()) + "\n" byte for byte."""
+
+    def test_every_catalog_certificate(self, catalog):
+        paths = Counter()
+        for g in catalog:
+            ctx = SearchContext(g)
+            for circuit in enumerate_circuits(g):
+                cert = find_5cdc_containing(g, circuit, context=ctx)
+                text = dump_json(cert.to_doc()) + "\n"
+                assert ctx.frame.render(cert) == text
+                assert cert.to_json() == text
+                paths[cert.path, cert.c2 == (), cert.matching == ()] += 1
+        assert paths == {("m-empty", True, True): 983, ("theorem2", False, False): 57}
+
+    def test_coverage_other_than_the_frames(self, doc):
+        doc["coverage"][3] = 1
+        doc["coverage"][7] = 3
+        cert = Certificate.from_doc(doc)
+        text = dump_json(cert.to_doc()) + "\n"
+        assert cert.to_json() == text
+        assert graph_frame(petersen_graph()).render(cert) == text
+        assert json.loads(text)["coverage"] == doc["coverage"]
+
+    def test_certificate_of_another_graph_is_refused(self, k4_cert):
+        with pytest.raises(ValueError):
+            graph_frame(petersen_graph()).render(k4_cert)
+
+    def test_multigraph_is_refused_before_the_search(self):
+        # graph6 cannot name a multigraph, so its context has no frame, and
+        # a search on it stops before deciding any flow.
+        g = random_cubic_multigraph(8, 0)
+        ctx = SearchContext(g)
+        for _ in range(2):
+            with pytest.raises(UnsupportedFormatError):
+                find_5cdc_containing(g, EdgeSet.empty(g), context=ctx)
+        assert ctx._flows == {}
+
+    def test_serial_and_parallel_sweeps_render_the_same_text(self, catalog_lines):
+        serial = [certs for _, certs in Sweep(catalog_lines)]
+        parallel = [certs for _, certs in Sweep(catalog_lines, workers=2)]
+        assert [list(certs) for certs in serial] == [list(certs) for certs in parallel]
+        for certs, other in zip(serial, parallel):
+            for name, text in certs.items():
+                assert text == dump_json(Certificate.from_doc(json.loads(text)).to_doc()) + "\n"
+                assert untimed(text) == untimed(other[name])
 
 
 class TestVerifyCertificate:

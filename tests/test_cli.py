@@ -447,6 +447,34 @@ class TestArgumentHandling:
         assert main(["sweep", "--graph", k4_file, "--workers", "0"]) == 2
         capsys.readouterr()
 
+    def test_commands_in_one_process_answer_as_fresh_processes(
+        self, k4_file, tmp_path, monkeypatch, capsys
+    ):
+        # main builds its parser once per process; a usage error must leave
+        # nothing behind for the commands after it.
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        out = str(tmp_path / "out")
+        commands = [
+            ["find", "--graph", k4_file, "--circuit", "0,1,2", "--dim-guard", "0"],
+            ["find", "--graph", k4_file, "--circuit", "0,1,2", "--out", out],
+            ["verify", os.path.join(out, "certificate.json")],
+            ["find", "--help"],
+        ]
+        in_process = []
+        for argv in commands:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "cdc5", *argv],
+                capture_output=True, text=True, env=checkout_env(),
+            )
+            for argv in commands
+        ]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+
 
 def checkout_env():
     """A copy of os.environ whose PYTHONPATH starts with this checkout's src."""

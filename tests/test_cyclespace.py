@@ -9,10 +9,8 @@ from cdc5 import (
     canonical_masks,
     coordinates_of,
     cycle_space_basis,
-    edge_set_connected,
     enumerate_circuits,
     enumerate_even_subgraphs,
-    is_circuit,
     is_even_subgraph,
     parse_graph6,
     petersen_graph,
@@ -25,8 +23,12 @@ from .oracles import (
     bridged_cubic_multigraph,
     circuit_subsets,
     complete_graph,
+    edge_set_connected,
     even_subsets,
+    filtered_circuits,
+    is_circuit,
     prism_graph,
+    random_cubic_multigraph,
     theta_multigraph,
 )
 
@@ -204,6 +206,37 @@ class TestEnumerateCircuits:
     def test_guard(self, petersen):
         with pytest.raises(CapacityError):
             enumerate_circuits(petersen, guard=5)
+
+    def test_walk_matches_the_filter_on_catalog_and_corpus(self, catalog, snarks):
+        for g in catalog + snarks:
+            assert enumerate_circuits(g) == filtered_circuits(g)
+
+    def test_walk_matches_the_filter_on_hosts_of_higher_degree(self):
+        # A vertex with four member edges must stop the walk, or it wanders.
+        assert len(enumerate_circuits(complete_graph(5))) == 37
+        hosts = [complete_graph(5), complete_graph(6)]
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randrange(5, 10)
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            hosts.append(MultiGraph(n, rng.sample(pairs, rng.randrange(n, min(len(pairs), n + 8)))))
+        for g in hosts:
+            assert enumerate_circuits(g) == filtered_circuits(g)
+
+    def test_walk_matches_the_filter_on_multigraphs(self):
+        # Parallel edges give 2-circuits, whose walk closes after one step.
+        two_circuits = 0
+        for n in range(4, 15, 2):
+            for seed in range(10):
+                g = random_cubic_multigraph(n, seed)
+                circuits = enumerate_circuits(g)
+                assert circuits == filtered_circuits(g)
+                two_circuits += sum(len(c) == 2 for c in circuits)
+        assert two_circuits >= 60
+
+    def test_walk_matches_the_filter_on_small_hosts(self):
+        for g in SMALL_HOSTS:
+            assert enumerate_circuits(g) == filtered_circuits(g)
 
 
 def brute_coset(base, vectors):

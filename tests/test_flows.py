@@ -15,7 +15,6 @@ from cdc5 import (
     delete_edges,
     find_nz4flow,
     has_nz4flow,
-    is_circuit,
     is_matching,
     lift_flow,
     petersen_graph,
@@ -31,6 +30,7 @@ from .oracles import (
     bridged_cubic_multigraph,
     complete_graph,
     flower_snark,
+    is_circuit,
     prism_graph,
     random_cubic_multigraph,
     reference_three_edge_color,

@@ -23,7 +23,6 @@ from cdc5 import (
     find_5cdc_containing,
     has_5cdc,
     has_nz4flow,
-    is_circuit,
     is_matching,
     petersen_graph,
     petersen_shortcut_check,
@@ -39,6 +38,7 @@ from .oracles import (
     bridged_cubic_graph,
     complete_graph,
     flower_snark,
+    is_circuit,
     prism_graph,
     random_cubic_multigraph,
     shuffled,
@@ -309,6 +309,7 @@ class TestSweepSplit:
                 tasks = _split(g, circuits, SearchOptions(), workers)
                 results = [result for part in map(_sweep_range, tasks) for result in part]
                 work[workers] = (len(tasks), len(calls))
+                results = [(outcome, json.loads(text), d) for outcome, text, d in results]
                 for _, doc, _ in results:
                     doc["stats"].pop("elapsed_ms")
                 outcomes[workers] = results
@@ -475,7 +476,7 @@ class TestOverlapBuckets:
             for x in whole:
                 sizes[(x & c1).bit_count()] += 1
                 overlaps[(x & c1).bit_count()].add(x & c1)
-            assert [count * share for count, _ in got] == sizes
+            assert [count() * share for count, _ in got] == sizes
             for k, (_, matchings) in enumerate(got):
                 want = [EdgeSet(g, m) for m in overlaps[k]]
                 want = sorted((m for m in want if is_matching(g, m)), key=EdgeSet.ids)
@@ -492,6 +493,29 @@ class TestOverlapBuckets:
         for g in snarks[:3] + [flower_snark(5)]:
             circuits = enumerate_circuits(g)
             self.assert_buckets(g, [c.mask for c in circuits[:: max(1, len(circuits) // 60)]])
+
+    def test_a_count_asked_for_runs_under_check_time(self, petersen):
+        # The counting programme runs only when a count is asked for, and
+        # checks the time as it runs.
+        basis = cycle_space_basis(petersen)
+        c1 = enumerate_circuits(petersen)[-1].mask
+        rows = reduced_echelon(v.mask & c1 for v in basis.vectors)
+        whole = canonical_masks(0, [v.mask for v in basis.vectors])
+        share = 1 << (basis.dim - len(rows))
+        armed = []
+
+        def check_time():
+            if armed:
+                raise CapacityError("time budget exhausted")
+
+        levels = _overlaps(petersen, c1, rows, check_time)
+        (none, _), (single, _) = next(levels), next(levels)
+        armed.append(True)
+        assert none() == 1
+        with pytest.raises(CapacityError):
+            single()
+        armed.clear()
+        assert single() * share == sum((x & c1).bit_count() == 1 for x in whole)
 
 
 class TestShortEnd:
