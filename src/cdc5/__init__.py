@@ -7,26 +7,19 @@ from .cover import (
     CdcReport,
     contains_element_superset,
     extend_to_cdc,
-    extract_witness,
-    four_cdc_containing,
     verify_cdc,
 )
 from .cyclespace import (
-    AffineSolution,
     CycleBasis,
     canonical_masks,
-    coordinates_of,
     cycle_space_basis,
     enumerate_circuits,
     enumerate_even_subgraphs,
     is_even_subgraph,
-    solve_affine,
-    sym_diff,
 )
 from .errors import (
     CapacityError,
     ConditionError,
-    FlowMissingError,
     Graph6Error,
     InvariantViolationError,
     PreconditionError,
@@ -34,7 +27,6 @@ from .errors import (
 )
 from .flows import (
     Flow4,
-    cdc_to_flow,
     coloring_to_flow,
     find_nz4flow,
     has_nz4flow,
@@ -60,18 +52,14 @@ from .oracle import brute_force_cdc
 from .search import (
     SearchContext,
     SearchOptions,
-    ShortcutEntry,
-    ShortcutReport,
     Sweep,
     find_5cdc_containing,
     has_5cdc,
-    petersen_shortcut_check,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSolution",
     "CapacityError",
     "Cdc",
     "CdcReport",
@@ -81,15 +69,12 @@ __all__ = [
     "EdgeDeletion",
     "EdgeSet",
     "Flow4",
-    "FlowMissingError",
     "Graph6Error",
     "InvariantViolationError",
     "MultiGraph",
     "PreconditionError",
     "SearchContext",
     "SearchOptions",
-    "ShortcutEntry",
-    "ShortcutReport",
     "SuppressionMap",
     "Sweep",
     "UnsupportedFormatError",
@@ -97,20 +82,16 @@ __all__ = [
     "brute_force_cdc",
     "build_certificate",
     "canonical_masks",
-    "cdc_to_flow",
     "coloring_to_flow",
     "components",
     "contains_element_superset",
-    "coordinates_of",
     "cycle_space_basis",
     "delete_edges",
     "enumerate_circuits",
     "enumerate_even_subgraphs",
     "extend_to_cdc",
-    "extract_witness",
     "find_5cdc_containing",
     "find_nz4flow",
-    "four_cdc_containing",
     "has_5cdc",
     "has_nz4flow",
     "is_even_subgraph",
@@ -118,10 +99,7 @@ __all__ = [
     "lift_flow",
     "parse_graph6",
     "petersen_graph",
-    "petersen_shortcut_check",
-    "solve_affine",
     "suppress_degree2",
-    "sym_diff",
     "three_edge_color",
     "verify_cdc",
     "verify_certificate",

@@ -1,4 +1,4 @@
-"""Cycle double covers: verification, extension, and witness extraction.
+"""Cycle double covers: verification and extension.
 
 A CDC is a multiset of nonempty even subgraphs covering every edge exactly
 twice.  The constructions here revolve around one closed form: a
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .cyclespace import is_even_subgraph
-from .errors import ConditionError, FlowMissingError, InvariantViolationError, PreconditionError
+from .errors import ConditionError, PreconditionError
 from .flows import Flow4, find_nz4flow
 from .graphs import EdgeSet, MultiGraph, delete_edges, is_matching
 
@@ -97,36 +97,6 @@ def contains_element_superset(s: CdcLike, c0: EdgeSet) -> Optional[int]:
     return None
 
 
-def four_cdc_containing(
-    g: MultiGraph, c_prime: EdgeSet, flow: Optional[Flow4] = None
-) -> Cdc:
-    """Double cover of g by at most 4 even subgraphs, one equal to c_prime
-    (which is dropped like any other empty member if it is empty).
-
-    Requires a nowhere-zero 4-flow on g: the given one, or else the one
-    find_nz4flow constructs.  With S1 and S2 the edges whose flow value has
-    bit 1 and bit 2 set, the cover is c_prime, c_prime ^ S1, c_prime ^ S2
-    and c_prime ^ S1 ^ S2, in that order, so the result is deterministic.
-    """
-    if c_prime.host is not g:
-        raise ValueError("c_prime does not belong to the given graph")
-    if g.loop_mask():
-        raise PreconditionError("a loop lies in no even subgraph, so no double cover exists")
-    if not is_even_subgraph(g, c_prime):
-        raise PreconditionError("c_prime is not an even subgraph")
-    if flow is None:
-        flow = find_nz4flow(g)
-        if flow is None:
-            raise FlowMissingError("graph has no nowhere-zero 4-flow")
-    elif flow.host is not g:
-        raise ValueError("flow does not belong to the given graph")
-    s1 = sum(1 << e for e, value in enumerate(flow.values) if value & 1)
-    s2 = sum(1 << e for e, value in enumerate(flow.values) if value & 2)
-    base = c_prime.mask
-    masks = (base, base ^ s1, base ^ s2, base ^ s1 ^ s2)
-    return Cdc(g, tuple(EdgeSet(g, mask) for mask in masks if mask))
-
-
 def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
     """Edges of s that are loops or share an endpoint with another edge of s."""
     bad = set()
@@ -153,10 +123,10 @@ def extend_to_cdc(
 
     With c' the once-covered edges (the symmetric difference of the Ci) and
     S1, S2 the bit planes of a nowhere-zero 4-flow of G - M, the cover is
-    c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and C1..Ck: four_cdc_containing's cover
-    of G - M with c' replaced by the Ci.  A caller that already holds that
-    flow (on a graph equal to delete_edges(g, M).graph) passes it as flow,
-    and condition 3 is then not decided again.
+    c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and C1..Ck: the module's closed-form
+    cover of G - M, with its element c' replaced by the Ci.  A caller that
+    already holds that flow (on a graph equal to delete_edges(g, M).graph)
+    passes it as flow, and condition 3 is then not decided again.
     """
     if not g.is_cubic():
         raise PreconditionError("host graph must be cubic")
@@ -189,51 +159,15 @@ def extend_to_cdc(
     return Cdc(g, tuple(lifted) + tuple(c for c in covers if c))
 
 
-def extract_witness(
-    g: MultiGraph, s: CdcLike, c0: EdgeSet
-) -> tuple[EdgeSet, EdgeSet, EdgeSet]:
-    """From a ≤5-element CDC with an element containing c0, recover the
-    triple (M, C1, C2): C1 the containing element, C2 the first other
-    element (empty if there is none), M their intersection.
-
-    In a valid CDC of a cubic graph two elements always intersect in a
-    matching (a second shared edge at a vertex would leave the third edge
-    there uncoverable), and the remaining elements together with C1 ^ C2
-    double-cover G - M, which therefore has a nowhere-zero 4-flow.  Both
-    facts are re-checked, the second with replays_as_flow; a failure means
-    the inputs were inconsistent in a way verify_cdc cannot see, or a
-    genuine bug.
-    """
-    elements = tuple(_element_seq(s))
-    if not g.is_cubic():
-        raise PreconditionError("host graph must be cubic")
-    if len(elements) > 5:
-        raise PreconditionError(f"need at most 5 elements, got {len(elements)}")
-    if not verify_cdc(g, elements).valid:
-        raise PreconditionError("not a valid cycle double cover")
-    idx = contains_element_superset(elements, c0)
-    if idx is None:
-        raise PreconditionError("no element contains the prescribed subgraph")
-    c1 = elements[idx]
-    rest = [el for i, el in enumerate(elements) if i != idx]
-    c2 = rest[0] if rest else EdgeSet.empty(g)
-    m_set = c1 & c2
-    if not is_matching(g, m_set):
-        raise InvariantViolationError("element intersection is not a matching")
-
-    if not replays_as_flow(g, c1, c2, m_set, elements):
-        raise InvariantViolationError("residual cover is not a double cover of G - M")
-    return m_set, c1, c2
-
-
 def replays_as_flow(
     g: MultiGraph, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet, elements: Sequence[EdgeSet]
 ) -> bool:
     """Whether a cover is its own witness for the flow condition on G - M:
     the elements other than c1 and c2, with c1 ^ c2, must be at most four
-    masks r0..r3 covering E - M exactly twice, and the flow cdc_to_flow
-    reads off them, whose bit planes are S1 = r1 ^ r3 and S2 = r2 ^ r3,
-    must be conserved: S1 and S2 meet every vertex in an even number of
+    masks r0..r3 covering E - M exactly twice, and the flow that gives
+    r0..r3 the Klein values 0..3 and each edge the sum of the values of its
+    two masks, whose bit planes are S1 = r1 ^ r3 and S2 = r2 ^ r3, must be
+    conserved: S1 and S2 meet every vertex in an even number of
     edges, loops aside.  Linear in the size of the cover; False means only
     that this witness does not apply."""
     if c1 & c2 != matching:

@@ -4,14 +4,14 @@ The cycle space of a graph is spanned by the fundamental cycles of any
 spanning forest; its elements are exactly the even subgraphs (every vertex
 incident to 0 or 2 member edges on the subcubic hosts this package works
 with).  Loops are excluded throughout: a loop is not part of any 2-regular
-subgraph, so loop edges never appear in basis vectors and are implicitly
-forced to zero by solve_affine.
+subgraph, so loop edges never appear in basis vectors, and no element of
+the space holds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError
 from .graphs import EdgeSet, MultiGraph
@@ -289,125 +289,3 @@ def enumerate_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
             if steps == mask.bit_count():
                 out.append(EdgeSet(g, mask))
     return out
-
-
-def sym_diff(sets: Sequence[EdgeSet]) -> EdgeSet:
-    """GF(2) sum (symmetric difference) of the given edge sets."""
-    if not sets:
-        raise ValueError("sym_diff needs at least one edge set")
-    host = sets[0].host
-    mask = 0
-    for s in sets:
-        if s.host is not host:
-            raise ValueError("EdgeSet operands belong to different host graphs")
-        mask ^= s.mask
-    return EdgeSet(host, mask)
-
-
-def coordinates_of(basis: CycleBasis, s: EdgeSet) -> Optional[int]:
-    """Coefficient mask expressing s over the basis, or None if s is not in
-    the span.  With a fundamental-cycle basis the coefficient of a vector is
-    simply whether s contains its chord."""
-    if s.host is not basis.host:
-        raise ValueError("EdgeSet does not belong to the basis host")
-    coeffs = 0
-    combo = 0
-    for i, e in enumerate(basis.chords):
-        if e in s:
-            coeffs |= 1 << i
-            combo ^= basis.vectors[i].mask
-    return coeffs if combo == s.mask else None
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """One solution of an affine containment problem plus its free part.
-
-    ``particular`` and the ``kernel`` vectors are coefficient masks over the
-    basis; the full solution set is particular XOR any kernel combination,
-    so the solution-space dimension is len(kernel).
-    """
-
-    basis: CycleBasis
-    particular: int
-    kernel: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.kernel)
-
-    def combine(self, coeffs: int) -> EdgeSet:
-        mask = 0
-        for i, vec in enumerate(self.basis.vectors):
-            if coeffs >> i & 1:
-                mask ^= vec.mask
-        return EdgeSet(self.basis.host, mask)
-
-    def particular_set(self) -> EdgeSet:
-        return self.combine(self.particular)
-
-    def solution(self, k: int) -> EdgeSet:
-        """k-th solution: particular XOR the kernel combination selected by
-        the bits of k (0 <= k < 2**dimension)."""
-        coeffs = self.particular
-        for i, vec in enumerate(self.kernel):
-            if k >> i & 1:
-                coeffs ^= vec
-        return self.combine(coeffs)
-
-
-def solve_affine(
-    basis: CycleBasis, forced_one: EdgeSet, forced_zero: EdgeSet
-) -> Optional[AffineSolution]:
-    """Find a cycle-space element containing every forced_one edge and no
-    forced_zero edge, or None when the constraints are infeasible.
-
-    Deterministic: constraint rows are consumed in ascending edge id, each
-    pivot is the lowest available coefficient index, and the particular
-    solution zeroes all free coefficients.
-    """
-    host = basis.host
-    if forced_one.host is not host or forced_zero.host is not host:
-        raise ValueError("constraint sets must live on the basis host")
-    if forced_one.mask & forced_zero.mask:
-        return None
-    # column e of the coefficient matrix: which basis vectors contain edge e
-    rows = []
-    for e in sorted((forced_one | forced_zero).ids()):
-        lhs = 0
-        for i, vec in enumerate(basis.vectors):
-            if e in vec:
-                lhs |= 1 << i
-        rows.append((lhs, 1 if e in forced_one else 0))
-
-    pivots: dict[int, tuple[int, int]] = {}
-    for lhs, rhs in rows:
-        while lhs:
-            v = (lhs & -lhs).bit_length() - 1
-            if v not in pivots:
-                break
-            plhs, prhs = pivots[v]
-            lhs ^= plhs
-            rhs ^= prhs
-        if lhs == 0:
-            if rhs:
-                return None
-            continue
-        pivots[(lhs & -lhs).bit_length() - 1] = (lhs, rhs)
-
-    particular = 0
-    for v in sorted(pivots, reverse=True):
-        lhs, rhs = pivots[v]
-        if rhs ^ ((lhs & particular).bit_count() & 1):
-            particular |= 1 << v
-    kernel = []
-    for f in range(basis.dim):
-        if f in pivots:
-            continue
-        vec = 1 << f
-        for v in sorted(pivots, reverse=True):
-            lhs, _ = pivots[v]
-            if (lhs & vec).bit_count() & 1:
-                vec |= 1 << v
-        kernel.append(vec)
-    return AffineSolution(basis, particular, tuple(kernel))

@@ -45,11 +45,6 @@ class CapacityError(RuntimeError):
         self.candidates_tried = candidates_tried
 
 
-class FlowMissingError(ValueError):
-    """The graph admits no nowhere-zero 4-flow, so the requested
-    construction cannot exist."""
-
-
 class InvariantViolationError(RuntimeError):
     """A mathematically guaranteed postcondition failed; this is a bug in
     the engine, not a property of the input."""

@@ -11,10 +11,10 @@ by suppressing degree-2 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvariantViolationError, PreconditionError
-from .graphs import EdgeSet, MultiGraph, SuppressionMap, bridges, components, suppress_degree2
+from .graphs import MultiGraph, SuppressionMap, bridges, components, suppress_degree2
 
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
 
@@ -234,32 +234,3 @@ def verify_flow(g: MultiGraph, flow: Flow4) -> bool:
         if acc:
             return False
     return True
-
-
-def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> Flow4:
-    """Turn a CDC with at most 4 elements into a nowhere-zero 4-flow.
-
-    The elements are padded to four with empty sets and assigned the Klein
-    values 0, 1, 2, 3 in order; each edge lies in exactly two elements and
-    takes the XOR of their values, which is nonzero because the values are
-    distinct.
-    """
-    if len(elements) > 4:
-        raise PreconditionError(f"need at most 4 elements, got {len(elements)}")
-    counts = [0] * g.m
-    for s in elements:
-        if s.host is not g:
-            raise ValueError("CDC element does not belong to the given graph")
-        for e in s:
-            counts[e] += 1
-    bad = [e for e, c in enumerate(counts) if c != 2]
-    if bad:
-        raise PreconditionError(f"not a double cover: edges {bad} have wrong coverage")
-    values = [0] * g.m
-    for value, s in enumerate(elements):
-        for e in s:
-            values[e] ^= value
-    flow = Flow4(g, tuple(values))
-    if not verify_flow(g, flow):
-        raise InvariantViolationError("flow derived from a CDC fails verification")
-    return flow

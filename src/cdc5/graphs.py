@@ -172,11 +172,7 @@ class EdgeSet:
         return 0 <= e < self.host.m and self.mask >> e & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(self.ids())
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -195,7 +191,14 @@ class EdgeSet:
         return hash((id(self.host), self.mask))
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(self)
+        """The member edge ids in ascending order."""
+        out = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"EdgeSet({list(self)})"

@@ -44,7 +44,6 @@ from .cyclespace import (
     enumerate_circuits,
     is_even_subgraph,
     reduced_echelon,
-    solve_affine,
 )
 from .errors import (
     CapacityError,
@@ -59,10 +58,7 @@ from .graphs import (
     MultiGraph,
     bridges,
     delete_edges,
-    is_matching,
     parse_graph6,
-    petersen_graph,
-    write_graph6,
 )
 
 
@@ -149,13 +145,18 @@ class SearchContext:
         """Masks of the even subgraphs containing c0, ordered by how many
         edges they add to c0, then by ascending edge ids.  Every candidate
         contains c0, so the edges it adds are its size less |c0|, and the
-        canonical order of the coset is this order; c0 itself comes first."""
-        sol = solve_affine(self.basis, c0, EdgeSet.empty(self.g))
-        if sol is None:
-            raise PreconditionError("c0 is not in the cycle space")
-        return canonical_masks(
-            sol.particular_set().mask, [sol.combine(k).mask for k in sol.kernel]
-        )
+        canonical order of the coset is this order; c0 itself comes first.
+
+        The coset is c0 plus the even subgraphs disjoint from c0.  Those are
+        read off one elimination: each basis vector v becomes v shifted above
+        the m edge bits with its edges in c0 below them, and the rows of the
+        reduced echelon form with no bit below m, shifted back down, span
+        the members that meet c0 in nothing."""
+        if not is_even_subgraph(self.g, c0):
+            raise PreconditionError("c0 is not an even subgraph")
+        m = self.g.m
+        rows = reduced_echelon(v.mask << m | v.mask & c0.mask for v in self.basis.vectors)
+        return canonical_masks(c0.mask, [row >> m for pivot, row in rows.items() if pivot >= m])
 
     def flow_minus(self, drop: EdgeSet) -> Optional[Flow4]:
         """A nowhere-zero 4-flow of G - drop, or None; decided once per drop."""
@@ -500,61 +501,3 @@ def _sweep_range(
         else:
             results.append(("found", ctx.frame.render(cert), ""))
     return results
-
-
-@dataclass(frozen=True)
-class ShortcutEntry:
-    circuit: EdgeSet
-    partner: Optional[EdgeSet]
-    matching: Optional[EdgeSet]
-    flowless_skips: tuple[tuple[EdgeSet, EdgeSet], ...]  # (partner, matching) pairs
-
-
-@dataclass(frozen=True)
-class ShortcutReport:
-    entries: tuple[ShortcutEntry, ...]
-    # Bridgeless-but-flowless pairs with a nonempty matching; empirically
-    # this stays empty on the Petersen graph, and anything here is a finding
-    # worth reporting, not an error.
-    discrepancies: tuple[tuple[EdgeSet, EdgeSet, EdgeSet], ...]
-
-    @property
-    def complete(self) -> bool:
-        return all(e.partner is not None for e in self.entries)
-
-
-def petersen_shortcut_check(g: MultiGraph) -> ShortcutReport:
-    """Test, on the Petersen graph, the shortcut that bridgelessness of
-    G - M already implies the flow condition.
-
-    For every circuit C, partner circuits C' are scanned in canonical order
-    for M = C ∩ C' a matching with G - M bridgeless; each such pair is
-    cross-validated by deciding the flow on G - M (the context's memo)
-    instead of trusting the shortcut.  Pairs with M = ∅ always fail the flow check here (G itself
-    has no nowhere-zero 4-flow) and are recorded as skips; a failing pair
-    with M nonempty would be a genuine discrepancy.
-    """
-    if not g.is_simple() or write_graph6(g) != write_graph6(petersen_graph()):
-        raise PreconditionError("graph is not the canonical Petersen graph")
-    ctx = SearchContext(g)
-    circuits = enumerate_circuits(g)
-    entries = []
-    discrepancies = []
-    for c in circuits:
-        partner = None
-        matching = None
-        skips = []
-        for other in circuits:
-            m_set = c & other
-            if not is_matching(g, m_set):
-                continue
-            if bridges(delete_edges(g, m_set).graph):
-                continue
-            if ctx.flow_minus(m_set) is not None:
-                partner, matching = other, m_set
-                break
-            skips.append((other, m_set))
-            if m_set:
-                discrepancies.append((c, other, m_set))
-        entries.append(ShortcutEntry(c, partner, matching, tuple(skips)))
-    return ShortcutReport(tuple(entries), tuple(discrepancies))

@@ -2,23 +2,33 @@
 
 Everything here recomputes results from first principles (explicit subset
 enumeration, remove-an-edge reachability, exhaustive color assignment), so
-agreement with the package is a meaningful check and not a tautology.  All
-of it is exponential in the edge count; callers keep the inputs small.
+agreement with the package is a meaningful check and not a tautology.  Most
+of it is exponential in the edge count; callers keep the inputs small.  The
+cover-to-flow translation (cdc_to_flow) and the witness extraction from a
+cover (extract_witness) are linear; the tests use them to read a cover back
+as a flow and as a (M, C1, C2) triple.
 """
 
 import random
 from bisect import insort
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from cdc5 import (
     EdgeSet,
+    Flow4,
+    InvariantViolationError,
     MultiGraph,
     PreconditionError,
     canonical_masks,
+    contains_element_superset,
     cycle_space_basis,
     is_even_subgraph,
+    is_matching,
+    verify_cdc,
+    verify_flow,
 )
+from cdc5.cover import CdcLike, _element_seq, replays_as_flow
 
 
 def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -132,6 +142,72 @@ def filtered_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     basis.check_guard(guard)
     masks = canonical_masks(0, [v.mask for v in basis.vectors])
     return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
+
+
+def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> Flow4:
+    """Turn a CDC with at most 4 elements into a nowhere-zero 4-flow.
+
+    The elements are padded to four with empty sets and assigned the Klein
+    values 0, 1, 2, 3 in order; each edge lies in exactly two elements and
+    takes the XOR of their values, which is nonzero because the values are
+    distinct.
+    """
+    if len(elements) > 4:
+        raise PreconditionError(f"need at most 4 elements, got {len(elements)}")
+    counts = [0] * g.m
+    for s in elements:
+        if s.host is not g:
+            raise ValueError("CDC element does not belong to the given graph")
+        for e in s:
+            counts[e] += 1
+    bad = [e for e, c in enumerate(counts) if c != 2]
+    if bad:
+        raise PreconditionError(f"not a double cover: edges {bad} have wrong coverage")
+    values = [0] * g.m
+    for value, s in enumerate(elements):
+        for e in s:
+            values[e] ^= value
+    flow = Flow4(g, tuple(values))
+    if not verify_flow(g, flow):
+        raise InvariantViolationError("flow derived from a CDC fails verification")
+    return flow
+
+
+def extract_witness(
+    g: MultiGraph, s: CdcLike, c0: EdgeSet
+) -> tuple[EdgeSet, EdgeSet, EdgeSet]:
+    """From a ≤5-element CDC with an element containing c0, recover the
+    triple (M, C1, C2): C1 the containing element, C2 the first other
+    element (empty if there is none), M their intersection.
+
+    In a valid CDC of a cubic graph two elements always intersect in a
+    matching (a second shared edge at a vertex would leave the third edge
+    there uncoverable), and the remaining elements together with C1 ^ C2
+    double-cover G - M, which therefore has a nowhere-zero 4-flow.  Both
+    facts are re-checked, the second with replays_as_flow; a failure means
+    the inputs were inconsistent in a way verify_cdc cannot see, or a
+    genuine bug.
+    """
+    elements = tuple(_element_seq(s))
+    if not g.is_cubic():
+        raise PreconditionError("host graph must be cubic")
+    if len(elements) > 5:
+        raise PreconditionError(f"need at most 5 elements, got {len(elements)}")
+    if not verify_cdc(g, elements).valid:
+        raise PreconditionError("not a valid cycle double cover")
+    idx = contains_element_superset(elements, c0)
+    if idx is None:
+        raise PreconditionError("no element contains the prescribed subgraph")
+    c1 = elements[idx]
+    rest = [el for i, el in enumerate(elements) if i != idx]
+    c2 = rest[0] if rest else EdgeSet.empty(g)
+    m_set = c1 & c2
+    if not is_matching(g, m_set):
+        raise InvariantViolationError("element intersection is not a matching")
+
+    if not replays_as_flow(g, c1, c2, m_set, elements):
+        raise InvariantViolationError("residual cover is not a double cover of G - M")
+    return m_set, c1, c2
 
 
 def graph6_edges(line: str) -> list[tuple[int, int]]:

@@ -7,20 +7,16 @@ from cdc5 import (
     CdcReport,
     ConditionError,
     EdgeSet,
-    FlowMissingError,
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
-    cdc_to_flow,
     contains_element_superset,
     cycle_space_basis,
     delete_edges,
     enumerate_circuits,
     enumerate_even_subgraphs,
     extend_to_cdc,
-    extract_witness,
     find_nz4flow,
-    four_cdc_containing,
     has_nz4flow,
     is_even_subgraph,
     is_matching,
@@ -31,7 +27,9 @@ from cdc5.cover import coverage_masks, replays_as_flow
 
 from .oracles import (
     bridged_cubic_graph,
+    cdc_to_flow,
     complete_graph,
+    extract_witness,
     prism_graph,
     random_cubic_multigraph,
     theta_multigraph,
@@ -188,69 +186,72 @@ class TestContainsElementSuperset:
 
 
 class TestFourCdcContaining:
+    """extend_to_cdc with one even subgraph c': the closed-form cover of at
+    most four elements with c' among them."""
+
     def test_k4_triangle(self):
         triangle = EdgeSet.of(K4, [0, 1, 2])
-        cdc = four_cdc_containing(K4, triangle)
+        cdc = extend_to_cdc(K4, [triangle])
         assert len(cdc) <= 4
         assert verify_cdc(K4, cdc).valid
         assert triangle in list(cdc)
 
     def test_k4_empty_prescription(self):
-        cdc = four_cdc_containing(K4, EdgeSet.empty(K4))
+        cdc = extend_to_cdc(K4, [EdgeSet.empty(K4)])
         assert len(cdc) <= 3
         assert verify_cdc(K4, cdc).valid
 
     def test_every_k4_even_subgraph_works(self):
         for c in enumerate_even_subgraphs(cycle_space_basis(K4)):
-            cdc = four_cdc_containing(K4, c)
+            cdc = extend_to_cdc(K4, [c])
             assert verify_cdc(K4, cdc).valid
             if c:
                 assert c in list(cdc)
 
-    def test_degree2_vertices_allowed(self):
-        g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        cdc = four_cdc_containing(g, EdgeSet.full(g))
-        assert verify_cdc(g, cdc).valid
-
     def test_deterministic(self):
         triangle = EdgeSet.of(K4, [0, 1, 2])
-        a = four_cdc_containing(K4, triangle)
-        b = four_cdc_containing(K4, triangle)
+        a = extend_to_cdc(K4, [triangle])
+        b = extend_to_cdc(K4, [triangle])
         assert a.elements == b.elements
 
     def test_petersen_has_no_such_cover(self, petersen):
-        with pytest.raises(FlowMissingError):
-            four_cdc_containing(petersen, EdgeSet.empty(petersen))
+        with pytest.raises(ConditionError) as exc:
+            extend_to_cdc(petersen, [EdgeSet.empty(petersen)])
+        assert exc.value.condition == 3
 
     def test_bridged_host_has_no_such_cover(self):
         g = bridged_cubic_graph()
-        with pytest.raises(FlowMissingError):
-            four_cdc_containing(g, EdgeSet.empty(g))
+        with pytest.raises(ConditionError) as exc:
+            extend_to_cdc(g, [EdgeSet.empty(g)])
+        assert exc.value.condition == 3
 
     def test_loop_host_rejected(self):
-        g = MultiGraph(2, [(0, 1), (0, 1), (0, 0), (1, 1)])
-        with pytest.raises(PreconditionError):
-            four_cdc_containing(g, EdgeSet.empty(g))
+        # On a cubic host a loop's vertex meets one other edge, a bridge,
+        # so no flow exists.
+        g = MultiGraph(2, [(0, 1), (0, 0), (1, 1)])
+        with pytest.raises(ConditionError) as exc:
+            extend_to_cdc(g, [EdgeSet.empty(g)])
+        assert exc.value.condition == 3
 
     def test_odd_prescription_rejected(self):
         with pytest.raises(PreconditionError):
-            four_cdc_containing(K4, EdgeSet.of(K4, [0]))
+            extend_to_cdc(K4, [EdgeSet.of(K4, [0])])
 
     def test_cover_is_the_closed_form_of_the_flow(self):
-        # {c', c' ^ S1, c' ^ S2, c' ^ S1 ^ S2} with S1, S2 the bit planes.
+        # c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and c', with S1, S2 the bit planes.
         triangle = EdgeSet.of(K4, [0, 1, 2])
         flow = find_nz4flow(K4)
         s1 = EdgeSet.of(K4, [e for e, val in enumerate(flow.values) if val & 1])
         s2 = EdgeSet.of(K4, [e for e, val in enumerate(flow.values) if val & 2])
-        expected = [triangle, triangle ^ s1, triangle ^ s2, triangle ^ s1 ^ s2]
-        assert list(four_cdc_containing(K4, triangle)) == [x for x in expected if x]
-        assert four_cdc_containing(K4, triangle, flow).elements == four_cdc_containing(
-            K4, triangle
+        expected = [triangle ^ s1, triangle ^ s2, triangle ^ s1 ^ s2, triangle]
+        assert list(extend_to_cdc(K4, [triangle])) == [x for x in expected if x]
+        assert extend_to_cdc(K4, [triangle], flow).elements == extend_to_cdc(
+            K4, [triangle]
         ).elements
 
     def test_flow_of_another_graph_rejected(self):
         with pytest.raises(ValueError):
-            four_cdc_containing(K4, EdgeSet.empty(K4), find_nz4flow(complete_graph(4)))
+            extend_to_cdc(K4, [EdgeSet.empty(K4)], find_nz4flow(prism_graph()))
 
 
 class TestExtendToCdc:

@@ -7,19 +7,15 @@ from cdc5 import (
     EdgeSet,
     MultiGraph,
     canonical_masks,
-    coordinates_of,
     cycle_space_basis,
     enumerate_circuits,
     enumerate_even_subgraphs,
     is_even_subgraph,
     parse_graph6,
     petersen_graph,
-    solve_affine,
-    sym_diff,
 )
 
 from .oracles import (
-    bridged_cubic_graph,
     bridged_cubic_multigraph,
     circuit_subsets,
     complete_graph,
@@ -281,117 +277,3 @@ class TestCanonicalMasks:
     def test_no_vectors_gives_the_base(self):
         assert canonical_masks(0b101, []) == [0b101]
         assert canonical_masks(0, [0, 0]) == [0]
-
-
-class TestSymDiff:
-    def test_self_cancels(self):
-        g = complete_graph(4)
-        a = EdgeSet.of(g, [0, 1, 2])
-        assert sym_diff([a, a]).mask == 0
-
-    def test_identity_with_empty(self):
-        g = complete_graph(4)
-        a = EdgeSet.of(g, [0, 1, 2])
-        assert sym_diff([a, EdgeSet.empty(g)]) == a
-
-    def test_two_triangles_sharing_an_edge(self):
-        g = complete_graph(4)
-        t1 = EdgeSet.of(g, [0, 1, 2])  # 0-1-2
-        t2 = EdgeSet.of(g, [2, 4, 5])  # 1-2-3
-        assert sym_diff([t1, t2]).ids() == (0, 1, 4, 5)
-        assert is_circuit(g, sym_diff([t1, t2]))
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            sym_diff([])
-
-    def test_mixed_hosts_rejected(self):
-        with pytest.raises(ValueError):
-            sym_diff([EdgeSet.empty(complete_graph(4)), EdgeSet.empty(complete_graph(4))])
-
-
-class TestCoordinates:
-    def test_roundtrip_over_whole_space(self, petersen):
-        basis = cycle_space_basis(petersen)
-        rng = random.Random(7)
-        sets = list(enumerate_even_subgraphs(basis))
-        for s in rng.sample(sets, 16):
-            coeffs = coordinates_of(basis, s)
-            assert coeffs is not None
-            rebuilt = sym_diff(
-                [EdgeSet.empty(petersen)]
-                + [basis.vectors[i] for i in range(basis.dim) if coeffs >> i & 1]
-            )
-            assert rebuilt == s
-
-    def test_non_member_has_no_coordinates(self, petersen):
-        basis = cycle_space_basis(petersen)
-        assert coordinates_of(basis, EdgeSet.of(petersen, [0])) is None
-
-
-class TestSolveAffine:
-    def test_unique_solution_when_fully_pinned(self):
-        g = complete_graph(4)
-        basis = cycle_space_basis(g)
-        triangle = EdgeSet.of(g, [0, 1, 2])
-        sol = solve_affine(basis, triangle, EdgeSet.full(g) - triangle)
-        assert sol is not None
-        assert sol.dimension == 0
-        assert sol.particular_set() == triangle
-
-    def test_one_forced_edge_leaves_dimension_2(self):
-        g = complete_graph(4)
-        basis = cycle_space_basis(g)
-        edge01 = EdgeSet.of(g, [0])
-        sol = solve_affine(basis, edge01, EdgeSet.empty(g))
-        assert sol is not None
-        assert sol.dimension == 2
-        solutions = {sol.solution(k).mask for k in range(4)}
-        assert len(solutions) == 4
-        expected = {
-            s.mask
-            for s in enumerate_even_subgraphs(basis)
-            if edge01 <= s
-        }
-        assert solutions == expected
-
-    def test_bridge_infeasible(self):
-        g = bridged_cubic_graph()
-        basis = cycle_space_basis(g)
-        bridge = EdgeSet.of(g, [14])
-        from cdc5 import bridges
-
-        assert bridges(g) == bridge
-        assert solve_affine(basis, bridge, EdgeSet.empty(g)) is None
-
-    def test_conflicting_constraints_infeasible(self):
-        g = complete_graph(4)
-        basis = cycle_space_basis(g)
-        e = EdgeSet.of(g, [0])
-        assert solve_affine(basis, e, e) is None
-
-    @pytest.mark.parametrize("g", SMALL_HOSTS[:4], ids=lambda g: f"n{g.n}m{g.m}")
-    def test_matches_filter_oracle(self, g):
-        basis = cycle_space_basis(g)
-        space = list(enumerate_even_subgraphs(basis))
-        rng = random.Random(g.m)
-        for _ in range(20):
-            ones = EdgeSet.of(g, [e for e in range(g.m) if rng.random() < 0.3])
-            zeros = EdgeSet.of(
-                g, [e for e in range(g.m) if e not in ones and rng.random() < 0.3]
-            )
-            expected = {
-                s.mask for s in space if ones <= s and not (s & zeros)
-            }
-            sol = solve_affine(basis, ones, zeros)
-            if sol is None:
-                assert expected == set()
-            else:
-                got = {sol.solution(k).mask for k in range(1 << sol.dimension)}
-                assert got == expected
-
-    def test_wrong_host_rejected(self, petersen):
-        basis = cycle_space_basis(petersen)
-        other = complete_graph(4)
-        with pytest.raises(ValueError):
-            solve_affine(basis, EdgeSet.empty(other), EdgeSet.empty(other))

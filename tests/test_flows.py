@@ -10,7 +10,6 @@ from cdc5 import (
     MultiGraph,
     PreconditionError,
     bridges,
-    cdc_to_flow,
     coloring_to_flow,
     delete_edges,
     find_nz4flow,
@@ -28,6 +27,7 @@ from cdc5.flows import _component_subgraphs, _dead_key
 from .oracles import (
     bridged_cubic_graph,
     bridged_cubic_multigraph,
+    cdc_to_flow,
     complete_graph,
     flower_snark,
     is_circuit,

@@ -25,8 +25,6 @@ from cdc5 import (
     has_nz4flow,
     is_matching,
     petersen_graph,
-    petersen_shortcut_check,
-    solve_affine,
     verify_certificate,
 )
 
@@ -138,6 +136,16 @@ class TestFindPreconditions:
     def test_wrong_host_prescription_rejected(self, petersen):
         with pytest.raises(ValueError):
             find_5cdc_containing(petersen, EdgeSet.empty(complete_graph(4)))
+
+    def test_c1_list_of_an_odd_prescription_rejected(self, petersen):
+        # The C1 list is c0 plus the even subgraphs disjoint from it, so it
+        # holds even subgraphs only when c0 is one.
+        k4 = complete_graph(4)
+        with pytest.raises(PreconditionError):
+            SearchContext(k4).c1_candidates(EdgeSet.of(k4, [0]))
+        path = EdgeSet.of(petersen, [0, 1, 2])  # 0-1-2-3 on the outer 5-cycle
+        with pytest.raises(PreconditionError):
+            SearchContext(petersen).c1_candidates(path)
 
     @pytest.mark.parametrize("g", [theta_multigraph(), random_cubic_multigraph(12, 5)])
     def test_multigraph_rejected_before_the_search(self, g, monkeypatch):
@@ -320,51 +328,18 @@ class TestSweepSplit:
             assert outcomes[2] == outcomes[1] and outcomes[8] == outcomes[1]
 
 
-class TestPetersenShortcut:
-    def test_complete_with_no_discrepancies(self, petersen):
-        report = petersen_shortcut_check(petersen)
-        assert len(report.entries) == 57
-        assert report.complete
-        assert report.discrepancies == ()
-        for entry in report.entries:
-            assert entry.matching is not None
-            assert is_matching(petersen, entry.matching)
-            assert entry.circuit & entry.partner == entry.matching
-
-    def test_skips_record_empty_matchings_only(self, petersen):
-        report = petersen_shortcut_check(petersen)
-        for entry in report.entries:
-            for _, m_set in entry.flowless_skips:
-                assert not m_set
-
-    def test_other_graphs_rejected(self):
-        with pytest.raises(PreconditionError):
-            petersen_shortcut_check(complete_graph(4))
-
-    def test_relabeled_petersen_rejected(self, petersen):
-        # Swapping vertices 0 and 5 is not an automorphism, so the result
-        # is isomorphic but a different labeled graph.
-        swap = {0: 5, 5: 0}
-        relabeled = MultiGraph(
-            10, [(swap.get(u, u), swap.get(v, v)) for u, v in petersen.edges]
-        )
-        with pytest.raises(PreconditionError):
-            petersen_shortcut_check(relabeled)
-
-
 def reference_canonical(g):
     """The canonical even-subgraph list as a plain sort on edge-id tuples."""
     basis = cycle_space_basis(g)
     return sorted(enumerate_even_subgraphs(basis), key=lambda s: (len(s), s.ids()))
 
 
-def reference_c1_list(g, c0):
-    """C1 candidates sorted by (edges added to c0, edge-id tuple)."""
-    sol = solve_affine(cycle_space_basis(g), c0, EdgeSet.empty(g))
-    return sorted(
-        (sol.solution(k) for k in range(1 << sol.dimension)),
-        key=lambda s: (len(s - c0), s.ids()),
-    )
+def reference_c1_list(g, c0, space=None):
+    """C1 candidates, the even subgraphs containing c0 filtered out of the
+    whole space (every even subgraph of g, in any order), sorted by (edges
+    added to c0, edge-id tuple)."""
+    space = space or enumerate_even_subgraphs(cycle_space_basis(g))
+    return sorted((s for s in space if c0 <= s), key=lambda s: (len(s - c0), s.ids()))
 
 
 def reference_c2_order(c1, canonical):
@@ -379,7 +354,7 @@ def reference_search(g, c0, context, canonical=None):
     Its certificate is built the way the engine builds one."""
     canonical = canonical or reference_canonical(g)
     tried = 0
-    for c1 in reference_c1_list(g, c0):
+    for c1 in reference_c1_list(g, c0, canonical):
         for c2 in reference_c2_order(c1, canonical):
             tried += 1
             overlap = c1 & c2
@@ -408,7 +383,7 @@ def search_differences(g, prescriptions, canonical=None):
         got = find_5cdc_containing(g, c0, context=engine)
         certificates.append(got)
         want = reference_search(g, c0, reference, canonical)
-        same = engine.c1_candidates(c0) == [s.mask for s in reference_c1_list(g, c0)]
+        same = engine.c1_candidates(c0) == [s.mask for s in reference_c1_list(g, c0, canonical)]
         same = same and (got is None) == (want is None)
         if same and got is not None:
             same = normalized(got) == normalized(want)
