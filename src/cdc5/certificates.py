@@ -23,8 +23,8 @@ from typing import Any, Optional, Sequence
 from .cover import contains_element_superset, replays_as_flow, verify_cdc
 from .cyclespace import is_even_subgraph
 from .errors import Graph6Error, InvariantViolationError, UnsupportedFormatError
-from .flows import has_nz4flow
-from .graphs import EdgeSet, MultiGraph, delete_edges, is_matching, parse_graph6, write_graph6
+from .flows import flow_planes
+from .graphs import EdgeSet, MultiGraph, is_matching, parse_graph6, write_graph6
 
 PATH_THEOREM = "theorem2"
 PATH_M_EMPTY = "m-empty"
@@ -361,7 +361,7 @@ def _check(
 
     if cubic and is_m:
         witnessed = report.valid and replays_as_flow(g, c1, c2, matching, elements)
-        if not witnessed and not has_nz4flow(delete_edges(g, matching).graph):
+        if not witnessed and flow_planes(g, matching.mask) is None:
             problems.append("graph minus the matching has no nowhere-zero 4-flow")
 
     if stats["candidates_tried"] < 1:

@@ -169,6 +169,8 @@ def _parse_edge_ids(g: MultiGraph, spec: str) -> EdgeSet:
     for e in ids:
         if not 0 <= e < g.m:
             raise _Fail(EXIT_USAGE, f"edge id {e} out of range (graph has {g.m} edges)")
+    if len(set(ids)) != len(ids):
+        raise _Fail(EXIT_USAGE, "edge ids must be distinct")
     s = EdgeSet.of(g, ids)
     if not is_even_subgraph(g, s):
         raise _Fail(EXIT_USAGE, "edge ids do not form an even subgraph")

@@ -8,6 +8,8 @@ the family {c', c' ^ S1, c' ^ S2, c' ^ S1 ^ S2} covers every edge exactly
 twice, because each edge lies in S1, S2 or both (Jaeger 1979).  Extending a
 family C1..Ck whose pairwise overlaps form a matching M then reduces to
 that closed form on G - M, with c' the symmetric difference of the Ci.
+The planes are masks over the host's own edge ids (flows.flow_planes), so
+the cover is read off them with plain XOR.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional, Sequence, Union
 
 from .cyclespace import is_even_subgraph
 from .errors import ConditionError, PreconditionError
-from .flows import Flow4, find_nz4flow
-from .graphs import EdgeSet, MultiGraph, delete_edges, is_matching
+from .flows import Planes, flow_planes, is_flow
+from .graphs import EdgeSet, MultiGraph, is_matching
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
 
 
 def extend_to_cdc(
-    g: MultiGraph, covers: Sequence[EdgeSet], flow: Optional[Flow4] = None
+    g: MultiGraph, covers: Sequence[EdgeSet], planes: Optional[Planes] = None
 ) -> Cdc:
     """Extend even subgraphs C1..Ck to a double cover of at most k+3
     elements that keeps every Ci as an element.
@@ -125,8 +127,9 @@ def extend_to_cdc(
     S1, S2 the bit planes of a nowhere-zero 4-flow of G - M, the cover is
     c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and C1..Ck: the module's closed-form
     cover of G - M, with its element c' replaced by the Ci.  A caller that
-    already holds that flow (on a graph equal to delete_edges(g, M).graph)
-    passes it as flow, and condition 3 is then not decided again.
+    already holds the planes (S1, S2) of that flow passes them as planes,
+    and condition 3 is then not decided again; planes that are not a flow
+    of G - M raise ValueError.
     """
     if not g.is_cubic():
         raise PreconditionError("host graph must be cubic")
@@ -144,17 +147,15 @@ def extend_to_cdc(
         raise ConditionError(
             2, "twice-covered edges do not form a matching", _matching_conflicts(g, m_set)
         )
-    kept = EdgeSet(g, (1 << g.m) - 1 ^ twice).ids()  # edge ids of G - M, in order
-    if flow is None:
-        flow = find_nz4flow(delete_edges(g, m_set).graph)
-        if flow is None:
+    if planes is None:
+        planes = flow_planes(g, twice)
+        if planes is None:
             raise ConditionError(
                 3, "graph minus the matching has no nowhere-zero 4-flow", m_set.ids()
             )
-    elif flow.host.n != g.n or flow.host.edges != tuple(g.edges[e] for e in kept):
-        raise ValueError("flow does not belong to the graph minus the matching")
-    s1 = sum(1 << e for e, value in zip(kept, flow.values) if value & 1)
-    s2 = sum(1 << e for e, value in zip(kept, flow.values) if value & 2)
+    elif not is_flow(g, twice, *planes):
+        raise ValueError("planes are not a flow of the graph minus the matching")
+    s1, s2 = planes
     lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
     return Cdc(g, tuple(lifted) + tuple(c for c in covers if c))
 
@@ -167,9 +168,8 @@ def replays_as_flow(
     masks r0..r3 covering E - M exactly twice, and the flow that gives
     r0..r3 the Klein values 0..3 and each edge the sum of the values of its
     two masks, whose bit planes are S1 = r1 ^ r3 and S2 = r2 ^ r3, must be
-    conserved: S1 and S2 meet every vertex in an even number of
-    edges, loops aside.  Linear in the size of the cover; False means only
-    that this witness does not apply."""
+    a flow of G - M (is_flow).  Linear in the size of the cover; False
+    means only that this witness does not apply."""
     if c1 & c2 != matching:
         return False
     rest = [el.mask for el in elements]
@@ -184,5 +184,4 @@ def replays_as_flow(
     if len(rest) > 4 or once or more or twice != (1 << g.m) - 1 ^ matching.mask:
         return False
     _, r1, r2, r3 = rest + [0] * (4 - len(rest))
-    s1, s2 = (r1 ^ r3) & ~g.loop_mask(), (r2 ^ r3) & ~g.loop_mask()
-    return not any((s1 & vm).bit_count() & 1 or (s2 & vm).bit_count() & 1 for vm in g.vertex_masks)
+    return is_flow(g, matching.mask, r1 ^ r3, r2 ^ r3)

@@ -3,29 +3,24 @@
 Flow values are 1, 2, 3 (the nonzero elements 01, 10, 11 of Z2 x Z2) and the
 group operation is integer XOR, so conservation at a vertex means the XOR of
 the incident values vanishes; edge direction is irrelevant and loops cancel
-themselves.  For 3-regular graphs a nowhere-zero 4-flow is the same thing as
-a proper 3-edge-coloring, and the general degree-{2,3} case reduces to that
-by suppressing degree-2 vertices.
+themselves.  A flow is kept as its two bit planes, the edge masks S1 (values
+1 and 3) and S2 (values 2 and 3): it is conserved exactly when both planes
+are even subgraphs, and nowhere zero when S1 | S2 is every edge.  For
+3-regular graphs a nowhere-zero 4-flow is the same thing as a proper
+3-edge-coloring, and the flows of G - drop, with every degree 2 or 3, are
+found on the 3-regular graph that suppressing its degree-2 vertices leaves.
+The planes are masks over G's own edge ids; G - drop is never built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvariantViolationError, PreconditionError
-from .graphs import MultiGraph, SuppressionMap, bridges, components, suppress_degree2
+from .graphs import MultiGraph, bridges, components
 
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
-
-
-@dataclass(frozen=True)
-class Flow4:
-    """Klein-group edge values, indexed by edge id; 0 never appears in a
-    valid nowhere-zero flow."""
-
-    host: MultiGraph
-    values: tuple[int, ...]
+Planes = tuple[int, int]  # the bit planes (S1, S2) of a flow, as edge masks
 
 
 def _dead_key(unc: int, b0: int, b1: int, b2: int) -> tuple[int, int, int, int]:
@@ -140,97 +135,86 @@ def _component_subgraphs(g: MultiGraph):
         yield MultiGraph(len(comp), edges), edge_ids
 
 
-def _check_flow_host(g: MultiGraph) -> None:
-    for v in range(g.n):
-        if g.degree(v) not in (2, 3):
-            raise PreconditionError(
-                f"vertex {v} has degree {g.degree(v)}; flow decision needs degrees 2 or 3"
-            )
+def _suppress(g: MultiGraph, drop: int) -> tuple[MultiGraph, list[int]]:
+    """The 3-regular graph G - drop suppresses to, and the mask of the chain
+    of G's edges that each of its edges stands for.
 
-
-def find_nz4flow(g: MultiGraph) -> Optional[Flow4]:
-    """Construct a nowhere-zero 4-flow on g (degrees 2 and 3), or None.
-
-    Chain: a bridge rules it out; components that are plain circuits always
-    admit one; everything else is suppressed to a 3-regular graph, colored
-    per component, and the colors are turned into Klein values and lifted
-    along the suppression paths.
+    Every degree of G - drop must be 2 or 3.  From each degree-3 vertex in
+    ascending order, each kept edge at it not yet walked, in ascending
+    order, starts a chain that runs on through degree-2 vertices to the
+    next degree-3 vertex; the chain becomes one edge between the two (a
+    loop when it returns to its start).  The edges on no chain form the
+    components of G - drop without a degree-3 vertex, which are circuits.
     """
-    _check_flow_host(g)
-    if bridges(g).mask:
+    kept = [vm & ~drop for vm in g.vertex_masks]
+    loops = g.loop_mask() & ~drop
+    degree = [vm.bit_count() + (vm & loops).bit_count() for vm in kept]
+    for v, d in enumerate(degree):
+        if d not in (2, 3):
+            raise PreconditionError(
+                f"vertex {v} has degree {d}; flow decision needs degrees 2 or 3"
+            )
+    branch = [v for v, d in enumerate(degree) if d == 3]
+    new_id = {v: i for i, v in enumerate(branch)}
+    walked = drop
+    edges, chains = [], []
+    for v in branch:
+        for e in g.incident(v):
+            if walked >> e & 1:
+                continue
+            chain = 1 << e
+            cur = g.other_end(e, v)
+            while degree[cur] == 2:
+                bit = kept[cur] & ~chain
+                chain |= bit
+                cur = g.other_end(bit.bit_length() - 1, cur)
+            walked |= chain
+            edges.append((new_id[v], new_id[cur]))
+            chains.append(chain)
+    return MultiGraph(len(branch), edges), chains
+
+
+def flow_planes(g: MultiGraph, drop: int = 0) -> Optional[Planes]:
+    """The bit planes (S1, S2) of the first nowhere-zero 4-flow of G - drop,
+    as masks over g's edge ids, or None when it has none.  drop is a mask
+    of g's edges; every degree of G - drop must be 2 or 3.
+
+    A bridge rules a flow out.  Otherwise each component of the suppressed
+    graph (_suppress) is 3-edge-colored, and color c gives its edge's chain
+    the value c + 1: color 0 puts the chain in S1, color 1 in S2 and color
+    2 in both.  The circuit components get the value 1, in S1.  The planes
+    are checked with is_flow before they are returned.
+    """
+    suppressed, chains = _suppress(g, drop)
+    if bridges(suppressed):
         return None
-    smap = suppress_degree2(g)
-    suppressed = smap.suppressed_graph
-    colors = [-1] * suppressed.m
+    s1 = s2 = 0
     for sub, edge_ids in _component_subgraphs(suppressed):
-        col = three_edge_color(sub)
-        if col is None:
+        colors = three_edge_color(sub)
+        if colors is None:
             return None
-        for local, e in enumerate(edge_ids):
-            colors[e] = col[local]
-    return lift_flow(coloring_to_flow(suppressed, tuple(colors)), smap, g)
+        for e, c in zip(edge_ids, colors):
+            if c != 1:
+                s1 |= chains[e]
+            if c:
+                s2 |= chains[e]
+    s1 |= (1 << g.m) - 1 & ~(drop | s1 | s2)
+    if not is_flow(g, drop, s1, s2):
+        raise InvariantViolationError("flow planes fail verification")
+    return s1, s2
 
 
 def has_nz4flow(g: MultiGraph) -> bool:
     """Decide whether g (degrees 2 and 3) admits a nowhere-zero 4-flow."""
-    return find_nz4flow(g) is not None
+    return flow_planes(g) is not None
 
 
-def coloring_to_flow(g: MultiGraph, coloring: EdgeColoring3) -> Flow4:
-    """Proper 3-edge-coloring to nowhere-zero 4-flow: colors 0, 1, 2 become
-    the distinct Klein values 1, 2, 3, which XOR to zero at every vertex of
-    a 3-regular graph."""
-    if len(coloring) != g.m:
-        raise PreconditionError("coloring length does not match the edge count")
-    for v in range(g.n):
-        seen = 0
-        for e in g.incident(v):
-            if g.is_loop(e):
-                seen = 8  # a loop can never be properly colored
-                break
-            bit = 1 << coloring[e]
-            if seen & bit:
-                seen = 8
-                break
-            seen |= bit
-        if seen == 8:
-            raise PreconditionError(f"coloring is not proper at vertex {v}")
-    return Flow4(g, tuple(c + 1 for c in coloring))
-
-
-def lift_flow(flow: Flow4, smap: SuppressionMap, g: MultiGraph) -> Flow4:
-    """Transport a flow on the suppressed graph back to the original: every
-    edge of a suppression path inherits the suppressed edge's value, and
-    circuit components get the constant value 1."""
-    if flow.host is not smap.suppressed_graph:
-        raise ValueError("flow does not live on the suppression's graph")
-    values = [0] * g.m
-    for e, path in enumerate(smap.path_of):
-        for orig in path:
-            values[orig] = flow.values[e]
-    for circ in smap.circuit_components:
-        for e in circ:
-            values[e] = 1
-    lifted = Flow4(g, tuple(values))
-    if not verify_flow(g, lifted):
-        raise InvariantViolationError("lifted flow fails verification")
-    return lifted
-
-
-def verify_flow(g: MultiGraph, flow: Flow4) -> bool:
-    """Check value range and conservation (XOR of non-loop incident values
-    vanishes at every vertex; a loop contributes its value twice, i.e. 0)."""
-    if flow.host is not g:
-        raise ValueError("flow does not belong to the given graph")
-    if len(flow.values) != g.m:
+def is_flow(g: MultiGraph, drop: int, s1: int, s2: int) -> bool:
+    """Whether masks s1 and s2 are the bit planes of a nowhere-zero 4-flow
+    of G - drop: together they hold exactly the edges outside drop, and
+    each meets every vertex in an even number of edges, loops aside."""
+    if s1 | s2 != (1 << g.m) - 1 & ~drop:
         return False
-    if any(val not in (1, 2, 3) for val in flow.values):
-        return False
-    for v in range(g.n):
-        acc = 0
-        for e in g.incident(v):
-            if not g.is_loop(e):
-                acc ^= flow.values[e]
-        if acc:
-            return False
-    return True
+    s1 &= ~g.loop_mask()
+    s2 &= ~g.loop_mask()
+    return not any((s1 & vm).bit_count() & 1 or (s2 & vm).bit_count() & 1 for vm in g.vertex_masks)

@@ -1,21 +1,21 @@
 """Multigraph core: dense edge identifiers, bit-mask edge sets, graph6 I/O,
-bridges, components, and suppression of degree-2 vertices.
+bridges and components.
 
 Vertices are 0..n-1.  Edges carry dense identifiers 0..m-1 in construction
 order and are unordered pairs; loops and parallel edges are allowed
 everywhere except graph6 output.  Every set-like result is an EdgeSet (an
 integer bit mask over edge identifiers), so the GF(2) algebra downstream is
-plain integer XOR.
+plain integer XOR.  Edge ids are never renumbered: a subgraph such as
+G - M is a mask over G's own edges.
 """
 
 from __future__ import annotations
 
 from binascii import a2b_base64
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .errors import Graph6Error, InvariantViolationError, PreconditionError, UnsupportedFormatError
+from .errors import Graph6Error, UnsupportedFormatError
 
 
 class MultiGraph:
@@ -307,48 +307,6 @@ def check_graph6_writable(g: MultiGraph) -> None:
 # structural operations
 
 
-@dataclass(frozen=True)
-class EdgeDeletion:
-    """Result of delete_edges: the reduced graph plus both relabeling maps."""
-
-    graph: MultiGraph
-    old_to_new: tuple[Optional[int], ...]
-    kept: tuple[int, ...]  # new edge id -> old edge id
-
-    def to_new(self, s: EdgeSet) -> EdgeSet:
-        """Translate an edge set of the original graph; members must survive."""
-        mask = 0
-        for e in s:
-            new = self.old_to_new[e]
-            if new is None:
-                raise ValueError(f"edge {e} was deleted and cannot be translated")
-            mask |= 1 << new
-        return EdgeSet(self.graph, mask)
-
-    def to_old(self, host: MultiGraph, s: EdgeSet) -> EdgeSet:
-        """Translate an edge set of the reduced graph back to the original."""
-        mask = 0
-        for e in s:
-            mask |= 1 << self.kept[e]
-        return EdgeSet(host, mask)
-
-
-def delete_edges(g: MultiGraph, drop: EdgeSet) -> EdgeDeletion:
-    """Remove the given edges, keeping all vertices; ids are renumbered densely."""
-    if drop.host is not g:
-        raise ValueError("EdgeSet does not belong to the given graph")
-    old_to_new: list[Optional[int]] = [None] * g.m
-    kept = []
-    new_edges = []
-    for e, (u, v) in enumerate(g.edges):
-        if e in drop:
-            continue
-        old_to_new[e] = len(new_edges)
-        kept.append(e)
-        new_edges.append((u, v))
-    return EdgeDeletion(MultiGraph(g.n, new_edges), tuple(old_to_new), tuple(kept))
-
-
 def bridges(g: MultiGraph) -> EdgeSet:
     """All bridges of g, found with one depth-first lowlink pass.
 
@@ -412,82 +370,6 @@ def components(g: MultiGraph) -> list[list[int]]:
                     queue.append(x)
         out.append(sorted(comp))
     return out
-
-
-@dataclass(frozen=True)
-class SuppressionMap:
-    """Result of suppress_degree2.
-
-    ``path_of[e]`` lists, in walk order, the original edges that were fused
-    into suppressed edge e.  Components consisting solely of degree-2
-    vertices cannot be suppressed to anything 3-regular and are returned
-    separately in ``circuit_components`` (edge sets over the original graph).
-    The suppressed edges' paths plus the circuit components partition the
-    original edge set.
-    """
-
-    suppressed_graph: MultiGraph
-    path_of: tuple[tuple[int, ...], ...]
-    circuit_components: tuple[EdgeSet, ...]
-    vertex_map: tuple[int, ...]  # suppressed vertex id -> original vertex id
-
-
-def suppress_degree2(g: MultiGraph) -> SuppressionMap:
-    """Contract every maximal path through degree-2 vertices to a single edge.
-
-    Requires every degree to be 2 or 3.  The output graph is 3-regular; it
-    may contain loops (a cycle attached at one degree-3 vertex) or parallel
-    edges (two degree-3 vertices joined by several paths).
-    """
-    for v in range(g.n):
-        if g.degree(v) not in (2, 3):
-            raise PreconditionError(
-                f"vertex {v} has degree {g.degree(v)}; suppression needs degrees 2 or 3"
-            )
-    keep = [v for v in range(g.n) if g.degree(v) == 3]
-    new_id = {v: i for i, v in enumerate(keep)}
-    used = bytearray(g.m)
-    new_edges = []
-    paths = []
-    for v in keep:
-        for e in g.incident(v):
-            if used[e]:
-                continue
-            used[e] = 1
-            if g.is_loop(e):
-                new_edges.append((new_id[v], new_id[v]))
-                paths.append((e,))
-                continue
-            path = [e]
-            cur = g.other_end(e, v)
-            while g.degree(cur) == 2:
-                nxt = next(f for f in g.incident(cur) if f != path[-1])
-                used[nxt] = 1
-                path.append(nxt)
-                cur = g.other_end(nxt, cur)
-            new_edges.append((new_id[v], new_id[cur]))
-            paths.append(tuple(path))
-    circuits = []
-    for comp in components(g):
-        if all(g.degree(v) == 2 for v in comp):
-            mask = 0
-            for v in comp:
-                mask |= g.vertex_mask(v)
-            circuits.append(EdgeSet(g, mask))
-    covered = 0
-    for path in paths:
-        for e in path:
-            covered |= 1 << e
-    for c in circuits:
-        covered |= c.mask
-    if covered != (1 << g.m) - 1 or sum(len(p) for p in paths) + sum(
-        len(c) for c in circuits
-    ) != g.m:
-        raise InvariantViolationError("suppression paths and circuits do not partition the edges")
-    suppressed = MultiGraph(len(keep), new_edges)
-    if not suppressed.is_cubic():
-        raise InvariantViolationError("suppressed graph is not 3-regular")
-    return SuppressionMap(suppressed, tuple(paths), tuple(circuits), tuple(keep))
 
 
 def petersen_graph() -> MultiGraph:

@@ -17,14 +17,13 @@ C1's edges.  So a bucket of C2 with no acceptable M is skipped by adding
 its size in closed form, counted only then, and the canonical order is
 walked only inside the first bucket that holds a winner.  The walk reads
 the short end of the order, every even subgraph up to some size, which
-the context generates
-from the short circuits of the host and grows one size at a time.  Both
-parts fall back to closed-form lists when a search must go far: the
-overlaps of a C1 are read from a list of the projection once finding
-them one size at a time has cost more than its 2^r members, and the rest
-of the canonical order is listed once growing its short end gets dear.
-So a C1 whose buckets all fail costs about what a walk of the 2^dim
-order would.
+the context generates from the short circuits of the host and grows one
+size at a time.  Both parts fall back to closed-form lists when a search
+must go far: the overlaps of a C1 are read from a list of the projection
+once finding them one size at a time has cost more than its 2^r members,
+and the rest of the canonical order is listed once growing its short end
+gets dear.  So a C1 whose buckets all fail costs about what a walk of the
+2^dim order would.
 """
 
 from __future__ import annotations
@@ -52,14 +51,8 @@ from .errors import (
     PreconditionError,
     UnsupportedFormatError,
 )
-from .flows import Flow4, find_nz4flow
-from .graphs import (
-    EdgeSet,
-    MultiGraph,
-    bridges,
-    delete_edges,
-    parse_graph6,
-)
+from .flows import Planes, flow_planes
+from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6
 
 
 @dataclass(frozen=True)
@@ -85,11 +78,11 @@ def _check_search_host(g: MultiGraph) -> None:
 class SearchContext:
     """Search state of one host graph, shared by every search on it: the
     cycle-space basis, the short end of the canonical order of the even
-    subgraphs (size, then ascending edge ids), a memo of the
-    nowhere-zero 4-flow of G - M per deleted edge set M (None when G - M
-    has none), and the frame of the graph's certificates.  Holding the
-    flow, not just the answer, lets a found pair's cover be built without
-    deciding the flow again.
+    subgraphs (size, then ascending edge ids), a memo of the bit planes
+    of the nowhere-zero 4-flow of G - M per deleted edge mask M (None when
+    G - M has none), and the frame of the graph's certificates.  Holding
+    the planes, not just the answer, lets a found pair's cover be built
+    without deciding the flow again.
 
     The short end starts at the empty set and grows by one size whenever a
     walk of the order passes it, so its cost follows the searches made,
@@ -104,7 +97,7 @@ class SearchContext:
         _check_search_host(g)
         self.g = g
         self.basis = cycle_space_basis(g)
-        self._flows: dict[int, Optional[Flow4]] = {}
+        self._flows: dict[int, Optional[Planes]] = {}
         self._order: list[int] = [0]  # the short end, in canonical order
         self._layers: Optional[EvenLayers] = None  # built on the first growth
 
@@ -158,13 +151,12 @@ class SearchContext:
         rows = reduced_echelon(v.mask << m | v.mask & c0.mask for v in self.basis.vectors)
         return canonical_masks(c0.mask, [row >> m for pivot, row in rows.items() if pivot >= m])
 
-    def flow_minus(self, drop: EdgeSet) -> Optional[Flow4]:
-        """A nowhere-zero 4-flow of G - drop, or None; decided once per drop."""
-        if drop.host is not self.g:
-            raise ValueError("edge set does not belong to the context's graph")
-        if drop.mask not in self._flows:
-            self._flows[drop.mask] = find_nz4flow(delete_edges(self.g, drop).graph)
-        return self._flows[drop.mask]
+    def flow_minus(self, drop: int) -> Optional[Planes]:
+        """The bit planes of a nowhere-zero 4-flow of G - drop (a mask), or
+        None; decided once per drop."""
+        if drop not in self._flows:
+            self._flows[drop] = flow_planes(self.g, drop)
+        return self._flows[drop]
 
     def known_flowless(self, drop: int) -> bool:
         """Whether G - drop (a mask) is already known to have no flow."""
@@ -207,12 +199,13 @@ def _overlaps(
     many k-subsets of the edges so far sum to it, one k at a time; at full
     rank every syndrome is zero and the counts are binomials.  It runs only
     as far as a count is asked for, and a search asks for a bucket's count
-    only when the bucket fails; counts must be asked for in increasing k.  The k-edge matchings are the (k - 1)-edge
-    ones extended by a higher edge, kept when their syndromes sum to zero.
-    Both are built one k at a time, so a search that wins at a small k pays
-    for small k only.  Once their work (sums held, partial matchings
-    built) exceeds the 2^r members of the projection, the projection is
-    listed instead and the remaining sizes are read from it."""
+    only when the bucket fails; counts must be asked for in increasing k.
+    The k-edge matchings are the (k - 1)-edge ones extended by a higher
+    edge, kept when their syndromes sum to zero.  Both are built one k at
+    a time, so a search that wins at a small k pays for small k only.
+    Once their work (sums held, partial matchings built) exceeds the 2^r
+    members of the projection, the projection is listed instead and the
+    remaining sizes are read from it."""
     edges = [e for e in range(g.m) if c1 >> e & 1]
     pivots = sum(1 << p for p in rows)
     syndrome = [rows[e] & ~pivots if e in rows else 1 << e for e in edges]
@@ -298,7 +291,7 @@ def _walk_bucket(
         tally.check_time()
         tally.add(1)
         if m in pending:
-            if ctx.flow_minus(EdgeSet(ctx.g, m)) is not None:
+            if ctx.flow_minus(m) is not None:
                 return c2
             pending.discard(m)
             if not pending:
@@ -364,21 +357,12 @@ def find_5cdc_containing(
             continue
         c1_set, c2_set = EdgeSet(g, c1), EdgeSet(g, c2)
         overlap = c1_set & c2_set
-        cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], ctx.flow_minus(overlap))
+        cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], ctx.flow_minus(c1 & c2))
         elapsed_ms = int((time.monotonic() - started) * 1000)
         return build_certificate(
             g, c0, c1_set, c2_set, overlap, cdc.elements, tally.tried, elapsed_ms, frame
         )
     return None
-
-
-def has_5cdc(
-    g: MultiGraph,
-    options: Optional[SearchOptions] = None,
-    context: Optional[SearchContext] = None,
-) -> Optional[Certificate]:
-    """Unconstrained existence: search with an empty prescribed subgraph."""
-    return find_5cdc_containing(g, EdgeSet.empty(g), options, context)
 
 
 class Sweep:

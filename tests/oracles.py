@@ -4,9 +4,11 @@ Everything here recomputes results from first principles (explicit subset
 enumeration, remove-an-edge reachability, exhaustive color assignment), so
 agreement with the package is a meaningful check and not a tautology.  Most
 of it is exponential in the edge count; callers keep the inputs small.  The
-cover-to-flow translation (cdc_to_flow) and the witness extraction from a
-cover (extract_witness) are linear; the tests use them to read a cover back
-as a flow and as a (M, C1, C2) triple.
+cover-to-flow translation (cdc_to_flow), the witness extraction from a
+cover (extract_witness) and the value-by-value flow check (verify_flow) are
+linear; the tests use them to read a cover back as a flow and as a
+(M, C1, C2) triple, and to check the package's flow planes against flow
+values on G - M built as a graph of its own (minus).
 """
 
 import random
@@ -16,7 +18,6 @@ from typing import Optional, Sequence
 
 from cdc5 import (
     EdgeSet,
-    Flow4,
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
@@ -26,7 +27,6 @@ from cdc5 import (
     is_even_subgraph,
     is_matching,
     verify_cdc,
-    verify_flow,
 )
 from cdc5.cover import CdcLike, _element_seq, replays_as_flow
 
@@ -144,8 +144,41 @@ def filtered_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
 
 
-def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> Flow4:
-    """Turn a CDC with at most 4 elements into a nowhere-zero 4-flow.
+def minus(g: MultiGraph, drop: int) -> tuple[MultiGraph, tuple[int, ...]]:
+    """G - drop (a mask) as a graph of its own, its edges renumbered densely
+    in order, and the id in g of each of its edges."""
+    kept = tuple(e for e in range(g.m) if not drop >> e & 1)
+    return MultiGraph(g.n, [g.edges[e] for e in kept]), kept
+
+
+def verify_flow(g: MultiGraph, values: Sequence[int]) -> bool:
+    """Whether Klein-group edge values (indexed by edge id) form a
+    nowhere-zero 4-flow: one value in 1, 2, 3 per edge, and the XOR of the
+    values of the non-loop edges at every vertex vanishes (a loop adds its
+    value twice, i.e. 0)."""
+    if len(values) != g.m:
+        return False
+    if any(val not in (1, 2, 3) for val in values):
+        return False
+    for v in range(g.n):
+        acc = 0
+        for e in g.incident(v):
+            if not g.is_loop(e):
+                acc ^= values[e]
+        if acc:
+            return False
+    return True
+
+
+def plane_values(g: MultiGraph, planes: tuple[int, int]) -> tuple[int, ...]:
+    """The Klein value of each edge of g under bit planes (S1, S2)."""
+    s1, s2 = planes
+    return tuple((s1 >> e & 1) | (s2 >> e & 1) << 1 for e in range(g.m))
+
+
+def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> tuple[int, ...]:
+    """Turn a CDC with at most 4 elements into the values of a nowhere-zero
+    4-flow.
 
     The elements are padded to four with empty sets and assigned the Klein
     values 0, 1, 2, 3 in order; each edge lies in exactly two elements and
@@ -167,10 +200,9 @@ def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> Flow4:
     for value, s in enumerate(elements):
         for e in s:
             values[e] ^= value
-    flow = Flow4(g, tuple(values))
-    if not verify_flow(g, flow):
+    if not verify_flow(g, values):
         raise InvariantViolationError("flow derived from a CDC fails verification")
-    return flow
+    return tuple(values)
 
 
 def extract_witness(

@@ -27,21 +27,26 @@ from cdc5 import (
     brute_force_cdc,
     cycle_space_basis,
     find_5cdc_containing,
-    find_nz4flow,
+    flow_planes,
     has_nz4flow,
     is_matching,
-    delete_edges,
     enumerate_even_subgraphs,
     extend_to_cdc,
     petersen_graph,
     verify_cdc,
     verify_certificate,
-    verify_flow,
 )
 from cdc5.cli import main
 
 from .conftest import DATA_DIR, read_graph6_lines, sweep_graph
-from .oracles import cdc_to_flow, circuit_subsets, extract_witness, subdivide
+from .oracles import (
+    cdc_to_flow,
+    circuit_subsets,
+    extract_witness,
+    plane_values,
+    subdivide,
+    verify_flow,
+)
 
 SNARKS_FILE = os.path.join(DATA_DIR, "snarks.g6")
 
@@ -183,12 +188,12 @@ def test_criterion_3_flow_equivalence(catalog):
         if decided != (reference is not None):
             problems.append(f"graph {gi}: decision {decided} vs brute {reference}")
             continue
-        constructed = find_nz4flow(g)
+        constructed = flow_planes(g)
         if (constructed is None) != (not decided):
             problems.append(f"graph {gi}: construction disagrees with decision")
             continue
         if constructed is not None:
-            if not verify_flow(g, constructed):
+            if not verify_flow(g, plane_values(g, constructed)):
                 problems.append(f"graph {gi}: constructed flow fails verification")
             flows_checked += 1
         if reference is not None:
@@ -252,7 +257,7 @@ def _witness_roundtrip_ok(doc: dict) -> bool:
         return False
     if m.ids() != (c1 & c2).ids() or not is_matching(g, m):
         return False
-    return has_nz4flow(delete_edges(g, m).graph)
+    return flow_planes(g, m.mask) is not None
 
 
 def test_criterion_5_property_suites(
@@ -281,10 +286,10 @@ def test_criterion_5_property_suites(
     flows_checked = 0
     if not problems:
         for g in catalog:
-            flow = find_nz4flow(g)
-            if flow is not None:
-                if not verify_flow(g, flow):
-                    problems.append(f"find_nz4flow broke on {g!r}")
+            planes = flow_planes(g)
+            if planes is not None:
+                if not verify_flow(g, plane_values(g, planes)):
+                    problems.append(f"flow_planes broke on {g!r}")
                     break
                 flows_checked += 1
 

@@ -12,7 +12,6 @@ from cdc5 import (
     Cdc,
     Certificate,
     EdgeSet,
-    Flow4,
     InvariantViolationError,
     SearchContext,
     Sweep,
@@ -108,11 +107,19 @@ def replace_one_element(g, cdc):
     return Cdc(g, (other,) + cdc.elements[1:])
 
 
-def flip_bit_plane(flow, e):
-    """The flow with bit 1 of edge e's value flipped: S1 gains or loses e."""
-    values = list(flow.values)
-    values[e] ^= 1
-    return Flow4(flow.host, tuple(values))
+def flip_bit_plane(planes, e):
+    """The planes with edge e toggled in S1."""
+    s1, s2 = planes
+    return s1 ^ 1 << e, s2
+
+
+def unchecked_extend(monkeypatch, g, covers, planes):
+    """extend_to_cdc with its check that the planes are a flow of G - M
+    switched off, so planes that are none still give the cover the closed
+    form reads off them (test_cover checks that they are refused)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cdc5.cover, "is_flow", lambda *args: True)
+        return extend_to_cdc(g, covers, planes)
 
 
 class TestSearchGate:
@@ -126,16 +133,16 @@ class TestSearchGate:
         g = petersen_graph()
         original = cdc5.search.extend_to_cdc
 
-        def corrupted(host, covers, flow=None):
-            return corrupt(host, covers, flow, original)
+        def corrupted(host, covers, planes=None):
+            return corrupt(host, covers, planes, original)
 
         monkeypatch.setattr(cdc5.search, "extend_to_cdc", corrupted)
         with pytest.raises(InvariantViolationError):
             find_5cdc_containing(g, EdgeSet.of(g, self.PENTAGON))
 
     def test_replaced_element_stops_the_search(self, monkeypatch):
-        def corrupt(host, covers, flow, original):
-            return replace_one_element(host, original(host, covers, flow))
+        def corrupt(host, covers, planes, original):
+            return replace_one_element(host, original(host, covers, planes))
 
         self.corrupt_search(monkeypatch, corrupt)
 
@@ -143,9 +150,10 @@ class TestSearchGate:
     def test_flipped_bit_plane_stops_the_search(self, monkeypatch, edge):
         # The Petersen pentagon's pair overlaps in one edge, so G - M has
         # 14 edges; flip S1 at each of them.
-        def corrupt(host, covers, flow, original):
-            assert flow.host.m == 14
-            return original(host, covers, flip_bit_plane(flow, edge))
+        def corrupt(host, covers, planes, original):
+            kept = [e for e in range(host.m) if (planes[0] | planes[1]) >> e & 1]
+            assert len(kept) == 14
+            return unchecked_extend(monkeypatch, host, covers, flip_bit_plane(planes, kept[edge]))
 
         self.corrupt_search(monkeypatch, corrupt)
 
@@ -159,22 +167,23 @@ class TestSearchGate:
     def witness(self, petersen_cert):
         g = petersen_graph()
         covers = [EdgeSet.of(g, petersen_cert.c1), EdgeSet.of(g, petersen_cert.c2)]
-        return g, covers, cdc5.search.SearchContext(g).flow_minus(covers[0] & covers[1])
+        return g, covers, cdc5.search.SearchContext(g).flow_minus((covers[0] & covers[1]).mask)
 
     def test_replaced_element_fails_verification(self, petersen_cert):
-        g, covers, flow = self.witness(petersen_cert)
-        cdc = replace_one_element(g, extend_to_cdc(g, covers, flow))
+        g, covers, planes = self.witness(petersen_cert)
+        cdc = replace_one_element(g, extend_to_cdc(g, covers, planes))
         assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
 
-    def test_flipped_bit_plane_fails_verification(self, petersen_cert):
-        g, covers, flow = self.witness(petersen_cert)
-        for e in range(flow.host.m):
-            cdc = extend_to_cdc(g, covers, flip_bit_plane(flow, e))
-            assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
+    def test_flipped_bit_plane_fails_verification(self, petersen_cert, monkeypatch):
+        g, covers, planes = self.witness(petersen_cert)
+        for e in range(g.m):
+            if (planes[0] | planes[1]) >> e & 1:
+                cdc = unchecked_extend(monkeypatch, g, covers, flip_bit_plane(planes, e))
+                assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
 
     def test_intact_cover_passes(self, petersen_cert):
-        g, covers, flow = self.witness(petersen_cert)
-        doc = self.corrupted_doc(petersen_cert, extend_to_cdc(g, covers, flow))
+        g, covers, planes = self.witness(petersen_cert)
+        doc = self.corrupted_doc(petersen_cert, extend_to_cdc(g, covers, planes))
         assert doc == petersen_cert.to_doc()
         assert verify_certificate(doc) == []
 
@@ -425,10 +434,10 @@ class TestFlowWitness:
 
     @pytest.fixture()
     def no_decider(self, monkeypatch):
-        def refuse(g):
+        def refuse(g, drop=0):
             raise AssertionError("verify_certificate decided a flow")
 
-        monkeypatch.setattr("cdc5.certificates.has_nz4flow", refuse)
+        monkeypatch.setattr("cdc5.certificates.flow_planes", refuse)
 
     def test_petersen_sweep(self, no_decider):
         _, entry, certificates = sweep_graph(petersen_graph())

@@ -147,6 +147,18 @@ class TestFind:
     def test_odd_edge_set_rejected(self, k4_file):
         assert main(["find", "--graph", k4_file, "--circuit", "0", "--edge-ids"]) == 2
 
+    def test_repeated_edge_ids_rejected(self, petersen_file, tmp_path, capsys):
+        # As a vertex circuit may not repeat a vertex, an edge-id list may
+        # not repeat an edge: 0,...,4,0 is no other name for {0, ..., 4}.
+        out = tmp_path / "out"
+        code = main(
+            ["find", "--graph", petersen_file, "--circuit", "0,1,2,3,4,0",
+             "--edge-ids", "--out", str(out)]
+        )
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
     def test_undecodable_file_is_usage_error(self, undecodable_file, capsys):
         assert main(["find", "--graph", undecodable_file]) == 2
         assert "not an ASCII graph6 file" in capsys.readouterr().err

@@ -12,12 +12,10 @@ from cdc5 import (
     PreconditionError,
     contains_element_superset,
     cycle_space_basis,
-    delete_edges,
     enumerate_circuits,
     enumerate_even_subgraphs,
     extend_to_cdc,
-    find_nz4flow,
-    has_nz4flow,
+    flow_planes,
     is_even_subgraph,
     is_matching,
     petersen_graph,
@@ -30,6 +28,7 @@ from .oracles import (
     cdc_to_flow,
     complete_graph,
     extract_witness,
+    minus,
     prism_graph,
     random_cubic_multigraph,
     theta_multigraph,
@@ -96,7 +95,8 @@ def loop_verify_cdc(g, elements):
 
 
 def reference_replays_as_flow(g, c1, c2, matching, elements):
-    """The flow witness as cdc_to_flow decides it on delete_edges(g, M)."""
+    """The flow witness as cdc_to_flow decides it on G - M built as a graph
+    of its own."""
     if c1 & c2 != matching:
         return False
     rest = list(elements)
@@ -107,10 +107,15 @@ def reference_replays_as_flow(g, c1, c2, matching, elements):
             rest.remove(c)
     if c1 ^ c2:
         rest.append(c1 ^ c2)
-    deletion = delete_edges(g, matching)
+    if any(el.mask & matching.mask for el in rest):
+        return False
+    h, kept = minus(g, matching.mask)
+    renumbered = [
+        EdgeSet.of(h, [i for i, e in enumerate(kept) if el.mask >> e & 1]) for el in rest
+    ]
     try:
-        cdc_to_flow(deletion.graph, [deletion.to_new(el) for el in rest])
-    except (ValueError, PreconditionError, InvariantViolationError):
+        cdc_to_flow(h, renumbered)
+    except (PreconditionError, InvariantViolationError):
         return False
     return True
 
@@ -240,18 +245,17 @@ class TestFourCdcContaining:
     def test_cover_is_the_closed_form_of_the_flow(self):
         # c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and c', with S1, S2 the bit planes.
         triangle = EdgeSet.of(K4, [0, 1, 2])
-        flow = find_nz4flow(K4)
-        s1 = EdgeSet.of(K4, [e for e, val in enumerate(flow.values) if val & 1])
-        s2 = EdgeSet.of(K4, [e for e, val in enumerate(flow.values) if val & 2])
+        planes = flow_planes(K4)
+        s1, s2 = (EdgeSet(K4, plane) for plane in planes)
         expected = [triangle ^ s1, triangle ^ s2, triangle ^ s1 ^ s2, triangle]
         assert list(extend_to_cdc(K4, [triangle])) == [x for x in expected if x]
-        assert extend_to_cdc(K4, [triangle], flow).elements == extend_to_cdc(
+        assert extend_to_cdc(K4, [triangle], planes).elements == extend_to_cdc(
             K4, [triangle]
         ).elements
 
     def test_flow_of_another_graph_rejected(self):
         with pytest.raises(ValueError):
-            extend_to_cdc(K4, [EdgeSet.empty(K4)], find_nz4flow(prism_graph()))
+            extend_to_cdc(K4, [EdgeSet.empty(K4)], flow_planes(prism_graph()))
 
 
 class TestExtendToCdc:
@@ -279,10 +283,23 @@ class TestExtendToCdc:
     def test_given_flow_replaces_the_decision(self):
         t1 = EdgeSet.of(K4, [0, 1, 2])
         t2 = EdgeSet.of(K4, [2, 4, 5])
-        flow = find_nz4flow(delete_edges(K4, t1 & t2).graph)
-        assert extend_to_cdc(K4, [t1, t2], flow).elements == extend_to_cdc(K4, [t1, t2]).elements
+        planes = flow_planes(K4, (t1 & t2).mask)
+        assert extend_to_cdc(K4, [t1, t2], planes).elements == extend_to_cdc(K4, [t1, t2]).elements
         with pytest.raises(ValueError):
-            extend_to_cdc(K4, [t1, t2], find_nz4flow(K4))
+            extend_to_cdc(K4, [t1, t2], flow_planes(K4))
+
+    def test_planes_that_are_no_flow_rejected(self):
+        # Every planes bit flipped in turn, on edges of G - M and of M.
+        t1 = EdgeSet.of(K4, [0, 1, 2])
+        t2 = EdgeSet.of(K4, [2, 4, 5])
+        s1, s2 = flow_planes(K4, (t1 & t2).mask)
+        for e in range(K4.m):
+            for planes in ((s1 ^ 1 << e, s2), (s1, s2 ^ 1 << e)):
+                with pytest.raises(ValueError):
+                    extend_to_cdc(K4, [t1, t2], planes)
+        # Value 1 on every edge, once accepted for its edge list, is no flow.
+        with pytest.raises(ValueError):
+            extend_to_cdc(K4, [], ((1 << K4.m) - 1, 0))
 
     def test_prism_pair(self):
         g = prism_graph()
@@ -366,7 +383,7 @@ class TestExtractWitness:
     def test_roundtrip_from_search(self, petersen):
         # The extracted pair need not equal the certificate's (C2 is taken
         # in element order), but it must be a witness in its own right.
-        from cdc5 import delete_edges, find_5cdc_containing
+        from cdc5 import find_5cdc_containing
 
         pentagon = EdgeSet.of(petersen, range(5))
         cert = find_5cdc_containing(petersen, pentagon)
@@ -375,7 +392,7 @@ class TestExtractWitness:
         assert pentagon <= c1
         assert m_set == c1 & c2
         assert is_matching(petersen, m_set)
-        assert has_nz4flow(delete_edges(petersen, m_set).graph)
+        assert flow_planes(petersen, m_set.mask) is not None
         assert c1 in elements and c2 in elements
 
     def test_too_many_elements_rejected(self):

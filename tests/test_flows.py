@@ -5,24 +5,17 @@ import pytest
 
 from cdc5 import (
     EdgeSet,
-    Flow4,
-    InvariantViolationError,
     MultiGraph,
     PreconditionError,
     bridges,
-    coloring_to_flow,
-    delete_edges,
-    find_nz4flow,
+    flow_planes,
     has_nz4flow,
+    is_flow,
     is_matching,
-    lift_flow,
-    petersen_graph,
-    suppress_degree2,
     three_edge_color,
-    verify_flow,
 )
 from cdc5.cyclespace import EvenLayers
-from cdc5.flows import _component_subgraphs, _dead_key
+from cdc5.flows import _component_subgraphs, _dead_key, _suppress
 
 from .oracles import (
     bridged_cubic_graph,
@@ -31,6 +24,8 @@ from .oracles import (
     complete_graph,
     flower_snark,
     is_circuit,
+    minus,
+    plane_values,
     prism_graph,
     random_cubic_multigraph,
     reference_three_edge_color,
@@ -38,6 +33,7 @@ from .oracles import (
     subdivide,
     theta_multigraph,
     three_colorable,
+    verify_flow,
 )
 
 COLORING_HOSTS = [
@@ -171,13 +167,13 @@ class TestFailedStateMemo:
             for c in circuits[::6]:
                 for k in (1, 2):
                     for pair in combinations([e for e in range(g.m) if c >> e & 1], k):
-                        drop = EdgeSet(g, sum(1 << e for e in pair))
-                        if not is_matching(g, drop):
+                        drop = sum(1 << e for e in pair)
+                        if not is_matching(g, EdgeSet(g, drop)):
                             continue
-                        h = delete_edges(g, drop).graph
-                        if bridges(h).mask:
+                        h, _ = _suppress(g, drop)
+                        if bridges(h):
                             continue
-                        for sub, _ in _component_subgraphs(suppress_degree2(h).suppressed_graph):
+                        for sub, _ in _component_subgraphs(h):
                             hosts.setdefault(sub.edges, sub)
         assert len(hosts) > 500
         assert [three_edge_color(h) for h in hosts.values()] == [
@@ -240,89 +236,153 @@ class TestFindNz4Flow:
         ids=lambda g: f"n{g.n}m{g.m}",
     )
     def test_constructs_verified_flow(self, g):
-        flow = find_nz4flow(g)
-        assert flow is not None
-        assert verify_flow(g, flow)
+        planes = flow_planes(g)
+        assert planes is not None
+        assert is_flow(g, 0, *planes)
+        assert verify_flow(g, plane_values(g, planes))
 
     def test_flow_respects_suppression_paths(self):
+        # Every edge of the subdivided K4 lies on a chain, and each chain
+        # is constant in both planes.
         g = subdivide(complete_graph(4), 0, times=2)
-        flow = find_nz4flow(g)
-        smap = suppress_degree2(g)
-        for path in smap.path_of:
-            assert len({flow.values[e] for e in path}) == 1
+        s1, s2 = flow_planes(g)
+        _, chains = _suppress(g, 0)
+        assert sum(chain.bit_count() for chain in chains) == g.m
+        for chain in chains:
+            assert s1 & chain in (0, chain) and s2 & chain in (0, chain)
 
     def test_none_when_missing(self, petersen):
-        assert find_nz4flow(petersen) is None
-        assert find_nz4flow(bridged_cubic_graph()) is None
+        assert flow_planes(petersen) is None
+        assert flow_planes(bridged_cubic_graph()) is None
 
     def test_agrees_with_decision(self, catalog):
         for g in catalog:
-            assert (find_nz4flow(g) is not None) == has_nz4flow(g)
+            assert (flow_planes(g) is not None) == (reference_three_edge_color(g) is not None)
 
 
 class TestColoringToFlow:
+    """Color c of a suppressed edge gives its chain the Klein value c + 1."""
+
     def test_colors_map_to_klein_values(self):
         g = complete_graph(4)
         coloring = three_edge_color(g)
-        flow = coloring_to_flow(g, coloring)
-        assert verify_flow(g, flow)
-        assert flow.values == tuple(c + 1 for c in coloring)
+        assert plane_values(g, flow_planes(g)) == tuple(c + 1 for c in coloring)
 
     def test_theta_uses_all_nonzero_values(self):
         g = theta_multigraph()
-        flow = coloring_to_flow(g, three_edge_color(g))
-        assert sorted(flow.values) == [1, 2, 3]
+        assert sorted(plane_values(g, flow_planes(g))) == [1, 2, 3]
 
     def test_improper_coloring_rejected(self):
+        # Every edge colored 0: S1 is every edge, odd at every vertex.
         g = complete_graph(4)
-        with pytest.raises(PreconditionError):
-            coloring_to_flow(g, (0,) * 6)
+        assert not is_flow(g, 0, (1 << g.m) - 1, 0)
 
 
 class TestLiftFlow:
     def test_circuit_component_gets_constant_one(self):
         g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        smap = suppress_degree2(g)
-        base = Flow4(smap.suppressed_graph, ())
-        lifted = lift_flow(base, smap, g)
-        assert lifted.values == (1, 1, 1, 1)
-        assert verify_flow(g, lifted)
+        assert flow_planes(g) == (15, 0)
+        # K4 less a perfect matching is a 4-cycle, which lies in S1.
+        k4 = complete_graph(4)
+        assert flow_planes(k4, 1 << 0 | 1 << 5) == (0b011110, 0)
 
     def test_wrong_host_rejected(self):
-        g = complete_graph(4)
-        smap = suppress_degree2(g)
-        with pytest.raises(ValueError):
-            lift_flow(Flow4(g, (1,) * 6), smap, g)
+        # The prism's planes name edges K4 does not have.
+        assert not is_flow(complete_graph(4), 0, *flow_planes(prism_graph()))
 
 
 class TestVerifyFlow:
     def test_accepts_constructed_flow(self):
         g = complete_graph(4)
-        assert verify_flow(g, find_nz4flow(g))
+        assert is_flow(g, 0, *flow_planes(g))
 
     def test_single_edited_edge_breaks_two_vertices(self):
         g = complete_graph(4)
-        flow = find_nz4flow(g)
-        values = list(flow.values)
-        values[0] ^= 3
-        assert not verify_flow(g, Flow4(g, tuple(values)))
+        s1, s2 = flow_planes(g)
+        assert not is_flow(g, 0, s1 ^ 1, s2)
+        assert not is_flow(g, 0, s1, s2 ^ 1)
 
     def test_zero_value_rejected(self):
         g = theta_multigraph()
-        assert not verify_flow(g, Flow4(g, (0, 1, 1)))
+        assert not is_flow(g, 0, 0b110, 0)
 
     def test_length_mismatch_rejected(self):
         g = complete_graph(4)
-        assert not verify_flow(g, Flow4(g, (1, 2, 3)))
+        s1, s2 = flow_planes(g)
+        assert not is_flow(g, 0, s1 | 1 << g.m, s2)
+        assert not is_flow(g, 0, *flow_planes(theta_multigraph()))
 
     def test_loop_contributes_nothing(self):
         g = MultiGraph(2, [(0, 1), (0, 1), (1, 1)])
-        assert verify_flow(g, Flow4(g, (2, 2, 3)))
+        assert is_flow(g, 0, 0b100, 0b111)
+        assert is_flow(g, 0b011, 0b100, 0)
 
     def test_wrong_host_rejected(self):
+        # A flow of G - M is no flow of G, nor of G - M' for another M'.
         g = complete_graph(4)
-        with pytest.raises(ValueError):
-            verify_flow(g, Flow4(complete_graph(4), (1,) * 6))
+        planes = flow_planes(g, 1 << 0 | 1 << 5)
+        assert is_flow(g, 1 << 0 | 1 << 5, *planes)
+        assert not is_flow(g, 0, *planes)
+        assert not is_flow(g, 1 << 1 | 1 << 4, *planes)
+
+
+class TestFlowPlanes:
+    """flow_planes(g, drop) reads the flow of G - drop as two masks over
+    g's own edge ids."""
+
+    def test_drop_leaving_a_degree_one_vertex_rejected(self):
+        g = complete_graph(4)
+        with pytest.raises(PreconditionError):
+            flow_planes(g, 1 << 0 | 1 << 1)  # vertex 0 keeps one edge
+
+    def test_drop_leaving_a_bridge_gives_none(self):
+        # The prism less two of its three rungs (edges 6, 7, 8) keeps the
+        # third as a bridge; no other matching leaves one.
+        g = prism_graph()
+        bridged = [
+            drop
+            for drop in range(1 << g.m)
+            if is_matching(g, EdgeSet(g, drop)) and bridges(minus(g, drop)[0])
+        ]
+        assert bridged == [1 << 6 | 1 << 7, 1 << 6 | 1 << 8, 1 << 7 | 1 << 8]
+        for drop in range(1 << g.m):
+            if is_matching(g, EdgeSet(g, drop)) and drop.bit_count() <= 2:
+                assert (flow_planes(g, drop) is None) == (drop in bridged)
+
+    def test_is_flow_agrees_with_verify_flow(self, catalog):
+        # On G - M for every matching M of at most two edges of every
+        # catalog graph, read as values on G - M built as a graph of its
+        # own: the planes found, which must also be the planes found on
+        # that graph, and every change of one edge's value, including a
+        # value put on an edge of M.
+        flows = corrupted = 0
+        for g in catalog:
+            singles = [1 << e for e in range(g.m)]
+            for drop in [0] + singles + [a | b for a, b in combinations(singles, 2)]:
+                if not is_matching(g, EdgeSet(g, drop)):
+                    continue
+                h, kept = minus(g, drop)
+
+                def reference(s1, s2):
+                    values = plane_values(g, (s1, s2))
+                    return not (s1 | s2) & drop and verify_flow(h, [values[e] for e in kept])
+
+                planes = flow_planes(g, drop)
+                if planes is None:
+                    assert flow_planes(h) is None
+                    continue
+                assert planes == tuple(
+                    sum(1 << kept[e] for e in range(h.m) if plane >> e & 1)
+                    for plane in flow_planes(h)
+                )
+                assert is_flow(g, drop, *planes) and reference(*planes)
+                flows += 1
+                for e in range(g.m):
+                    for f1, f2 in ((1, 0), (0, 1), (1, 1)):
+                        s1, s2 = planes[0] ^ f1 << e, planes[1] ^ f2 << e
+                        assert is_flow(g, drop, s1, s2) == reference(s1, s2)
+                        corrupted += 1
+        assert flows > 1000 and corrupted > 50000
 
 
 class TestCdcToFlow:
@@ -338,7 +398,7 @@ class TestCdcToFlow:
         g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         c = EdgeSet.full(g)
         flow = cdc_to_flow(g, [c, c])
-        assert flow.values == (1, 1, 1, 1)
+        assert flow == (1, 1, 1, 1)
 
     def test_too_many_elements_rejected(self):
         g = complete_graph(4)

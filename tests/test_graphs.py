@@ -10,13 +10,12 @@ from cdc5 import (
     UnsupportedFormatError,
     bridges,
     components,
-    delete_edges,
     is_matching,
     parse_graph6,
     petersen_graph,
-    suppress_degree2,
     write_graph6,
 )
+from cdc5.flows import _suppress
 
 from .oracles import (
     bridged_cubic_graph,
@@ -230,41 +229,6 @@ class TestGraph6:
             write_graph6(MultiGraph(63, []))
 
 
-class TestDeleteEdges:
-    def test_deletion_renumbers_densely(self):
-        g = complete_graph(4)
-        deletion = delete_edges(g, EdgeSet.of(g, [1, 3]))
-        assert deletion.graph.n == 4
-        assert deletion.graph.edges == ((0, 1), (1, 2), (1, 3), (2, 3))
-        assert deletion.kept == (0, 2, 4, 5)
-        assert deletion.old_to_new == (0, None, 1, None, 2, 3)
-
-    def test_translation_roundtrip(self):
-        g = complete_graph(4)
-        deletion = delete_edges(g, EdgeSet.of(g, [1, 3]))
-        survivors = EdgeSet.of(g, [0, 4, 5])
-        new = deletion.to_new(survivors)
-        assert deletion.to_old(g, new) == survivors
-
-    def test_deleted_member_not_translatable(self):
-        g = complete_graph(4)
-        deletion = delete_edges(g, EdgeSet.of(g, [1]))
-        with pytest.raises(ValueError):
-            deletion.to_new(EdgeSet.of(g, [1]))
-
-    def test_delete_matching_from_k4_leaves_4cycle(self):
-        g = complete_graph(4)
-        deletion = delete_edges(g, EdgeSet.of(g, [0, 5]))
-        h = deletion.graph
-        assert h.m == 4
-        assert all(h.degree(v) == 2 for v in range(4))
-        assert len(components(h)) == 1
-
-    def test_delete_nothing_is_identity(self):
-        g = complete_graph(4)
-        assert delete_edges(g, EdgeSet.empty(g)).graph == g
-
-
 class TestBridges:
     def test_k4_has_none(self):
         assert bridges(complete_graph(4)).mask == 0
@@ -331,56 +295,57 @@ class TestComponents:
 
 
 class TestSuppression:
+    """flows._suppress: the 3-regular graph G - drop suppresses to, and the
+    chain of G's edges behind each of its edges."""
+
     def test_three_paths_between_two_vertices(self):
         # 0 and 1 joined by three length-2 paths through 2, 3, 4.
         g = MultiGraph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
-        smap = suppress_degree2(g)
-        assert smap.suppressed_graph.n == 2
-        assert smap.suppressed_graph.edges == ((0, 1), (0, 1), (0, 1))
-        assert smap.path_of == ((0, 1), (2, 3), (4, 5))
-        assert smap.circuit_components == ()
-        assert smap.vertex_map == (0, 1)
+        h, chains = _suppress(g, 0)
+        assert h.n == 2
+        assert h.edges == ((0, 1), (0, 1), (0, 1))
+        assert chains == [0b11, 0b1100, 0b110000]
 
     def test_subdivided_k4_suppresses_back(self):
         g = subdivide(complete_graph(4), 0, times=1)
-        smap = suppress_degree2(g)
-        h = smap.suppressed_graph
+        h, chains = _suppress(g, 0)
         assert h.n == 4 and h.m == 6
         assert h.is_cubic()
-        assert sum(len(p) for p in smap.path_of) == g.m
-        assert sorted(len(p) for p in smap.path_of) == [1, 1, 1, 1, 1, 2]
+        assert sum(chain.bit_count() for chain in chains) == g.m
+        assert sorted(chain.bit_count() for chain in chains) == [1, 1, 1, 1, 1, 2]
 
     def test_lone_circuit_becomes_component(self):
+        # A circuit has no degree-3 vertex, so none of its edges is on a
+        # chain; nor is any edge of K4 less a perfect matching.
         g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        smap = suppress_degree2(g)
-        assert smap.suppressed_graph.n == 0
-        assert len(smap.circuit_components) == 1
-        assert smap.circuit_components[0].ids() == (0, 1, 2, 3)
+        h, chains = _suppress(g, 0)
+        assert h.n == 0 and chains == []
+        h, chains = _suppress(complete_graph(4), 1 << 0 | 1 << 5)
+        assert h.n == 0 and chains == []
 
     def test_cubic_graph_keeps_every_edge_as_singleton_path(self):
         g = petersen_graph()
-        smap = suppress_degree2(g)
-        h = smap.suppressed_graph
+        h, chains = _suppress(g, 0)
         assert h.n == g.n and h.m == g.m
-        assert smap.vertex_map == tuple(range(10))
-        assert all(len(p) == 1 for p in smap.path_of)
-        assert sorted(p[0] for p in smap.path_of) == list(range(15))
-        for e, path in enumerate(smap.path_of):
-            assert sorted(h.endpoints(e)) == sorted(g.endpoints(path[0]))
+        assert all(chain.bit_count() == 1 for chain in chains)
+        ids = [chain.bit_length() - 1 for chain in chains]
+        assert sorted(ids) == list(range(15))
+        for e, orig in enumerate(ids):
+            assert sorted(h.endpoints(e)) == sorted(g.endpoints(orig))
 
     def test_bridged_dumbbell_suppresses_to_loops(self):
         # Two triangles joined by a bridge: each triangle's far side walks
         # back to its degree-3 corner, so suppression produces loops.
         g = MultiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
-        smap = suppress_degree2(g)
-        h = smap.suppressed_graph
+        h, chains = _suppress(g, 0)
         assert h.edges == ((0, 0), (0, 1), (1, 1))
-        assert smap.path_of == ((0, 1, 2), (6,), (3, 4, 5))
-        assert smap.circuit_components == ()
+        assert chains == [0b111, 1 << 6, 0b111000]
 
     def test_wrong_degrees_rejected(self):
         with pytest.raises(PreconditionError):
-            suppress_degree2(MultiGraph(2, [(0, 1)]))
+            _suppress(MultiGraph(2, [(0, 1)]), 0)
+        with pytest.raises(PreconditionError):
+            _suppress(complete_graph(4), 1 << 0 | 1 << 1)
 
 
 class TestPetersenFixture:

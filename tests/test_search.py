@@ -16,13 +16,11 @@ from cdc5 import (
     build_certificate,
     canonical_masks,
     cycle_space_basis,
-    delete_edges,
     enumerate_circuits,
     enumerate_even_subgraphs,
     extend_to_cdc,
     find_5cdc_containing,
-    has_5cdc,
-    has_nz4flow,
+    flow_planes,
     is_matching,
     petersen_graph,
     verify_certificate,
@@ -71,10 +69,6 @@ class TestFindOnK4:
         assert cert.c0 == ()
         assert cert.path == "m-empty"
 
-    def test_has_5cdc_wrapper(self):
-        cert = has_5cdc(complete_graph(4))
-        assert cert is not None and cert.c0 == ()
-
 
 class TestFindOnPetersen:
     def test_outer_pentagon(self, petersen):
@@ -102,7 +96,7 @@ class TestFindOnPetersen:
         m_set = EdgeSet.of(petersen, cert.matching)
         assert c1 & c2 == m_set
         assert is_matching(petersen, m_set)
-        assert has_nz4flow(delete_edges(petersen, m_set).graph)
+        assert flow_planes(petersen, m_set.mask) is not None
 
     def test_deterministic_across_runs(self, petersen):
         pentagon = EdgeSet.of(petersen, range(5))
@@ -158,7 +152,7 @@ class TestFindPreconditions:
         with pytest.raises(UnsupportedFormatError):
             find_5cdc_containing(g, EdgeSet.empty(g))
         with pytest.raises(UnsupportedFormatError):
-            has_5cdc(g, context=SearchContext(g))
+            find_5cdc_containing(g, EdgeSet.empty(g), context=SearchContext(g))
 
     def test_wrong_cache_rejected(self, petersen):
         with pytest.raises(ValueError):
@@ -215,7 +209,9 @@ class TestGuards:
         want = reference_search(petersen, EdgeSet.empty(petersen), SearchContext(petersen))
         assert want.candidates_tried > 65
         with pytest.raises(CapacityError) as exc:
-            has_5cdc(petersen, SearchOptions(max_candidates=limit))
+            find_5cdc_containing(
+                petersen, EdgeSet.empty(petersen), SearchOptions(max_candidates=limit)
+            )
         assert exc.value.candidates_tried == limit
 
     def test_candidate_guard_one_below_the_winner(self):
@@ -237,9 +233,10 @@ class TestGuards:
         # On J7 the empty prescription fails with C1 = ∅ after one flow
         # decision, its 2^15 C2 counted at once; the budget must still stop
         # the search in the C1 that follow.
+        j7, j6 = flower_snark(7), flower_snark(6)
         with pytest.raises(CapacityError):
-            has_5cdc(flower_snark(7), SearchOptions(budget_ms=1))
-        control = has_5cdc(flower_snark(6), SearchOptions(budget_ms=1))
+            find_5cdc_containing(j7, EdgeSet.empty(j7), SearchOptions(budget_ms=1))
+        control = find_5cdc_containing(j6, EdgeSet.empty(j6), SearchOptions(budget_ms=1))
         assert control is not None and control.path == "m-empty"
 
 
@@ -360,10 +357,10 @@ def reference_search(g, c0, context, canonical=None):
             overlap = c1 & c2
             if len(overlap) * 2 > g.n or not is_matching(g, overlap):
                 continue
-            flow = context.flow_minus(overlap)
-            if flow is None:
+            planes = context.flow_minus(overlap.mask)
+            if planes is None:
                 continue
-            cdc = extend_to_cdc(g, [c for c in (c1, c2) if c], flow)
+            cdc = extend_to_cdc(g, [c for c in (c1, c2) if c], planes)
             return build_certificate(g, c0, c1, c2, overlap, cdc.elements, tried, 0)
     return None
 
