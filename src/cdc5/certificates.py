@@ -8,23 +8,24 @@ and search statistics.  One check core re-derives everything and trusts
 no stored claim it can recompute: verify_certificate runs it on the graph
 and edge sets a document names, build_certificate on those the search
 holds.  The flow condition on G - M is read off the cover itself whenever
-the cover allows it, so checking a certificate takes linear time.  A
-certificate's text is rendered in the frame of its graph, which holds the
-fields that depend on the graph alone, rendered once.
+the cover allows it, so checking a certificate takes linear time, and
+one vertex_faults call checks all of its masks.  A certificate's text is
+rendered in the frame of its graph, which holds the fields that depend on
+the graph alone and the text of each edge id, rendered once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
-from .cover import contains_element_superset, replays_as_flow, verify_cdc
-from .cyclespace import is_even_subgraph
+from .cover import cdc_report, contains_element_superset, replayed_planes
 from .errors import Graph6Error, InvariantViolationError, UnsupportedFormatError
 from .flows import flow_planes
-from .graphs import EdgeSet, MultiGraph, is_matching, parse_graph6, write_graph6
+from .graphs import EdgeSet, MultiGraph, parse_graph6, vertex_faults, write_graph6
 
 PATH_THEOREM = "theorem2"
 PATH_M_EMPTY = "m-empty"
@@ -122,9 +123,9 @@ class Certificate:
 
 class CertificateFrame:
     """The text that the certificates of one graph share: the JSON of
-    graph6, n, m, edges and coverage, rendered once.  render puts in the
-    fields of one certificate over that graph, so a sweep renders a
-    graph's constant fields once, not once per circuit."""
+    graph6, n, m, edges and coverage, and of each edge id, rendered once.
+    render puts in the fields of one certificate over that graph, so a
+    sweep renders a graph's constant fields and ids once, not per circuit."""
 
     def __init__(
         self, graph6: str, n: int, m: int,
@@ -135,6 +136,19 @@ class CertificateFrame:
         head = dump_json({"graph6": graph6, "n": n, "m": m, "edges": self.graph[3]})
         self._head = head[:-2] + ',\n  "c0": '  # without its closing "\n}"
         self._coverage = _dump(self.coverage, _FIELD)
+        self._ids = {e: str(e) for e in range(len(self.graph[3]))}
+
+    def _id_lists(self, value: Any, newline: str) -> str:
+        """_dump(value, newline) for a list of int ids (no bools) or of such
+        lists, read from the id table; else, or for an id not in it, _dump."""
+        inner = newline + "  "
+        text = self._ids.__getitem__
+        try:
+            if type(value[0]) is tuple:
+                text = partial(self._id_lists, newline=inner)
+            return "[" + inner + ("," + inner).join(map(text, value)) + newline + "]"
+        except (IndexError, KeyError, TypeError):
+            return _dump(value, newline)
 
     def render(self, cert: Certificate) -> str:
         """dump_json(cert.to_doc()) + "\n", byte for byte; a coverage other
@@ -143,12 +157,13 @@ class CertificateFrame:
             raise ValueError("certificate belongs to another graph than its frame")
         coverage = self._coverage if cert.coverage == self.coverage else _dump(cert.coverage, _FIELD)
         stats = {"candidates_tried": cert.candidates_tried, "elapsed_ms": cert.elapsed_ms}
+        ids = self._id_lists
         return "".join((
-            self._head, _dump(cert.c0, _FIELD),
-            ',\n  "c1": ', _dump(cert.c1, _FIELD),
-            ',\n  "c2": ', _dump(cert.c2, _FIELD),
-            ',\n  "matching": ', _dump(cert.matching, _FIELD),
-            ',\n  "cdc": ', _dump(cert.cdc, _FIELD),
+            self._head, ids(cert.c0, _FIELD),
+            ',\n  "c1": ', ids(cert.c1, _FIELD),
+            ',\n  "c2": ', ids(cert.c2, _FIELD),
+            ',\n  "matching": ', ids(cert.matching, _FIELD),
+            ',\n  "cdc": ', ids(cert.cdc, _FIELD),
             ',\n  "coverage": ', coverage,
             ',\n  "path": ', _dump(cert.path, _FIELD),
             ',\n  "stats": ', _dump(stats, _FIELD),
@@ -190,16 +205,19 @@ def build_certificate(
         raise InvariantViolationError(
             "constructed certificate fails verification: " + "; ".join(problems)
         )
+    ids = {}  # by mask: c0 is often c1, and c1 and c2 are elements
+    for s in (c0, c1, c2, matching, *elements):
+        ids[s.mask] = ids.get(s.mask) or s.ids()
     return Certificate(
         graph6=graph6,
         n=n,
         m=m,
         edges=edges,
-        c0=c0.ids(),
-        c1=c1.ids(),
-        c2=c2.ids(),
-        matching=matching.ids(),
-        cdc=tuple(el.ids() for el in elements),
+        c0=ids[c0.mask],
+        c1=ids[c1.mask],
+        c2=ids[c2.mask],
+        matching=ids[matching.mask],
+        cdc=tuple(ids[el.mask] for el in elements),
         coverage=coverage,
         path=path,
         candidates_tried=candidates_tried,
@@ -319,24 +337,30 @@ def _check(
     """The check core: every problem of a certificate over g whose fields
     are given as edge sets, in time linear in its size unless the cover
     cannot witness the flow condition itself."""
+    if any(s.host is not g for s in (c0, c1, c2, matching, *elements)):
+        raise ValueError("EdgeSet does not belong to the given graph")
     problems = []
     cubic = g.is_cubic()
     if not cubic:
         problems.append("graph is not cubic")
-    for name, s in (("c0", c0), ("c1", c1), ("c2", c2)):
-        if not is_even_subgraph(g, s):
+    masks = [c0.mask, c1.mask, c2.mask, matching.mask, *(el.mask for el in elements)]
+    # Replayed planes hold E - M by their shape, so is_flow asks only their parity.
+    planes = replayed_planes(g, c1, c2, matching, elements)
+    odd, shared, crowded = vertex_faults(g, masks + list(planes or ()))
+    for i, name in enumerate(("c0", "c1", "c2")):
+        if (odd | crowded) >> i & 1:
             problems.append(f"{name} is not an even subgraph")
     if not c0 <= c1:
         problems.append("c0 is not a subset of c1")
     if (c1 & c2) != matching:
         problems.append("matching is not the intersection of c1 and c2")
-    is_m = is_matching(g, matching)
+    is_m = not shared >> 3 & 1
     if not is_m:
         problems.append("matching edges share an endpoint")
 
     if len(elements) > 5:
         problems.append(f"cover has {len(elements)} elements, more than 5")
-    report = verify_cdc(g, elements)
+    report = cdc_report(g, elements, (odd | crowded) >> 4)
     for i in report.empty:
         problems.append(f"cdc[{i}] is empty")
     for i in report.non_even:
@@ -360,7 +384,7 @@ def _check(
         problems.append("path field is inconsistent with the matching")
 
     if cubic and is_m:
-        witnessed = report.valid and replays_as_flow(g, c1, c2, matching, elements)
+        witnessed = report.valid and planes is not None and not odd >> len(masks)
         if not witnessed and flow_planes(g, matching.mask) is None:
             problems.append("graph minus the matching has no nowhere-zero 4-flow")
 

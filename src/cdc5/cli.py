@@ -198,8 +198,8 @@ def _make_out(path: str) -> None:
 
 def _write(path: str, text: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
     except OSError as exc:
         raise _Fail(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
 

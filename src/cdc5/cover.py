@@ -9,7 +9,8 @@ twice, because each edge lies in S1, S2 or both (Jaeger 1979).  Extending a
 family C1..Ck whose pairwise overlaps form a matching M then reduces to
 that closed form on G - M, with c' the symmetric difference of the Ci.
 The planes are masks over the host's own edge ids (flows.flow_planes), so
-the cover is read off them with plain XOR.
+the cover is read off them with plain XOR.  Evenness, the matching and
+the planes are checked with one graphs.vertex_faults call per cover.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cyclespace import is_even_subgraph
 from .errors import ConditionError, PreconditionError
-from .flows import Planes, flow_planes, is_flow
-from .graphs import EdgeSet, MultiGraph, is_matching
+from .flows import Planes, flow_planes
+from .graphs import EdgeSet, MultiGraph, vertex_faults
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,20 @@ def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
 
 def verify_cdc(g: MultiGraph, s: CdcLike) -> CdcReport:
     """Check the double-cover property: every element a nonempty even
-    subgraph, every edge covered exactly twice (repeats count).  The
-    per-edge tally is counted edge by edge only for a cover that fails;
-    a valid cover's is all twos."""
+    subgraph, every edge covered exactly twice (repeats count)."""
     elements = _element_seq(s)
     for el in elements:
         if el.host is not g:
             raise ValueError("element does not belong to the given graph")
+    odd, _, crowded = vertex_faults(g, [el.mask for el in elements])
+    return cdc_report(g, elements, odd | crowded)
+
+
+def cdc_report(g: MultiGraph, elements: Sequence[EdgeSet], uneven: int) -> CdcReport:
+    """verify_cdc's report, given the elements' vertex_faults odd | crowded as
+    uneven; the tally is counted edge by edge only for a failed cover."""
     empty = tuple(i for i, el in enumerate(elements) if not el)
-    non_even = tuple(i for i, el in enumerate(elements) if not is_even_subgraph(g, el))
+    non_even = tuple(i for i in range(len(elements)) if uneven >> i & 1)
     if coverage_masks([el.mask for el in elements])[1] == (1 << g.m) - 1:
         return CdcReport(not empty and not non_even, empty, non_even, (2,) * g.m, ())
     counts = tuple(sum(el.mask >> e & 1 for el in elements) for e in range(g.m))
@@ -101,15 +106,12 @@ def contains_element_superset(s: CdcLike, c0: EdgeSet) -> Optional[int]:
 
 def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
     """Edges of s that are loops or share an endpoint with another edge of s."""
-    bad = set()
-    for e in s:
-        if g.is_loop(e):
-            bad.add(e)
-    for v in range(g.n):
-        here = [e for e in g.incident(v) if e in s and not g.is_loop(e)]
-        if len(here) > 1:
-            bad.update(here)
-    return tuple(sorted(bad))
+    bad = s.mask & g.loop_mask()
+    for vm in g.vertex_masks:
+        here = s.mask & vm & ~g.loop_mask()
+        if here & here - 1:
+            bad |= here
+    return EdgeSet(g, bad).ids()
 
 
 def extend_to_cdc(
@@ -133,17 +135,19 @@ def extend_to_cdc(
     """
     if not g.is_cubic():
         raise PreconditionError("host graph must be cubic")
+    masks = [c.mask for c in covers]
+    once, twice, more = coverage_masks(masks)
+    odd, shared, crowded = vertex_faults(g, masks + [twice, *(planes or ())])
     for i, c in enumerate(covers):
         if c.host is not g:
             raise ValueError(f"covers[{i}] does not belong to the given graph")
-        if not is_even_subgraph(g, c):
+        if (odd | crowded) >> i & 1:
             raise PreconditionError(f"covers[{i}] is not an even subgraph")
 
-    once, twice, more = coverage_masks([c.mask for c in covers])
     if more:
         raise ConditionError(1, "some edge lies in more than two covers", EdgeSet(g, more).ids())
     m_set = EdgeSet(g, twice)
-    if not is_matching(g, m_set):
+    if shared >> len(covers) & 1:
         raise ConditionError(
             2, "twice-covered edges do not form a matching", _matching_conflicts(g, m_set)
         )
@@ -153,35 +157,35 @@ def extend_to_cdc(
             raise ConditionError(
                 3, "graph minus the matching has no nowhere-zero 4-flow", m_set.ids()
             )
-    elif not is_flow(g, twice, *planes):
+    elif planes[0] | planes[1] != (1 << g.m) - 1 & ~twice or odd >> len(covers) + 1:
         raise ValueError("planes are not a flow of the graph minus the matching")
     s1, s2 = planes
     lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
     return Cdc(g, tuple(lifted) + tuple(c for c in covers if c))
 
 
-def replays_as_flow(
+def replayed_planes(
     g: MultiGraph, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet, elements: Sequence[EdgeSet]
-) -> bool:
-    """Whether a cover is its own witness for the flow condition on G - M:
-    the elements other than c1 and c2, with c1 ^ c2, must be at most four
-    masks r0..r3 covering E - M exactly twice, and the flow that gives
-    r0..r3 the Klein values 0..3 and each edge the sum of the values of its
-    two masks, whose bit planes are S1 = r1 ^ r3 and S2 = r2 ^ r3, must be
-    a flow of G - M (is_flow).  Linear in the size of the cover; False
+) -> Optional[Planes]:
+    """The bit planes of the flow on G - M that a cover replays, by which it
+    witnesses the flow condition itself when they are even (is_flow): the
+    elements other than c1 and c2, with c1 ^ c2, must be at most four masks
+    r0..r3 covering E - M exactly twice, and the flow giving r0..r3 the
+    Klein values 0..3 and each edge the sum of its two masks' values has
+    the planes r1 ^ r3 and r2 ^ r3.  Linear in the size of the cover; None
     means only that this witness does not apply."""
     if c1 & c2 != matching:
-        return False
+        return None
     rest = [el.mask for el in elements]
     for c in (c1.mask, c2.mask):
         if c:
             if c not in rest:
-                return False
+                return None
             rest.remove(c)
     if c1 ^ c2:
         rest.append((c1 ^ c2).mask)
     once, twice, more = coverage_masks(rest)
     if len(rest) > 4 or once or more or twice != (1 << g.m) - 1 ^ matching.mask:
-        return False
+        return None
     _, r1, r2, r3 = rest + [0] * (4 - len(rest))
-    return is_flow(g, matching.mask, r1 ^ r3, r2 ^ r3)
+    return r1 ^ r3, r2 ^ r3

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError
-from .graphs import EdgeSet, MultiGraph
+from .graphs import EdgeSet, MultiGraph, vertex_faults
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,8 @@ def is_even_subgraph(g: MultiGraph, s: EdgeSet) -> bool:
     """True iff s has no loop and every vertex meets 0 or 2 of its edges."""
     if s.host is not g:
         raise ValueError("EdgeSet does not belong to the given graph")
-    mask = s.mask
-    if mask & g.loop_mask():
-        return False
-    for vm in g.vertex_masks:
-        if (mask & vm).bit_count() not in (0, 2):
-            return False
-    return True
+    odd, _, crowded = vertex_faults(g, [s.mask])
+    return not odd | crowded
 
 
 def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[EdgeSet]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvariantViolationError, PreconditionError
-from .graphs import MultiGraph, bridges, components
+from .graphs import MultiGraph, bridges, components, vertex_faults
 
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
 Planes = tuple[int, int]  # the bit planes (S1, S2) of a flow, as edge masks
@@ -124,7 +124,11 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
 
 def _component_subgraphs(g: MultiGraph):
     """Yield (subgraph, edge id map back to g) per connected component."""
-    for comp in components(g):
+    comps = components(g)
+    if len(comps) == 1:
+        yield g, range(g.m)
+        return
+    for comp in comps:
         vmap = {v: i for i, v in enumerate(comp)}
         edge_ids = []
         edges = []
@@ -213,8 +217,4 @@ def is_flow(g: MultiGraph, drop: int, s1: int, s2: int) -> bool:
     """Whether masks s1 and s2 are the bit planes of a nowhere-zero 4-flow
     of G - drop: together they hold exactly the edges outside drop, and
     each meets every vertex in an even number of edges, loops aside."""
-    if s1 | s2 != (1 << g.m) - 1 & ~drop:
-        return False
-    s1 &= ~g.loop_mask()
-    s2 &= ~g.loop_mask()
-    return not any((s1 & vm).bit_count() & 1 or (s2 & vm).bit_count() & 1 for vm in g.vertex_masks)
+    return s1 | s2 == (1 << g.m) - 1 & ~drop and not vertex_faults(g, [s1, s2])[0]

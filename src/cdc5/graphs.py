@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from binascii import a2b_base64
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import Graph6Error, UnsupportedFormatError
 
@@ -21,7 +21,9 @@ from .errors import Graph6Error, UnsupportedFormatError
 class MultiGraph:
     """Immutable multigraph over vertices 0..n-1 with a dense edge list."""
 
-    __slots__ = ("n", "_edges", "_incident", "_degrees", "_vertex_masks", "_loop_mask")
+    __slots__ = (
+        "n", "_edges", "_incident", "_degrees", "_vertex_masks", "_loop_mask", "_cubic", "_tally"
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -50,6 +52,8 @@ class MultiGraph:
         self._degrees = tuple(degrees)
         self._vertex_masks = tuple(vertex_masks)
         self._loop_mask = loop_mask
+        self._cubic = all(d == 3 for d in degrees)
+        self._tally = None  # vertex_faults' tables
 
     @property
     def m(self) -> int:
@@ -89,7 +93,7 @@ class MultiGraph:
         return w if u == v else u
 
     def is_cubic(self) -> bool:
-        return all(d == 3 for d in self._degrees)
+        return self._cubic
 
     def is_simple(self) -> bool:
         if self._loop_mask:
@@ -204,13 +208,45 @@ class EdgeSet:
         return f"EdgeSet({list(self)})"
 
 
+def vertex_faults(g: MultiGraph, masks: Sequence[int]) -> tuple[int, int, int]:
+    """Bit i of odd, shared and crowded is set when masks[i], an edge mask of
+    g, meets some vertex in an odd number of edges, in two or more, in more
+    than two.  A loop counts four: it is in no even subgraph or matching,
+    and it leaves the parity alone, as a nowhere-zero flow's planes ask.
+    A mask's counts at all vertices, vertex v's in the w bits at w * v, are
+    summed from g's tables, built on first use, that map each subset of six
+    edge ids to its counts: a lookup per six edges, not a vertex loop."""
+    if g._tally is None:
+        w = max(2, (2 * max(g._degrees, default=0) + 1).bit_length())  # 2^w > a count + 1
+        ends = [4 << w * u if u == v else 1 << w * u | 1 << w * v for u, v in g._edges]
+        tables = []
+        for shift in range(0, len(ends), 6):  # 64 entries: cheap to build, and few lookups
+            table = [0]
+            for end in ends[shift:shift + 6]:
+                table += [t + end for t in table]
+            tables.append((shift, table + [0] * (64 - len(table))))
+        low = sum(1 << w * v for v in range(g.n))  # bit 0 of every field
+        g._tally = tables, low, low * ((1 << w) - 2), low * ((1 << w) - 4)
+    tables, low, two_up, four_up = g._tally
+    odd = shared = crowded = 0
+    for i, x in enumerate(masks):
+        counts = 0
+        for shift, table in tables:
+            counts += table[x >> shift & 63]
+        if counts & low:
+            odd |= 1 << i
+        if counts & two_up:
+            shared |= 1 << i
+        if counts + low & four_up:
+            crowded |= 1 << i
+    return odd, shared, crowded
+
+
 def is_matching(g: MultiGraph, s: EdgeSet) -> bool:
     """True iff s contains no loop and no two of its edges share an endpoint."""
     if s.host is not g:
         raise ValueError("EdgeSet does not belong to the given graph")
-    if s.mask & g.loop_mask():
-        return False
-    return all((s.mask & vm).bit_count() <= 1 for vm in g._vertex_masks)
+    return not vertex_faults(g, [s.mask])[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ cover-to-flow translation (cdc_to_flow), the witness extraction from a
 cover (extract_witness) and the value-by-value flow check (verify_flow) are
 linear; the tests use them to read a cover back as a flow and as a
 (M, C1, C2) triple, and to check the package's flow planes against flow
-values on G - M built as a graph of its own (minus).
+values on G - M built as a graph of its own (minus).  The per-mask vertex
+loops (loop_is_even_subgraph, loop_is_matching, loop_is_flow) are the
+references for graphs.vertex_faults.
 """
 
 import random
@@ -25,10 +27,11 @@ from cdc5 import (
     contains_element_superset,
     cycle_space_basis,
     is_even_subgraph,
+    is_flow,
     is_matching,
     verify_cdc,
 )
-from cdc5.cover import CdcLike, _element_seq, replays_as_flow
+from cdc5.cover import CdcLike, _element_seq, replayed_planes
 
 
 def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -168,6 +171,41 @@ def verify_flow(g: MultiGraph, values: Sequence[int]) -> bool:
         if acc:
             return False
     return True
+
+
+def loop_is_even_subgraph(g: MultiGraph, mask: int) -> bool:
+    """No loop, and every vertex meets 0 or 2 edges of mask, vertex by
+    vertex."""
+    if mask & g.loop_mask():
+        return False
+    return all((mask & vm).bit_count() in (0, 2) for vm in g.vertex_masks)
+
+
+def loop_is_matching(g: MultiGraph, mask: int) -> bool:
+    """No loop, and every vertex meets at most one edge of mask."""
+    if mask & g.loop_mask():
+        return False
+    return all((mask & vm).bit_count() <= 1 for vm in g.vertex_masks)
+
+
+def loop_is_flow(g: MultiGraph, drop: int, s1: int, s2: int) -> bool:
+    """s1 | s2 is every edge outside drop, and both meet every vertex in an
+    even number of edges, loops aside."""
+    if s1 | s2 != (1 << g.m) - 1 & ~drop:
+        return False
+    s1 &= ~g.loop_mask()
+    s2 &= ~g.loop_mask()
+    return not any((s1 & vm).bit_count() & 1 or (s2 & vm).bit_count() & 1 for vm in g.vertex_masks)
+
+
+def replays_as_flow(
+    g: MultiGraph, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet, elements: Sequence[EdgeSet]
+) -> bool:
+    """Whether a cover is its own witness for the flow condition on G - M,
+    as the certificate check decides it: the planes replayed_planes reads
+    off it are a flow of G - M."""
+    planes = replayed_planes(g, c1, c2, matching, elements)
+    return planes is not None and is_flow(g, matching.mask, *planes)
 
 
 def plane_values(g: MultiGraph, planes: tuple[int, int]) -> tuple[int, ...]:

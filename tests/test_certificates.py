@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 import re
@@ -14,6 +15,7 @@ from cdc5 import (
     EdgeSet,
     InvariantViolationError,
     SearchContext,
+    SearchOptions,
     Sweep,
     UnsupportedFormatError,
     build_certificate,
@@ -26,6 +28,7 @@ from cdc5 import (
     write_graph6,
 )
 from cdc5.certificates import dump_json, graph_frame
+from cdc5.cover import coverage_masks
 
 from .conftest import sweep_graph
 from .oracles import complete_graph, flower_snark, random_cubic_multigraph
@@ -113,13 +116,14 @@ def flip_bit_plane(planes, e):
     return s1 ^ 1 << e, s2
 
 
-def unchecked_extend(monkeypatch, g, covers, planes):
-    """extend_to_cdc with its check that the planes are a flow of G - M
-    switched off, so planes that are none still give the cover the closed
-    form reads off them (test_cover checks that they are refused)."""
-    with monkeypatch.context() as patch:
-        patch.setattr(cdc5.cover, "is_flow", lambda *args: True)
-        return extend_to_cdc(g, covers, planes)
+def unchecked_extend(g, covers, planes):
+    """The cover extend_to_cdc reads off planes in closed form, built here
+    without its check that they are a flow of G - M, so planes that are
+    none still give a cover (test_cover checks that they are refused)."""
+    once = coverage_masks([c.mask for c in covers])[0]
+    s1, s2 = planes
+    lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
+    return Cdc(g, tuple(lifted) + tuple(c for c in covers if c))
 
 
 class TestSearchGate:
@@ -153,7 +157,7 @@ class TestSearchGate:
         def corrupt(host, covers, planes, original):
             kept = [e for e in range(host.m) if (planes[0] | planes[1]) >> e & 1]
             assert len(kept) == 14
-            return unchecked_extend(monkeypatch, host, covers, flip_bit_plane(planes, kept[edge]))
+            return unchecked_extend(host, covers, flip_bit_plane(planes, kept[edge]))
 
         self.corrupt_search(monkeypatch, corrupt)
 
@@ -178,7 +182,7 @@ class TestSearchGate:
         g, covers, planes = self.witness(petersen_cert)
         for e in range(g.m):
             if (planes[0] | planes[1]) >> e & 1:
-                cdc = unchecked_extend(monkeypatch, g, covers, flip_bit_plane(planes, e))
+                cdc = unchecked_extend(g, covers, flip_bit_plane(planes, e))
                 assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
 
     def test_intact_cover_passes(self, petersen_cert):
@@ -189,14 +193,14 @@ class TestSearchGate:
 
     def test_cover_is_checked_once_per_answer(self, monkeypatch):
         calls = []
-        original = cdc5.cover.verify_cdc
+        original = cdc5.cover.cdc_report
 
-        def counting(g, s):
+        def counting(g, elements, uneven):
             calls.append(None)
-            return original(g, s)
+            return original(g, elements, uneven)
 
-        monkeypatch.setattr(cdc5.cover, "verify_cdc", counting)
-        monkeypatch.setattr(cdc5.certificates, "verify_cdc", counting)
+        monkeypatch.setattr(cdc5.cover, "cdc_report", counting)
+        monkeypatch.setattr(cdc5.certificates, "cdc_report", counting)
         assert sweep_graph(petersen_graph())[1]["counts"]["found"] == 57
         assert len(calls) == 57
 
@@ -273,6 +277,37 @@ class TestCertificateFrame:
         assert cert.to_json() == text
         assert graph_frame(petersen_graph()).render(cert) == text
         assert json.loads(text)["coverage"] == doc["coverage"]
+
+    def test_two_digit_ids_of_j15(self):
+        # J15 has 90 edges, so most ids take two digits; a search past the
+        # default guard certifies a circuit of it in milliseconds.
+        g = flower_snark(15)
+        ctx = SearchContext(g)
+        circuit = ctx.basis.vectors[0]
+        cert = find_5cdc_containing(g, circuit, SearchOptions(dim_guard=31), ctx)
+        assert g.m == 90 and max(cert.cdc[-1]) >= 10
+        text = dump_json(cert.to_doc()) + "\n"
+        assert ctx.frame.render(cert) == text and cert.to_json() == text
+        assert verify_certificate(json.loads(text)) == []
+        other = dataclasses.replace(cert, coverage=(2,) * 89 + (3,))
+        assert ctx.frame.render(other) == dump_json(other.to_doc()) + "\n"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"c0": (), "c2": (), "matching": ()},
+            {"c1": (0, 14), "cdc": ((0, 1, 2), (), (3, 14))},
+            {"c0": (15,), "matching": (-1, 3), "cdc": ((99,), (1, 2))},
+            {"c2": [4, 5], "cdc": [[1, 2], (3, 4)]},
+            {"cdc": ((1, 2), (3, (4,)), ())},
+        ],
+    )
+    def test_any_id_lists_render_as_dump_json(self, petersen_cert, fields):
+        # Ids outside the frame's table, empty lists, lists and odd nesting
+        # all come out as dump_json writes them.
+        cert = dataclasses.replace(petersen_cert, **fields)
+        text = dump_json(cert.to_doc()) + "\n"
+        assert graph_frame(petersen_graph()).render(cert) == text
 
     def test_certificate_of_another_graph_is_refused(self, k4_cert):
         with pytest.raises(ValueError):

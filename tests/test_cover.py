@@ -21,7 +21,7 @@ from cdc5 import (
     petersen_graph,
     verify_cdc,
 )
-from cdc5.cover import coverage_masks, replays_as_flow
+from cdc5.cover import coverage_masks
 
 from .oracles import (
     bridged_cubic_graph,
@@ -31,6 +31,7 @@ from .oracles import (
     minus,
     prism_graph,
     random_cubic_multigraph,
+    replays_as_flow,
     theta_multigraph,
 )
 

@@ -10,12 +10,17 @@ from cdc5 import (
     UnsupportedFormatError,
     bridges,
     components,
+    cycle_space_basis,
+    flow_planes,
+    is_even_subgraph,
+    is_flow,
     is_matching,
     parse_graph6,
     petersen_graph,
     write_graph6,
 )
 from cdc5.flows import _suppress
+from cdc5.graphs import vertex_faults
 
 from .oracles import (
     bridged_cubic_graph,
@@ -23,7 +28,11 @@ from .oracles import (
     brute_bridges,
     complete_graph,
     graph6_edges,
+    loop_is_even_subgraph,
+    loop_is_flow,
+    loop_is_matching,
     prism_graph,
+    random_cubic_multigraph,
     subdivide,
     theta_multigraph,
 )
@@ -132,6 +141,117 @@ class TestIsMatching:
         g = complete_graph(4)
         with pytest.raises(ValueError):
             is_matching(g, EdgeSet.empty(complete_graph(4)))
+
+
+def random_pairing(degrees: list[int], seed: int) -> MultiGraph:
+    """A random multigraph with the given degrees, loops and parallel edges
+    allowed: a random pairing of the half-edges."""
+    rng = random.Random(seed)
+    ends = [v for v, d in enumerate(degrees) for _ in range(d)]
+    rng.shuffle(ends)
+    return MultiGraph(len(degrees), [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)])
+
+
+def sample_masks(g: MultiGraph, rng: random.Random) -> list[int]:
+    """Masks of every kind the checks meet: random sets, even subgraphs,
+    even subgraphs with one edge toggled, matchings and near-matchings,
+    and the empty and full sets."""
+    vectors = [v.mask for v in cycle_space_basis(g).vectors]
+    out = [0, (1 << g.m) - 1]
+    for _ in range(12):
+        out.append(rng.getrandbits(g.m) if g.m else 0)
+        even = 0
+        for v in vectors:
+            if rng.random() < 0.5:
+                even ^= v
+        out.append(even)
+        if g.m:
+            out.append(even ^ 1 << rng.randrange(g.m))
+        used, matching = 0, 0
+        for e in rng.sample(range(g.m), g.m):
+            ends = g.vertex_mask(g.endpoints(e)[0]) | g.vertex_mask(g.endpoints(e)[1])
+            if not used & 1 << e and rng.random() < 0.7:
+                matching |= 1 << e
+                used |= ends
+        out.append(matching)
+        if g.m:
+            out.append(matching | 1 << rng.randrange(g.m))
+    return out
+
+
+def vertex_fault_hosts() -> list[MultiGraph]:
+    """Hosts for the vertex_faults cross-checks: small simple graphs, cubic
+    multigraphs with parallel edges, and random multigraphs with loops and
+    vertices of degree 4."""
+    hosts = [complete_graph(4), complete_graph(5), prism_graph(), petersen_graph(),
+             theta_multigraph(), bridged_cubic_multigraph(), subdivide(complete_graph(4), 2),
+             MultiGraph(3, []), MultiGraph(0, []),
+             MultiGraph(3, [(0, 0), (0, 0), (1, 2), (1, 2), (1, 1), (2, 2)]),
+             MultiGraph(2, [(0, 0), (0, 0), (0, 1), (0, 1), (1, 1)])]
+    hosts += [random_cubic_multigraph(n, seed) for n in (4, 8, 12) for seed in range(3)]
+    hosts += [random_pairing([4, 3, 3, 4, 2, 4, 3, 3, 4, 2], seed) for seed in range(6)]
+    return hosts
+
+
+class TestVertexFaults:
+    """vertex_faults against the per-mask vertex loops in tests/oracles."""
+
+    def check_host(self, g, seed):
+        rng = random.Random(seed)
+        masks = sample_masks(g, rng)
+        seen = set()
+        odd, shared, crowded = vertex_faults(g, masks)
+        for i, x in enumerate(masks):
+            even, matching = loop_is_even_subgraph(g, x), loop_is_matching(g, x)
+            assert (not (odd | crowded) >> i & 1) == even
+            assert (not shared >> i & 1) == matching
+            assert is_even_subgraph(g, EdgeSet(g, x)) == even
+            assert is_matching(g, EdgeSet(g, x)) == matching
+            counts = [(x & ~g.loop_mask() & vm).bit_count() for vm in g.vertex_masks]
+            if not x & g.loop_mask():
+                assert bool(odd >> i & 1) == any(c & 1 for c in counts)
+                assert bool(shared >> i & 1) == any(c >= 2 for c in counts)
+                assert bool(crowded >> i & 1) == any(c > 2 for c in counts)
+            seen.add((even, matching))
+        # One lane's verdict does not depend on the others in the call.
+        for i, x in enumerate(masks):
+            alone = vertex_faults(g, [x])
+            assert alone == tuple(f >> i & 1 for f in (odd, shared, crowded))
+        # Flow planes: is_flow against its loop, on planes whose union is
+        # right and whose parity is random or, from flow_planes, even.
+        full = (1 << g.m) - 1
+        for x in masks:
+            drop = x & rng.getrandbits(g.m) if g.m else 0
+            s1 = rng.getrandbits(g.m) & full & ~drop if g.m else 0
+            s2 = full & ~drop & ~s1 | (s1 & rng.getrandbits(g.m) if g.m else 0)
+            for planes in ((s1, s2), (s1 | s2, 0), (s1, s2 | 1 << g.m)):
+                want = loop_is_flow(g, drop, *planes)
+                assert is_flow(g, drop, *planes) == want
+                seen.add(("flow", want))
+        return seen
+
+    def test_catalog(self, catalog):
+        seen = set()
+        for i, g in enumerate(catalog):
+            seen |= self.check_host(g, i)
+            planes = flow_planes(g)
+            if planes is not None:
+                assert is_flow(g, 0, *planes) and loop_is_flow(g, 0, *planes)
+        assert {(True, True), (True, False), (False, True), (False, False)} <= seen
+
+    @pytest.mark.parametrize("index", range(len(vertex_fault_hosts())))
+    def test_multigraphs_with_loops_and_degree_four(self, index):
+        g = vertex_fault_hosts()[index]
+        seen = self.check_host(g, 100 + index)
+        if g.m:
+            assert (False, False) in seen
+
+    def test_loop_counts_four(self):
+        # A loop is in no even subgraph or matching, and leaves parity alone.
+        g = MultiGraph(3, [(0, 0), (0, 1), (1, 2), (1, 2), (1, 2), (2, 2)])
+        masks = [0b1, 0b10, 0b11, 0b11100, 0b100000, 0b100011]
+        assert vertex_faults(g, masks) == (0b101110, 0b111101, 0b111101)
+        assert is_flow(g, 0, 0b100001, 0b011110) == loop_is_flow(g, 0, 0b100001, 0b011110)
 
 
 class TestGraph6:
