@@ -178,7 +178,7 @@ class TestSearchGate:
         cdc = replace_one_element(g, extend_to_cdc(g, covers, planes))
         assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
 
-    def test_flipped_bit_plane_fails_verification(self, petersen_cert, monkeypatch):
+    def test_flipped_bit_plane_fails_verification(self, petersen_cert):
         g, covers, planes = self.witness(petersen_cert)
         for e in range(g.m):
             if (planes[0] | planes[1]) >> e & 1:
