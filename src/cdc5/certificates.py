@@ -384,7 +384,9 @@ def _check(
         problems.append("path field is inconsistent with the matching")
 
     if cubic and is_m:
-        witnessed = report.valid and planes is not None and not odd >> len(masks)
+        # With report.valid the planes are sums of even elements, so their
+        # parity test cannot fail; it is kept as a second check.
+        witnessed =report.valid and planes is not None and not odd >> len(masks)
         if not witnessed and flow_planes(g, matching.mask) is None:
             problems.append("graph minus the matching has no nowhere-zero 4-flow")
 

@@ -43,8 +43,8 @@ def cycle_space_basis(g: MultiGraph) -> CycleBasis:
 
     Edges are scanned in ascending id; an edge joining two components
     becomes a tree edge, every other non-loop edge is a chord whose
-    fundamental cycle (chord plus tree path) is a basis vector.  On
-    loop-free hosts dim = m - n + #components.
+    fundamental cycle (chord plus tree path) is a basis vector.  So
+    dim = m - #loops - n + #components.
     """
     parent = list(range(g.n))
 

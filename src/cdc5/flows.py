@@ -34,9 +34,9 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
 
     Color permutations map proper colorings to proper colorings, so the
     three edges at g.edges[0][0] are fixed to colors 0, 1, 2 in identifier
-    order before the search.  Each step then branches on the uncolored edge
-    with the fewest free colors, ties going to the lowest identifier, and
-    tries its free colors in ascending order.  The first coloring this
+    order before the search.  Each step then colors the uncolored edge
+    with the fewest free colors, ties going to the lowest identifier,
+    trying its free colors in ascending order.  The first coloring this
     depth-first search completes is returned, so the answer is
     deterministic.  A loop makes a proper coloring impossible.  Parallel
     edges are fine.
@@ -46,22 +46,27 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     exactly when e is not in Bc).  Coloring e with c is U ^= 1 << e and
     Bc |= near[e], the incident edges of both endpoints, parallel edges
     included.  The step takes the lowest edge of tight = U & (B0&B1 |
-    B0&B2 | B1&B2), whose edges have at most one free color (none means
-    backtrack, one a forced move); else the lowest edge of U & (B0|B1|B2),
-    with two; else the lowest edge of U.  A trail entry keeps the edge,
-    its colors not tried yet and the masks from before it was colored;
-    undoing restores them and sets the edge's bit in U again.
+    B0&B2 | B1&B2), whose edges have at most one free color (none means a
+    dead end, one a forced move); else the lowest edge of U & (B0|B1|B2),
+    with two; else the lowest edge of U.  Only these branch states go on
+    the trail, as the edge, its colors not tried yet, its key and a
+    snapshot of the masks; a dead end restores the last snapshot with a
+    color left.  Forced moves push nothing, yet the moves and their order
+    are the plain backtracker's, and a snapshot is what undoing the forced
+    moves after it one by one would give back.  Each move writes its
+    color into a list that no undo clears: an edge a snapshot uncolors is
+    colored again before the search can complete.
 
-    The search remembers the branch states (no tight edge) it has proved
-    dead, keyed by _dead_key: U and the sorted masks B0 & U, B1 & U,
-    B2 & U.  The key is sound: the selection and every later step read the
-    masks only inside U, so whether a completion exists depends on U and
-    the masks restricted to it alone; and a color permutation permutes the
-    three masks and keeps whether a completion exists.  Once every color of
-    a branch has been undone its key joins the failed set, and a later
-    branch node with the same key backtracks at once.  Only states without
-    a completion are cut and the order is untouched, so the first coloring
-    found is the one the search without the set would find.
+    The search remembers the branch states it has proved dead, keyed by
+    _dead_key: U and the sorted masks B0 & U, B1 & U, B2 & U.  The key is
+    sound: the selection and every later step read the masks only inside
+    U, so whether a completion exists depends on U and the masks
+    restricted to it alone; and a color permutation permutes the three
+    masks and keeps whether a completion exists.  Once every color of a
+    branch has been tried its key joins the failed set, and a later
+    branch state with the same key is a dead end at once.  Only states
+    without a completion are cut and the order is untouched, so the first
+    coloring found is the one the search without the set would find.
     """
     for v in range(g.n):
         if g.degree(v) != 3:
@@ -74,44 +79,53 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
         return ()
     vm = g.vertex_masks
     near = [vm[u] | vm[v] for u, v in g.edges]
-    colors = [0] * g.m
     e0, e1, e2 = g.incident(g.edges[0][0])
+    colors = [0] * g.m
     colors[e1], colors[e2] = 1, 2
     unc = (1 << g.m) - 1 ^ (1 << e0 | 1 << e1 | 1 << e2)
     b0, b1, b2 = near[e0], near[e1], near[e2]
     failed: set[tuple[int, int, int, int]] = set()
-    # (edge, colors not tried yet, branch key or None, B0, B1, B2 before)
-    trail: list[tuple[int, int, Optional[tuple[int, int, int, int]], int, int, int]] = []
-    while unc:
+    # (edge, colors not tried yet, branch key, U, B0, B1, B2 before)
+    trail: list[tuple[int, int, tuple[int, int, int, int], int, int, int, int]] = []
+    while True:
         tight = unc & (b0 & b1 | (b0 | b1) & b2)
-        key = None
-        if tight:  # at most one free color
+        if tight:  # a forced move, or a dead end if no color is free
             bit = tight & -tight
-            rest = 1 if not b0 & bit else 2 if not b1 & bit else 4 if not b2 & bit else 0
-        else:  # two free colors, or three if nothing is blocked
+            e = bit.bit_length() - 1
+            unc ^= bit
+            if not b0 & bit:
+                b0 |= near[e]
+                colors[e] = 0
+                continue
+            if not b1 & bit:
+                b1 |= near[e]
+                colors[e] = 1
+                continue
+            if not b2 & bit:
+                b2 |= near[e]
+                colors[e] = 2
+                continue
+            rest = 0
+        elif not unc:
+            return tuple(colors)
+        else:  # a branch state: two free colors, or three if nothing is blocked
             pick = unc & (b0 | b1 | b2) or unc
             bit = pick & -pick
+            e = bit.bit_length() - 1
             rest = 6 if b0 & bit else 5 if b1 & bit else 3 if b2 & bit else 7
             key = _dead_key(unc, b0, b1, b2)
             if key in failed:
-                rest = 0  # a known dead end: backtrack at once
-        if rest:
-            e = bit.bit_length() - 1
-        else:
-            # Undo until an edge on the trail has a color left to try.
-            while True:
-                if not trail:
-                    return None
-                e, rest, key, b0, b1, b2 = trail.pop()
-                bit = 1 << e
-                unc |= bit
-                if rest:
-                    break
-                if key is not None:
-                    failed.add(key)
+                rest = 0
+        # Back up to the last branch state with a color left to try.
+        while not rest:
+            if not trail:
+                return None
+            e, rest, key, unc, b0, b1, b2 = trail.pop()
+            if not rest:
+                failed.add(key)
         low = rest & -rest
-        trail.append((e, rest ^ low, key, b0, b1, b2))
-        unc ^= bit
+        trail.append((e, rest ^ low, key, unc, b0, b1, b2))
+        unc ^= 1 << e
         colors[e] = low >> 1
         if low == 1:
             b0 |= near[e]
@@ -119,7 +133,6 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
             b1 |= near[e]
         else:
             b2 |= near[e]
-    return tuple(colors)
 
 
 def _component_subgraphs(g: MultiGraph):

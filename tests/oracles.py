@@ -10,7 +10,9 @@ linear; the tests use them to read a cover back as a flow and as a
 (M, C1, C2) triple, and to check the package's flow planes against flow
 values on G - M built as a graph of its own (minus).  The per-mask vertex
 loops (loop_is_even_subgraph, loop_is_matching, loop_is_flow) are the
-references for graphs.vertex_faults.
+references for graphs.vertex_faults.  trail_three_edge_color is the
+3-edge-colorer as it was when it pushed a trail entry per colored edge;
+reference_three_edge_color is the one before it, without a memo.
 """
 
 import random
@@ -32,6 +34,7 @@ from cdc5 import (
     verify_cdc,
 )
 from cdc5.cover import CdcLike, _element_seq, replayed_planes
+from cdc5.flows import _dead_key
 
 
 def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -364,6 +367,103 @@ def reference_three_edge_color(g: MultiGraph) -> Optional[tuple[int, ...]]:
     return tuple(colors)
 
 
+def trail_three_edge_color(g: MultiGraph) -> Optional[tuple[int, ...]]:
+    """The 3-edge-colorer as it was when every colored edge, forced or
+    not, took a trail entry, kept verbatim below this paragraph.  The
+    engine must return the same first coloring.
+
+    First proper 3-edge-coloring in backtracking order, or None.
+
+    Color permutations map proper colorings to proper colorings, so the
+    three edges at g.edges[0][0] are fixed to colors 0, 1, 2 in identifier
+    order before the search.  Each step then branches on the uncolored edge
+    with the fewest free colors, ties going to the lowest identifier, and
+    tries its free colors in ascending order.  The first coloring this
+    depth-first search completes is returned, so the answer is
+    deterministic.  A loop makes a proper coloring impossible.  Parallel
+    edges are fine.
+
+    The state is four edge masks: U, the uncolored edges, and Bc, the
+    edges sharing an endpoint with an edge of color c (c is free at e in U
+    exactly when e is not in Bc).  Coloring e with c is U ^= 1 << e and
+    Bc |= near[e], the incident edges of both endpoints, parallel edges
+    included.  The step takes the lowest edge of tight = U & (B0&B1 |
+    B0&B2 | B1&B2), whose edges have at most one free color (none means
+    backtrack, one a forced move); else the lowest edge of U & (B0|B1|B2),
+    with two; else the lowest edge of U.  A trail entry keeps the edge,
+    its colors not tried yet and the masks from before it was colored;
+    undoing restores them and sets the edge's bit in U again.
+
+    The search remembers the branch states (no tight edge) it has proved
+    dead, keyed by _dead_key: U and the sorted masks B0 & U, B1 & U,
+    B2 & U.  The key is sound: the selection and every later step read the
+    masks only inside U, so whether a completion exists depends on U and
+    the masks restricted to it alone; and a color permutation permutes the
+    three masks and keeps whether a completion exists.  Once every color of
+    a branch has been undone its key joins the failed set, and a later
+    branch node with the same key backtracks at once.  Only states without
+    a completion are cut and the order is untouched, so the first coloring
+    found is the one the search without the set would find.
+    """
+    for v in range(g.n):
+        if g.degree(v) != 3:
+            raise PreconditionError(
+                f"vertex {v} has degree {g.degree(v)}; 3-edge-coloring needs a 3-regular graph"
+            )
+    if g.loop_mask():
+        return None
+    if not g.m:
+        return ()
+    vm = g.vertex_masks
+    near = [vm[u] | vm[v] for u, v in g.edges]
+    colors = [0] * g.m
+    e0, e1, e2 = g.incident(g.edges[0][0])
+    colors[e1], colors[e2] = 1, 2
+    unc = (1 << g.m) - 1 ^ (1 << e0 | 1 << e1 | 1 << e2)
+    b0, b1, b2 = near[e0], near[e1], near[e2]
+    failed: set[tuple[int, int, int, int]] = set()
+    # (edge, colors not tried yet, branch key or None, B0, B1, B2 before)
+    trail: list[tuple[int, int, Optional[tuple[int, int, int, int]], int, int, int]] = []
+    while unc:
+        tight = unc & (b0 & b1 | (b0 | b1) & b2)
+        key = None
+        if tight:  # at most one free color
+            bit = tight & -tight
+            rest = 1 if not b0 & bit else 2 if not b1 & bit else 4 if not b2 & bit else 0
+        else:  # two free colors, or three if nothing is blocked
+            pick = unc & (b0 | b1 | b2) or unc
+            bit = pick & -pick
+            rest = 6 if b0 & bit else 5 if b1 & bit else 3 if b2 & bit else 7
+            key = _dead_key(unc, b0, b1, b2)
+            if key in failed:
+                rest = 0  # a known dead end: backtrack at once
+        if rest:
+            e = bit.bit_length() - 1
+        else:
+            # Undo until an edge on the trail has a color left to try.
+            while True:
+                if not trail:
+                    return None
+                e, rest, key, b0, b1, b2 = trail.pop()
+                bit = 1 << e
+                unc |= bit
+                if rest:
+                    break
+                if key is not None:
+                    failed.add(key)
+        low = rest & -rest
+        trail.append((e, rest ^ low, key, b0, b1, b2))
+        unc ^= bit
+        colors[e] = low >> 1
+        if low == 1:
+            b0 |= near[e]
+        elif low == 2:
+            b1 |= near[e]
+        else:
+            b2 |= near[e]
+    return tuple(colors)
+
+
 def subdivide(g: MultiGraph, e: int, times: int = 1) -> MultiGraph:
     """Replace edge e by a path through `times` fresh vertices.  Edge ids
     are renumbered (the replaced edge's slot disappears)."""
@@ -436,6 +536,26 @@ def shuffled(g: MultiGraph, seed: int) -> MultiGraph:
     renumbered in sorted endpoint order, as a graph6 reader would give it."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
+    return MultiGraph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+
+
+def breadth_first(g: MultiGraph, root: int, seed: int) -> MultiGraph:
+    """g relabelled in breadth-first order from root, the neighbours of
+    each vertex visited in a seeded random order, with its edges renumbered
+    in sorted endpoint order: the labellings the decide-flowers benchmark
+    hands the colorer."""
+    rng = random.Random(seed)
+    order, seen = [root], {root}
+    for v in order:
+        nbrs = [g.other_end(e, v) for e in g.incident(v)]
+        rng.shuffle(nbrs)
+        for w in nbrs:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    perm = [0] * g.n
+    for new, old in enumerate(order):
+        perm[old] = new
     return MultiGraph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
 
 

@@ -10,7 +10,14 @@ import pytest
 
 import cdc5.cli
 import cdc5.search
-from cdc5 import petersen_graph, verify_certificate, write_graph6
+from cdc5 import (
+    MultiGraph,
+    cycle_space_basis,
+    enumerate_circuits,
+    petersen_graph,
+    verify_certificate,
+    write_graph6,
+)
 from cdc5.cli import main
 
 from .oracles import bridged_cubic_graph, complete_graph, prism_graph
@@ -232,6 +239,26 @@ class TestStats:
         assert row["even_subgraphs"] == 64
         assert row["circuits"] == 57
         assert row["nz4flow"] is False
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            MultiGraph(8, [(u + b, v + b) for b in (0, 4) for v in range(4) for u in range(v)]),
+            MultiGraph(4, [(0, 1), (0, 1), (1, 1), (0, 2), (2, 3), (2, 3), (3, 3)]),
+        ],
+        ids=["two-k4", "loop-host"],
+    )
+    def test_dimension_is_the_basis_dimension(self, g, tmp_path, monkeypatch, capsys):
+        # stats counts the dimension in closed form; graph6 holds no loops,
+        # so the loop host is handed over in place of the parsed line.
+        path = tmp_path / "host.g6"
+        path.write_text("C~\n", encoding="ascii")
+        monkeypatch.setattr(cdc5.cli, "parse_graph6", lambda line: g)
+        assert main(["stats", "--graph", str(path), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["graphs"]
+        dim = cycle_space_basis(g).dim
+        assert row["cyclespace_dim"] == dim and row["even_subgraphs"] == 1 << dim
+        assert row["circuits"] == len(enumerate_circuits(g))
 
     def test_guarded_census_reports_not_available(self, petersen_file, capsys):
         assert main(

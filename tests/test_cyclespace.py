@@ -54,6 +54,23 @@ class TestBasis:
         for g in catalog:
             assert cycle_space_basis(g).dim == g.m - g.n + 1
 
+    def test_dimension_counts_loops_out(self, catalog, snarks):
+        # cdc5 stats reports this count in place of building the basis.
+        from cdc5 import components
+
+        hosts = list(catalog) + list(snarks) + SMALL_HOSTS
+        hosts += [random_cubic_multigraph(n, seed) for n in (4, 8, 12) for seed in range(5)]
+        hosts += [
+            MultiGraph(2, [(0, 1), (1, 1), (0, 1)]),
+            MultiGraph(1, [(0, 0), (0, 0)]),
+            MultiGraph(4, [(0, 0), (0, 1), (0, 1), (1, 1), (2, 3), (3, 3), (2, 3), (2, 3)]),
+            MultiGraph(5, [(0, 1), (1, 2), (0, 2)]),
+            MultiGraph(0, []),
+        ]
+        for g in hosts:
+            count = g.m - g.loop_mask().bit_count() - g.n + len(components(g))
+            assert cycle_space_basis(g).dim == count
+
     def test_vectors_are_even_and_contain_their_chord(self):
         g = petersen_graph()
         basis = cycle_space_basis(g)

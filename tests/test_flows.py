@@ -18,6 +18,7 @@ from cdc5.cyclespace import EvenLayers
 from cdc5.flows import _component_subgraphs, _dead_key, _suppress
 
 from .oracles import (
+    breadth_first,
     bridged_cubic_graph,
     bridged_cubic_multigraph,
     cdc_to_flow,
@@ -33,6 +34,7 @@ from .oracles import (
     subdivide,
     theta_multigraph,
     three_colorable,
+    trail_three_edge_color,
     verify_flow,
 )
 
@@ -85,6 +87,20 @@ class TestThreeEdgeColor:
     def test_non_cubic_rejected(self):
         with pytest.raises(PreconditionError):
             three_edge_color(MultiGraph(2, [(0, 1)]))
+
+    def test_same_color_forced_on_adjacent_edges_backtracks(self):
+        # After the first two branches, edges 9 = (4, 5) and 11 = (5, 7)
+        # both have color 1 as their only free color, and later the
+        # parallel edges 7 and 8 both have color 0 only.  Coloring one
+        # makes the other a dead end, and the search backs up to a
+        # coloring on another branch.
+        g = MultiGraph(8, [
+            (0, 1), (0, 3), (0, 7), (1, 2), (1, 4), (2, 5),
+            (2, 6), (3, 6), (3, 6), (4, 5), (4, 7), (5, 7),
+        ])
+        coloring = three_edge_color(g)
+        assert coloring == reference_three_edge_color(g) == trail_three_edge_color(g)
+        assert_proper(g, coloring)
 
     def test_deterministic_first_coloring(self):
         g = complete_graph(4)
@@ -147,6 +163,10 @@ class TestFailedStateMemo:
         hosts = list(catalog) + list(snarks) + COLORING_HOSTS
         for k in range(3, 14):
             hosts += [flower_snark(k)] + [shuffled(flower_snark(k), s) for s in (1, 2, 3)]
+        for k in (5, 7, 9):
+            # Breadth-first from a claw centre, an outer-cycle vertex and
+            # each inner-cycle class, as the decide-flowers benchmark does.
+            hosts += [breadth_first(flower_snark(k), 4 * i + c, i) for c in range(4) for i in (0, 1)]
         for n in range(4, 15, 2):
             hosts += [random_cubic_multigraph(n, seed) for seed in range(10)]
         hosts.append(MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 1), (2, 3), (2, 3)]))
@@ -179,6 +199,15 @@ class TestFailedStateMemo:
         assert [three_edge_color(h) for h in hosts.values()] == [
             reference_three_edge_color(h) for h in hosts.values()
         ]
+
+
+    @pytest.mark.parametrize("k", [13, 14, 15])
+    def test_same_first_coloring_as_trail_colorer(self, k):
+        # The memo-less reference is too slow on these; the colorer that
+        # pushed a trail entry per colored edge is not.
+        hosts = [shuffled(flower_snark(k), s) for s in range(6)]
+        hosts += [breadth_first(flower_snark(k), c, k) for c in range(4)]
+        assert [three_edge_color(g) for g in hosts] == [trail_three_edge_color(g) for g in hosts]
 
 
 class TestHasNz4Flow:
