@@ -48,14 +48,15 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     included.  The step takes the lowest edge of tight = U & (B0&B1 |
     B0&B2 | B1&B2), whose edges have at most one free color (none means a
     dead end, one a forced move); else the lowest edge of U & (B0|B1|B2),
-    with two; else the lowest edge of U.  Only these branch states go on
-    the trail, as the edge, its colors not tried yet, its key and a
-    snapshot of the masks; a dead end restores the last snapshot with a
-    color left.  Forced moves push nothing, yet the moves and their order
-    are the plain backtracker's, and a snapshot is what undoing the forced
-    moves after it one by one would give back.  Each move writes its
-    color into a list that no undo clears: an edge a snapshot uncolors is
-    colored again before the search can complete.
+    with two; else the lowest edge of U.  Only these branch states, the
+    states without a tight edge, go on the trail, as the edge, its colors
+    not tried yet, its key and a snapshot of the masks; a dead end
+    restores the last snapshot with a color left.  Forced moves push
+    nothing, yet the moves and their order are the plain backtracker's,
+    and a snapshot is what undoing the forced moves after it one by one
+    would give back.  Each move writes its color into a list that no undo
+    clears: an edge a snapshot uncolors is colored again before the search
+    can complete.
 
     The search remembers the branch states it has proved dead, keyed by
     _dead_key: U and the sorted masks B0 & U, B1 & U, B2 & U.  The key is
