@@ -18,11 +18,13 @@ from pathlib import Path
 
 import networkx as nx
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from cdc5 import MultiGraph, petersen_graph, three_edge_color, write_graph6
+from cdc5 import MultiGraph, three_edge_color, write_graph6  # noqa: E402
+from tests.oracles import petersen_graph  # noqa: E402
 
-DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+DATA = ROOT / "tests" / "data"
 
 EXPECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 18}
 

@@ -3,7 +3,6 @@ cubic graphs containing a prescribed circuit."""
 
 from .certificates import Certificate, build_certificate, verify_certificate
 from .cover import (
-    Cdc,
     CdcReport,
     contains_element_superset,
     extend_to_cdc,
@@ -14,7 +13,6 @@ from .cyclespace import (
     canonical_masks,
     cycle_space_basis,
     enumerate_circuits,
-    enumerate_even_subgraphs,
     is_even_subgraph,
 )
 from .errors import (
@@ -31,19 +29,15 @@ from .graphs import (
     MultiGraph,
     bridges,
     components,
-    is_matching,
     parse_graph6,
-    petersen_graph,
     write_graph6,
 )
-from .oracle import brute_force_cdc
 from .search import SearchContext, SearchOptions, Sweep, find_5cdc_containing
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "Cdc",
     "CdcReport",
     "Certificate",
     "ConditionError",
@@ -58,23 +52,19 @@ __all__ = [
     "Sweep",
     "UnsupportedFormatError",
     "bridges",
-    "brute_force_cdc",
     "build_certificate",
     "canonical_masks",
     "components",
     "contains_element_superset",
     "cycle_space_basis",
     "enumerate_circuits",
-    "enumerate_even_subgraphs",
     "extend_to_cdc",
     "find_5cdc_containing",
     "flow_planes",
     "has_nz4flow",
     "is_even_subgraph",
     "is_flow",
-    "is_matching",
     "parse_graph6",
-    "petersen_graph",
     "three_edge_color",
     "verify_cdc",
     "verify_certificate",

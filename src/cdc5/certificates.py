@@ -96,30 +96,6 @@ class Certificate:
         """dump_json(self.to_doc()) + "\n", rendered in a frame of its own."""
         return CertificateFrame(self.graph6, self.n, self.m, self.edges, self.coverage).render(self)
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "Certificate":
-        problems = _structural_problems(doc)
-        if problems:
-            raise ValueError("; ".join(problems))
-        return cls(
-            graph6=doc["graph6"],
-            n=doc["n"],
-            m=doc["m"],
-            edges=tuple((pair[0], pair[1]) for pair in doc["edges"]),
-            c0=tuple(doc["c0"]),
-            c1=tuple(doc["c1"]),
-            c2=tuple(doc["c2"]),
-            matching=tuple(doc["matching"]),
-            cdc=tuple(tuple(el) for el in doc["cdc"]),
-            coverage=tuple(doc["coverage"]),
-            path=doc["path"],
-            candidates_tried=doc["stats"]["candidates_tried"],
-            elapsed_ms=doc["stats"]["elapsed_ms"],
-        )
-
-    def host_graph(self) -> MultiGraph:
-        return parse_graph6(self.graph6)
-
 
 class CertificateFrame:
     """The text that the certificates of one graph share: the JSON of
@@ -386,7 +362,7 @@ def _check(
     if cubic and is_m:
         # With report.valid the planes are sums of even elements, so their
         # parity test cannot fail; it is kept as a second check.
-        witnessed =report.valid and planes is not None and not odd >> len(masks)
+        witnessed = report.valid and planes is not None and not odd >> len(masks)
         if not witnessed and flow_planes(g, matching.mask) is None:
             problems.append("graph minus the matching has no nowhere-zero 4-flow")
 

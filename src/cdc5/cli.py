@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from .certificates import dump_json, verify_certificate
 from .cyclespace import enumerate_circuits, is_even_subgraph
-from .errors import CapacityError, Graph6Error, UnsupportedFormatError
+from .errors import CapacityError, Graph6Error, PreconditionError, UnsupportedFormatError
 from .flows import has_nz4flow
 from .graphs import EdgeSet, MultiGraph, bridges, components, parse_graph6
 from .search import SearchOptions, Sweep, find_5cdc_containing
@@ -248,6 +248,8 @@ def cmd_find(args: argparse.Namespace) -> int:
     except CapacityError as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
+    except PreconditionError as exc:
+        raise _Fail(EXIT_USAGE, str(exc)) from exc
     if cert is None:
         print("none: the search space was exhausted without a cover")
         return EXIT_NEGATIVE

@@ -16,30 +16,11 @@ the planes are checked with one graphs.vertex_faults call per cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import ConditionError, PreconditionError
 from .flows import Planes, flow_planes
 from .graphs import EdgeSet, MultiGraph, vertex_faults
-
-
-@dataclass(frozen=True)
-class Cdc:
-    """An ordered family of nonempty even subgraphs over a common host.
-    The constructions here build it in closed form from a nowhere-zero
-    4-flow, so it passes verify_cdc whenever that flow is one."""
-
-    host: MultiGraph
-    elements: tuple[EdgeSet, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i: int) -> EdgeSet:
-        return self.elements[i]
 
 
 @dataclass(frozen=True)
@@ -53,13 +34,6 @@ class CdcReport:
     coverage_errors: tuple[int, ...]  # edge ids covered != 2 times
 
 
-CdcLike = Union[Cdc, Sequence[EdgeSet]]
-
-
-def _element_seq(s: CdcLike) -> Sequence[EdgeSet]:
-    return s.elements if isinstance(s, Cdc) else s
-
-
 def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
     """The edges lying in exactly one, exactly two and more than two of the
     given masks, as three masks updated by AND and XOR per member."""
@@ -71,10 +45,9 @@ def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
     return once, twice, more
 
 
-def verify_cdc(g: MultiGraph, s: CdcLike) -> CdcReport:
+def verify_cdc(g: MultiGraph, elements: Sequence[EdgeSet]) -> CdcReport:
     """Check the double-cover property: every element a nonempty even
     subgraph, every edge covered exactly twice (repeats count)."""
-    elements = _element_seq(s)
     for el in elements:
         if el.host is not g:
             raise ValueError("element does not belong to the given graph")
@@ -94,10 +67,10 @@ def cdc_report(g: MultiGraph, elements: Sequence[EdgeSet], uneven: int) -> CdcRe
     return CdcReport(False, empty, non_even, counts, errors)
 
 
-def contains_element_superset(s: CdcLike, c0: EdgeSet) -> Optional[int]:
+def contains_element_superset(elements: Sequence[EdgeSet], c0: EdgeSet) -> Optional[int]:
     """Least index of an element with c0 as a subset, or None.  The empty
-    c0 is contained in the first element (or nothing, if s is empty)."""
-    for i, el in enumerate(_element_seq(s)):
+    c0 is contained in the first element (or in none, if there is none)."""
+    for i, el in enumerate(elements):
         c0._check_host(el)
         if c0 <= el:
             return i
@@ -116,9 +89,10 @@ def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
 
 def extend_to_cdc(
     g: MultiGraph, covers: Sequence[EdgeSet], planes: Optional[Planes] = None
-) -> Cdc:
+) -> tuple[EdgeSet, ...]:
     """Extend even subgraphs C1..Ck to a double cover of at most k+3
-    elements that keeps every Ci as an element.
+    elements that keeps every Ci as an element, returned as a tuple of
+    its elements.
 
     Three conditions are enforced, each reported by number on failure:
     1. no edge lies in more than two of the Ci;
@@ -161,7 +135,7 @@ def extend_to_cdc(
         raise ValueError("planes are not a flow of the graph minus the matching")
     s1, s2 = planes
     lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
-    return Cdc(g, tuple(lifted) + tuple(c for c in covers if c))
+    return tuple(lifted) + tuple(c for c in covers if c)
 
 
 def replayed_planes(

@@ -11,7 +11,7 @@ the space holds one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError
 from .graphs import EdgeSet, MultiGraph, vertex_faults
@@ -98,23 +98,6 @@ def is_even_subgraph(g: MultiGraph, s: EdgeSet) -> bool:
         raise ValueError("EdgeSet does not belong to the given graph")
     odd, _, crowded = vertex_faults(g, [s.mask])
     return not odd | crowded
-
-
-def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[EdgeSet]:
-    """Yield all 2^dim cycle-space elements.
-
-    Order is deterministic: Gray-code over the basis coefficients, so
-    element k differs from element k-1 by the basis vector indexed by the
-    lowest set bit of k.  The empty set comes first.
-    """
-    basis.check_guard(guard)
-    host = basis.host
-    masks = [v.mask for v in basis.vectors]
-    cur = 0
-    yield EdgeSet(host, 0)
-    for k in range(1, 1 << basis.dim):
-        cur ^= masks[(k & -k).bit_length() - 1]
-        yield EdgeSet(host, cur)
 
 
 def reduced_echelon(vectors: Iterable[int]) -> dict[int, int]:

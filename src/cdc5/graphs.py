@@ -242,13 +242,6 @@ def vertex_faults(g: MultiGraph, masks: Sequence[int]) -> tuple[int, int, int]:
     return odd, shared, crowded
 
 
-def is_matching(g: MultiGraph, s: EdgeSet) -> bool:
-    """True iff s contains no loop and no two of its edges share an endpoint."""
-    if s.host is not g:
-        raise ValueError("EdgeSet does not belong to the given graph")
-    return not vertex_faults(g, [s.mask])[1]
-
-
 # ---------------------------------------------------------------------------
 # graph6 (short form, n <= 62)
 
@@ -406,12 +399,3 @@ def components(g: MultiGraph) -> list[list[int]]:
                     queue.append(x)
         out.append(sorted(comp))
     return out
-
-
-def petersen_graph() -> MultiGraph:
-    """The Petersen graph in its canonical labeling: outer cycle 0..4
-    (i ~ i+1 mod 5), spokes i ~ i+5, inner edges 5+i ~ 5+((i+2) mod 5)."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return MultiGraph(10, edges)

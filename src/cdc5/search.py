@@ -71,6 +71,8 @@ class SearchOptions:
 def _check_search_host(g: MultiGraph) -> None:
     if not g.is_cubic():
         raise PreconditionError("graph must be cubic")
+    if not g.m:
+        raise PreconditionError("graph has no edges, so no cover element can contain c0")
     if bridges(g):
         raise PreconditionError("graph has a bridge, so it has no cycle double cover")
 
@@ -360,7 +362,7 @@ def find_5cdc_containing(
         cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], ctx.flow_minus(c1 & c2))
         elapsed_ms = int((time.monotonic() - started) * 1000)
         return build_certificate(
-            g, c0, c1_set, c2_set, overlap, cdc.elements, tally.tried, elapsed_ms, frame
+            g, c0, c1_set, c2_set, overlap, cdc, tally.tried, elapsed_ms, frame
         )
     return None
 

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from cdc5 import Sweep, parse_graph6, petersen_graph, write_graph6
+from cdc5 import Sweep, parse_graph6, write_graph6
+
+from .oracles import petersen_graph
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

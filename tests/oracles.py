@@ -12,15 +12,20 @@ values on G - M built as a graph of its own (minus).  The per-mask vertex
 loops (loop_is_even_subgraph, loop_is_matching, loop_is_flow) are the
 references for graphs.vertex_faults.  trail_three_edge_color is the
 3-edge-colorer as it was when it pushed a trail entry per colored edge;
-reference_three_edge_color is the one before it, without a memo.
+reference_three_edge_color is the one before it, without a memo.  The
+exhaustive double-cover search (brute_force_cdc), the Gray-code listing
+of the cycle space (enumerate_even_subgraphs) and petersen_graph are
+used only by the tests and scripts, so they live here, not in cdc5.
 """
 
 import random
 from bisect import insort
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from cdc5 import (
+    CapacityError,
+    CycleBasis,
     EdgeSet,
     InvariantViolationError,
     MultiGraph,
@@ -30,10 +35,9 @@ from cdc5 import (
     cycle_space_basis,
     is_even_subgraph,
     is_flow,
-    is_matching,
     verify_cdc,
 )
-from cdc5.cover import CdcLike, _element_seq, replayed_planes
+from cdc5.cover import replayed_planes
 from cdc5.flows import _dead_key
 
 
@@ -51,6 +55,23 @@ def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
         if all(d % 2 == 0 for d in deg):
             out.add(frozenset(ids))
     return out
+
+
+def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[EdgeSet]:
+    """Yield all 2^dim cycle-space elements.
+
+    Order is deterministic: Gray-code over the basis coefficients, so
+    element k differs from element k-1 by the basis vector indexed by the
+    lowest set bit of k.  The empty set comes first.
+    """
+    basis.check_guard(guard)
+    host = basis.host
+    masks = [v.mask for v in basis.vectors]
+    cur = 0
+    yield EdgeSet(host, 0)
+    for k in range(1, 1 << basis.dim):
+        cur ^= masks[(k & -k).bit_length() - 1]
+        yield EdgeSet(host, cur)
 
 
 def circuit_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -247,7 +268,7 @@ def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> tuple[int, ...]:
 
 
 def extract_witness(
-    g: MultiGraph, s: CdcLike, c0: EdgeSet
+    g: MultiGraph, elements: Sequence[EdgeSet], c0: EdgeSet
 ) -> tuple[EdgeSet, EdgeSet, EdgeSet]:
     """From a ≤5-element CDC with an element containing c0, recover the
     triple (M, C1, C2): C1 the containing element, C2 the first other
@@ -261,7 +282,7 @@ def extract_witness(
     the inputs were inconsistent in a way verify_cdc cannot see, or a
     genuine bug.
     """
-    elements = tuple(_element_seq(s))
+    elements = tuple(elements)
     if not g.is_cubic():
         raise PreconditionError("host graph must be cubic")
     if len(elements) > 5:
@@ -275,12 +296,104 @@ def extract_witness(
     rest = [el for i, el in enumerate(elements) if i != idx]
     c2 = rest[0] if rest else EdgeSet.empty(g)
     m_set = c1 & c2
-    if not is_matching(g, m_set):
+    if not loop_is_matching(g, m_set.mask):
         raise InvariantViolationError("element intersection is not a matching")
 
     if not replays_as_flow(g, c1, c2, m_set, elements):
         raise InvariantViolationError("residual cover is not a double cover of G - M")
     return m_set, c1, c2
+
+
+def brute_force_cdc(
+    g: MultiGraph, c0: EdgeSet, max_elements: int = 5, guard: int = 7
+) -> Optional[tuple[EdgeSet, ...]]:
+    """Exhaustively search for a CDC of at most max_elements nonempty even
+    subgraphs, at least one containing c0; its elements, or None.
+
+    Candidates are all nonempty even subgraphs ordered by (size, edge ids);
+    covers are multisets explored as nondecreasing index tuples in
+    lexicographic order, so the first hit is the lexicographically least
+    success.  Pruned by per-edge coverage bounds only, so the outcome is an
+    independent ground truth for the constructive search.  Exponential in
+    the cycle-space dimension, which guard bounds.
+    """
+    basis = cycle_space_basis(g)
+    if basis.dim > guard:
+        raise CapacityError(f"cycle-space dimension {basis.dim} exceeds guard {guard}")
+    if c0.host is not g:
+        raise ValueError("c0 does not belong to the given graph")
+    candidates = sorted(
+        (s for s in enumerate_even_subgraphs(basis, guard) if s),
+        key=lambda s: (len(s), s.ids()),
+    )
+    masks = [s.mask for s in candidates]
+    full = EdgeSet.full(g).mask
+
+    # Highest candidate index covering each edge: once the search position
+    # passes it, a still-deficient edge can never be completed.
+    last_cover = [-1] * g.m
+    for i, mask in enumerate(masks):
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            last_cover[low.bit_length() - 1] = i
+    last_superset = -1
+    for i, mask in enumerate(masks):
+        if mask & c0.mask == c0.mask:
+            last_superset = i
+
+    chosen: list[int] = []
+
+    def deficient_limit(once: int, none: int) -> int:
+        """Max index still usable, or -1 when some edge is already dead."""
+        limit = len(masks) - 1
+        need = once | none
+        while need:
+            low = need & -need
+            need ^= low
+            limit = min(limit, last_cover[low.bit_length() - 1])
+            if limit < 0:
+                return -1
+        return limit
+
+    def search(start: int, once: int, twice: int, have_superset: bool) -> bool:
+        # once/twice: masks of edges covered exactly one/two times so far.
+        if twice == full and have_superset:
+            return True
+        slots = max_elements - len(chosen)
+        if slots == 0:
+            return False
+        none_mask = full & ~(once | twice)
+        if none_mask and slots < 2:
+            return False
+        limit = deficient_limit(once, none_mask)
+        if limit < start:
+            return False
+        if not have_superset and last_superset < start:
+            return False
+        for j in range(start, limit + 1):
+            mask = masks[j]
+            if mask & twice:
+                continue
+            if not have_superset and slots == 1 and mask & c0.mask != c0.mask:
+                continue
+            new_twice = twice | (once & mask)
+            new_once = (once | mask) & ~new_twice
+            chosen.append(j)
+            if search(
+                j, new_once, new_twice, have_superset or mask & c0.mask == c0.mask
+            ):
+                return True
+            chosen.pop()
+        return False
+
+    trivially_contained = c0.mask == 0
+    if full == 0 and trivially_contained:
+        return ()
+    if search(0, 0, 0, trivially_contained):
+        return tuple(candidates[j] for j in chosen)
+    return None
 
 
 def graph6_edges(line: str) -> list[tuple[int, int]]:
@@ -480,6 +593,15 @@ def subdivide(g: MultiGraph, e: int, times: int = 1) -> MultiGraph:
 
 def complete_graph(n: int) -> MultiGraph:
     return MultiGraph(n, [(u, v) for v in range(n) for u in range(v)])
+
+
+def petersen_graph() -> MultiGraph:
+    """The Petersen graph in its canonical labeling: outer cycle 0..4
+    (i ~ i+1 mod 5), spokes i ~ i+5, inner edges 5+i ~ 5+((i+2) mod 5)."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return MultiGraph(10, edges)
 
 
 def prism_graph() -> MultiGraph:

@@ -17,10 +17,11 @@ from cdc5 import (
     bridges,
     enumerate_circuits,
     parse_graph6,
-    petersen_graph,
     three_edge_color,
     write_graph6,
 )
+
+from .oracles import petersen_graph
 
 
 def as_networkx(g: MultiGraph) -> networkx.Graph:

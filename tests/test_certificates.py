@@ -10,8 +10,6 @@ import pytest
 import cdc5.cover
 import cdc5.search
 from cdc5 import (
-    Cdc,
-    Certificate,
     EdgeSet,
     InvariantViolationError,
     SearchContext,
@@ -22,7 +20,7 @@ from cdc5 import (
     enumerate_circuits,
     extend_to_cdc,
     find_5cdc_containing,
-    petersen_graph,
+    parse_graph6,
     verify_cdc,
     verify_certificate,
     write_graph6,
@@ -31,7 +29,7 @@ from cdc5.certificates import dump_json, graph_frame
 from cdc5.cover import coverage_masks
 
 from .conftest import sweep_graph
-from .oracles import complete_graph, flower_snark, random_cubic_multigraph
+from .oracles import complete_graph, flower_snark, petersen_graph, random_cubic_multigraph
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +70,7 @@ class TestDocumentShape:
 
     def test_json_roundtrip(self, petersen_cert):
         doc = json.loads(petersen_cert.to_json())
-        assert Certificate.from_doc(doc) == petersen_cert
+        assert doc == petersen_cert.to_doc()
         assert verify_certificate(doc) == []
 
     def test_paths(self, petersen_cert, k4_cert):
@@ -83,13 +81,8 @@ class TestDocumentShape:
         assert k4_cert.c2 == ()
 
     def test_host_graph_parses(self, petersen_cert):
-        g = petersen_cert.host_graph()
-        assert g.n == 10 and g.m == 15
-
-    def test_from_doc_rejects_malformed(self, doc):
-        del doc["coverage"]
-        with pytest.raises(ValueError):
-            Certificate.from_doc(doc)
+        g = parse_graph6(petersen_cert.graph6)
+        assert (g.n, g.m) == (petersen_cert.n, petersen_cert.m) == (10, 15)
 
 
 class TestBuildGate:
@@ -106,8 +99,8 @@ class TestBuildGate:
 def replace_one_element(g, cdc):
     """The cover with its first element swapped for an even subgraph that
     is not in it."""
-    other = next(c for c in enumerate_circuits(g) if c not in cdc.elements)
-    return Cdc(g, (other,) + cdc.elements[1:])
+    other = next(c for c in enumerate_circuits(g) if c not in cdc)
+    return (other,) + cdc[1:]
 
 
 def flip_bit_plane(planes, e):
@@ -123,7 +116,7 @@ def unchecked_extend(g, covers, planes):
     once = coverage_masks([c.mask for c in covers])[0]
     s1, s2 = planes
     lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
-    return Cdc(g, tuple(lifted) + tuple(c for c in covers if c))
+    return tuple(lifted) + tuple(c for c in covers if c)
 
 
 class TestSearchGate:
@@ -165,7 +158,7 @@ class TestSearchGate:
         doc = copy.deepcopy(petersen_cert.to_doc())
         doc["cdc"] = [list(el.ids()) for el in cdc]
         # A consistent stored tally, so only the cover itself can fail.
-        doc["coverage"] = list(verify_cdc(cdc.host, cdc).coverage)
+        doc["coverage"] = list(verify_cdc(cdc[0].host, cdc).coverage)
         return doc
 
     def witness(self, petersen_cert):
@@ -269,14 +262,15 @@ class TestCertificateFrame:
                 paths[cert.path, cert.c2 == (), cert.matching == ()] += 1
         assert paths == {("m-empty", True, True): 983, ("theorem2", False, False): 57}
 
-    def test_coverage_other_than_the_frames(self, doc):
-        doc["coverage"][3] = 1
-        doc["coverage"][7] = 3
-        cert = Certificate.from_doc(doc)
+    def test_coverage_other_than_the_frames(self, petersen_cert):
+        coverage = list(petersen_cert.coverage)
+        coverage[3] = 1
+        coverage[7] = 3
+        cert = dataclasses.replace(petersen_cert, coverage=tuple(coverage))
         text = dump_json(cert.to_doc()) + "\n"
         assert cert.to_json() == text
         assert graph_frame(petersen_graph()).render(cert) == text
-        assert json.loads(text)["coverage"] == doc["coverage"]
+        assert json.loads(text)["coverage"] == coverage
 
     def test_two_digit_ids_of_j15(self):
         # J15 has 90 edges, so most ids take two digits; a search past the
@@ -329,7 +323,7 @@ class TestCertificateFrame:
         assert [list(certs) for certs in serial] == [list(certs) for certs in parallel]
         for certs, other in zip(serial, parallel):
             for name, text in certs.items():
-                assert text == dump_json(Certificate.from_doc(json.loads(text)).to_doc()) + "\n"
+                assert text == dump_json(json.loads(text)) + "\n"
                 assert untimed(text) == untimed(other[name])
 
 

@@ -14,13 +14,12 @@ from cdc5 import (
     MultiGraph,
     cycle_space_basis,
     enumerate_circuits,
-    petersen_graph,
     verify_certificate,
     write_graph6,
 )
 from cdc5.cli import main
 
-from .oracles import bridged_cubic_graph, complete_graph, prism_graph
+from .oracles import bridged_cubic_graph, complete_graph, petersen_graph, prism_graph
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
@@ -46,6 +45,15 @@ def small_batch_file(tmp_path):
     path = tmp_path / "batch.g6"
     lines = [write_graph6(complete_graph(4)), write_graph6(prism_graph())]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return str(path)
+
+
+@pytest.fixture()
+def edgeless_file(tmp_path):
+    """The graph6 line '?', the graph with no vertices: cubic, but with no
+    edge for a cover element to hold."""
+    path = tmp_path / "edgeless.g6"
+    path.write_text("?\n", encoding="ascii")
     return str(path)
 
 
@@ -132,6 +140,12 @@ class TestFind:
             encoding="ascii",
         )
         assert main(["find", "--graph", str(path)]) == 2
+
+    def test_edgeless_graph_is_usage_error(self, edgeless_file, tmp_path, capsys):
+        assert main(["find", "--graph", edgeless_file, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has no edges, so no cover element can contain c0\n"
 
     def test_dim_guard_is_inconclusive(self, petersen_file, capsys):
         code = main(["find", "--graph", petersen_file, "--dim-guard", "5"])
@@ -278,6 +292,12 @@ class TestStats:
         assert main(["stats", "--graph", undecodable_file]) == 2
         assert "not an ASCII graph6 file" in capsys.readouterr().err
 
+    def test_edgeless_graph(self, edgeless_file, capsys):
+        assert main(["stats", "--graph", edgeless_file]) == 0
+        assert capsys.readouterr().out == (
+            "graph 0 (?): n=0 m=0 cubic=yes bridges=0 dim=0 circuits=0 nz4flow=yes\n"
+        )
+
     def test_comment_lines_skipped(self, tmp_path, capsys):
         path = tmp_path / "commented.g6"
         path.write_text(">comment line\n>>graph6<<C~\n", encoding="ascii")
@@ -330,6 +350,15 @@ class TestSweep:
         assert report["graphs"][0]["status"] == "rejected"
         assert "bridge" in report["graphs"][0]["reason"]
         assert report["graphs"][1]["status"] == "ok"
+
+    def test_edgeless_graph_has_no_circuits(self, edgeless_file, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--graph", edgeless_file, "--out", out, "--workers", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "graph 0 (?): 0 found, 0 none, 0 inconclusive\n"
+            "total: 0 found, 0 none, 0 inconclusive\n"
+        )
+        assert read_json(os.path.join(out, "report.json"))["graphs"][0]["circuits"] == []
 
     def test_unreadable_line_reported(self, tmp_path):
         path = tmp_path / "bad.g6"

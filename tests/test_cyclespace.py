@@ -9,10 +9,8 @@ from cdc5 import (
     canonical_masks,
     cycle_space_basis,
     enumerate_circuits,
-    enumerate_even_subgraphs,
     is_even_subgraph,
     parse_graph6,
-    petersen_graph,
 )
 
 from .oracles import (
@@ -20,9 +18,11 @@ from .oracles import (
     circuit_subsets,
     complete_graph,
     edge_set_connected,
+    enumerate_even_subgraphs,
     even_subsets,
     filtered_circuits,
     is_circuit,
+    petersen_graph,
     prism_graph,
     random_cubic_multigraph,
     theta_multigraph,

@@ -11,7 +11,6 @@ from cdc5 import (
     flow_planes,
     has_nz4flow,
     is_flow,
-    is_matching,
     three_edge_color,
 )
 from cdc5.cyclespace import EvenLayers
@@ -25,6 +24,7 @@ from .oracles import (
     complete_graph,
     flower_snark,
     is_circuit,
+    loop_is_matching,
     minus,
     plane_values,
     prism_graph,
@@ -188,7 +188,7 @@ class TestFailedStateMemo:
                 for k in (1, 2):
                     for pair in combinations([e for e in range(g.m) if c >> e & 1], k):
                         drop = sum(1 << e for e in pair)
-                        if not is_matching(g, EdgeSet(g, drop)):
+                        if not loop_is_matching(g, drop):
                             continue
                         h, _ = _suppress(g, drop)
                         if bridges(h):
@@ -371,11 +371,11 @@ class TestFlowPlanes:
         bridged = [
             drop
             for drop in range(1 << g.m)
-            if is_matching(g, EdgeSet(g, drop)) and bridges(minus(g, drop)[0])
+            if loop_is_matching(g, drop) and bridges(minus(g, drop)[0])
         ]
         assert bridged == [1 << 6 | 1 << 7, 1 << 6 | 1 << 8, 1 << 7 | 1 << 8]
         for drop in range(1 << g.m):
-            if is_matching(g, EdgeSet(g, drop)) and drop.bit_count() <= 2:
+            if loop_is_matching(g, drop) and drop.bit_count() <= 2:
                 assert (flow_planes(g, drop) is None) == (drop in bridged)
 
     def test_is_flow_agrees_with_verify_flow(self, catalog):
@@ -388,7 +388,7 @@ class TestFlowPlanes:
         for g in catalog:
             singles = [1 << e for e in range(g.m)]
             for drop in [0] + singles + [a | b for a, b in combinations(singles, 2)]:
-                if not is_matching(g, EdgeSet(g, drop)):
+                if not loop_is_matching(g, drop):
                     continue
                 h, kept = minus(g, drop)
 

@@ -14,9 +14,7 @@ from cdc5 import (
     flow_planes,
     is_even_subgraph,
     is_flow,
-    is_matching,
     parse_graph6,
-    petersen_graph,
     write_graph6,
 )
 from cdc5.flows import _suppress
@@ -31,6 +29,7 @@ from .oracles import (
     loop_is_even_subgraph,
     loop_is_flow,
     loop_is_matching,
+    petersen_graph,
     prism_graph,
     random_cubic_multigraph,
     subdivide,
@@ -120,27 +119,23 @@ class TestEdgeSet:
 
 
 class TestIsMatching:
+    """A mask is a matching when vertex_faults sets no shared bit for it."""
+
     def test_disjoint_pair_is_matching(self):
         g = complete_graph(4)
         # ids: (0,1)=0 (0,2)=1 (1,2)=2 (0,3)=3 (1,3)=4 (2,3)=5
-        assert is_matching(g, EdgeSet.of(g, [0, 5]))
+        assert not vertex_faults(g, [EdgeSet.of(g, [0, 5]).mask])[1]
 
     def test_shared_endpoint_is_not(self):
         g = complete_graph(4)
-        assert not is_matching(g, EdgeSet.of(g, [0, 2]))
+        assert vertex_faults(g, [EdgeSet.of(g, [0, 2]).mask])[1]
 
     def test_empty_is_vacuously_matching(self):
-        g = complete_graph(4)
-        assert is_matching(g, EdgeSet.empty(g))
+        assert not vertex_faults(complete_graph(4), [0])[1]
 
     def test_loops_never_match(self):
         g = MultiGraph(2, [(0, 1), (1, 1)])
-        assert not is_matching(g, EdgeSet.of(g, [1]))
-
-    def test_wrong_host_rejected(self):
-        g = complete_graph(4)
-        with pytest.raises(ValueError):
-            is_matching(g, EdgeSet.empty(complete_graph(4)))
+        assert vertex_faults(g, [EdgeSet.of(g, [1]).mask])[1]
 
 
 def random_pairing(degrees: list[int], seed: int) -> MultiGraph:
@@ -206,7 +201,6 @@ class TestVertexFaults:
             assert (not (odd | crowded) >> i & 1) == even
             assert (not shared >> i & 1) == matching
             assert is_even_subgraph(g, EdgeSet(g, x)) == even
-            assert is_matching(g, EdgeSet(g, x)) == matching
             counts = [(x & ~g.loop_mask() & vm).bit_count() for vm in g.vertex_masks]
             if not x & g.loop_mask():
                 assert bool(odd >> i & 1) == any(c & 1 for c in counts)

@@ -4,14 +4,19 @@ from cdc5 import (
     CapacityError,
     EdgeSet,
     MultiGraph,
-    brute_force_cdc,
     contains_element_superset,
     cycle_space_basis,
-    enumerate_even_subgraphs,
     verify_cdc,
 )
 
-from .oracles import bridged_cubic_graph, complete_graph, prism_graph, theta_multigraph
+from .oracles import (
+    bridged_cubic_graph,
+    brute_force_cdc,
+    complete_graph,
+    enumerate_even_subgraphs,
+    prism_graph,
+    theta_multigraph,
+)
 
 
 def reference_first_cdc(g, c0, max_elements):
@@ -104,7 +109,7 @@ def test_prescription_with_bridge_is_hopeless():
 
 def test_edgeless_graph_trivial_cases():
     g = MultiGraph(3, [])
-    assert list(brute_force_cdc(g, EdgeSet.empty(g))) == []
+    assert brute_force_cdc(g, EdgeSet.empty(g)) == ()
 
 
 def test_dimension_guard(snarks):

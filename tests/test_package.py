@@ -1,7 +1,78 @@
+import ast
+import pathlib
+import subprocess
+import sys
+
 import cdc5
+
+SRC = pathlib.Path(cdc5.__file__).parent
+
+# The engine's public names: the search, the sweep, the certificate and its
+# check, the cover and flow layers they are built on, and the errors.
+PUBLIC_API = [
+    "CapacityError",
+    "CdcReport",
+    "Certificate",
+    "ConditionError",
+    "CycleBasis",
+    "EdgeSet",
+    "Graph6Error",
+    "InvariantViolationError",
+    "MultiGraph",
+    "PreconditionError",
+    "SearchContext",
+    "SearchOptions",
+    "Sweep",
+    "UnsupportedFormatError",
+    "bridges",
+    "build_certificate",
+    "canonical_masks",
+    "components",
+    "contains_element_superset",
+    "cycle_space_basis",
+    "enumerate_circuits",
+    "extend_to_cdc",
+    "find_5cdc_containing",
+    "flow_planes",
+    "has_nz4flow",
+    "is_even_subgraph",
+    "is_flow",
+    "parse_graph6",
+    "three_edge_color",
+    "verify_cdc",
+    "verify_certificate",
+    "write_graph6",
+]
 
 
 def test_every_export_resolves_once():
     assert len(cdc5.__all__) == len(set(cdc5.__all__))
     for name in cdc5.__all__:
         assert getattr(cdc5, name, None) is not None, name
+
+
+def test_public_api_is_pinned():
+    assert cdc5.__all__ == PUBLIC_API
+
+
+def test_import_loads_no_oracle():
+    # A fresh interpreter, so no test module has imported anything yet.
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cdc5; print(*sorted(sys.modules))"],
+        cwd=SRC.parent, check=True, capture_output=True, text=True,
+    ).stdout
+    modules = out.split()
+    assert "cdc5.search" in modules and "cdc5.oracle" not in modules
+    assert not (SRC / "oracle.py").exists()
+
+
+def test_no_engine_module_imports_the_tests():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "tests" or n.startswith("tests.") for n in names), path

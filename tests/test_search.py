@@ -17,12 +17,9 @@ from cdc5 import (
     canonical_masks,
     cycle_space_basis,
     enumerate_circuits,
-    enumerate_even_subgraphs,
     extend_to_cdc,
     find_5cdc_containing,
     flow_planes,
-    is_matching,
-    petersen_graph,
     verify_certificate,
 )
 
@@ -33,8 +30,10 @@ from .conftest import sweep_graph
 from .oracles import (
     bridged_cubic_graph,
     complete_graph,
+    enumerate_even_subgraphs,
     flower_snark,
     is_circuit,
+    loop_is_matching,
     prism_graph,
     random_cubic_multigraph,
     shuffled,
@@ -95,7 +94,7 @@ class TestFindOnPetersen:
         c2 = EdgeSet.of(petersen, cert.c2)
         m_set = EdgeSet.of(petersen, cert.matching)
         assert c1 & c2 == m_set
-        assert is_matching(petersen, m_set)
+        assert loop_is_matching(petersen, m_set.mask)
         assert flow_planes(petersen, m_set.mask) is not None
 
     def test_deterministic_across_runs(self, petersen):
@@ -121,6 +120,15 @@ class TestFindPreconditions:
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
         with pytest.raises(PreconditionError):
             find_5cdc_containing(g, EdgeSet.empty(g))
+
+    def test_edgeless_host_rejected(self):
+        # The graph with no vertices is cubic, but no cover element of it
+        # can contain c0, so it is refused before the search.
+        g = MultiGraph(0, [])
+        with pytest.raises(PreconditionError):
+            find_5cdc_containing(g, EdgeSet.empty(g))
+        with pytest.raises(PreconditionError):
+            SearchContext(g)
 
     def test_odd_prescription_rejected(self):
         g = complete_graph(4)
@@ -355,13 +363,13 @@ def reference_search(g, c0, context, canonical=None):
         for c2 in reference_c2_order(c1, canonical):
             tried += 1
             overlap = c1 & c2
-            if len(overlap) * 2 > g.n or not is_matching(g, overlap):
+            if len(overlap) * 2 > g.n or not loop_is_matching(g, overlap.mask):
                 continue
             planes = context.flow_minus(overlap.mask)
             if planes is None:
                 continue
             cdc = extend_to_cdc(g, [c for c in (c1, c2) if c], planes)
-            return build_certificate(g, c0, c1, c2, overlap, cdc.elements, tried, 0)
+            return build_certificate(g, c0, c1, c2, overlap, cdc, tried, 0)
     return None
 
 
@@ -451,7 +459,7 @@ class TestOverlapBuckets:
             assert [count() * share for count, _ in got] == sizes
             for k, (_, matchings) in enumerate(got):
                 want = [EdgeSet(g, m) for m in overlaps[k]]
-                want = sorted((m for m in want if is_matching(g, m)), key=EdgeSet.ids)
+                want = sorted((m for m in want if loop_is_matching(g, m.mask)), key=EdgeSet.ids)
                 assert matchings == [m.mask for m in want]
 
     def test_catalog(self, catalog):
