@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the 3-edge-colorer against the one that trailed every colored edge.
+"""Check the 3-edge-colorer and the cubic flow decision against references.
 
 Runs `cdc5 sweep --workers 1` over tests/data/snarks.g6 and over the
 catalog tests/data/cubic_bridgeless_connected_n4_10.g6, in process, with
@@ -8,8 +8,10 @@ recorded.  To those it adds the flower snarks J3-J15 in their own
 labelling, in three seeded shuffles and breadth-first from each of the
 four vertex classes (tests/oracles.py).  Every host is colored by the
 engine and by trail_three_edge_color, the colorer as it was when each
-colored edge took a trail entry, and the two answers must be equal.  It
-prints the counts and the run time, and exits with status 1 when any
+colored edge took a trail entry, and the two answers must be equal.  Every
+host is also decided by has_nz4flow, which takes a cubic graph as it is,
+and by flow_planes, which suppresses it first, and the two must agree.
+It prints the counts and the run time, and exits with status 1 when any
 answer differs.
 
 Run it from the root of a source checkout:
@@ -84,12 +86,20 @@ def main() -> int:
         for name, g in hosts.items()
         if cdc5.flows.three_edge_color(g) != trail_three_edge_color(g)
     ]
+    disagreements = [
+        name
+        for name, g in hosts.items()
+        if cdc5.flows.has_nz4flow(g) != (cdc5.flows.flow_planes(g) is not None)
+    ]
     elapsed = time.monotonic() - started
     print(f"hosts: {len(hosts)}, differences: {len(differences)}")
+    print(f"decisions: {len(hosts)}, differences: {len(disagreements)}")
     print(f"from the sweeps: {len(swept)}, time: {elapsed:.1f} s")
     for name in differences:
         print(f"  differs: {name}")
-    return 1 if differences else 0
+    for name in disagreements:
+        print(f"  decided differently: {name}")
+    return 1 if differences or disagreements else 0
 
 
 if __name__ == "__main__":

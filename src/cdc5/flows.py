@@ -192,22 +192,17 @@ def _suppress(g: MultiGraph, drop: int) -> tuple[MultiGraph, list[int]]:
     return MultiGraph(len(branch), edges), chains
 
 
-def flow_planes(g: MultiGraph, drop: int = 0) -> Optional[Planes]:
-    """The bit planes (S1, S2) of the first nowhere-zero 4-flow of G - drop,
-    as masks over g's edge ids, or None when it has none.  drop is a mask
-    of g's edges; every degree of G - drop must be 2 or 3.
-
-    A bridge rules a flow out.  Otherwise each component of the suppressed
-    graph (_suppress) is 3-edge-colored, and color c gives its edge's chain
-    the value c + 1: color 0 puts the chain in S1, color 1 in S2 and color
-    2 in both.  The circuit components get the value 1, in S1.  The planes
-    are checked with is_flow before they are returned.
-    """
-    suppressed, chains = _suppress(g, drop)
-    if bridges(suppressed):
+def _planes(g: MultiGraph, drop: int, host: MultiGraph, chains: list[int]) -> Optional[Planes]:
+    """flow_planes decided on host, a 3-regular graph whose edge e stands
+    for the chain of g's edges chains[e].  A bridge rules a flow out.
+    Otherwise each component of host is 3-edge-colored, and color c gives
+    its edge's chain the value c + 1: color 0 puts the chain in S1, color 1
+    in S2 and color 2 in both.  The edges on no chain get the value 1, in
+    S1.  The planes are checked with is_flow before they are returned."""
+    if bridges(host):
         return None
     s1 = s2 = 0
-    for sub, edge_ids in _component_subgraphs(suppressed):
+    for sub, edge_ids in _component_subgraphs(host):
         colors = three_edge_color(sub)
         if colors is None:
             return None
@@ -222,8 +217,20 @@ def flow_planes(g: MultiGraph, drop: int = 0) -> Optional[Planes]:
     return s1, s2
 
 
+def flow_planes(g: MultiGraph, drop: int = 0) -> Optional[Planes]:
+    """The bit planes (S1, S2) of the first nowhere-zero 4-flow of G - drop,
+    as masks over g's edge ids, or None when it has none.  drop is a mask
+    of g's edges; every degree of G - drop must be 2 or 3.  The flow is
+    found on the graph G - drop suppresses to, in _suppress' edge order."""
+    return _planes(g, drop, *_suppress(g, drop))
+
+
 def has_nz4flow(g: MultiGraph) -> bool:
-    """Decide whether g (degrees 2 and 3) admits a nowhere-zero 4-flow."""
+    """Decide whether g (degrees 2 and 3) admits a nowhere-zero 4-flow.  A
+    cubic g is its own suppressed graph but for the edge order, which the
+    answer does not depend on, so it is decided on itself."""
+    if g.is_cubic():
+        return _planes(g, 0, g, [1 << e for e in range(g.m)]) is not None
     return flow_planes(g) is not None
 
 

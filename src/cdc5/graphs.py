@@ -28,31 +28,32 @@ class MultiGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        edge_list = tuple((int(u), int(v)) for u, v in edges)
+        edge_list = tuple([(int(u), int(v)) for u, v in edges])
         incident = [[] for _ in range(n)]
-        degrees = [0] * n
         vertex_masks = [0] * n
         loop_mask = 0
         for e, (u, v) in enumerate(edge_list):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} endpoint out of range: ({u}, {v})")
+            bit = 1 << e
             incident[u].append(e)
-            degrees[u] += 1
-            vertex_masks[u] |= 1 << e
+            vertex_masks[u] |= bit
             if v == u:
-                degrees[u] += 1
-                loop_mask |= 1 << e
+                loop_mask |= bit
             else:
                 incident[v].append(e)
-                degrees[v] += 1
-                vertex_masks[v] |= 1 << e
+                vertex_masks[v] |= bit
+        # A loop is listed once at its vertex and counts twice.
+        degrees = [
+            len(inc) + (vm & loop_mask).bit_count() for inc, vm in zip(incident, vertex_masks)
+        ]
         self.n = n
         self._edges = edge_list
         self._incident = tuple(tuple(x) for x in incident)
         self._degrees = tuple(degrees)
         self._vertex_masks = tuple(vertex_masks)
         self._loop_mask = loop_mask
-        self._cubic = all(d == 3 for d in degrees)
+        self._cubic = degrees.count(3) == n
         self._tally = None  # vertex_faults' tables
 
     @property
@@ -337,50 +338,41 @@ def check_graph6_writable(g: MultiGraph) -> None:
 
 
 def bridges(g: MultiGraph) -> EdgeSet:
-    """All bridges of g, found with one depth-first lowlink pass.
+    """All bridges of g, read off a breadth-first spanning forest.
 
-    Loops are never bridges, and a parallel copy of the tree edge acts as a
-    back edge, so only the entering edge identifier is skipped at each step.
+    path[v] is the mask of the tree path from v to its root.  The tree
+    path between the ends u, w of an edge outside the forest is
+    path[u] ^ path[w], and with that edge it closes a cycle; a tree edge is
+    a bridge exactly when no such cycle covers it.  A loop covers nothing,
+    and a parallel copy of a tree edge covers its twin.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out = 0
-    timer = 0
+    edges, incident = g._edges, g._incident
+    path = [-1] * g.n  # -1: not reached yet
+    tree = 0
     for root in range(g.n):
-        if disc[root] != -1:
+        if path[root] >= 0:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [[root, -1, 0]]
-        while stack:
-            frame = stack[-1]
-            v, ein, i = frame
-            inc = g.incident(v)
-            if i < len(inc):
-                frame[2] += 1
-                e = inc[i]
-                if e == ein or g.is_loop(e):
-                    continue
-                x = g.other_end(e, v)
-                if disc[x] == -1:
-                    disc[x] = low[x] = timer
-                    timer += 1
-                    stack.append([x, e, 0])
-                elif disc[x] < low[v]:
-                    low[v] = disc[x]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        out |= 1 << ein
-    return EdgeSet(g, out)
+        path[root] = 0
+        queue = [root]
+        for v in queue:
+            for e in incident[v]:
+                u, x = edges[e]
+                if x == v:
+                    x = u
+                if path[x] < 0:
+                    path[x] = path[v] | 1 << e
+                    tree |= 1 << e
+                    queue.append(x)
+    covered = 0
+    for e, (u, w) in enumerate(edges):
+        if not tree >> e & 1:
+            covered |= path[u] ^ path[w]
+    return EdgeSet(g, tree & ~covered)
 
 
 def components(g: MultiGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
+    edges, incident = g._edges, g._incident
     seen = [False] * g.n
     out = []
     for root in range(g.n):
@@ -388,14 +380,13 @@ def components(g: MultiGraph) -> list[list[int]]:
             continue
         seen[root] = True
         comp = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for e in g.incident(v):
-                x = g.other_end(e, v)
+        for v in comp:
+            for e in incident[v]:
+                u, x = edges[e]
+                if x == v:
+                    x = u
                 if not seen[x]:
                     seen[x] = True
                     comp.append(x)
-                    queue.append(x)
         out.append(sorted(comp))
     return out

@@ -5,6 +5,7 @@ import pytest
 
 from cdc5 import (
     EdgeSet,
+    InvariantViolationError,
     MultiGraph,
     PreconditionError,
     bridges,
@@ -13,6 +14,7 @@ from cdc5 import (
     is_flow,
     three_edge_color,
 )
+from cdc5 import flows
 from cdc5.cyclespace import EvenLayers
 from cdc5.flows import _component_subgraphs, _dead_key, _suppress
 
@@ -26,6 +28,7 @@ from .oracles import (
     is_circuit,
     loop_is_matching,
     minus,
+    petersen_graph,
     plane_values,
     prism_graph,
     random_cubic_multigraph,
@@ -250,6 +253,64 @@ class TestHasNz4Flow:
             has_nz4flow(complete_graph(5))
         with pytest.raises(PreconditionError):
             has_nz4flow(MultiGraph(2, [(0, 1)]))
+
+
+def disjoint_union(*graphs) -> MultiGraph:
+    base, edges = 0, []
+    for g in graphs:
+        edges += [(u + base, v + base) for u, v in g.edges]
+        base += g.n
+    return MultiGraph(base, edges)
+
+
+def cubic_hosts(catalog, snarks) -> list[MultiGraph]:
+    """Cubic graphs of every kind has_nz4flow decides on themselves."""
+    hosts = list(catalog) + list(snarks)
+    for k in range(3, 14):
+        g = flower_snark(k)
+        hosts += [g] + [shuffled(g, seed) for seed in (1, 2)]
+        hosts += [breadth_first(g, c, k) for c in range(4)]
+    hosts += [random_cubic_multigraph(n, seed) for n in (2, 4, 8, 12, 16) for seed in range(4)]
+    k4, petersen = complete_graph(4), petersen_graph()
+    hosts += [
+        disjoint_union(k4, k4),
+        disjoint_union(k4, petersen),
+        disjoint_union(theta_multigraph(), prism_graph(), flower_snark(4)),
+        disjoint_union(flower_snark(5), k4),
+        bridged_cubic_graph(),
+        bridged_cubic_multigraph(),
+        disjoint_union(k4, bridged_cubic_graph()),
+        MultiGraph(2, [(0, 0), (0, 1), (1, 1)]),
+        MultiGraph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)]),
+        disjoint_union(MultiGraph(2, [(0, 0), (0, 1), (1, 1)]), k4),
+        MultiGraph(0, []),
+    ]
+    return hosts
+
+
+class TestCubicDecision:
+    """has_nz4flow decides a cubic graph on the graph itself, with the
+    same answer as flow_planes on its suppressed copy."""
+
+    def test_agrees_with_flow_planes_without_suppressing(self, catalog, snarks, monkeypatch):
+        def refuse(g, drop):
+            raise AssertionError("a cubic graph was suppressed")
+
+        hosts = cubic_hosts(catalog, snarks)
+        assert all(g.is_cubic() for g in hosts)
+        expected = [flow_planes(g) is not None for g in hosts]
+        assert True in expected and False in expected
+        monkeypatch.setattr(flows, "_suppress", refuse)
+        assert [has_nz4flow(g) for g in hosts] == expected
+        with pytest.raises(AssertionError):
+            has_nz4flow(subdivide(complete_graph(4), 0))
+
+    def test_planes_are_still_checked(self, monkeypatch):
+        monkeypatch.setattr(flows, "is_flow", lambda g, drop, s1, s2: False)
+        with pytest.raises(InvariantViolationError):
+            has_nz4flow(complete_graph(4))
+        with pytest.raises(InvariantViolationError):
+            has_nz4flow(subdivide(complete_graph(4), 0))
 
 
 class TestFindNz4Flow:

@@ -408,6 +408,93 @@ class TestComponents:
         assert components(MultiGraph(0, [])) == []
 
 
+def random_multigraph(seed: int) -> MultiGraph:
+    """A seeded random multigraph on 0-30 vertices: its vertices are split
+    into one to four blocks with edges only inside a block, so it has
+    several components and isolated vertices, and some edges are loops or
+    parallel copies.  Every fifth one is a union of random cubic pairings."""
+    rng = random.Random(seed)
+    n = rng.randrange(31)
+    if seed % 5 == 0 and n:
+        base, edges = 0, []
+        for _ in range(rng.randrange(1, 4)):
+            part = random_pairing([3] * 2 * rng.randrange(1, 5), rng.randrange(10**6))
+            edges += [(u + base, v + base) for u, v in part.edges]
+            base += part.n
+        return MultiGraph(base, edges)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randrange(4)))) if n > 1 else []
+    blocks = [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    edges = []
+    for _ in range(rng.randrange(2 * n + 1)):
+        block = rng.choice(blocks)
+        kind = rng.random()
+        if kind < 0.1 and edges:
+            edges.append(rng.choice(edges))  # a parallel copy
+        elif kind < 0.2:
+            v = rng.choice(block)
+            edges.append((v, v))
+        else:
+            edges.append((rng.choice(block), rng.choice(block)))
+    return MultiGraph(n, edges)
+
+
+def flood_fill_components(g: MultiGraph) -> list[list[int]]:
+    """Components by a plain flood fill over neighbour sets."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    out, seen = [], set()
+    for root in range(g.n):
+        if root in seen:
+            continue
+        comp, todo = {root}, [root]
+        while todo:
+            for w in nbrs[todo.pop()] - comp:
+                comp.add(w)
+                todo.append(w)
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+class TestKernelsOnRandomMultigraphs:
+    """bridges, components and the MultiGraph tables against per-edge
+    references on about 300 seeded random multigraphs."""
+
+    GRAPHS = [random_multigraph(seed) for seed in range(300)]
+
+    def test_the_graphs_have_every_feature(self):
+        assert {g.n for g in self.GRAPHS} >= {0, 1, 30}
+        assert sum(bool(g.loop_mask()) for g in self.GRAPHS) > 100
+        assert sum(not g.is_simple() and not g.loop_mask() for g in self.GRAPHS) > 5
+        assert sum(len(components(g)) > 2 for g in self.GRAPHS) > 100
+        assert sum(any(g.degree(v) == 0 for v in range(g.n)) for g in self.GRAPHS) > 100
+        assert sum(g.is_cubic() and g.n > 0 for g in self.GRAPHS) > 30
+        assert sum(bool(brute_bridges(g)) for g in self.GRAPHS) > 100
+
+    def test_bridges_agree_with_removal_oracle(self):
+        for g in self.GRAPHS:
+            assert list(bridges(g).ids()) == brute_bridges(g)
+
+    def test_components_agree_with_flood_fill(self):
+        for g in self.GRAPHS:
+            assert components(g) == flood_fill_components(g)
+
+    def test_tables_agree_with_per_edge_reference(self):
+        for g in self.GRAPHS:
+            degrees = [sum((u == v) + (w == v) for u, w in g.edges) for v in range(g.n)]
+            incident = [tuple(e for e, ends in enumerate(g.edges) if v in ends) for v in range(g.n)]
+            assert [g.degree(v) for v in range(g.n)] == degrees
+            assert [g.incident(v) for v in range(g.n)] == incident
+            assert list(g.vertex_masks) == [sum(1 << e for e in inc) for inc in incident]
+            assert g.vertex_masks == tuple(g.vertex_mask(v) for v in range(g.n))
+            assert g.loop_mask() == sum(1 << e for e, (u, v) in enumerate(g.edges) if u == v)
+            assert g.is_cubic() == all(d == 3 for d in degrees)
+
+
 class TestSuppression:
     """flows._suppress: the 3-regular graph G - drop suppresses to, and the
     chain of G's edges behind each of its edges."""
