@@ -11,8 +11,10 @@ engine and by trail_three_edge_color, the colorer as it was when each
 colored edge took a trail entry, and the two answers must be equal.  Every
 host is also decided by has_nz4flow, which takes a cubic graph as it is,
 and by flow_planes, which suppresses it first, and the two must agree.
-It prints the counts and the run time, and exits with status 1 when any
-answer differs.
+Last, flow_planes(h, 0), which refutes a flowless cubic host on the host
+itself, must give the planes, None included, that the suppressed walk
+flows._planes(h, 0, *flows._suppress(h, 0)) gives.  It prints the counts
+and the run time, and exits with status 1 when any answer differs.
 
 Run it from the root of a source checkout:
 
@@ -91,15 +93,23 @@ def main() -> int:
         for name, g in hosts.items()
         if cdc5.flows.has_nz4flow(g) != (cdc5.flows.flow_planes(g) is not None)
     ]
+    other_planes = [
+        name
+        for name, g in hosts.items()
+        if cdc5.flows.flow_planes(g, 0) != cdc5.flows._planes(g, 0, *cdc5.flows._suppress(g, 0))
+    ]
     elapsed = time.monotonic() - started
     print(f"hosts: {len(hosts)}, differences: {len(differences)}")
     print(f"decisions: {len(hosts)}, differences: {len(disagreements)}")
+    print(f"planes: {len(hosts)}, differences: {len(other_planes)}")
     print(f"from the sweeps: {len(swept)}, time: {elapsed:.1f} s")
     for name in differences:
         print(f"  differs: {name}")
     for name in disagreements:
         print(f"  decided differently: {name}")
-    return 1 if differences or disagreements else 0
+    for name in other_planes:
+        print(f"  other planes: {name}")
+    return 1 if differences or disagreements or other_planes else 0
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from .certificates import dump_json, verify_certificate
 from .cyclespace import enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, PreconditionError, UnsupportedFormatError
 from .flows import has_nz4flow
-from .graphs import EdgeSet, MultiGraph, bridges, components, parse_graph6
-from .search import SearchOptions, Sweep, find_5cdc_containing
+from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6, spanning_forest
+from .search import SearchContext, SearchOptions, Sweep, find_5cdc_containing
 
 WORKERS_ENV = "CDC5_WORKERS"
 
@@ -244,7 +244,8 @@ def cmd_find(args: argparse.Namespace) -> int:
     _make_out(args.out)
     options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
     try:
-        cert = find_5cdc_containing(g, c0, options)
+        ctx = SearchContext(g)
+        cert = find_5cdc_containing(g, c0, options, ctx)
     except CapacityError as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
@@ -255,7 +256,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
 
     path = os.path.join(args.out, "certificate.json")
-    _write(path, cert.to_json())
+    _write(path, ctx.frame.render(cert))
     if args.format == "json":
         print(
             json.dumps(
@@ -355,7 +356,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             had_error = True
             continue
         # The cycle_space_basis dimension, counted without building the basis.
-        dim = g.m - g.loop_mask().bit_count() - g.n + len(components(g))
+        dim = g.m - g.loop_mask().bit_count() - g.n + spanning_forest(g)[1]
         row.update(
             n=g.n,
             m=g.m,
@@ -368,7 +369,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         row["circuits"] = (
             len(enumerate_circuits(g, args.dim_guard)) if dim <= args.dim_guard else None
         )
-        flow_domain = all(g.degree(v) in (2, 3) for v in range(g.n))
+        flow_domain = g.is_cubic() or all(g.degree(v) in (2, 3) for v in range(g.n))
         row["nz4flow"] = has_nz4flow(g) if flow_domain else None
         rows.append(row)
 

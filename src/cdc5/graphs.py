@@ -22,7 +22,8 @@ class MultiGraph:
     """Immutable multigraph over vertices 0..n-1 with a dense edge list."""
 
     __slots__ = (
-        "n", "_edges", "_incident", "_degrees", "_vertex_masks", "_loop_mask", "_cubic", "_tally"
+        "n", "_edges", "_incident", "_degrees", "_vertex_masks", "_loop_mask", "_cubic", "_tally",
+        "_forest",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -55,6 +56,7 @@ class MultiGraph:
         self._loop_mask = loop_mask
         self._cubic = degrees.count(3) == n
         self._tally = None  # vertex_faults' tables
+        self._forest = None  # spanning_forest's bridge mask and component count
 
     @property
     def m(self) -> int:
@@ -338,20 +340,31 @@ def check_graph6_writable(g: MultiGraph) -> None:
 
 
 def bridges(g: MultiGraph) -> EdgeSet:
-    """All bridges of g, read off a breadth-first spanning forest.
+    """All bridges of g, read off its spanning forest."""
+    return EdgeSet(g, spanning_forest(g)[0])
 
-    path[v] is the mask of the tree path from v to its root.  The tree
-    path between the ends u, w of an edge outside the forest is
-    path[u] ^ path[w], and with that edge it closes a cycle; a tree edge is
-    a bridge exactly when no such cycle covers it.  A loop covers nothing,
-    and a parallel copy of a tree edge covers its twin.
-    """
+
+def spanning_forest(g: MultiGraph) -> tuple[int, int]:
+    """The bridge mask of g and its number of components, read off one
+    breadth-first spanning forest per graph, kept on g.  path[v] is the
+    mask of the tree path from v to its root; an edge outside the forest
+    closes a cycle, path[u] ^ path[w] with its ends u, w, and a tree edge
+    is a bridge exactly when no such cycle covers it.  A loop covers
+    nothing, a parallel copy of a tree edge covers its twin, and each root
+    starts a component."""
+    if g._forest is None:
+        g._forest = _walk_forest(g)
+    return g._forest
+
+
+def _walk_forest(g: MultiGraph) -> tuple[int, int]:
     edges, incident = g._edges, g._incident
     path = [-1] * g.n  # -1: not reached yet
-    tree = 0
+    tree = roots = 0
     for root in range(g.n):
         if path[root] >= 0:
             continue
+        roots += 1
         path[root] = 0
         queue = [root]
         for v in queue:
@@ -367,7 +380,7 @@ def bridges(g: MultiGraph) -> EdgeSet:
     for e, (u, w) in enumerate(edges):
         if not tree >> e & 1:
             covered |= path[u] ^ path[w]
-    return EdgeSet(g, tree & ~covered)
+    return tree & ~covered, roots
 
 
 def components(g: MultiGraph) -> list[list[int]]:

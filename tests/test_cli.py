@@ -8,18 +8,28 @@ import sys
 
 import pytest
 
+import cdc5.certificates
 import cdc5.cli
+import cdc5.flows
+import cdc5.graphs
 import cdc5.search
 from cdc5 import (
     MultiGraph,
     cycle_space_basis,
     enumerate_circuits,
+    parse_graph6,
     verify_certificate,
     write_graph6,
 )
 from cdc5.cli import main
 
-from .oracles import bridged_cubic_graph, complete_graph, petersen_graph, prism_graph
+from .oracles import (
+    bridged_cubic_graph,
+    complete_graph,
+    flower_snark,
+    petersen_graph,
+    prism_graph,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
@@ -146,6 +156,24 @@ class TestFind:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: graph has no edges, so no cover element can contain c0\n"
+
+    def test_one_certificate_frame_per_find(self, petersen_file, tmp_path, monkeypatch):
+        frames = []
+        init = cdc5.certificates.CertificateFrame.__init__
+
+        def counting(frame, *args):
+            frames.append(args)
+            init(frame, *args)
+
+        monkeypatch.setattr(cdc5.certificates.CertificateFrame, "__init__", counting)
+        out = str(tmp_path / "out")
+        args = ["find", "--graph", petersen_file, "--circuit", "0,1,2,3,4", "--out", out]
+        assert main(args) == 0
+        assert len(frames) == 1
+        with open(os.path.join(out, "certificate.json"), "r", encoding="utf-8") as handle:
+            text = handle.read()
+        assert verify_certificate(json.loads(text)) == []
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_dim_guard_is_inconclusive(self, petersen_file, capsys):
         code = main(["find", "--graph", petersen_file, "--dim-guard", "5"])
@@ -297,6 +325,34 @@ class TestStats:
         assert capsys.readouterr().out == (
             "graph 0 (?): n=0 m=0 cubic=yes bridges=0 dim=0 circuits=0 nz4flow=yes\n"
         )
+
+    @pytest.mark.parametrize("connected", [True, False], ids=["j9", "k4-and-petersen"])
+    def test_a_row_walks_one_forest(self, connected, tmp_path, monkeypatch, capsys):
+        # One breadth-first forest per row serves the bridges, the dimension
+        # and the flow decision; a connected row never lists its components.
+        if connected:
+            g = flower_snark(9)
+        else:
+            petersen = [(u + 4, v + 4) for u, v in petersen_graph().edges]
+            g = MultiGraph(14, list(complete_graph(4).edges) + petersen)
+        line = write_graph6(g)
+        path = tmp_path / "host.g6"
+        path.write_text(line + "\n", encoding="ascii")
+        walked = []
+        walk = cdc5.graphs._walk_forest
+        monkeypatch.setattr(cdc5.graphs, "_walk_forest", lambda h: walked.append(h) or walk(h))
+        if connected:
+            def refuse(h):
+                raise AssertionError("a connected graph's components were listed")
+
+            for module in (cdc5.graphs, cdc5.flows, cdc5.cli, cdc5.search):
+                if hasattr(module, "components"):
+                    monkeypatch.setattr(module, "components", refuse)
+        assert main(["stats", "--graph", str(path), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["graphs"]
+        assert walked == [parse_graph6(line)]
+        assert row["bridges"] == 0 and row["nz4flow"] is False
+        assert row["cyclespace_dim"] == cycle_space_basis(g).dim == (19 if connected else 9)
 
     def test_comment_lines_skipped(self, tmp_path, capsys):
         path = tmp_path / "commented.g6"

@@ -91,6 +91,20 @@ class TestThreeEdgeColor:
         with pytest.raises(PreconditionError):
             three_edge_color(MultiGraph(2, [(0, 1)]))
 
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (MultiGraph(2, [(0, 1)]), "vertex 0 has degree 1"),
+            (complete_graph(5), "vertex 0 has degree 4"),
+            (subdivide(complete_graph(4), 0), "vertex 4 has degree 2"),
+            (MultiGraph(3, [(0, 1), (0, 1), (0, 1), (1, 2)]), "vertex 1 has degree 4"),
+        ],
+    )
+    def test_non_cubic_message_names_the_first_vertex(self, g, message):
+        with pytest.raises(PreconditionError) as info:
+            three_edge_color(g)
+        assert str(info.value) == message + "; 3-edge-coloring needs a 3-regular graph"
+
     def test_same_color_forced_on_adjacent_edges_backtracks(self):
         # After the first two branches, edges 9 = (4, 5) and 11 = (5, 7)
         # both have color 1 as their only free color, and later the
@@ -304,6 +318,37 @@ class TestCubicDecision:
         assert [has_nz4flow(g) for g in hosts] == expected
         with pytest.raises(AssertionError):
             has_nz4flow(subdivide(complete_graph(4), 0))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            bridged_cubic_graph(),
+            bridged_cubic_multigraph(),
+            disjoint_union(complete_graph(4), bridged_cubic_graph()),
+            subdivide(bridged_cubic_graph(), 14, times=3),
+        ],
+        ids=["bridged", "bridged-multigraph", "k4-and-bridged", "subdivided-bridged"],
+    )
+    def test_a_bridge_is_refuted_without_coloring(self, g, monkeypatch):
+        def refuse(h):
+            raise AssertionError("a bridged graph was colored")
+
+        monkeypatch.setattr(flows, "three_edge_color", refuse)
+        assert has_nz4flow(g) is False
+        assert flow_planes(g) is None
+
+    def test_flowless_cubic_graph_is_refuted_without_a_copy(self, snarks, monkeypatch):
+        def refuse(g, drop):
+            raise AssertionError("a flowless cubic graph was suppressed")
+
+        petersen = petersen_graph()
+        monkeypatch.setattr(flows, "_suppress", refuse)
+        for g in [petersen, *snarks, flower_snark(7), disjoint_union(complete_graph(4), petersen)]:
+            assert flow_planes(g, 0) is None
+        with pytest.raises(AssertionError):
+            flow_planes(complete_graph(4), 0)
+        with pytest.raises(AssertionError):
+            flow_planes(petersen, 1)
 
     def test_planes_are_still_checked(self, monkeypatch):
         monkeypatch.setattr(flows, "is_flow", lambda g, drop, s1, s2: False)

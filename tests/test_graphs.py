@@ -17,8 +17,9 @@ from cdc5 import (
     parse_graph6,
     write_graph6,
 )
+from cdc5 import graphs
 from cdc5.flows import _suppress
-from cdc5.graphs import vertex_faults
+from cdc5.graphs import spanning_forest, vertex_faults
 
 from .oracles import (
     bridged_cubic_graph,
@@ -493,6 +494,31 @@ class TestKernelsOnRandomMultigraphs:
             assert g.vertex_masks == tuple(g.vertex_mask(v) for v in range(g.n))
             assert g.loop_mask() == sum(1 << e for e, (u, v) in enumerate(g.edges) if u == v)
             assert g.is_cubic() == all(d == 3 for d in degrees)
+
+    def test_forest_is_walked_once_and_bridges_stay_fresh(self, monkeypatch):
+        # New copies, so that no test before this one has walked them.
+        walked = []
+        walk = graphs._walk_forest
+        monkeypatch.setattr(graphs, "_walk_forest", lambda g: walked.append(g) or walk(g))
+        copies = [MultiGraph(g.n, g.edges) for g in self.GRAPHS]
+        for g in copies:
+            first, second = bridges(g), bridges(g)
+            assert list(first.ids()) == list(second.ids()) == brute_bridges(g)
+            assert first is not second and first.host is g
+            assert spanning_forest(g) == (first.mask, len(flood_fill_components(g)))
+        assert len(walked) == len(copies)
+        assert all(a is b for a, b in zip(walked, copies))
+
+    def test_equal_graphs_keep_separate_forests(self, monkeypatch):
+        walked = []
+        walk = graphs._walk_forest
+        monkeypatch.setattr(graphs, "_walk_forest", lambda g: walked.append(g) or walk(g))
+        g = bridged_cubic_graph()
+        h = MultiGraph(g.n, g.edges)
+        assert g == h and g is not h
+        assert bridges(g).host is g and bridges(h).host is h
+        assert bridges(g).mask == bridges(h).mask != 0
+        assert len(walked) == 2 and walked[0] is g and walked[1] is h
 
 
 class TestSuppression:
