@@ -355,8 +355,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             rows.append(row)
             had_error = True
             continue
-        # The cycle_space_basis dimension, counted without building the basis.
-        dim = g.m - g.loop_mask().bit_count() - g.n + spanning_forest(g)[1]
+        dim = len(spanning_forest(g).chords)
         row.update(
             n=g.n,
             m=g.m,

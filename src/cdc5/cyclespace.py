@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError
-from .graphs import EdgeSet, MultiGraph, vertex_faults
+from .graphs import EdgeSet, MultiGraph, spanning_forest, vertex_faults
 
 
 @dataclass(frozen=True)
@@ -39,57 +39,13 @@ class CycleBasis:
 
 
 def cycle_space_basis(g: MultiGraph) -> CycleBasis:
-    """Basis of the cycle space from a lowest-edge-id spanning forest.
-
-    Edges are scanned in ascending id; an edge joining two components
-    becomes a tree edge, every other non-loop edge is a chord whose
-    fundamental cycle (chord plus tree path) is a basis vector.  So
-    dim = m - #loops - n + #components.
-    """
-    parent = list(range(g.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree_edges = []
-    chords = []
-    for e, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            chords.append(e)
-        else:
-            parent[ru] = rv
-            tree_edges.append(e)
-
-    # path_mask[v]: edges on the forest path from v to its component root
-    adj = [[] for _ in range(g.n)]
-    for e in tree_edges:
-        u, v = g.endpoints(e)
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    path_mask = [None] * g.n
-    for root in range(g.n):
-        if path_mask[root] is not None:
-            continue
-        path_mask[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for e, w in adj[v]:
-                if path_mask[w] is None:
-                    path_mask[w] = path_mask[v] ^ (1 << e)
-                    queue.append(w)
-
-    vectors = []
-    for e in chords:
-        u, v = g.endpoints(e)
-        vectors.append(EdgeSet(g, (1 << e) ^ path_mask[u] ^ path_mask[v]))
-    return CycleBasis(g, tuple(vectors), tuple(chords))
+    """Basis of the cycle space: the fundamental cycles of the chords of
+    g's breadth-first spanning forest (graphs.spanning_forest), chords in
+    ascending order.  So dim = m - #loops - n + #components.  Its users
+    read only the span, through reduced_echelon, whose form is the same
+    for every basis of a space."""
+    forest = spanning_forest(g)
+    return CycleBasis(g, tuple(EdgeSet(g, c) for c in forest.cycles), forest.chords)
 
 
 def is_even_subgraph(g: MultiGraph, s: EdgeSet) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvariantViolationError, PreconditionError
-from .graphs import MultiGraph, bridges, components, spanning_forest, vertex_faults
+from .graphs import MultiGraph, bridges, spanning_forest, vertex_faults
 
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
 Planes = tuple[int, int]  # the bit planes (S1, S2) of a flow, as edge masks
@@ -145,11 +145,14 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
 
 
 def _component_subgraphs(g: MultiGraph):
-    """Yield (subgraph, edge id map back to g) per component, or g if it has at most one."""
-    if spanning_forest(g)[1] <= 1:
+    """Yield (subgraph, edge id map back to g) per component, its vertices
+    numbered in the order the spanning forest reached them, or g if it has
+    at most one."""
+    comps = spanning_forest(g).components
+    if len(comps) <= 1:
         yield g, range(g.m)
         return
-    for comp in components(g):
+    for comp in comps:
         vmap = {v: i for i, v in enumerate(comp)}
         edge_ids = []
         edges = []

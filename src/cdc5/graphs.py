@@ -1,5 +1,5 @@
 """Multigraph core: dense edge identifiers, bit-mask edge sets, graph6 I/O,
-bridges and components.
+and the spanning forest behind bridges, components and the cycle basis.
 
 Vertices are 0..n-1.  Edges carry dense identifiers 0..m-1 in construction
 order and are unordered pairs; loops and parallel edges are allowed
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from binascii import a2b_base64
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Graph6Error, UnsupportedFormatError
 
@@ -56,7 +56,7 @@ class MultiGraph:
         self._loop_mask = loop_mask
         self._cubic = degrees.count(3) == n
         self._tally = None  # vertex_faults' tables
-        self._forest = None  # spanning_forest's bridge mask and component count
+        self._forest = None  # spanning_forest's record
 
     @property
     def m(self) -> int:
@@ -341,30 +341,39 @@ def check_graph6_writable(g: MultiGraph) -> None:
 
 def bridges(g: MultiGraph) -> EdgeSet:
     """All bridges of g, read off its spanning forest."""
-    return EdgeSet(g, spanning_forest(g)[0])
+    return EdgeSet(g, spanning_forest(g).bridges)
 
 
-def spanning_forest(g: MultiGraph) -> tuple[int, int]:
-    """The bridge mask of g and its number of components, read off one
-    breadth-first spanning forest per graph, kept on g.  path[v] is the
-    mask of the tree path from v to its root; an edge outside the forest
-    closes a cycle, path[u] ^ path[w] with its ends u, w, and a tree edge
-    is a bridge exactly when no such cycle covers it.  A loop covers
-    nothing, a parallel copy of a tree edge covers its twin, and each root
-    starts a component."""
+class Forest(NamedTuple):
+    """What one breadth-first spanning forest of a graph shows."""
+
+    bridges: int  # the bridge mask
+    components: tuple[tuple[int, ...], ...]  # each root's vertices, in the order reached
+    chords: tuple[int, ...]  # the non-loop edges outside the forest, ascending
+    cycles: tuple[int, ...]  # the mask of each chord's fundamental cycle
+
+
+def spanning_forest(g: MultiGraph) -> Forest:
+    """The breadth-first spanning forest of g, walked once per graph and
+    kept on g.  Roots are taken in ascending order, so each is the least
+    vertex of its component.  path[v] is the mask of the tree path from v
+    to its root; a chord e with ends u, w closes the fundamental cycle
+    path[u] ^ path[w] | 1 << e, and a tree edge is a bridge exactly when
+    no such cycle covers it.  A loop is neither a tree edge nor a chord,
+    and a parallel copy of a tree edge is a chord whose cycle is the two."""
     if g._forest is None:
         g._forest = _walk_forest(g)
     return g._forest
 
 
-def _walk_forest(g: MultiGraph) -> tuple[int, int]:
+def _walk_forest(g: MultiGraph) -> Forest:
     edges, incident = g._edges, g._incident
     path = [-1] * g.n  # -1: not reached yet
-    tree = roots = 0
+    tree = 0
+    components = []
     for root in range(g.n):
         if path[root] >= 0:
             continue
-        roots += 1
         path[root] = 0
         queue = [root]
         for v in queue:
@@ -376,30 +385,19 @@ def _walk_forest(g: MultiGraph) -> tuple[int, int]:
                     path[x] = path[v] | 1 << e
                     tree |= 1 << e
                     queue.append(x)
+        components.append(tuple(queue))
+    chords, cycles = [], []
     covered = 0
     for e, (u, w) in enumerate(edges):
-        if not tree >> e & 1:
-            covered |= path[u] ^ path[w]
-    return tree & ~covered, roots
+        if u != w and not tree >> e & 1:
+            cycle = path[u] ^ path[w] | 1 << e
+            chords.append(e)
+            cycles.append(cycle)
+            covered |= cycle
+    return Forest(tree & ~covered, tuple(components), tuple(chords), tuple(cycles))
 
 
 def components(g: MultiGraph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    edges, incident = g._edges, g._incident
-    seen = [False] * g.n
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        for v in comp:
-            for e in incident[v]:
-                u, x = edges[e]
-                if x == v:
-                    x = u
-                if not seen[x]:
-                    seen[x] = True
-                    comp.append(x)
-        out.append(sorted(comp))
-    return out
+    """Connected components as sorted vertex lists, ordered by least
+    vertex: the spanning forest's, one per root."""
+    return [sorted(comp) for comp in spanning_forest(g).components]

@@ -12,7 +12,9 @@ from cdc5 import (
     is_even_subgraph,
     parse_graph6,
 )
+from cdc5.graphs import vertex_faults
 
+from . import test_graphs
 from .oracles import (
     bridged_cubic_multigraph,
     circuit_subsets,
@@ -27,6 +29,9 @@ from .oracles import (
     random_cubic_multigraph,
     theta_multigraph,
 )
+
+# Loops, parallel edges, isolated vertices and up to four components.
+RANDOM_MULTIGRAPHS = test_graphs.TestKernelsOnRandomMultigraphs.GRAPHS
 
 SMALL_HOSTS = [
     complete_graph(4),
@@ -55,10 +60,10 @@ class TestBasis:
             assert cycle_space_basis(g).dim == g.m - g.n + 1
 
     def test_dimension_counts_loops_out(self, catalog, snarks):
-        # cdc5 stats reports this count in place of building the basis.
+        # The count of the spanning forest's chords, which cdc5 stats reports.
         from cdc5 import components
 
-        hosts = list(catalog) + list(snarks) + SMALL_HOSTS
+        hosts = list(catalog) + list(snarks) + SMALL_HOSTS + RANDOM_MULTIGRAPHS
         hosts += [random_cubic_multigraph(n, seed) for n in (4, 8, 12) for seed in range(5)]
         hosts += [
             MultiGraph(2, [(0, 1), (1, 1), (0, 1)]),
@@ -72,11 +77,16 @@ class TestBasis:
             assert cycle_space_basis(g).dim == count
 
     def test_vectors_are_even_and_contain_their_chord(self):
-        g = petersen_graph()
-        basis = cycle_space_basis(g)
-        for chord, vec in zip(basis.chords, basis.vectors):
-            assert is_even_subgraph(g, vec)
-            assert chord in vec
+        # Each vector holds its own chord and no other: the chords' bits
+        # alone show the vectors independent.
+        for g in [petersen_graph()] + RANDOM_MULTIGRAPHS:
+            basis = cycle_space_basis(g)
+            masks = [vec.mask for vec in basis.vectors]
+            odd, _, crowded = vertex_faults(g, masks)
+            assert not odd | crowded
+            chords = sum(1 << chord for chord in basis.chords)
+            for chord, mask in zip(basis.chords, masks):
+                assert mask & chords == 1 << chord
 
     def test_loops_are_not_part_of_the_space(self):
         # Even subgraphs exclude loops by convention, so a loop is neither
@@ -99,10 +109,13 @@ class TestEvenSubgraphs:
         # A loop adds two to its vertex degree, so the parity oracle admits
         # arbitrary loop subsets; the package convention excludes loops
         # from even subgraphs, leaving exactly the loop-free parity sets.
-        g = MultiGraph(2, [(0, 1), (1, 1), (0, 1), (0, 0)])
-        basis = cycle_space_basis(g)
-        got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(basis)}
-        assert got == {s for s in even_subsets(g) if not (1 in s or 3 in s)}
+        for g in [MultiGraph(2, [(0, 1), (1, 1), (0, 1), (0, 0)])] + RANDOM_MULTIGRAPHS:
+            if g.m > 12:
+                continue
+            loops = set(EdgeSet(g, g.loop_mask()).ids())
+            basis = cycle_space_basis(g)
+            got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(basis)}
+            assert got == {s for s in even_subsets(g) if not s & loops}
 
     def test_enumeration_matches_parity_oracle_small_catalog(self, catalog):
         for g in catalog:

@@ -18,7 +18,7 @@ from cdc5 import (
     write_graph6,
 )
 from cdc5 import graphs
-from cdc5.flows import _suppress
+from cdc5.flows import _component_subgraphs, _suppress
 from cdc5.graphs import spanning_forest, vertex_faults
 
 from .oracles import (
@@ -496,16 +496,27 @@ class TestKernelsOnRandomMultigraphs:
             assert g.is_cubic() == all(d == 3 for d in degrees)
 
     def test_forest_is_walked_once_and_bridges_stay_fresh(self, monkeypatch):
-        # New copies, so that no test before this one has walked them.
+        # New copies, so that no test before this one has walked them.  The
+        # one walk per copy serves the basis, the bridges, the components
+        # and the per-component subgraphs of the flow decision.
         walked = []
         walk = graphs._walk_forest
         monkeypatch.setattr(graphs, "_walk_forest", lambda g: walked.append(g) or walk(g))
         copies = [MultiGraph(g.n, g.edges) for g in self.GRAPHS]
         for g in copies:
+            basis = cycle_space_basis(g)
+            assert walked[-1] is g  # the basis is read off the forest
             first, second = bridges(g), bridges(g)
             assert list(first.ids()) == list(second.ids()) == brute_bridges(g)
             assert first is not second and first.host is g
-            assert spanning_forest(g) == (first.mask, len(flood_fill_components(g)))
+            forest = spanning_forest(g)
+            assert forest.bridges == first.mask
+            assert [sorted(c) for c in forest.components] == flood_fill_components(g)
+            assert components(g) == flood_fill_components(g)
+            assert basis.chords == forest.chords
+            assert [v.mask for v in basis.vectors] == list(forest.cycles)
+            subgraphs = list(_component_subgraphs(g))
+            assert sum(sub.n for sub, _ in subgraphs) == g.n
         assert len(walked) == len(copies)
         assert all(a is b for a, b in zip(walked, copies))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -437,6 +438,49 @@ class TestCandidateOrder:
         assert len(circuits) >= 3
         prescriptions = [EdgeSet.empty(g)] + circuits[:3]
         assert search_differences(g, prescriptions, canonical)[0] == []
+
+
+def mixed_basis(basis):
+    """Another basis of the same space: the vectors reversed, each XORed
+    with the one before it, an invertible GF(2) transform."""
+    masks = [v.mask for v in reversed(basis.vectors)]
+    mixed = [x ^ before for x, before in zip(masks, [0] + masks[:-1])]
+    return dataclasses.replace(basis, vectors=tuple(EdgeSet(basis.host, x) for x in mixed))
+
+
+class TestBasisIndependence:
+    """Every user of the cycle-space basis reads only its span, through the
+    reduced echelon form, so any basis of the space gives the same C1
+    lists, canonical order, flows decided and certificates."""
+
+    def assert_basis_independent(self, g, prescriptions):
+        plain, mixed = SearchContext(g), SearchContext(g)
+        mixed.basis = mixed_basis(plain.basis)
+        assert mixed.basis.vectors != plain.basis.vectors
+        assert reduced_echelon(v.mask for v in mixed.basis.vectors) == reduced_echelon(
+            v.mask for v in plain.basis.vectors
+        )
+        for c0 in prescriptions:
+            assert mixed.c1_candidates(c0) == plain.c1_candidates(c0)
+            texts = []
+            for ctx in (plain, mixed):
+                cert = find_5cdc_containing(g, c0, context=ctx)
+                texts.append(ctx.frame.render(dataclasses.replace(cert, elapsed_ms=0)))
+            assert texts[0] == texts[1]
+        assert mixed._flows == plain._flows
+        assert list(mixed.canonical_order()) == list(plain.canonical_order())
+
+    def test_petersen_every_circuit(self, snarks):
+        self.assert_basis_independent(snarks[0], enumerate_circuits(snarks[0]))
+
+    @pytest.mark.parametrize("index", [1, 2], ids=["blanusa-1", "blanusa-2"])
+    def test_blanusa_snarks(self, snarks, index):
+        g = snarks[index]
+        self.assert_basis_independent(g, random.Random(index).sample(enumerate_circuits(g), 20))
+
+    def test_shuffled_flower_snark_j7(self):
+        g = shuffled(flower_snark(7), 7)
+        self.assert_basis_independent(g, random.Random(7).sample(enumerate_circuits(g), 2))
 
 
 class TestOverlapBuckets:
