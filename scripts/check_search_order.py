@@ -5,8 +5,10 @@ The engine counts the C2 buckets it skips in closed form and walks only
 the short end of the canonical order.  The reference search in
 tests/test_search.py lists and tests every (C1, C2) pair in the pinned
 order.  This script runs both on every circuit of tests/data/snarks.g6
-and on one circuit of each of 16 seeded relabellings of the flower snark
-J7 (tests/oracles.py), and compares the C1 order, c1, c2,
+and, on each of 16 seeded relabellings of the flower snark J7
+(tests/oracles.py), on one circuit and on the empty prescription.  J7
+is a snark, so the empty prescription fails with C1 = ∅ and its search
+walks the C1 order past c0.  The script compares the C1 order, c1, c2,
 candidates_tried, the certificate bytes with elapsed_ms removed, and the
 set of flows each side decided.  It prints the counts and the run time,
 and exits with status 1 when any search differs.
@@ -26,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from cdc5 import enumerate_circuits, parse_graph6  # noqa: E402
+from cdc5 import EdgeSet, enumerate_circuits, parse_graph6  # noqa: E402
 from tests.oracles import flower_snark, is_circuit, shuffled  # noqa: E402
 from tests.test_search import reference_canonical, search_differences  # noqa: E402
 
@@ -52,11 +54,12 @@ def main() -> int:
         circuit = rng.choice(canonical)
         while not is_circuit(g, circuit):
             circuit = rng.choice(canonical)
-        found, _ = search_differences(g, [circuit], canonical)
+        found, _ = search_differences(g, [circuit, EdgeSet.empty(g)], canonical)
         checked += 1
-        differences += [f"J7 relabelling {seed}, circuit {ids}" for ids in found]
+        differences += [f"J7 relabelling {seed}, prescription {ids}" for ids in found]
     elapsed = time.monotonic() - started
-    print(f"corpus circuits: {corpus}, J7 circuits: {checked - corpus}")
+    j7 = checked - corpus
+    print(f"corpus circuits: {corpus}, J7 circuits: {j7}, J7 empty prescriptions: {j7}")
     print(f"differences: {len(differences)}, time: {elapsed:.1f} s")
     for line in differences:
         print(f"  differs: {line}")

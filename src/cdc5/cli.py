@@ -3,7 +3,8 @@ batch conjecture sweeps over graph6 catalogs, and catalog statistics.
 
 Exit codes are a stable contract: 0 success, 1 definitive negative (or a
 sweep counterexample), 2 usage or input error, 3 inconclusive (a capacity
-guard stopped the search before an answer was reached).
+guard stopped the search before an answer was reached), 4 internal fault
+(an engine bug such as an InvariantViolationError, never an answer).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_FAULT = 4
 
 
 class _Fail(Exception):
@@ -406,6 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Fail as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except Exception as exc:
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

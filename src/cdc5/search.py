@@ -10,20 +10,22 @@ Success is therefore always certified, and a None return means the whole
 space was exhausted, a definitive negative.
 
 The pairs are tried in a fixed order (see find_5cdc_containing), but most
-of them are counted rather than listed.  Whether a pair is accepted depends
-only on M, and for a fixed C1 the C2 sharing one overlap M form a coset of
-2^(dim - r) members, r being the rank of the cycle space projected onto
-C1's edges.  So a bucket of C2 with no acceptable M is skipped by adding
-its size in closed form, counted only then, and the canonical order is
-walked only inside the first bucket that holds a winner.  The walk reads
-the short end of the order, every even subgraph up to some size, which
-the context generates from the short circuits of the host and grows one
-size at a time.  Both parts fall back to closed-form lists when a search
-must go far: the overlaps of a C1 are read from a list of the projection
-once finding them one size at a time has cost more than its 2^r members,
-and the rest of the canonical order is listed once growing its short end
-gets dear.  So a C1 whose buckets all fail costs about what a walk of the
-2^dim order would.
+of them are counted rather than listed.  C1 is c0, then c0 joined with
+each even subgraph disjoint from it, read off the canonical order of the
+context, and the C2 walks of that order nest inside this walk.  Whether a
+pair is accepted depends only on M, and for a fixed C1 the C2 sharing one
+overlap M form a coset of 2^(dim - r) members, r being the rank of the
+cycle space projected onto C1's edges.  So a bucket of C2 with no
+acceptable M is skipped by adding its size in closed form, counted only
+then, and the canonical order is walked only inside the first bucket
+that holds a winner.  The walk reads the short end of the order, every
+even subgraph up to some size, which the context generates from the
+short circuits of the host and grows one size at a time.  Both parts
+fall back to closed-form lists when a search must go far: the overlaps
+of a C1 are read from a list of the projection once finding them one
+size at a time has cost more than its 2^r members, and the rest of the
+canonical order is listed once growing its short end gets dear.  So a C1
+whose buckets all fail costs about what a walk of the 2^dim order would.
 """
 
 from __future__ import annotations
@@ -88,12 +90,12 @@ class SearchContext:
 
     The short end starts at the empty set and grows by one size whenever a
     walk of the order passes it, so its cost follows the searches made,
-    not 2^dim.  A size is built from the short circuits of the host and
-    their disjoint unions (cyclespace.EvenLayers) while that stays cheap:
-    once the circuit search for one size visits more than 2^dim / 8 paths,
-    the rest of the order is listed in closed form by
-    cyclespace.canonical_masks instead (a path of the search costs about
-    eight times a member of that list)."""
+    not 2^dim.  Walks may nest: each resumes after what it has yielded.
+    A size is built from the short circuits of the host and their disjoint
+    unions (cyclespace.EvenLayers) while that stays cheap: once the circuit
+    search for one size visits more than 2^dim / 8 paths, the rest of the
+    order is listed in closed form by cyclespace.canonical_masks instead
+    (a path of the search costs about eight times a member of that list)."""
 
     def __init__(self, g: MultiGraph):
         _check_search_host(g)
@@ -115,12 +117,10 @@ class SearchContext:
         is called as the short end grows and may raise to stop; a stopped
         growth leaves the cache as it was."""
         walked = 0
-        while True:
-            order = self._order
-            yield from order[walked:]
-            walked = len(order)
-            if not self._grow(check_time):
-                return
+        while walked < len(self._order) or self._grow(check_time):
+            chunk = self._order[walked:]
+            yield from chunk
+            walked += len(chunk)
 
     def _grow(self, check_time: Callable[[], None]) -> bool:
         """Extend the short end by one size, or to the whole order; False
@@ -135,23 +135,6 @@ class SearchContext:
         else:
             self._order.extend(self._layers.next_layer(check_time))
         return True
-
-    def c1_candidates(self, c0: EdgeSet) -> list[int]:
-        """Masks of the even subgraphs containing c0, ordered by how many
-        edges they add to c0, then by ascending edge ids.  Every candidate
-        contains c0, so the edges it adds are its size less |c0|, and the
-        canonical order of the coset is this order; c0 itself comes first.
-
-        The coset is c0 plus the even subgraphs disjoint from c0.  Those are
-        read off one elimination: each basis vector v becomes v shifted above
-        the m edge bits with its edges in c0 below them, and the rows of the
-        reduced echelon form with no bit below m, shifted back down, span
-        the members that meet c0 in nothing."""
-        if not is_even_subgraph(self.g, c0):
-            raise PreconditionError("c0 is not an even subgraph")
-        m = self.g.m
-        rows = reduced_echelon(v.mask << m | v.mask & c0.mask for v in self.basis.vectors)
-        return canonical_masks(c0.mask, [row >> m for pivot, row in rows.items() if pivot >= m])
 
     def flow_minus(self, drop: int) -> Optional[Planes]:
         """The bit planes of a nowhere-zero 4-flow of G - drop (a mask), or
@@ -316,11 +299,14 @@ def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
     return None
 
 
-def _c1_order(ctx: SearchContext, c0: EdgeSet) -> Iterator[int]:
-    """C1 candidates in order: c0 first, the rest of its coset only when
-    c0 has failed."""
-    yield c0.mask
-    yield from ctx.c1_candidates(c0)[1:]
+def _c1_order(ctx: SearchContext, c0: int, check_time: Callable[[], None]) -> Iterator[int]:
+    """The even subgraphs containing c0 in canonical order: c0, then, once
+    c0 has failed, c0 | d for each nonempty even d disjoint from c0 in the
+    order of d, which is theirs since c0 is common to all of them."""
+    yield c0
+    for d in ctx.canonical_order(check_time):
+        if d and not d & c0:
+            yield c0 | d
 
 
 def find_5cdc_containing(
@@ -353,7 +339,7 @@ def find_5cdc_containing(
     started = time.monotonic()
     ctx.basis.check_guard(opts.dim_guard)
     tally = _Tally(opts, started)
-    for c1 in _c1_order(ctx, c0):
+    for c1 in _c1_order(ctx, c0.mask, tally.check_time):
         c2 = _first_partner(ctx, c1, tally)
         if c2 is None:
             continue
@@ -371,7 +357,7 @@ class Sweep:
     """A sweep of the conjecture over a catalog: find_5cdc_containing for
     every circuit of every graph in a list of graph6 lines.  Iterating runs
     it and yields, per graph, its report entry and the certificate texts
-    of its found circuits (Certificate.to_json, rendered in the frame of
+    of its found circuits (rendered by ctx.frame.render, in the frame of
     the range's search context), keyed by file name; counts and aborted
     hold the totals so far.  A "none" would be a counterexample to the
     conjecture that every circuit of a bridgeless cubic graph lies in some

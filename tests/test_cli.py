@@ -14,6 +14,7 @@ import cdc5.flows
 import cdc5.graphs
 import cdc5.search
 from cdc5 import (
+    InvariantViolationError,
     MultiGraph,
     cycle_space_basis,
     enumerate_circuits,
@@ -179,6 +180,19 @@ class TestFind:
         code = main(["find", "--graph", petersen_file, "--dim-guard", "5"])
         assert code == 3
         assert capsys.readouterr().out.startswith("inconclusive:")
+
+    def test_engine_fault_is_not_a_negative(self, k4_file, monkeypatch, capsys):
+        # An engine bug must not leave with 1, the "no cover" code.
+        def broken(*args, **kwargs):
+            raise InvariantViolationError("an overlap of the cycle space was never met")
+
+        monkeypatch.setattr(cdc5.cli, "find_5cdc_containing", broken)
+        assert main(["find", "--graph", k4_file, "--circuit", "0,1,2"]) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "error: internal fault: InvariantViolationError: "
+            "an overlap of the cycle space was never met\n"
+        )
 
     def test_missing_file(self, tmp_path):
         assert main(["find", "--graph", str(tmp_path / "absent.g6")]) == 2

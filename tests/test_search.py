@@ -2,10 +2,12 @@ import dataclasses
 import itertools
 import json
 import random
+import types
 
 import pytest
 
 import cdc5.flows
+import cdc5.search
 from cdc5 import (
     CapacityError,
     EdgeSet,
@@ -25,7 +27,7 @@ from cdc5 import (
 )
 
 from cdc5.cyclespace import EvenLayers, reduced_echelon
-from cdc5.search import _overlaps, _split, _sweep_range
+from cdc5.search import _c1_order, _overlaps, _split, _sweep_range
 
 from .conftest import sweep_graph
 from .oracles import (
@@ -35,6 +37,7 @@ from .oracles import (
     flower_snark,
     is_circuit,
     loop_is_matching,
+    petersen_graph,
     prism_graph,
     random_cubic_multigraph,
     shuffled,
@@ -131,24 +134,17 @@ class TestFindPreconditions:
         with pytest.raises(PreconditionError):
             SearchContext(g)
 
-    def test_odd_prescription_rejected(self):
+    def test_odd_prescription_rejected(self, petersen):
         g = complete_graph(4)
         with pytest.raises(PreconditionError):
             find_5cdc_containing(g, EdgeSet.of(g, [0]))
+        path = EdgeSet.of(petersen, [0, 1, 2])  # 0-1-2-3 on the outer 5-cycle
+        with pytest.raises(PreconditionError):
+            find_5cdc_containing(petersen, path)
 
     def test_wrong_host_prescription_rejected(self, petersen):
         with pytest.raises(ValueError):
             find_5cdc_containing(petersen, EdgeSet.empty(complete_graph(4)))
-
-    def test_c1_list_of_an_odd_prescription_rejected(self, petersen):
-        # The C1 list is c0 plus the even subgraphs disjoint from it, so it
-        # holds even subgraphs only when c0 is one.
-        k4 = complete_graph(4)
-        with pytest.raises(PreconditionError):
-            SearchContext(k4).c1_candidates(EdgeSet.of(k4, [0]))
-        path = EdgeSet.of(petersen, [0, 1, 2])  # 0-1-2-3 on the outer 5-cycle
-        with pytest.raises(PreconditionError):
-            SearchContext(petersen).c1_candidates(path)
 
     @pytest.mark.parametrize("g", [theta_multigraph(), random_cubic_multigraph(12, 5)])
     def test_multigraph_rejected_before_the_search(self, g, monkeypatch):
@@ -238,13 +234,20 @@ class TestGuards:
         )
         assert normalized(got) == normalized(want)
 
-    def test_time_budget_stops_a_search_counted_in_closed_form(self):
+    def test_time_budget_stops_a_search_counted_in_closed_form(self, monkeypatch):
         # On J7 the empty prescription fails with C1 = ∅ after one flow
         # decision, its 2^15 C2 counted at once; the budget must still stop
-        # the search in the C1 that follow.
+        # the search in the C1 that follow.  The search's clock moves
+        # 0.1 ms per read, so the 1 ms budget runs out after ten reads
+        # whatever the speed of the machine.
+        reads = itertools.count()
+        clock = types.SimpleNamespace(monotonic=lambda: next(reads) / 10_000)
+        monkeypatch.setattr(cdc5.search, "time", clock)
         j7, j6 = flower_snark(7), flower_snark(6)
+        ctx = SearchContext(j7)
         with pytest.raises(CapacityError):
-            find_5cdc_containing(j7, EdgeSet.empty(j7), SearchOptions(budget_ms=1))
+            find_5cdc_containing(j7, EdgeSet.empty(j7), SearchOptions(budget_ms=1), ctx)
+        assert ctx.known_flowless(0)
         control = find_5cdc_containing(j6, EdgeSet.empty(j6), SearchOptions(budget_ms=1))
         assert control is not None and control.path == "m-empty"
 
@@ -380,16 +383,18 @@ def search_differences(g, prescriptions, canonical=None):
     where the C1 orders, the certificates (c1, c2, candidates_tried and
     every other byte except elapsed_ms) or the sets of flows decided
     differ, and the engine's certificates.  The C1 order is compared in
-    full although the engine lists it only when c0 fails; its first entry
-    must be c0, which the engine tries first."""
+    full although the engine walks past c0 only when c0 fails; it is
+    walked on a context of its own, so the searches find the engine's
+    context as the searches before them left it."""
     canonical = canonical or reference_canonical(g)
-    engine, reference = SearchContext(g), SearchContext(g)
+    engine, reference, orders = SearchContext(g), SearchContext(g), SearchContext(g)
     differences, certificates = [], []
     for c0 in prescriptions:
         got = find_5cdc_containing(g, c0, context=engine)
         certificates.append(got)
         want = reference_search(g, c0, reference, canonical)
-        same = engine.c1_candidates(c0) == [s.mask for s in reference_c1_list(g, c0, canonical)]
+        c1_order = list(_c1_order(orders, c0.mask, lambda: None))
+        same = c1_order == [s.mask for s in reference_c1_list(g, c0, canonical)]
         same = same and (got is None) == (want is None)
         if same and got is not None:
             same = normalized(got) == normalized(want)
@@ -450,8 +455,8 @@ def mixed_basis(basis):
 
 class TestBasisIndependence:
     """Every user of the cycle-space basis reads only its span, through the
-    reduced echelon form, so any basis of the space gives the same C1
-    lists, canonical order, flows decided and certificates."""
+    reduced echelon form, so any basis of the space gives the same
+    certificates, flows decided, canonical order and C1 orders."""
 
     def assert_basis_independent(self, g, prescriptions):
         plain, mixed = SearchContext(g), SearchContext(g)
@@ -461,7 +466,6 @@ class TestBasisIndependence:
             v.mask for v in plain.basis.vectors
         )
         for c0 in prescriptions:
-            assert mixed.c1_candidates(c0) == plain.c1_candidates(c0)
             texts = []
             for ctx in (plain, mixed):
                 cert = find_5cdc_containing(g, c0, context=ctx)
@@ -469,6 +473,10 @@ class TestBasisIndependence:
             assert texts[0] == texts[1]
         assert mixed._flows == plain._flows
         assert list(mixed.canonical_order()) == list(plain.canonical_order())
+        # Walked last, so the searches above grew both orders lazily.
+        for c0 in prescriptions:
+            c1_orders = [list(_c1_order(ctx, c0.mask, lambda: None)) for ctx in (plain, mixed)]
+            assert c1_orders[0] == c1_orders[1]
 
     def test_petersen_every_circuit(self, snarks):
         self.assert_basis_independent(snarks[0], enumerate_circuits(snarks[0]))
@@ -586,6 +594,20 @@ class TestShortEnd:
         assert len(ctx._order) == 58
         assert list(ctx.canonical_order()) == whole
         assert ctx._layers.size < g.m
+
+    @pytest.mark.parametrize("g", [flower_snark(5), petersen_graph()], ids=["j5", "petersen"])
+    def test_a_nested_walk_does_not_cut_the_outer_one(self, g):
+        # The search walks C2 inside its walk of C1.  A walk nested in
+        # another grows the short end under it, and the outer walk must
+        # still go on from where it stopped.
+        whole = canonical_masks(0, [v.mask for v in cycle_space_basis(g).vectors])
+        ctx = SearchContext(g)
+        outer = []
+        for x in ctx.canonical_order():
+            if not outer:
+                assert list(itertools.islice(ctx.canonical_order(), 200)) == whole[:200]
+            outer.append(x)
+        assert outer == whole
 
     def test_stopped_growth_leaves_the_cache_whole(self, petersen):
         calls = []
