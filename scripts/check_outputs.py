@@ -4,13 +4,17 @@
 Runs `cdc5 sweep --workers 1` over tests/data/snarks.g6 into a temporary
 directory, in process. Every file it writes (each certificate and
 report.json) must equal json.dumps(json.loads(text), indent=2) + "\\n" byte
-for byte, and verify_certificate must accept every certificate. It then
+for byte, and verify_certificate must accept every certificate without
+running the 3-edge-colourer, the search's exponential flow decider: the
+calls of cdc5.flows.three_edge_color are counted while it verifies (not
+while the sweeps search) and must be 0. It then
 runs the same sweep with `--workers 2`, which must write the same files,
 each equal to the serial one byte for byte once the values of elapsed_ms
 and total_ms are removed. It does the same for the catalog
 tests/data/cubic_bridgeless_connected_n4_10.g6, whose certificates mostly
-have an empty c2 and an empty matching. It prints the counts and the run
-time, and exits with status 1 on any mismatch.
+have an empty c2 and an empty matching. It prints the counts, the flow
+decisions made while verifying and the run time, and exits with status 1
+on any mismatch or flow decision.
 
 Run it from the root of a source checkout:
 
@@ -31,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
+import cdc5.flows  # noqa: E402
 from cdc5 import verify_certificate  # noqa: E402
 from cdc5.cli import main as cdc5_main  # noqa: E402
 
@@ -50,10 +55,29 @@ def untimed(path: Path) -> str:
     return TIMING.sub(r"\1", path.read_text(encoding="utf-8"))
 
 
-def check(graph: str) -> tuple[int, int, list[str]]:
+def verify(doc: dict) -> tuple[list[str], int]:
+    """verify_certificate's problems with doc, and how many times it ran
+    the 3-edge-colourer."""
+    calls = 0
+    colour = cdc5.flows.three_edge_color
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return colour(g)
+
+    cdc5.flows.three_edge_color = counted
+    try:
+        return verify_certificate(doc), calls
+    finally:
+        cdc5.flows.three_edge_color = colour
+
+
+def check(graph: str) -> tuple[int, int, int, list[str]]:
     """Sweep graph with one worker and with two, and check what they write:
-    (files, certificates, problems)."""
+    (files, certificates, flow decisions while verifying, problems)."""
     problems = []
+    decisions = 0
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as parallel:
         code = sweep(graph, out, 1)
         if code != 0:
@@ -67,7 +91,9 @@ def check(graph: str) -> tuple[int, int, list[str]]:
                 problems.append(f"{path.name}: not the json.dumps(..., indent=2) text")
             if path.name.startswith("cert_"):
                 certificates += 1
-                problems += [f"{path.name}: {p}" for p in verify_certificate(doc)]
+                found, calls = verify(doc)
+                problems += [f"{path.name}: {p}" for p in found]
+                decisions += calls
         code = sweep(graph, parallel, 2)
         if code != 0:
             problems.append(f"sweep --workers 2 exited with status {code}")
@@ -79,21 +105,23 @@ def check(graph: str) -> tuple[int, int, list[str]]:
                 for path in paths
                 if untimed(path) != untimed(Path(parallel) / path.name)
             ]
-    return len(paths), certificates, problems
+    return len(paths), certificates, decisions, problems
 
 
 def main() -> int:
     started = time.monotonic()
-    files, certificates, problems = check(CORPUS)
-    catalog_files, catalog_certificates, catalog_problems = check(CATALOG)
+    files, certificates, decisions, problems = check(CORPUS)
+    catalog_files, catalog_certificates, catalog_decisions, catalog_problems = check(CATALOG)
     problems += [f"catalog: {line}" for line in catalog_problems]
+    decisions += catalog_decisions
     elapsed = time.monotonic() - started
     print(f"files: {files}, certificates: {certificates}")
     print(f"catalog files: {catalog_files}, certificates: {catalog_certificates}")
+    print(f"flow decisions while verifying: {decisions}")
     print(f"problems: {len(problems)}, time: {elapsed:.1f} s")
     for line in problems:
         print(f"  {line}")
-    return 1 if problems or not certificates or not catalog_certificates else 0
+    return 1 if problems or decisions or not certificates or not catalog_certificates else 0
 
 
 if __name__ == "__main__":

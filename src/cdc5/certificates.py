@@ -7,8 +7,10 @@ the final cover, a per-edge coverage tally, which construction path fired,
 and search statistics.  One check core re-derives everything and trusts
 no stored claim it can recompute: verify_certificate runs it on the graph
 and edge sets a document names, build_certificate on those the search
-holds.  The flow condition on G - M is read off the cover itself whenever
-the cover allows it, so checking a certificate takes linear time, and
+holds.  The cover is the only witness of the flow condition on G - M: its
+elements must replay a nowhere-zero 4-flow of G - M (cover.replayed_planes),
+and a cover that replays none is rejected, since no flow is decided here.
+So checking a certificate takes linear time whatever graph it names, and
 one vertex_faults call checks all of its masks.  A certificate's text is
 rendered in the frame of its graph, which holds the fields that depend on
 the graph alone and the text of each edge id, rendered once.
@@ -24,7 +26,6 @@ from typing import Any, Optional, Sequence
 
 from .cover import cdc_report, contains_element_superset, replayed_planes
 from .errors import Graph6Error, InvariantViolationError, UnsupportedFormatError
-from .flows import flow_planes
 from .graphs import EdgeSet, MultiGraph, parse_graph6, vertex_faults, write_graph6
 
 PATH_THEOREM = "theorem2"
@@ -91,10 +92,6 @@ class Certificate:
                 "elapsed_ms": self.elapsed_ms,
             },
         }
-
-    def to_json(self) -> str:
-        """dump_json(self.to_doc()) + "\n", rendered in a frame of its own."""
-        return CertificateFrame(self.graph6, self.n, self.m, self.edges, self.coverage).render(self)
 
 
 class CertificateFrame:
@@ -311,13 +308,11 @@ def _check(
     elements: Sequence[EdgeSet], coverage: Sequence[int], path: str, stats: dict[str, int],
 ) -> list[str]:
     """The check core: every problem of a certificate over g whose fields
-    are given as edge sets, in time linear in its size unless the cover
-    cannot witness the flow condition itself."""
+    are given as edge sets, in time linear in its size."""
     if any(s.host is not g for s in (c0, c1, c2, matching, *elements)):
         raise ValueError("EdgeSet does not belong to the given graph")
     problems = []
-    cubic = g.is_cubic()
-    if not cubic:
+    if not g.is_cubic():
         problems.append("graph is not cubic")
     masks = [c0.mask, c1.mask, c2.mask, matching.mask, *(el.mask for el in elements)]
     # Replayed planes hold E - M by their shape, so is_flow asks only their parity.
@@ -330,8 +325,7 @@ def _check(
         problems.append("c0 is not a subset of c1")
     if (c1 & c2) != matching:
         problems.append("matching is not the intersection of c1 and c2")
-    is_m = not shared >> 3 & 1
-    if not is_m:
+    if shared >> 3 & 1:
         problems.append("matching edges share an endpoint")
 
     if len(elements) > 5:
@@ -359,12 +353,13 @@ def _check(
     elif (path == PATH_M_EMPTY) != (not matching):
         problems.append("path field is inconsistent with the matching")
 
-    if cubic and is_m:
-        # With report.valid the planes are sums of even elements, so their
-        # parity test cannot fail; it is kept as a second check.
-        witnessed = report.valid and planes is not None and not odd >> len(masks)
-        if not witnessed and flow_planes(g, matching.mask) is None:
-            problems.append("graph minus the matching has no nowhere-zero 4-flow")
+    # No problem so far means a cubic graph, a matching and a valid cover,
+    # whose planes are sums of even elements: their parity test cannot
+    # fail then, and is kept as a second check.
+    if not problems and (planes is None or odd >> len(masks)):
+        problems.append(
+            "the cover witnesses no nowhere-zero 4-flow of the graph minus the matching"
+        )
 
     if stats["candidates_tried"] < 1:
         problems.append("candidates_tried must be at least 1")

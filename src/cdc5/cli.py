@@ -229,6 +229,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _no_cover(args: argparse.Namespace, outcome: str, reason: str, **fields: Any) -> None:
+    """Print a find that ends without a cover: one JSON object in json
+    format, else the line "<outcome>: <reason>"."""
+    if args.format == "json":
+        print(json.dumps({"outcome": outcome, "reason": reason, **fields}))
+    else:
+        print(f"{outcome}: {reason}")
+
+
 def cmd_find(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.index)
     if not g.is_cubic():
@@ -240,7 +249,7 @@ def cmd_find(args: argparse.Namespace) -> int:
     else:
         c0 = _parse_vertex_circuit(g, args.circuit)
     if bridges(g):
-        print("none: the graph has a bridge, so it has no cycle double cover")
+        _no_cover(args, "none", "the graph has a bridge, so it has no cycle double cover")
         return EXIT_NEGATIVE
 
     _make_out(args.out)
@@ -249,12 +258,12 @@ def cmd_find(args: argparse.Namespace) -> int:
         ctx = SearchContext(g)
         cert = find_5cdc_containing(g, c0, options, ctx)
     except CapacityError as exc:
-        print(f"inconclusive: {exc}")
+        _no_cover(args, "inconclusive", str(exc), candidates_tried=exc.candidates_tried)
         return EXIT_INCONCLUSIVE
     except PreconditionError as exc:
         raise _Fail(EXIT_USAGE, str(exc)) from exc
     if cert is None:
-        print("none: the search space was exhausted without a cover")
+        _no_cover(args, "none", "the search space was exhausted without a cover")
         return EXIT_NEGATIVE
 
     path = os.path.join(args.out, "certificate.json")

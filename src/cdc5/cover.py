@@ -8,9 +8,10 @@ the family {c', c' ^ S1, c' ^ S2, c' ^ S1 ^ S2} covers every edge exactly
 twice, because each edge lies in S1, S2 or both (Jaeger 1979).  Extending a
 family C1..Ck whose pairwise overlaps form a matching M then reduces to
 that closed form on G - M, with c' the symmetric difference of the Ci.
-The planes are masks over the host's own edge ids (flows.flow_planes), so
-the cover is read off them with plain XOR.  Evenness, the matching and
-the planes are checked with one graphs.vertex_faults call per cover.
+The caller decides that flow and passes its planes, masks over the host's
+own edge ids, so no flow is decided here and the cover is read off them
+with plain XOR.  Evenness, the matching and the planes are checked with
+one graphs.vertex_faults call per cover.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConditionError, PreconditionError
-from .flows import Planes, flow_planes
+from .flows import Planes
 from .graphs import EdgeSet, MultiGraph, vertex_faults
 
 
@@ -87,31 +88,27 @@ def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:
     return EdgeSet(g, bad).ids()
 
 
-def extend_to_cdc(
-    g: MultiGraph, covers: Sequence[EdgeSet], planes: Optional[Planes] = None
-) -> tuple[EdgeSet, ...]:
+def extend_to_cdc(g: MultiGraph, covers: Sequence[EdgeSet], planes: Planes) -> tuple[EdgeSet, ...]:
     """Extend even subgraphs C1..Ck to a double cover of at most k+3
     elements that keeps every Ci as an element, returned as a tuple of
     its elements.
 
-    Three conditions are enforced, each reported by number on failure:
+    Two conditions are enforced, each reported by number on failure:
     1. no edge lies in more than two of the Ci;
-    2. the edges lying in exactly two form a matching M;
-    3. G - M has a nowhere-zero 4-flow.
+    2. the edges lying in exactly two form a matching M.
+    planes are the bit planes (S1, S2) of a nowhere-zero 4-flow of G - M,
+    which the caller has decided; planes that are not a flow of G - M
+    raise ValueError.
 
-    With c' the once-covered edges (the symmetric difference of the Ci) and
-    S1, S2 the bit planes of a nowhere-zero 4-flow of G - M, the cover is
-    c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and C1..Ck: the module's closed-form
-    cover of G - M, with its element c' replaced by the Ci.  A caller that
-    already holds the planes (S1, S2) of that flow passes them as planes,
-    and condition 3 is then not decided again; planes that are not a flow
-    of G - M raise ValueError.
+    With c' the once-covered edges (the symmetric difference of the Ci),
+    the cover is c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and C1..Ck: the module's
+    closed-form cover of G - M, with its element c' replaced by the Ci.
     """
     if not g.is_cubic():
         raise PreconditionError("host graph must be cubic")
     masks = [c.mask for c in covers]
     once, twice, more = coverage_masks(masks)
-    odd, shared, crowded = vertex_faults(g, masks + [twice, *(planes or ())])
+    odd, shared, crowded = vertex_faults(g, masks + [twice, *planes])
     for i, c in enumerate(covers):
         if c.host is not g:
             raise ValueError(f"covers[{i}] does not belong to the given graph")
@@ -120,18 +117,10 @@ def extend_to_cdc(
 
     if more:
         raise ConditionError(1, "some edge lies in more than two covers", EdgeSet(g, more).ids())
-    m_set = EdgeSet(g, twice)
     if shared >> len(covers) & 1:
-        raise ConditionError(
-            2, "twice-covered edges do not form a matching", _matching_conflicts(g, m_set)
-        )
-    if planes is None:
-        planes = flow_planes(g, twice)
-        if planes is None:
-            raise ConditionError(
-                3, "graph minus the matching has no nowhere-zero 4-flow", m_set.ids()
-            )
-    elif planes[0] | planes[1] != (1 << g.m) - 1 & ~twice or odd >> len(covers) + 1:
+        conflicts = _matching_conflicts(g, EdgeSet(g, twice))
+        raise ConditionError(2, "twice-covered edges do not form a matching", conflicts)
+    if planes[0] | planes[1] != (1 << g.m) - 1 & ~twice or odd >> len(covers) + 1:
         raise ValueError("planes are not a flow of the graph minus the matching")
     s1, s2 = planes
     lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
@@ -147,7 +136,8 @@ def replayed_planes(
     r0..r3 covering E - M exactly twice, and the flow giving r0..r3 the
     Klein values 0..3 and each edge the sum of its two masks' values has
     the planes r1 ^ r3 and r2 ^ r3.  Linear in the size of the cover; None
-    means only that this witness does not apply."""
+    means the cover witnesses no flow of G - M, and a certificate with such
+    a cover is rejected (certificates._check)."""
     if c1 & c2 != matching:
         return None
     rest = [el.mask for el in elements]

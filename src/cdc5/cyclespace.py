@@ -77,26 +77,22 @@ def reduced_echelon(vectors: Iterable[int]) -> dict[int, int]:
     return rows
 
 
-def canonical_masks(base: int, vectors: Sequence[int]) -> list[int]:
-    """Every mask of the coset base + span(vectors), each once, in canonical
-    order: by size, then by ascending edge-id tuple.
+def canonical_masks(vectors: Sequence[int]) -> list[int]:
+    """Every mask of span(vectors), each once, in canonical order: by size,
+    then by ascending edge-id tuple.
 
     No sort key on edge ids is needed.  The vectors are first brought to
     reduced echelon form with lowest-bit pivots (each row's lowest edge is
-    its pivot, and no other row holds that edge), and base is reduced
-    against them.  Two members then differ first, counting edges upwards,
-    at the pivot of their lowest-pivot differing row, and the member
-    holding that edge comes first among sets of equal size.  So doubling
-    the list from the highest pivot down, members with the row before
-    members without, lists the coset in edge-id order, and one stable sort
-    by size finishes it.  Zero, duplicate and dependent vectors add
-    nothing; the input is not modified.
+    its pivot, and no other row holds that edge).  Two members then differ
+    first, counting edges upwards, at the pivot of their lowest-pivot
+    differing row, and the member holding that edge comes first among sets
+    of equal size.  So doubling the list from the highest pivot down,
+    members with the row before members without, lists the span in edge-id
+    order, and one stable sort by size finishes it.  Zero, duplicate and
+    dependent vectors add nothing; the input is not modified.
     """
     rows = reduced_echelon(vectors)
-    for pivot, row in rows.items():
-        if base >> pivot & 1:
-            base ^= row
-    out = [base]
+    out = [0]
     for pivot in sorted(rows, reverse=True):
         row = rows[pivot]
         out = [x ^ row for x in out] + out
@@ -206,7 +202,7 @@ def enumerate_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     basis.check_guard(guard)
     vm, ends = g.vertex_masks, g.edges
     out = []
-    for mask in canonical_masks(0, [v.mask for v in basis.vectors]):
+    for mask in canonical_masks([v.mask for v in basis.vectors]):
         if not mask:
             continue
         low = mask & -mask

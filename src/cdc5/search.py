@@ -131,7 +131,7 @@ class SearchContext:
         if self._layers is None:
             self._layers = EvenLayers(self.g)
         if self._layers.paths * 8 > total:
-            self._order = canonical_masks(0, [v.mask for v in self.basis.vectors])
+            self._order = canonical_masks([v.mask for v in self.basis.vectors])
         else:
             self._order.extend(self._layers.next_layer(check_time))
         return True
@@ -235,7 +235,7 @@ def _overlaps(
     else:
         return
     members: list[list[int]] = [[] for _ in range(size + 1)]
-    for x in canonical_masks(0, list(rows.values())):
+    for x in canonical_masks(list(rows.values())):
         members[x.bit_count()].append(x)
     ends_of = {1 << e: end for e, end in zip(edges, ends)}
 

@@ -167,7 +167,7 @@ def filtered_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     per member)."""
     basis = cycle_space_basis(g)
     basis.check_guard(guard)
-    masks = canonical_masks(0, [v.mask for v in basis.vectors])
+    masks = canonical_masks([v.mask for v in basis.vectors])
     return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
 
 

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import cdc5.certificates
 import cdc5.cover
 import cdc5.search
 from cdc5 import (
@@ -29,6 +30,13 @@ from cdc5.certificates import dump_json, graph_frame
 from cdc5.cover import coverage_masks
 
 from .conftest import sweep_graph
+from .test_verify_corrupted import DATA as CORRUPTED
+from .test_verify_corrupted import (
+    WITNESSLESS,
+    base_certificates,
+    recorded_problems,
+    witnessless_prism,
+)
 from .oracles import complete_graph, flower_snark, petersen_graph, random_cubic_multigraph
 
 
@@ -69,7 +77,7 @@ class TestDocumentShape:
         assert list(doc["stats"]) == ["candidates_tried", "elapsed_ms"]
 
     def test_json_roundtrip(self, petersen_cert):
-        doc = json.loads(petersen_cert.to_json())
+        doc = json.loads(graph_frame(petersen_graph()).render(petersen_cert))
         assert doc == petersen_cert.to_doc()
         assert verify_certificate(doc) == []
 
@@ -130,7 +138,7 @@ class TestSearchGate:
         g = petersen_graph()
         original = cdc5.search.extend_to_cdc
 
-        def corrupted(host, covers, planes=None):
+        def corrupted(host, covers, planes):
             return corrupt(host, covers, planes, original)
 
         monkeypatch.setattr(cdc5.search, "extend_to_cdc", corrupted)
@@ -238,8 +246,8 @@ class TestDumpJson:
         assert dump_json(value) == json.dumps(value, indent=2)
 
     def test_certificate_text(self, petersen_cert, k4_cert):
-        for cert in (petersen_cert, k4_cert):
-            assert cert.to_json() == json.dumps(cert.to_doc(), indent=2) + "\n"
+        for g, cert in ((petersen_graph(), petersen_cert), (complete_graph(4), k4_cert)):
+            assert graph_frame(g).render(cert) == json.dumps(cert.to_doc(), indent=2) + "\n"
 
 
 def untimed(text):
@@ -258,7 +266,6 @@ class TestCertificateFrame:
                 cert = find_5cdc_containing(g, circuit, context=ctx)
                 text = dump_json(cert.to_doc()) + "\n"
                 assert ctx.frame.render(cert) == text
-                assert cert.to_json() == text
                 paths[cert.path, cert.c2 == (), cert.matching == ()] += 1
         assert paths == {("m-empty", True, True): 983, ("theorem2", False, False): 57}
 
@@ -268,7 +275,6 @@ class TestCertificateFrame:
         coverage[7] = 3
         cert = dataclasses.replace(petersen_cert, coverage=tuple(coverage))
         text = dump_json(cert.to_doc()) + "\n"
-        assert cert.to_json() == text
         assert graph_frame(petersen_graph()).render(cert) == text
         assert json.loads(text)["coverage"] == coverage
 
@@ -281,7 +287,7 @@ class TestCertificateFrame:
         cert = find_5cdc_containing(g, circuit, SearchOptions(dim_guard=31), ctx)
         assert g.m == 90 and max(cert.cdc[-1]) >= 10
         text = dump_json(cert.to_doc()) + "\n"
-        assert ctx.frame.render(cert) == text and cert.to_json() == text
+        assert ctx.frame.render(cert) == text
         assert verify_certificate(json.loads(text)) == []
         other = dataclasses.replace(cert, coverage=(2,) * 89 + (3,))
         assert ctx.frame.render(other) == dump_json(other.to_doc()) + "\n"
@@ -447,8 +453,9 @@ class TestVerifyCertificate:
 
     def test_flow_condition_is_rechecked(self, doc):
         # Drop c2 and the matching: every set-level field stays mutually
-        # consistent, but the Petersen graph minus the now-empty matching
-        # has no nowhere-zero 4-flow, so only the flow recheck can object.
+        # consistent, but the cover no longer replays a flow of the Petersen
+        # graph minus the now-empty matching (it has none), so only the
+        # witness rule can object.
         doc["c2"] = []
         doc["matching"] = []
         doc["path"] = "m-empty"
@@ -457,21 +464,23 @@ class TestVerifyCertificate:
 
 
 class TestFlowWitness:
-    """A search's cover is its own witness for the flow condition on G - M,
-    so verification never needs the exponential flow decider for it;
-    test_flow_condition_is_rechecked covers the fallback."""
+    """The cover is the only witness of the flow condition on G - M, so
+    verification decides no flow: with the 3-edge-colourer made to raise,
+    every engine certificate still verifies and every pinned corrupted
+    document gets its pinned problems."""
 
     @pytest.fixture()
     def no_decider(self, monkeypatch):
-        def refuse(g, drop=0):
+        def refuse(g):
             raise AssertionError("verify_certificate decided a flow")
 
-        monkeypatch.setattr("cdc5.certificates.flow_planes", refuse)
+        return lambda: monkeypatch.setattr("cdc5.flows.three_edge_color", refuse)
 
     def test_petersen_sweep(self, no_decider):
         _, entry, certificates = sweep_graph(petersen_graph())
         assert entry["counts"]["found"] == 57
         assert len(certificates) == 57
+        no_decider()
         for doc in certificates.values():
             assert verify_certificate(doc) == []
 
@@ -480,4 +489,19 @@ class TestFlowWitness:
         inner = EdgeSet.of(g, [e for e, (u, v) in enumerate(g.edges) if u % 4 == v % 4 == 1])
         cert = find_5cdc_containing(g, inner)
         assert cert.path == "theorem2"
+        no_decider()
         assert verify_certificate(cert.to_doc()) == []
+
+    def test_pinned_corrupted_documents(self, no_decider):
+        with open(CORRUPTED, encoding="utf-8") as handle:
+            recorded = json.load(handle)
+        bases = base_certificates()
+        no_decider()
+        assert recorded_problems(bases) == {
+            name: entry["problems"] for name, entry in recorded.items()
+        }
+        assert verify_certificate(witnessless_prism()) == [WITNESSLESS]
+
+    def test_no_flow_decider_is_imported(self):
+        assert not hasattr(cdc5.certificates, "flow_planes")
+        assert not hasattr(cdc5.cover, "flow_planes")

@@ -31,6 +31,7 @@ from .oracles import (
     petersen_graph,
     prism_graph,
 )
+from .test_verify_corrupted import WITNESSLESS, witnessless_prism
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
@@ -142,6 +143,24 @@ class TestFind:
         assert code == 1
         assert capsys.readouterr().out.startswith("none:")
 
+    def test_bridged_graph_in_json_format(self, tmp_path, capsys):
+        path = tmp_path / "bridged.g6"
+        path.write_text(write_graph6(bridged_cubic_graph()) + "\n", encoding="ascii")
+        assert main(["find", "--graph", str(path), "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "outcome": "none",
+            "reason": "the graph has a bridge, so it has no cycle double cover",
+        }
+
+    def test_exhausted_search_in_json_format(self, k4_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cdc5.cli, "find_5cdc_containing", lambda *args: None)
+        args = ["find", "--graph", k4_file, "--out", str(tmp_path / "o"), "--format", "json"]
+        assert main(args) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "outcome": "none",
+            "reason": "the search space was exhausted without a cover",
+        }
+
     def test_non_cubic_graph_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cycle.g6"
         from cdc5 import MultiGraph
@@ -180,6 +199,14 @@ class TestFind:
         code = main(["find", "--graph", petersen_file, "--dim-guard", "5"])
         assert code == 3
         assert capsys.readouterr().out.startswith("inconclusive:")
+
+    def test_dim_guard_in_json_format(self, petersen_file, capsys):
+        assert main(["find", "--graph", petersen_file, "--dim-guard", "5", "--format", "json"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "outcome": "inconclusive",
+            "reason": "cycle-space dimension 6 exceeds enumeration guard 5",
+            "candidates_tried": 0,
+        }
 
     def test_engine_fault_is_not_a_negative(self, k4_file, monkeypatch, capsys):
         # An engine bug must not leave with 1, the "no cover" code.
@@ -261,6 +288,15 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "INVALID" in text
         assert "edges [2]" in text
+
+    def test_witnessless_cover_is_invalid(self, tmp_path, capsys):
+        # A valid cover of the prism that replays no flow of it.
+        cert = tmp_path / "prism.json"
+        cert.write_text(json.dumps(witnessless_prism()), encoding="utf-8")
+        assert main(["verify", str(cert)]) == 1
+        assert capsys.readouterr().out == (
+            f"certificate {cert} is INVALID:\n  - {WITNESSLESS}\n"
+        )
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2

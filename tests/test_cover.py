@@ -78,7 +78,7 @@ class TestVerifyCdc:
 
     def test_accepts_cdc_instances(self):
         # A cover is a sequence of elements, such as the tuple extend_to_cdc returns.
-        cdc = extend_to_cdc(K4, [HAMILTONIANS[0]])
+        cdc = extend_to_cdc(K4, [HAMILTONIANS[0]], flow_planes(K4))
         assert type(cdc) is tuple and verify_cdc(K4, cdc).valid
 
 
@@ -130,9 +130,11 @@ def random_covers(g, rng, count):
     out = []
     while len(out) < count:
         c1, c2 = rng.choice(evens), rng.choice(evens)
-        try:
-            cover = list(extend_to_cdc(g, [c for c in (c1, c2) if c]))
-        except ConditionError:
+        twice = (c1 & c2).mask
+        planes = flow_planes(g, twice) if loop_is_matching(g, twice) else None
+        if planes is not None:
+            cover = list(extend_to_cdc(g, [c for c in (c1, c2) if c], planes))
+        else:
             cover = [rng.choice(evens) for _ in range(rng.randrange(6))]
         out.append((c1, c2, cover))
         if cover:
@@ -197,51 +199,46 @@ class TestFourCdcContaining:
 
     def test_k4_triangle(self):
         triangle = EdgeSet.of(K4, [0, 1, 2])
-        cdc = extend_to_cdc(K4, [triangle])
+        cdc = extend_to_cdc(K4, [triangle], flow_planes(K4))
         assert len(cdc) <= 4
         assert verify_cdc(K4, cdc).valid
         assert triangle in list(cdc)
 
     def test_k4_empty_prescription(self):
-        cdc = extend_to_cdc(K4, [EdgeSet.empty(K4)])
+        cdc = extend_to_cdc(K4, [EdgeSet.empty(K4)], flow_planes(K4))
         assert len(cdc) <= 3
         assert verify_cdc(K4, cdc).valid
 
     def test_every_k4_even_subgraph_works(self):
+        planes = flow_planes(K4)
         for c in enumerate_even_subgraphs(cycle_space_basis(K4)):
-            cdc = extend_to_cdc(K4, [c])
+            cdc = extend_to_cdc(K4, [c], planes)
             assert verify_cdc(K4, cdc).valid
             if c:
                 assert c in list(cdc)
 
     def test_deterministic(self):
         triangle = EdgeSet.of(K4, [0, 1, 2])
-        a = extend_to_cdc(K4, [triangle])
-        b = extend_to_cdc(K4, [triangle])
+        a = extend_to_cdc(K4, [triangle], flow_planes(K4))
+        b = extend_to_cdc(K4, [triangle], flow_planes(K4))
         assert a == b
 
+    # With one even subgraph nothing is covered twice, so the cover needs
+    # a flow of the whole graph, which these hosts lack.
     def test_petersen_has_no_such_cover(self, petersen):
-        with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(petersen, [EdgeSet.empty(petersen)])
-        assert exc.value.condition == 3
+        assert flow_planes(petersen, 0) is None
 
     def test_bridged_host_has_no_such_cover(self):
-        g = bridged_cubic_graph()
-        with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(g, [EdgeSet.empty(g)])
-        assert exc.value.condition == 3
+        assert flow_planes(bridged_cubic_graph(), 0) is None
 
     def test_loop_host_rejected(self):
         # On a cubic host a loop's vertex meets one other edge, a bridge,
         # so no flow exists.
-        g = MultiGraph(2, [(0, 1), (0, 0), (1, 1)])
-        with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(g, [EdgeSet.empty(g)])
-        assert exc.value.condition == 3
+        assert flow_planes(MultiGraph(2, [(0, 1), (0, 0), (1, 1)]), 0) is None
 
     def test_odd_prescription_rejected(self):
         with pytest.raises(PreconditionError):
-            extend_to_cdc(K4, [EdgeSet.of(K4, [0])])
+            extend_to_cdc(K4, [EdgeSet.of(K4, [0])], flow_planes(K4))
 
     def test_cover_is_the_closed_form_of_the_flow(self):
         # c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and c', with S1, S2 the bit planes.
@@ -249,8 +246,7 @@ class TestFourCdcContaining:
         planes = flow_planes(K4)
         s1, s2 = (EdgeSet(K4, plane) for plane in planes)
         expected = [triangle ^ s1, triangle ^ s2, triangle ^ s1 ^ s2, triangle]
-        assert list(extend_to_cdc(K4, [triangle])) == [x for x in expected if x]
-        assert extend_to_cdc(K4, [triangle], planes) == extend_to_cdc(K4, [triangle])
+        assert list(extend_to_cdc(K4, [triangle], planes)) == [x for x in expected if x]
 
     def test_flow_of_another_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -260,32 +256,41 @@ class TestFourCdcContaining:
 class TestExtendToCdc:
     def test_single_triangle_on_k4(self):
         triangle = EdgeSet.of(K4, [0, 1, 2])
-        cdc = extend_to_cdc(K4, [triangle])
+        cdc = extend_to_cdc(K4, [triangle], flow_planes(K4))
         assert len(cdc) <= 4
         assert verify_cdc(K4, cdc).valid
         assert triangle in list(cdc)
 
     def test_no_covers_degenerates_to_plain_cdc(self):
-        cdc = extend_to_cdc(K4, [])
+        cdc = extend_to_cdc(K4, [], flow_planes(K4))
         assert len(cdc) <= 3
         assert verify_cdc(K4, cdc).valid
 
     def test_two_covers_with_matching_overlap(self):
         t1 = EdgeSet.of(K4, [0, 1, 2])  # triangle 0-1-2
         t2 = EdgeSet.of(K4, [2, 4, 5])  # triangle 1-2-3, shares edge 2
-        cdc = extend_to_cdc(K4, [t1, t2])
+        cdc = extend_to_cdc(K4, [t1, t2], flow_planes(K4, (t1 & t2).mask))
         assert len(cdc) <= 5
         assert verify_cdc(K4, cdc).valid
         elements = list(cdc)
         assert t1 in elements and t2 in elements
 
-    def test_given_flow_replaces_the_decision(self):
+    def test_given_flow_replaces_the_decision(self, monkeypatch):
+        # extend_to_cdc decides no flow: it reads the cover off the planes
+        # given, even with the 3-edge-colourer made to raise.
         t1 = EdgeSet.of(K4, [0, 1, 2])
         t2 = EdgeSet.of(K4, [2, 4, 5])
-        planes = flow_planes(K4, (t1 & t2).mask)
-        assert extend_to_cdc(K4, [t1, t2], planes) == extend_to_cdc(K4, [t1, t2])
+        planes, whole = flow_planes(K4, (t1 & t2).mask), flow_planes(K4)
+
+        def refuse(g):
+            raise AssertionError("extend_to_cdc decided a flow")
+
+        monkeypatch.setattr("cdc5.flows.three_edge_color", refuse)
+        assert verify_cdc(K4, extend_to_cdc(K4, [t1, t2], planes)).valid
+        # The pair overlaps in edge 2, so a flow of K4 itself is no flow of
+        # K4 minus the matching.
         with pytest.raises(ValueError):
-            extend_to_cdc(K4, [t1, t2], flow_planes(K4))
+            extend_to_cdc(K4, [t1, t2], whole)
 
     def test_planes_that_are_no_flow_rejected(self):
         # Every planes bit flipped in turn, on edges of G - M and of M.
@@ -304,14 +309,14 @@ class TestExtendToCdc:
         g = prism_graph()
         t1 = EdgeSet.of(g, [0, 1, 2])
         t2 = EdgeSet.of(g, [3, 4, 5])
-        cdc = extend_to_cdc(g, [t1, t2])
+        cdc = extend_to_cdc(g, [t1, t2], flow_planes(g))
         assert verify_cdc(g, cdc).valid
         assert len(cdc) <= 5
 
     def test_condition1_overfull_edge(self):
         t = EdgeSet.of(K4, [0, 1, 2])
         with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(K4, [t, t, t])
+            extend_to_cdc(K4, [t, t, t], flow_planes(K4))
         assert exc.value.condition == 1
         assert exc.value.edges == (0, 1, 2)
 
@@ -319,26 +324,29 @@ class TestExtendToCdc:
         quad = EdgeSet.of(K4, [0, 2, 3, 5])  # 0-1-2-3-0
         tri = EdgeSet.of(K4, [0, 1, 2])  # shares edges 0 and 2, meeting at vertex 1
         with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(K4, [quad, tri])
+            extend_to_cdc(K4, [quad, tri], flow_planes(K4))
         assert exc.value.condition == 2
         assert 0 in exc.value.edges and 2 in exc.value.edges
 
     def test_condition3_flowless_remainder(self, petersen):
+        # The flow condition on G - M is the caller's to decide: the pair
+        # passes conditions 1 and 2, so only the planes are refused, and
+        # the Petersen graph minus their empty overlap has no flow at all.
         outer = EdgeSet.of(petersen, range(5))
         inner = EdgeSet.of(petersen, range(10, 15))
-        with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(petersen, [outer, inner])
-        assert exc.value.condition == 3
-        assert exc.value.edges == ()
+        with pytest.raises(ValueError) as exc:
+            extend_to_cdc(petersen, [outer, inner], (0, 0))
+        assert not isinstance(exc.value, ConditionError)
+        assert flow_planes(petersen, (outer & inner).mask) is None
 
     def test_non_cubic_rejected(self):
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
         with pytest.raises(PreconditionError):
-            extend_to_cdc(g, [EdgeSet.full(g)])
+            extend_to_cdc(g, [EdgeSet.full(g)], (0, 0))
 
     def test_odd_cover_rejected(self):
         with pytest.raises(PreconditionError):
-            extend_to_cdc(K4, [EdgeSet.of(K4, [0])])
+            extend_to_cdc(K4, [EdgeSet.of(K4, [0])], flow_planes(K4))
 
     def test_three_disjoint_covers(self):
         # Three pairwise disjoint even subgraphs on the prism: the two
@@ -348,7 +356,8 @@ class TestExtendToCdc:
         t1 = EdgeSet.of(g, [0, 1, 2])
         t2 = EdgeSet.of(g, [3, 4, 5])
         square = EdgeSet.of(g, [0, 6, 3, 7])
-        cdc = extend_to_cdc(g, [t1, t2, square])
+        twice = coverage_masks([t1.mask, t2.mask, square.mask])[1]
+        cdc = extend_to_cdc(g, [t1, t2, square], flow_planes(g, twice))
         assert verify_cdc(g, cdc).valid
         assert len(cdc) <= 6
         for c in (t1, t2, square):

@@ -265,11 +265,11 @@ class TestEnumerateCircuits:
             assert enumerate_circuits(g) == filtered_circuits(g)
 
 
-def brute_coset(base, vectors):
+def brute_span(vectors):
     span = {0}
     for vec in vectors:
         span |= {x ^ vec for x in span}
-    return {base ^ x for x in span}
+    return span
 
 
 def id_order(mask):
@@ -291,19 +291,11 @@ class TestCanonicalMasks:
                 combo ^= vec
             vectors.append(combo)
         rng.shuffle(vectors)
-        # Nonzero, and in general holding pivot edges of the reduced rows,
-        # so it must be reduced before the coset is listed.
-        base = (rng.getrandbits(m) ^ independent[0]) or 1
         given = list(vectors)
-        got = canonical_masks(base, vectors)
+        got = canonical_masks(vectors)
         assert vectors == given
-        assert got == sorted(brute_coset(base, vectors), key=id_order)
+        assert got == sorted(brute_span(vectors), key=id_order)
 
-    def test_base_inside_the_span_gives_the_span(self):
-        vectors = [0b0110, 0b1100, 0b1010]
-        got = canonical_masks(0b1010, vectors)
-        assert got == [0, 0b0110, 0b1010, 0b1100]
-
-    def test_no_vectors_gives_the_base(self):
-        assert canonical_masks(0b101, []) == [0b101]
-        assert canonical_masks(0, [0, 0]) == [0]
+    def test_no_vectors_gives_zero(self):
+        assert canonical_masks([]) == [0]
+        assert canonical_masks([0, 0]) == [0]

@@ -498,7 +498,7 @@ class TestOverlapBuckets:
 
     def assert_buckets(self, g, c1s):
         basis = cycle_space_basis(g)
-        whole = canonical_masks(0, [v.mask for v in basis.vectors])
+        whole = canonical_masks([v.mask for v in basis.vectors])
         for c1 in c1s:
             rows = reduced_echelon(v.mask & c1 for v in basis.vectors)
             share = 1 << (basis.dim - len(rows))
@@ -519,7 +519,7 @@ class TestOverlapBuckets:
         # down to those with fewer members than syndromes.
         for g in catalog:
             basis = cycle_space_basis(g)
-            self.assert_buckets(g, canonical_masks(0, [v.mask for v in basis.vectors]))
+            self.assert_buckets(g, canonical_masks([v.mask for v in basis.vectors]))
 
     def test_corpus_and_j5(self, snarks):
         for g in snarks[:3] + [flower_snark(5)]:
@@ -532,7 +532,7 @@ class TestOverlapBuckets:
         basis = cycle_space_basis(petersen)
         c1 = enumerate_circuits(petersen)[-1].mask
         rows = reduced_echelon(v.mask & c1 for v in basis.vectors)
-        whole = canonical_masks(0, [v.mask for v in basis.vectors])
+        whole = canonical_masks([v.mask for v in basis.vectors])
         share = 1 << (basis.dim - len(rows))
         armed = []
 
@@ -557,7 +557,7 @@ class TestShortEnd:
     lists the rest in closed form once growing gets dear."""
 
     def assert_short_end(self, g):
-        whole = canonical_masks(0, [v.mask for v in cycle_space_basis(g).vectors])
+        whole = canonical_masks([v.mask for v in cycle_space_basis(g).vectors])
         layers = EvenLayers(g)
         short = [0]
         for width in range(1, g.m + 1):
@@ -587,7 +587,7 @@ class TestShortEnd:
         # short end to size 9 (58 members) only.  A full walk lists the
         # rest in closed form once the circuit search gets dear.
         g = flower_snark(7)
-        whole = canonical_masks(0, [v.mask for v in cycle_space_basis(g).vectors])
+        whole = canonical_masks([v.mask for v in cycle_space_basis(g).vectors])
         ctx = SearchContext(g)
         first = list(itertools.islice(ctx.canonical_order(), 50))
         assert first == whole[:50]
@@ -600,7 +600,7 @@ class TestShortEnd:
         # The search walks C2 inside its walk of C1.  A walk nested in
         # another grows the short end under it, and the outer walk must
         # still go on from where it stopped.
-        whole = canonical_masks(0, [v.mask for v in cycle_space_basis(g).vectors])
+        whole = canonical_masks([v.mask for v in cycle_space_basis(g).vectors])
         ctx = SearchContext(g)
         outer = []
         for x in ctx.canonical_order():

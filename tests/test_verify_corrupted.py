@@ -20,10 +20,30 @@ from cdc5 import EdgeSet, enumerate_circuits, find_5cdc_containing, parse_graph6
 DATA = os.path.join(os.path.dirname(__file__), "data", "corrupted_problems.json")
 
 
+WITNESSLESS = "the cover witnesses no nowhere-zero 4-flow of the graph minus the matching"
+
+
+def witnessless_prism() -> dict:
+    """A valid 5-element cover of the prism, in graph6 E{Sw's own edge
+    order, with c1 = c0 a triangle, c2 and the matching empty.  Then
+    c1 ^ c2 is c1 again, so the replay has five masks where a flow gives
+    at most four: the cover witnesses no flow, and the certificate is
+    rejected although the prism has one."""
+    g = parse_graph6("E{Sw")
+    return {
+        "graph6": "E{Sw", "n": 6, "m": 9, "edges": [list(e) for e in g.edges],
+        "c0": [0, 1, 2], "c1": [0, 1, 2], "c2": [], "matching": [],
+        "cdc": [[0, 1, 2], [5, 7, 8], [0, 3, 4, 5], [2, 4, 6, 8], [1, 3, 6, 7]],
+        "coverage": [2] * 9, "path": "m-empty",
+        "stats": {"candidates_tried": 1, "elapsed_ms": 0},
+    }
+
+
 def base_certificates() -> dict[str, dict]:
     """Certificate documents to corrupt, timed at 0 ms: the theorem-2 path
     on Petersen and on the first Blanusa snark, the m-empty path on K4,
-    and a document over K5 that no search would write."""
+    a document over K5 that no search would write, and the witnessless
+    prism cover."""
     with open(os.path.join(os.path.dirname(__file__), "data", "snarks.g6")) as handle:
         petersen, blanusa = [parse_graph6(line) for line in handle.read().split()[:2]]
     k4 = parse_graph6("C~")
@@ -43,6 +63,7 @@ def base_certificates() -> dict[str, dict]:
         "coverage": [2] * k5.m, "path": "m-empty",
         "stats": {"candidates_tried": 1, "elapsed_ms": 0},
     }
+    out["prism"] = witnessless_prism()
     return out
 
 
@@ -93,6 +114,7 @@ def test_problem_lists_are_unchanged():
     for name, entry in recorded.items():
         assert problems[name] == entry["problems"], name
     assert all(verify_certificate(bases[name]) == [] for name in ("petersen", "blanusa", "k4"))
+    assert verify_certificate(bases["prism"]) == [WITNESSLESS]
     # Every kind of problem the check core reports on a cover shows up.
     seen = " ".join(p for lists in problems.values() for ps in lists.values() for p in ps)
     for phrase in ("not an even subgraph", "share an endpoint", "covered 3 times",
