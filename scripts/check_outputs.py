@@ -12,9 +12,14 @@ runs the same sweep with `--workers 2`, which must write the same files,
 each equal to the serial one byte for byte once the values of elapsed_ms
 and total_ms are removed. It does the same for the catalog
 tests/data/cubic_bridgeless_connected_n4_10.g6, whose certificates mostly
-have an empty c2 and an empty matching. It prints the counts, the flow
-decisions made while verifying and the run time, and exits with status 1
-on any mismatch or flow decision.
+have an empty c2 and an empty matching. Last, it pins the output bytes:
+the SHA-256 over each input's serial-sweep certificate files, in name
+order (each file's name, a newline, then its text with the elapsed_ms
+values removed), must equal the one recorded in DIGESTS. It prints the
+counts, the flow decisions made while verifying, whether the digests
+match and the run time, and exits with status 1 on any mismatch, flow
+decision or digest that differs. A change that alters the certificates
+on purpose records the new digest, which the failing run prints.
 
 Run it from the root of a source checkout:
 
@@ -24,6 +29,7 @@ Run it from the root of a source checkout:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -44,6 +50,10 @@ CORPUS = str(ROOT / "tests" / "data" / "snarks.g6")
 # certificates have an empty c2 and an empty matching.
 CATALOG = str(ROOT / "tests" / "data" / "cubic_bridgeless_connected_n4_10.g6")
 TIMING = re.compile(r'("(?:elapsed_ms|total_ms)": )\d+')
+DIGESTS = {
+    "corpus": "2639df6b7e804e5f05949a07162e5c27a8f17ec1a62e94d04af392b5dbbc222b",
+    "catalog": "bdc91879f8a3300c05e3644a7d728c398489e1914e13bf0bd2bdc3b60ca92782",
+}
 
 
 def sweep(graph: str, out: str, workers: int) -> int:
@@ -73,11 +83,13 @@ def verify(doc: dict) -> tuple[list[str], int]:
         cdc5.flows.three_edge_color = colour
 
 
-def check(graph: str) -> tuple[int, int, int, list[str]]:
+def check(graph: str) -> tuple[int, int, int, list[str], str]:
     """Sweep graph with one worker and with two, and check what they write:
-    (files, certificates, flow decisions while verifying, problems)."""
+    (files, certificates, flow decisions while verifying, problems, the
+    digest of the serial sweep's certificates)."""
     problems = []
     decisions = 0
+    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as parallel:
         code = sweep(graph, out, 1)
         if code != 0:
@@ -91,6 +103,7 @@ def check(graph: str) -> tuple[int, int, int, list[str]]:
                 problems.append(f"{path.name}: not the json.dumps(..., indent=2) text")
             if path.name.startswith("cert_"):
                 certificates += 1
+                digest.update(f"{path.name}\n{untimed(path)}".encode("utf-8"))
                 found, calls = verify(doc)
                 problems += [f"{path.name}: {p}" for p in found]
                 decisions += calls
@@ -105,23 +118,29 @@ def check(graph: str) -> tuple[int, int, int, list[str]]:
                 for path in paths
                 if untimed(path) != untimed(Path(parallel) / path.name)
             ]
-    return len(paths), certificates, decisions, problems
+    return len(paths), certificates, decisions, problems, digest.hexdigest()
 
 
 def main() -> int:
     started = time.monotonic()
-    files, certificates, decisions, problems = check(CORPUS)
-    catalog_files, catalog_certificates, catalog_decisions, catalog_problems = check(CATALOG)
+    files, certificates, decisions, problems, digest = check(CORPUS)
+    catalog_files, catalog_certificates, catalog_decisions, catalog_problems, catalog_digest = (
+        check(CATALOG)
+    )
     problems += [f"catalog: {line}" for line in catalog_problems]
     decisions += catalog_decisions
+    digests = {"corpus": digest, "catalog": catalog_digest}
+    differ = [f"{name} ({digests[name]})" for name in DIGESTS if digests[name] != DIGESTS[name]]
     elapsed = time.monotonic() - started
     print(f"files: {files}, certificates: {certificates}")
     print(f"catalog files: {catalog_files}, certificates: {catalog_certificates}")
     print(f"flow decisions while verifying: {decisions}")
+    print("digests: " + ("differ for " + ", ".join(differ) if differ else "match"))
     print(f"problems: {len(problems)}, time: {elapsed:.1f} s")
     for line in problems:
         print(f"  {line}")
-    return 1 if problems or decisions or not certificates or not catalog_certificates else 0
+    failed = problems or decisions or differ or not certificates or not catalog_certificates
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -2,19 +2,8 @@
 cubic graphs containing a prescribed circuit."""
 
 from .certificates import Certificate, build_certificate, verify_certificate
-from .cover import (
-    CdcReport,
-    contains_element_superset,
-    extend_to_cdc,
-    verify_cdc,
-)
-from .cyclespace import (
-    CycleBasis,
-    canonical_masks,
-    cycle_space_basis,
-    enumerate_circuits,
-    is_even_subgraph,
-)
+from .cover import extend_to_cdc
+from .cyclespace import canonical_masks, enumerate_circuits, is_even_subgraph
 from .errors import (
     CapacityError,
     ConditionError,
@@ -28,8 +17,8 @@ from .graphs import (
     EdgeSet,
     MultiGraph,
     bridges,
-    components,
     parse_graph6,
+    spanning_forest,
     write_graph6,
 )
 from .search import SearchContext, SearchOptions, Sweep, find_5cdc_containing
@@ -38,10 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CdcReport",
     "Certificate",
     "ConditionError",
-    "CycleBasis",
     "EdgeSet",
     "Graph6Error",
     "InvariantViolationError",
@@ -54,9 +41,6 @@ __all__ = [
     "bridges",
     "build_certificate",
     "canonical_masks",
-    "components",
-    "contains_element_superset",
-    "cycle_space_basis",
     "enumerate_circuits",
     "extend_to_cdc",
     "find_5cdc_containing",
@@ -65,8 +49,8 @@ __all__ = [
     "is_even_subgraph",
     "is_flow",
     "parse_graph6",
+    "spanning_forest",
     "three_edge_color",
-    "verify_cdc",
     "verify_certificate",
     "write_graph6",
 ]

@@ -24,7 +24,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
-from .cover import cdc_report, contains_element_superset, replayed_planes
+from .cover import coverage_masks, replayed_planes
 from .errors import Graph6Error, InvariantViolationError, UnsupportedFormatError
 from .graphs import EdgeSet, MultiGraph, parse_graph6, vertex_faults, write_graph6
 
@@ -224,7 +224,7 @@ def _structural_problems(doc: Any) -> list[str]:
     ):
         if key not in doc:
             problems.append(f"missing field '{key}'")
-        elif not isinstance(doc[key], kind):
+        elif not isinstance(doc[key], kind) or isinstance(doc[key], bool):
             problems.append(f"field '{key}' has the wrong type")
     if problems:
         return problems
@@ -330,22 +330,30 @@ def _check(
 
     if len(elements) > 5:
         problems.append(f"cover has {len(elements)} elements, more than 5")
-    report = cdc_report(g, elements, (odd | crowded) >> 4)
-    for i in report.empty:
-        problems.append(f"cdc[{i}] is empty")
-    for i in report.non_even:
-        problems.append(f"cdc[{i}] is not an even subgraph")
-    for e in report.coverage_errors:
-        problems.append(f"edge {e} is covered {report.coverage[e]} times, expected 2")
-    if tuple(coverage) != report.coverage:
-        wrong = [e for e in range(min(len(coverage), g.m)) if coverage[e] != report.coverage[e]]
+    cover = masks[4:]
+    uneven = (odd | crowded) >> 4
+    for i, x in enumerate(cover):
+        if not x:
+            problems.append(f"cdc[{i}] is empty")
+    for i in range(len(cover)):
+        if uneven >> i & 1:
+            problems.append(f"cdc[{i}] is not an even subgraph")
+    # The tally is counted edge by edge only for a failed cover.
+    tally = (2,) * g.m
+    if coverage_masks(cover)[1] != (1 << g.m) - 1:
+        tally = tuple(sum(x >> e & 1 for x in cover) for e in range(g.m))
+        problems += [
+            f"edge {e} is covered {k} times, expected 2" for e, k in enumerate(tally) if k != 2
+        ]
+    if tuple(coverage) != tally:
+        wrong = [e for e in range(min(len(coverage), g.m)) if coverage[e] != tally[e]]
         detail = f" at edges {wrong}" if wrong else ""
         problems.append("coverage field does not match the recomputed tally" + detail)
     if c1 and c1 not in elements:
         problems.append("c1 is not an element of the cover")
     if c2 and c2 not in elements:
         problems.append("c2 is not an element of the cover")
-    if contains_element_superset(elements, c0) is None:
+    if not any(c0 <= el for el in elements):
         problems.append("no cover element contains c0")
 
     if path not in (PATH_THEOREM, PATH_M_EMPTY):

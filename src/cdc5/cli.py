@@ -151,7 +151,7 @@ def _parse_vertex_circuit(g: MultiGraph, spec: str) -> EdgeSet:
             raise _Fail(EXIT_USAGE, f"vertex {v} out of range (graph has {g.n} vertices)")
     ids = []
     for u, v in zip(verts, verts[1:] + verts[:1]):
-        here = [e for e in g.incident(u) if not g.is_loop(e) and g.other_end(e, u) == v]
+        here = [e for e in g.incident(u) if g.other_end(e, u) == v != u]
         if not here:
             raise _Fail(EXIT_USAGE, f"no edge between {u} and {v}")
         if len(here) > 1:

@@ -1,4 +1,5 @@
-"""Cycle double covers: verification and extension.
+"""Cycle double covers: the closed-form extension, the coverage tally and
+the flow a cover replays, which the certificate check reads.
 
 A CDC is a multiset of nonempty even subgraphs covering every edge exactly
 twice.  The constructions here revolve around one closed form: a
@@ -16,23 +17,11 @@ one graphs.vertex_faults call per cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConditionError, PreconditionError
 from .flows import Planes
 from .graphs import EdgeSet, MultiGraph, vertex_faults
-
-
-@dataclass(frozen=True)
-class CdcReport:
-    """Outcome of verify_cdc; invalidity is data, not an exception."""
-
-    valid: bool
-    empty: tuple[int, ...]  # indices of empty elements
-    non_even: tuple[int, ...]  # indices failing the even-subgraph check
-    coverage: tuple[int, ...]  # per-edge cover counts
-    coverage_errors: tuple[int, ...]  # edge ids covered != 2 times
 
 
 def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
@@ -44,38 +33,6 @@ def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
             once ^ (x & ~(twice | more)), twice ^ ((once | twice) & x), more | (twice & x)
         )
     return once, twice, more
-
-
-def verify_cdc(g: MultiGraph, elements: Sequence[EdgeSet]) -> CdcReport:
-    """Check the double-cover property: every element a nonempty even
-    subgraph, every edge covered exactly twice (repeats count)."""
-    for el in elements:
-        if el.host is not g:
-            raise ValueError("element does not belong to the given graph")
-    odd, _, crowded = vertex_faults(g, [el.mask for el in elements])
-    return cdc_report(g, elements, odd | crowded)
-
-
-def cdc_report(g: MultiGraph, elements: Sequence[EdgeSet], uneven: int) -> CdcReport:
-    """verify_cdc's report, given the elements' vertex_faults odd | crowded as
-    uneven; the tally is counted edge by edge only for a failed cover."""
-    empty = tuple(i for i, el in enumerate(elements) if not el)
-    non_even = tuple(i for i in range(len(elements)) if uneven >> i & 1)
-    if coverage_masks([el.mask for el in elements])[1] == (1 << g.m) - 1:
-        return CdcReport(not empty and not non_even, empty, non_even, (2,) * g.m, ())
-    counts = tuple(sum(el.mask >> e & 1 for el in elements) for e in range(g.m))
-    errors = tuple(e for e, c in enumerate(counts) if c != 2)
-    return CdcReport(False, empty, non_even, counts, errors)
-
-
-def contains_element_superset(elements: Sequence[EdgeSet], c0: EdgeSet) -> Optional[int]:
-    """Least index of an element with c0 as a subset, or None.  The empty
-    c0 is contained in the first element (or in none, if there is none)."""
-    for i, el in enumerate(elements):
-        c0._check_host(el)
-        if c0 <= el:
-            return i
-    return None
 
 
 def _matching_conflicts(g: MultiGraph, s: EdgeSet) -> tuple[int, ...]:

@@ -5,47 +5,25 @@ spanning forest; its elements are exactly the even subgraphs (every vertex
 incident to 0 or 2 member edges on the subcubic hosts this package works
 with).  Loops are excluded throughout: a loop is not part of any 2-regular
 subgraph, so loop edges never appear in basis vectors, and no element of
-the space holds one.
+the space holds one.  The basis used is graphs.spanning_forest(g).cycles,
+one fundamental cycle per chord, so dim = m - #loops - n + #components.
+Its users read only the span, through reduced_echelon, whose form is the
+same for every basis of a space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError
 from .graphs import EdgeSet, MultiGraph, spanning_forest, vertex_faults
 
 
-@dataclass(frozen=True)
-class CycleBasis:
-    """Fundamental-cycle basis: vectors[i] is the cycle closed by chords[i]."""
-
-    host: MultiGraph
-    vectors: tuple[EdgeSet, ...]
-    chords: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def check_guard(self, guard: int) -> None:
-        """Raise CapacityError when dim exceeds guard: listing the whole
-        space costs 2^dim."""
-        if self.dim > guard:
-            raise CapacityError(
-                f"cycle-space dimension {self.dim} exceeds enumeration guard {guard}"
-            )
-
-
-def cycle_space_basis(g: MultiGraph) -> CycleBasis:
-    """Basis of the cycle space: the fundamental cycles of the chords of
-    g's breadth-first spanning forest (graphs.spanning_forest), chords in
-    ascending order.  So dim = m - #loops - n + #components.  Its users
-    read only the span, through reduced_echelon, whose form is the same
-    for every basis of a space."""
-    forest = spanning_forest(g)
-    return CycleBasis(g, tuple(EdgeSet(g, c) for c in forest.cycles), forest.chords)
+def check_guard(dim: int, guard: int) -> None:
+    """Raise CapacityError when the cycle-space dimension dim exceeds guard:
+    listing the whole space costs 2^dim."""
+    if dim > guard:
+        raise CapacityError(f"cycle-space dimension {dim} exceeds enumeration guard {guard}")
 
 
 def is_even_subgraph(g: MultiGraph, s: EdgeSet) -> bool:
@@ -198,11 +176,11 @@ def enumerate_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     its lowest edge's first endpoint, and at each vertex it reaches it
     takes the one other member edge there.  A vertex with more member
     edges (hosts of higher degree) stops it."""
-    basis = cycle_space_basis(g)
-    basis.check_guard(guard)
+    cycles = spanning_forest(g).cycles
+    check_guard(len(cycles), guard)
     vm, ends = g.vertex_masks, g.edges
     out = []
-    for mask in canonical_masks([v.mask for v in basis.vectors]):
+    for mask in canonical_masks(cycles):
         if not mask:
             continue
         low = mask & -mask

@@ -1,5 +1,6 @@
 """Multigraph core: dense edge identifiers, bit-mask edge sets, graph6 I/O,
-and the spanning forest behind bridges, components and the cycle basis.
+and the one spanning forest that gives the bridges, the connected
+components and the fundamental cycles of a graph.
 
 Vertices are 0..n-1.  Edges carry dense identifiers 0..m-1 in construction
 order and are unordered pairs; loops and parallel edges are allowed
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from binascii import a2b_base64
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Graph6Error, UnsupportedFormatError
 
@@ -22,7 +23,7 @@ class MultiGraph:
     """Immutable multigraph over vertices 0..n-1 with a dense edge list."""
 
     __slots__ = (
-        "n", "_edges", "_incident", "_degrees", "_vertex_masks", "_loop_mask", "_cubic", "_tally",
+        "n", "vertex_masks", "_edges", "_incident", "_degrees", "_loop_mask", "_cubic", "_tally",
         "_forest",
     )
 
@@ -52,7 +53,7 @@ class MultiGraph:
         self._edges = edge_list
         self._incident = tuple(tuple(x) for x in incident)
         self._degrees = tuple(degrees)
-        self._vertex_masks = tuple(vertex_masks)
+        self.vertex_masks = tuple(vertex_masks)  # the edges at each vertex, as masks
         self._loop_mask = loop_mask
         self._cubic = degrees.count(3) == n
         self._tally = None  # vertex_faults' tables
@@ -76,20 +77,8 @@ class MultiGraph:
     def degree(self, v: int) -> int:
         return self._degrees[v]
 
-    def vertex_mask(self, v: int) -> int:
-        return self._vertex_masks[v]
-
-    @property
-    def vertex_masks(self) -> tuple[int, ...]:
-        """vertex_mask(v) for every vertex, in vertex order."""
-        return self._vertex_masks
-
     def loop_mask(self) -> int:
         return self._loop_mask
-
-    def is_loop(self, e: int) -> bool:
-        u, v = self._edges[e]
-        return u == v
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self._edges[e]
@@ -147,17 +136,9 @@ class EdgeSet:
     def empty(cls, host: MultiGraph) -> "EdgeSet":
         return cls(host, 0)
 
-    @classmethod
-    def full(cls, host: MultiGraph) -> "EdgeSet":
-        return cls(host, (1 << host.m) - 1)
-
     def _check_host(self, other: "EdgeSet") -> None:
         if self.host is not other.host:
             raise ValueError("EdgeSet operands belong to different host graphs")
-
-    def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.host, self.mask | other.mask)
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
         self._check_host(other)
@@ -167,19 +148,9 @@ class EdgeSet:
         self._check_host(other)
         return EdgeSet(self.host, self.mask ^ other.mask)
 
-    def __sub__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.host, self.mask & ~other.mask)
-
     def __le__(self, other: "EdgeSet") -> bool:
         self._check_host(other)
         return self.mask & ~other.mask == 0
-
-    def __contains__(self, e: int) -> bool:
-        return 0 <= e < self.host.m and self.mask >> e & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ids())
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -208,7 +179,7 @@ class EdgeSet:
         return tuple(out)
 
     def __repr__(self) -> str:
-        return f"EdgeSet({list(self)})"
+        return f"EdgeSet({list(self.ids())})"
 
 
 def vertex_faults(g: MultiGraph, masks: Sequence[int]) -> tuple[int, int, int]:
@@ -395,9 +366,3 @@ def _walk_forest(g: MultiGraph) -> Forest:
             cycles.append(cycle)
             covered |= cycle
     return Forest(tree & ~covered, tuple(components), tuple(chords), tuple(cycles))
-
-
-def components(g: MultiGraph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least
-    vertex: the spanning forest's, one per root."""
-    return [sorted(comp) for comp in spanning_forest(g).components]

@@ -41,7 +41,7 @@ from .cover import extend_to_cdc
 from .cyclespace import (
     EvenLayers,
     canonical_masks,
-    cycle_space_basis,
+    check_guard,
     enumerate_circuits,
     is_even_subgraph,
     reduced_echelon,
@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .flows import Planes, flow_planes
-from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6
+from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,13 @@ def _check_search_host(g: MultiGraph) -> None:
 
 class SearchContext:
     """Search state of one host graph, shared by every search on it: the
-    cycle-space basis, the short end of the canonical order of the even
-    subgraphs (size, then ascending edge ids), a memo of the bit planes
-    of the nowhere-zero 4-flow of G - M per deleted edge mask M (None when
-    G - M has none), and the frame of the graph's certificates.  Holding
-    the planes, not just the answer, lets a found pair's cover be built
-    without deciding the flow again.
+    cycles, a basis of the cycle space as masks (the fundamental cycles of
+    graphs.spanning_forest, so dim is their number), the short end of the
+    canonical order of the even subgraphs (size, then ascending edge ids),
+    a memo of the bit planes of the nowhere-zero 4-flow of G - M per
+    deleted edge mask M (None when G - M has none), and the frame of the
+    graph's certificates.  Holding the planes, not just the answer, lets a
+    found pair's cover be built without deciding the flow again.
 
     The short end starts at the empty set and grows by one size whenever a
     walk of the order passes it, so its cost follows the searches made,
@@ -100,7 +101,7 @@ class SearchContext:
     def __init__(self, g: MultiGraph):
         _check_search_host(g)
         self.g = g
-        self.basis = cycle_space_basis(g)
+        self.cycles = spanning_forest(g).cycles
         self._flows: dict[int, Optional[Planes]] = {}
         self._order: list[int] = [0]  # the short end, in canonical order
         self._layers: Optional[EvenLayers] = None  # built on the first growth
@@ -125,13 +126,13 @@ class SearchContext:
     def _grow(self, check_time: Callable[[], None]) -> bool:
         """Extend the short end by one size, or to the whole order; False
         when it is the whole order already."""
-        total = 1 << self.basis.dim
+        total = 1 << len(self.cycles)
         if len(self._order) == total:
             return False
         if self._layers is None:
             self._layers = EvenLayers(self.g)
         if self._layers.paths * 8 > total:
-            self._order = canonical_masks([v.mask for v in self.basis.vectors])
+            self._order = canonical_masks(self.cycles)
         else:
             self._order.extend(self._layers.next_layer(check_time))
         return True
@@ -287,8 +288,8 @@ def _walk_bucket(
 def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
     """The first C2 accepted with c1, in the engine's order, with every pair
     passed over counted in tally; None after all 2^dim of them."""
-    rows = reduced_echelon(v.mask & c1 for v in ctx.basis.vectors)
-    share = 1 << (ctx.basis.dim - len(rows))
+    rows = reduced_echelon(v & c1 for v in ctx.cycles)
+    share = 1 << (len(ctx.cycles) - len(rows))
     for k, (count, matchings) in enumerate(_overlaps(ctx.g, c1, rows, tally.check_time)):
         start = tally.tried
         c2 = _walk_bucket(ctx, c1, k, matchings, tally)
@@ -337,7 +338,7 @@ def find_5cdc_containing(
     frame = ctx.frame  # the certificate names the graph in graph6
 
     started = time.monotonic()
-    ctx.basis.check_guard(opts.dim_guard)
+    check_guard(len(ctx.cycles), opts.dim_guard)
     tally = _Tally(opts, started)
     for c1 in _c1_order(ctx, c0.mask, tally.check_time):
         c2 = _first_partner(ctx, c1, tally)

@@ -10,34 +10,34 @@ linear; the tests use them to read a cover back as a flow and as a
 (M, C1, C2) triple, and to check the package's flow planes against flow
 values on G - M built as a graph of its own (minus).  The per-mask vertex
 loops (loop_is_even_subgraph, loop_is_matching, loop_is_flow) are the
-references for graphs.vertex_faults.  trail_three_edge_color is the
-3-edge-colorer as it was when it pushed a trail entry per colored edge;
-reference_three_edge_color is the one before it, without a memo.  The
-exhaustive double-cover search (brute_force_cdc), the Gray-code listing
-of the cycle space (enumerate_even_subgraphs) and petersen_graph are
-used only by the tests and scripts, so they live here, not in cdc5.
+references for graphs.vertex_faults, and the edge-by-edge cover check
+(loop_verify_cdc) for the cover tally of the certificate check.
+trail_three_edge_color is the 3-edge-colorer as it was when it pushed a
+trail entry per colored edge; reference_three_edge_color is the one
+before it, without a memo.  The exhaustive double-cover search
+(brute_force_cdc), the Gray-code listing of the cycle space
+(enumerate_even_subgraphs) and petersen_graph are used only by the tests
+and scripts, so they live here, not in cdc5.
 """
 
 import random
 from bisect import insort
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from cdc5 import (
     CapacityError,
-    CycleBasis,
     EdgeSet,
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
     canonical_masks,
-    contains_element_superset,
-    cycle_space_basis,
     is_even_subgraph,
     is_flow,
-    verify_cdc,
+    spanning_forest,
 )
 from cdc5.cover import replayed_planes
+from cdc5.cyclespace import check_guard
 from cdc5.flows import _dead_key
 
 
@@ -57,21 +57,21 @@ def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
     return out
 
 
-def enumerate_even_subgraphs(basis: CycleBasis, guard: int = 24) -> Iterator[EdgeSet]:
-    """Yield all 2^dim cycle-space elements.
+def enumerate_even_subgraphs(g: MultiGraph, guard: int = 24) -> Iterator[EdgeSet]:
+    """Yield all 2^dim cycle-space elements of g.
 
-    Order is deterministic: Gray-code over the basis coefficients, so
-    element k differs from element k-1 by the basis vector indexed by the
-    lowest set bit of k.  The empty set comes first.
+    Order is deterministic: Gray-code over the coefficients of the basis
+    spanning_forest(g).cycles, so element k differs from element k-1 by the
+    basis vector indexed by the lowest set bit of k.  The empty set comes
+    first.
     """
-    basis.check_guard(guard)
-    host = basis.host
-    masks = [v.mask for v in basis.vectors]
+    masks = spanning_forest(g).cycles
+    check_guard(len(masks), guard)
     cur = 0
-    yield EdgeSet(host, 0)
-    for k in range(1, 1 << basis.dim):
+    yield EdgeSet(g, 0)
+    for k in range(1, 1 << len(masks)):
         cur ^= masks[(k & -k).bit_length() - 1]
-        yield EdgeSet(host, cur)
+        yield EdgeSet(g, cur)
 
 
 def circuit_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -129,7 +129,7 @@ def brute_bridges(g: MultiGraph) -> list[int]:
 
     base = component_count(-1)
     return [
-        e for e in range(g.m) if not g.is_loop(e) and component_count(e) > base
+        e for e in range(g.m) if not g.loop_mask() >> e & 1 and component_count(e) > base
     ]
 
 
@@ -146,7 +146,7 @@ def edge_set_connected(g: MultiGraph, s: EdgeSet) -> bool:
     while queue:
         v = queue.pop()
         for e in g.incident(v):
-            if e not in s:
+            if not s.mask >> e & 1:
                 continue
             seen_edges |= 1 << e
             w = g.other_end(e, v)
@@ -165,9 +165,9 @@ def filtered_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
     """The circuits of g in enumerate_circuits' order, by testing every
     member of the canonical order with is_circuit (a breadth-first search
     per member)."""
-    basis = cycle_space_basis(g)
-    basis.check_guard(guard)
-    masks = canonical_masks([v.mask for v in basis.vectors])
+    cycles = spanning_forest(g).cycles
+    check_guard(len(cycles), guard)
+    masks = canonical_masks(cycles)
     return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
 
 
@@ -190,7 +190,7 @@ def verify_flow(g: MultiGraph, values: Sequence[int]) -> bool:
     for v in range(g.n):
         acc = 0
         for e in g.incident(v):
-            if not g.is_loop(e):
+            if not g.loop_mask() >> e & 1:
                 acc ^= values[e]
         if acc:
             return False
@@ -232,6 +232,36 @@ def replays_as_flow(
     return planes is not None and is_flow(g, matching.mask, *planes)
 
 
+class CoverReport(NamedTuple):
+    """What loop_verify_cdc finds in a cover."""
+
+    valid: bool
+    empty: tuple[int, ...]  # indices of empty elements
+    non_even: tuple[int, ...]  # indices of elements that are no even subgraph
+    coverage: tuple[int, ...]  # per-edge cover counts
+    coverage_errors: tuple[int, ...]  # edge ids covered other than twice
+
+
+def loop_verify_cdc(g: MultiGraph, elements: Sequence[EdgeSet]) -> CoverReport:
+    """Check the double-cover property edge by edge and vertex by vertex:
+    every element a nonempty even subgraph, every edge covered exactly
+    twice (repeats count).  The reference for the bit-parallel tally of the
+    certificate check."""
+    if any(el.host is not g for el in elements):
+        raise ValueError("element does not belong to the given graph")
+    counts = [0] * g.m
+    for el in elements:
+        for e in el.ids():
+            counts[e] += 1
+    empty = tuple(i for i, el in enumerate(elements) if not el)
+    non_even = tuple(
+        i for i, el in enumerate(elements) if not loop_is_even_subgraph(g, el.mask)
+    )
+    errors = tuple(e for e, c in enumerate(counts) if c != 2)
+    valid = not empty and not non_even and not errors
+    return CoverReport(valid, empty, non_even, tuple(counts), errors)
+
+
 def plane_values(g: MultiGraph, planes: tuple[int, int]) -> tuple[int, ...]:
     """The Klein value of each edge of g under bit planes (S1, S2)."""
     s1, s2 = planes
@@ -253,14 +283,14 @@ def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> tuple[int, ...]:
     for s in elements:
         if s.host is not g:
             raise ValueError("CDC element does not belong to the given graph")
-        for e in s:
+        for e in s.ids():
             counts[e] += 1
     bad = [e for e, c in enumerate(counts) if c != 2]
     if bad:
         raise PreconditionError(f"not a double cover: edges {bad} have wrong coverage")
     values = [0] * g.m
     for value, s in enumerate(elements):
-        for e in s:
+        for e in s.ids():
             values[e] ^= value
     if not verify_flow(g, values):
         raise InvariantViolationError("flow derived from a CDC fails verification")
@@ -279,7 +309,7 @@ def extract_witness(
     there uncoverable), and the remaining elements together with C1 ^ C2
     double-cover G - M, which therefore has a nowhere-zero 4-flow.  Both
     facts are re-checked, the second with replays_as_flow; a failure means
-    the inputs were inconsistent in a way verify_cdc cannot see, or a
+    the inputs were inconsistent in a way loop_verify_cdc cannot see, or a
     genuine bug.
     """
     elements = tuple(elements)
@@ -287,9 +317,9 @@ def extract_witness(
         raise PreconditionError("host graph must be cubic")
     if len(elements) > 5:
         raise PreconditionError(f"need at most 5 elements, got {len(elements)}")
-    if not verify_cdc(g, elements).valid:
+    if not loop_verify_cdc(g, elements).valid:
         raise PreconditionError("not a valid cycle double cover")
-    idx = contains_element_superset(elements, c0)
+    idx = next((i for i, el in enumerate(elements) if c0 <= el), None)
     if idx is None:
         raise PreconditionError("no element contains the prescribed subgraph")
     c1 = elements[idx]
@@ -317,17 +347,17 @@ def brute_force_cdc(
     independent ground truth for the constructive search.  Exponential in
     the cycle-space dimension, which guard bounds.
     """
-    basis = cycle_space_basis(g)
-    if basis.dim > guard:
-        raise CapacityError(f"cycle-space dimension {basis.dim} exceeds guard {guard}")
+    dim = len(spanning_forest(g).cycles)
+    if dim > guard:
+        raise CapacityError(f"cycle-space dimension {dim} exceeds guard {guard}")
     if c0.host is not g:
         raise ValueError("c0 does not belong to the given graph")
     candidates = sorted(
-        (s for s in enumerate_even_subgraphs(basis, guard) if s),
+        (s for s in enumerate_even_subgraphs(g, guard) if s),
         key=lambda s: (len(s), s.ids()),
     )
     masks = [s.mask for s in candidates]
-    full = EdgeSet.full(g).mask
+    full = (1 << g.m) - 1
 
     # Highest candidate index covering each edge: once the search position
     # passes it, a still-deficient edge can never be completed.

@@ -22,7 +22,6 @@ from cdc5 import (
     extend_to_cdc,
     find_5cdc_containing,
     parse_graph6,
-    verify_cdc,
     verify_certificate,
     write_graph6,
 )
@@ -37,7 +36,13 @@ from .test_verify_corrupted import (
     recorded_problems,
     witnessless_prism,
 )
-from .oracles import complete_graph, flower_snark, petersen_graph, random_cubic_multigraph
+from .oracles import (
+    complete_graph,
+    flower_snark,
+    loop_verify_cdc,
+    petersen_graph,
+    random_cubic_multigraph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +171,7 @@ class TestSearchGate:
         doc = copy.deepcopy(petersen_cert.to_doc())
         doc["cdc"] = [list(el.ids()) for el in cdc]
         # A consistent stored tally, so only the cover itself can fail.
-        doc["coverage"] = list(verify_cdc(cdc[0].host, cdc).coverage)
+        doc["coverage"] = list(loop_verify_cdc(cdc[0].host, cdc).coverage)
         return doc
 
     def witness(self, petersen_cert):
@@ -194,14 +199,13 @@ class TestSearchGate:
 
     def test_cover_is_checked_once_per_answer(self, monkeypatch):
         calls = []
-        original = cdc5.cover.cdc_report
+        original = cdc5.certificates.coverage_masks
 
-        def counting(g, elements, uneven):
+        def counting(masks):
             calls.append(None)
-            return original(g, elements, uneven)
+            return original(masks)
 
-        monkeypatch.setattr(cdc5.cover, "cdc_report", counting)
-        monkeypatch.setattr(cdc5.certificates, "cdc_report", counting)
+        monkeypatch.setattr(cdc5.certificates, "coverage_masks", counting)
         assert sweep_graph(petersen_graph())[1]["counts"]["found"] == 57
         assert len(calls) == 57
 
@@ -283,7 +287,7 @@ class TestCertificateFrame:
         # default guard certifies a circuit of it in milliseconds.
         g = flower_snark(15)
         ctx = SearchContext(g)
-        circuit = ctx.basis.vectors[0]
+        circuit = EdgeSet(g, ctx.cycles[0])
         cert = find_5cdc_containing(g, circuit, SearchOptions(dim_guard=31), ctx)
         assert g.m == 90 and max(cert.cdc[-1]) >= 10
         text = dump_json(cert.to_doc()) + "\n"
@@ -348,6 +352,20 @@ class TestVerifyCertificate:
     def test_bool_is_not_an_id(self, doc):
         doc["c0"] = [True] + doc["c0"][1:]
         assert verify_certificate(doc) != []
+
+    def test_bool_is_not_a_count(self):
+        # graph6 "@" has one vertex and no edges, so true and false would
+        # pass the count checks as its n and m.
+        doc = {
+            "graph6": "@", "n": True, "m": False, "edges": [], "c0": [], "c1": [], "c2": [],
+            "matching": [], "cdc": [], "coverage": [], "path": "m-empty",
+            "stats": {"candidates_tried": 1, "elapsed_ms": 0},
+        }
+        assert verify_certificate(doc) == [
+            "field 'n' has the wrong type", "field 'm' has the wrong type"
+        ]
+        doc.update(n=1, m=0)  # past the structure, the check core rejects it
+        assert verify_certificate(doc) == ["graph is not cubic", "no cover element contains c0"]
 
     def test_bad_graph6(self, doc):
         doc["graph6"] = "this is not graph6"

@@ -3,20 +3,16 @@ import random
 import pytest
 
 from cdc5 import (
-    CdcReport,
     ConditionError,
     EdgeSet,
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
-    contains_element_superset,
-    cycle_space_basis,
     enumerate_circuits,
     extend_to_cdc,
     flow_planes,
-    is_even_subgraph,
-    verify_cdc,
 )
+from cdc5.certificates import PATH_M_EMPTY, _check
 from cdc5.cover import coverage_masks
 
 from .oracles import (
@@ -26,6 +22,7 @@ from .oracles import (
     enumerate_even_subgraphs,
     extract_witness,
     loop_is_matching,
+    loop_verify_cdc,
     minus,
     petersen_graph,
     prism_graph,
@@ -43,56 +40,81 @@ HAMILTONIANS = [
 ]
 
 
+def full_set(g):
+    return EdgeSet(g, (1 << g.m) - 1)
+
+
+def core_problems(g, elements, c0=None):
+    """The problems the certificate check core finds with a cover, c0 (empty
+    unless given) and empty c1, c2 and matching, claiming all twos."""
+    empty = EdgeSet.empty(g)
+    stats = {"candidates_tried": 1, "elapsed_ms": 0}
+    return _check(g, c0 or empty, empty, empty, empty, elements, (2,) * g.m, PATH_M_EMPTY, stats)
+
+
+def cover_problems(g, elements):
+    """The problems core_problems finds with the cover itself: its empty and
+    uneven elements, its edges covered other than twice and the tally."""
+    prefixes = ("cdc[", "edge ", "coverage ")
+    return [p for p in core_problems(g, elements) if p.startswith(prefixes)]
+
+
+def loop_cover_problems(g, elements):
+    """cover_problems as the edge-by-edge reference loop_verify_cdc
+    predicts them."""
+    report = loop_verify_cdc(g, elements)
+    errors = report.coverage_errors
+    problems = [f"cdc[{i}] is empty" for i in report.empty]
+    problems += [f"cdc[{i}] is not an even subgraph" for i in report.non_even]
+    problems += [f"edge {e} is covered {report.coverage[e]} times, expected 2" for e in errors]
+    if errors:
+        tally = f"coverage field does not match the recomputed tally at edges {list(errors)}"
+        problems.append(tally)
+    return problems
+
+
 class TestVerifyCdc:
+    """The cover checks of the certificate check core."""
+
     def test_k4_hamiltonians_are_a_3cdc(self):
-        report = verify_cdc(K4, HAMILTONIANS)
-        assert report.valid
-        assert report.coverage == (2,) * 6
-        assert report.coverage_errors == ()
+        assert cover_problems(K4, HAMILTONIANS) == []
+        assert loop_verify_cdc(K4, HAMILTONIANS).coverage == (2,) * 6
 
     def test_removing_an_element_reports_its_four_edges(self):
-        report = verify_cdc(K4, HAMILTONIANS[:2])
-        assert not report.valid
-        assert report.coverage_errors == (0, 1, 4, 5)
-        assert report.coverage == (1, 1, 2, 2, 1, 1)
+        assert cover_problems(K4, HAMILTONIANS[:2]) == [
+            "edge 0 is covered 1 times, expected 2",
+            "edge 1 is covered 1 times, expected 2",
+            "edge 4 is covered 1 times, expected 2",
+            "edge 5 is covered 1 times, expected 2",
+            "coverage field does not match the recomputed tally at edges [0, 1, 4, 5]",
+        ]
+        assert loop_verify_cdc(K4, HAMILTONIANS[:2]).coverage == (1, 1, 2, 2, 1, 1)
 
     def test_doubled_circuit_is_a_2cdc(self):
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        c = EdgeSet.full(g)
-        assert verify_cdc(g, [c, c]).valid
+        c = full_set(g)
+        assert cover_problems(g, [c, c]) == []
 
     def test_empty_elements_flagged(self):
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        report = verify_cdc(g, [EdgeSet.full(g), EdgeSet.empty(g), EdgeSet.full(g)])
-        assert not report.valid
-        assert report.empty == (1,)
+        assert cover_problems(g, [full_set(g), EdgeSet.empty(g), full_set(g)]) == [
+            "cdc[1] is empty"
+        ]
 
     def test_non_even_elements_flagged(self):
-        report = verify_cdc(K4, [EdgeSet.of(K4, [0]), EdgeSet.full(K4)])
-        assert not report.valid
-        assert 0 in report.non_even
+        problems = cover_problems(K4, [EdgeSet.of(K4, [0]), full_set(K4)])
+        assert "cdc[0] is not an even subgraph" in problems
 
     def test_wrong_host_rejected(self):
         with pytest.raises(ValueError):
-            verify_cdc(K4, [EdgeSet.full(complete_graph(4))])
+            cover_problems(K4, [full_set(complete_graph(4))])
+        with pytest.raises(ValueError):
+            loop_verify_cdc(K4, [full_set(complete_graph(4))])
 
     def test_accepts_cdc_instances(self):
         # A cover is a sequence of elements, such as the tuple extend_to_cdc returns.
         cdc = extend_to_cdc(K4, [HAMILTONIANS[0]], flow_planes(K4))
-        assert type(cdc) is tuple and verify_cdc(K4, cdc).valid
-
-
-def loop_verify_cdc(g, elements):
-    """verify_cdc edge by edge, the reference for the bit-parallel one."""
-    counts = [0] * g.m
-    for el in elements:
-        for e in el:
-            counts[e] += 1
-    empty = tuple(i for i, el in enumerate(elements) if not el)
-    non_even = tuple(i for i, el in enumerate(elements) if not is_even_subgraph(g, el))
-    errors = tuple(e for e, c in enumerate(counts) if c != 2)
-    valid = not empty and not non_even and not errors
-    return CdcReport(valid, empty, non_even, tuple(counts), errors)
+        assert type(cdc) is tuple and cover_problems(K4, cdc) == []
 
 
 def reference_replays_as_flow(g, c1, c2, matching, elements):
@@ -126,7 +148,7 @@ def random_covers(g, rng, count):
     also with one element swapped, dropped or doubled, random families of
     even and odd edge sets, and double covers by odd sets: (c1, c2,
     elements) triples."""
-    evens = list(enumerate_even_subgraphs(cycle_space_basis(g)))
+    evens = list(enumerate_even_subgraphs(g))
     out = []
     while len(out) < count:
         c1, c2 = rng.choice(evens), rng.choice(evens)
@@ -146,8 +168,8 @@ def random_covers(g, rng, count):
         out.append((c1, c2, [c1, c2, odd][: rng.randrange(4)]))
         # A double cover by odd sets: each edge lies in odd or its
         # complement, and in the full set.
-        empty, full = EdgeSet.empty(g), EdgeSet.full(g)
-        out.append((empty, empty, [odd, full - odd, full]))
+        empty, full = EdgeSet.empty(g), full_set(g)
+        out.append((empty, empty, [odd, full ^ odd, full]))
     return out
 
 
@@ -160,9 +182,15 @@ class TestBitParallelCounts:
 
     @pytest.mark.parametrize("g", GRAPHS)
     def test_verify_cdc_matches_the_edge_loop(self, g):
+        # The check core's bit-parallel cover tally against the edge loop.
         rng = random.Random(g.m)
+        kinds = ("is empty", "is not an even subgraph", "times, expected 2")
+        seen = set()
         for c1, c2, cover in random_covers(g, rng, 150):
-            assert verify_cdc(g, cover) == loop_verify_cdc(g, cover)
+            want = loop_cover_problems(g, cover)
+            assert cover_problems(g, cover) == want
+            seen.update(kind for kind in kinds for p in want if kind in p)
+        assert seen == set(kinds)
 
     @pytest.mark.parametrize("g", GRAPHS)
     def test_replays_as_flow_matches_cdc_to_flow(self, g):
@@ -176,21 +204,29 @@ class TestBitParallelCounts:
         assert seen == {True, False}
 
 
+UNCONTAINED = "no cover element contains c0"
+
+
 class TestContainsElementSuperset:
+    """Whether a cover element contains c0, as the check core asks it, and
+    the first such element, which extract_witness takes as C1."""
+
     def test_empty_subgraph_hits_first_element(self):
-        assert contains_element_superset(HAMILTONIANS, EdgeSet.empty(K4)) == 0
-        assert contains_element_superset([], EdgeSet.empty(K4)) is None
+        assert UNCONTAINED not in core_problems(K4, HAMILTONIANS)
+        assert extract_witness(K4, HAMILTONIANS, EdgeSet.empty(K4))[1] == HAMILTONIANS[0]
+        assert UNCONTAINED in core_problems(K4, [])
 
     def test_element_equal_to_query(self):
-        assert contains_element_superset(HAMILTONIANS, HAMILTONIANS[2]) == 2
+        assert UNCONTAINED not in core_problems(K4, HAMILTONIANS, HAMILTONIANS[2])
+        assert extract_witness(K4, HAMILTONIANS, HAMILTONIANS[2])[1] == HAMILTONIANS[2]
 
     def test_least_index_wins(self):
         shared = EdgeSet.of(K4, [2, 3])  # lies in the first two Hamiltonians
-        assert contains_element_superset(HAMILTONIANS, shared) == 0
+        assert extract_witness(K4, HAMILTONIANS, shared)[1] == HAMILTONIANS[0]
 
     def test_none_when_uncontained(self):
         triangle = EdgeSet.of(K4, [0, 1, 2])
-        assert contains_element_superset(HAMILTONIANS, triangle) is None
+        assert UNCONTAINED in core_problems(K4, HAMILTONIANS, triangle)
 
 
 class TestFourCdcContaining:
@@ -201,19 +237,19 @@ class TestFourCdcContaining:
         triangle = EdgeSet.of(K4, [0, 1, 2])
         cdc = extend_to_cdc(K4, [triangle], flow_planes(K4))
         assert len(cdc) <= 4
-        assert verify_cdc(K4, cdc).valid
+        assert loop_verify_cdc(K4, cdc).valid
         assert triangle in list(cdc)
 
     def test_k4_empty_prescription(self):
         cdc = extend_to_cdc(K4, [EdgeSet.empty(K4)], flow_planes(K4))
         assert len(cdc) <= 3
-        assert verify_cdc(K4, cdc).valid
+        assert loop_verify_cdc(K4, cdc).valid
 
     def test_every_k4_even_subgraph_works(self):
         planes = flow_planes(K4)
-        for c in enumerate_even_subgraphs(cycle_space_basis(K4)):
+        for c in enumerate_even_subgraphs(K4):
             cdc = extend_to_cdc(K4, [c], planes)
-            assert verify_cdc(K4, cdc).valid
+            assert loop_verify_cdc(K4, cdc).valid
             if c:
                 assert c in list(cdc)
 
@@ -258,20 +294,20 @@ class TestExtendToCdc:
         triangle = EdgeSet.of(K4, [0, 1, 2])
         cdc = extend_to_cdc(K4, [triangle], flow_planes(K4))
         assert len(cdc) <= 4
-        assert verify_cdc(K4, cdc).valid
+        assert loop_verify_cdc(K4, cdc).valid
         assert triangle in list(cdc)
 
     def test_no_covers_degenerates_to_plain_cdc(self):
         cdc = extend_to_cdc(K4, [], flow_planes(K4))
         assert len(cdc) <= 3
-        assert verify_cdc(K4, cdc).valid
+        assert loop_verify_cdc(K4, cdc).valid
 
     def test_two_covers_with_matching_overlap(self):
         t1 = EdgeSet.of(K4, [0, 1, 2])  # triangle 0-1-2
         t2 = EdgeSet.of(K4, [2, 4, 5])  # triangle 1-2-3, shares edge 2
         cdc = extend_to_cdc(K4, [t1, t2], flow_planes(K4, (t1 & t2).mask))
         assert len(cdc) <= 5
-        assert verify_cdc(K4, cdc).valid
+        assert loop_verify_cdc(K4, cdc).valid
         elements = list(cdc)
         assert t1 in elements and t2 in elements
 
@@ -286,7 +322,7 @@ class TestExtendToCdc:
             raise AssertionError("extend_to_cdc decided a flow")
 
         monkeypatch.setattr("cdc5.flows.three_edge_color", refuse)
-        assert verify_cdc(K4, extend_to_cdc(K4, [t1, t2], planes)).valid
+        assert loop_verify_cdc(K4, extend_to_cdc(K4, [t1, t2], planes)).valid
         # The pair overlaps in edge 2, so a flow of K4 itself is no flow of
         # K4 minus the matching.
         with pytest.raises(ValueError):
@@ -310,7 +346,7 @@ class TestExtendToCdc:
         t1 = EdgeSet.of(g, [0, 1, 2])
         t2 = EdgeSet.of(g, [3, 4, 5])
         cdc = extend_to_cdc(g, [t1, t2], flow_planes(g))
-        assert verify_cdc(g, cdc).valid
+        assert loop_verify_cdc(g, cdc).valid
         assert len(cdc) <= 5
 
     def test_condition1_overfull_edge(self):
@@ -342,7 +378,7 @@ class TestExtendToCdc:
     def test_non_cubic_rejected(self):
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
         with pytest.raises(PreconditionError):
-            extend_to_cdc(g, [EdgeSet.full(g)], (0, 0))
+            extend_to_cdc(g, [full_set(g)], (0, 0))
 
     def test_odd_cover_rejected(self):
         with pytest.raises(PreconditionError):
@@ -358,7 +394,7 @@ class TestExtendToCdc:
         square = EdgeSet.of(g, [0, 6, 3, 7])
         twice = coverage_masks([t1.mask, t2.mask, square.mask])[1]
         cdc = extend_to_cdc(g, [t1, t2, square], flow_planes(g, twice))
-        assert verify_cdc(g, cdc).valid
+        assert loop_verify_cdc(g, cdc).valid
         assert len(cdc) <= 6
         for c in (t1, t2, square):
             assert c in list(cdc)
@@ -386,7 +422,7 @@ class TestExtractWitness:
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
         # Not cubic, so the host precondition must fire.
         with pytest.raises(PreconditionError):
-            extract_witness(g, [EdgeSet.full(g), EdgeSet.full(g)], EdgeSet.full(g))
+            extract_witness(g, [full_set(g), full_set(g)], full_set(g))
 
     def test_roundtrip_from_search(self, petersen):
         # The extracted pair need not equal the certificate's (C2 is taken
@@ -404,7 +440,7 @@ class TestExtractWitness:
         assert c1 in elements and c2 in elements
 
     def test_too_many_elements_rejected(self):
-        sixfold = [EdgeSet.full(K4)] * 6
+        sixfold = [full_set(K4)] * 6
         with pytest.raises(PreconditionError):
             extract_witness(K4, sixfold, EdgeSet.empty(K4))
 

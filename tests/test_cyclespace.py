@@ -7,14 +7,15 @@ from cdc5 import (
     EdgeSet,
     MultiGraph,
     canonical_masks,
-    cycle_space_basis,
     enumerate_circuits,
     is_even_subgraph,
     parse_graph6,
+    spanning_forest,
 )
 from cdc5.graphs import vertex_faults
 
 from . import test_graphs
+from .test_graphs import flood_fill_components
 from .oracles import (
     bridged_cubic_multigraph,
     circuit_subsets,
@@ -46,23 +47,21 @@ SMALL_HOSTS = [
 
 
 class TestBasis:
+    """The cycle-space basis: spanning_forest(g).cycles, one fundamental
+    cycle per chord."""
+
     @pytest.mark.parametrize("g", SMALL_HOSTS, ids=lambda g: f"n{g.n}m{g.m}")
     def test_dimension_formula(self, g):
-        from cdc5 import components
-
-        basis = cycle_space_basis(g)
-        assert basis.dim == g.m - g.n + len(components(g))
-        assert len(basis.vectors) == basis.dim
-        assert len(basis.chords) == basis.dim
+        forest = spanning_forest(g)
+        assert len(forest.cycles) == g.m - g.n + len(flood_fill_components(g))
+        assert len(forest.chords) == len(forest.cycles)
 
     def test_dimension_on_catalog(self, catalog):
         for g in catalog:
-            assert cycle_space_basis(g).dim == g.m - g.n + 1
+            assert len(spanning_forest(g).cycles) == g.m - g.n + 1
 
     def test_dimension_counts_loops_out(self, catalog, snarks):
         # The count of the spanning forest's chords, which cdc5 stats reports.
-        from cdc5 import components
-
         hosts = list(catalog) + list(snarks) + SMALL_HOSTS + RANDOM_MULTIGRAPHS
         hosts += [random_cubic_multigraph(n, seed) for n in (4, 8, 12) for seed in range(5)]
         hosts += [
@@ -73,36 +72,33 @@ class TestBasis:
             MultiGraph(0, []),
         ]
         for g in hosts:
-            count = g.m - g.loop_mask().bit_count() - g.n + len(components(g))
-            assert cycle_space_basis(g).dim == count
+            count = g.m - g.loop_mask().bit_count() - g.n + len(flood_fill_components(g))
+            assert len(spanning_forest(g).cycles) == count
 
     def test_vectors_are_even_and_contain_their_chord(self):
         # Each vector holds its own chord and no other: the chords' bits
         # alone show the vectors independent.
         for g in [petersen_graph()] + RANDOM_MULTIGRAPHS:
-            basis = cycle_space_basis(g)
-            masks = [vec.mask for vec in basis.vectors]
-            odd, _, crowded = vertex_faults(g, masks)
+            forest = spanning_forest(g)
+            odd, _, crowded = vertex_faults(g, forest.cycles)
             assert not odd | crowded
-            chords = sum(1 << chord for chord in basis.chords)
-            for chord, mask in zip(basis.chords, masks):
+            chords = sum(1 << chord for chord in forest.chords)
+            for chord, mask in zip(forest.chords, forest.cycles):
                 assert mask & chords == 1 << chord
 
     def test_loops_are_not_part_of_the_space(self):
         # Even subgraphs exclude loops by convention, so a loop is neither
         # a tree edge nor a chord.
         g = MultiGraph(2, [(0, 1), (1, 1), (0, 1)])
-        basis = cycle_space_basis(g)
-        assert basis.dim == 1
-        assert basis.chords == (2,)
-        assert basis.vectors[0].ids() == (0, 2)
+        forest = spanning_forest(g)
+        assert forest.chords == (2,)
+        assert forest.cycles == (0b101,)
 
 
 class TestEvenSubgraphs:
     @pytest.mark.parametrize("g", SMALL_HOSTS, ids=lambda g: f"n{g.n}m{g.m}")
     def test_enumeration_matches_parity_oracle(self, g):
-        basis = cycle_space_basis(g)
-        got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(basis)}
+        got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(g)}
         assert got == even_subsets(g)
 
     def test_enumeration_on_a_loop_host_skips_loop_subsets(self):
@@ -113,42 +109,37 @@ class TestEvenSubgraphs:
             if g.m > 12:
                 continue
             loops = set(EdgeSet(g, g.loop_mask()).ids())
-            basis = cycle_space_basis(g)
-            got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(basis)}
+            got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(g)}
             assert got == {s for s in even_subsets(g) if not s & loops}
 
     def test_enumeration_matches_parity_oracle_small_catalog(self, catalog):
         for g in catalog:
             if g.m > 12:
                 continue
-            basis = cycle_space_basis(g)
-            got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(basis)}
+            got = {frozenset(s.ids()) for s in enumerate_even_subgraphs(g)}
             assert got == even_subsets(g)
 
     def test_count_and_distinctness(self, petersen):
-        basis = cycle_space_basis(petersen)
-        sets = list(enumerate_even_subgraphs(basis))
+        sets = list(enumerate_even_subgraphs(petersen))
         assert len(sets) == 64
         assert len({s.mask for s in sets}) == 64
         assert sets[0].mask == 0
         assert all(is_even_subgraph(petersen, s) for s in sets)
 
     def test_gray_order_changes_one_basis_vector_per_step(self, petersen):
-        basis = cycle_space_basis(petersen)
-        masks = [v.mask for v in basis.vectors]
-        sets = list(enumerate_even_subgraphs(basis))
+        masks = spanning_forest(petersen).cycles
+        sets = list(enumerate_even_subgraphs(petersen))
         for k in range(1, len(sets)):
             assert sets[k].mask ^ sets[k - 1].mask in masks
 
     def test_guard(self, petersen):
-        basis = cycle_space_basis(petersen)
         with pytest.raises(CapacityError):
-            list(enumerate_even_subgraphs(basis, guard=5))
-        assert len(list(enumerate_even_subgraphs(basis, guard=6))) == 64
+            list(enumerate_even_subgraphs(petersen, guard=5))
+        assert len(list(enumerate_even_subgraphs(petersen, guard=6))) == 64
 
     def test_k4_inventory(self):
         g = complete_graph(4)
-        sets = {frozenset(s.ids()) for s in enumerate_even_subgraphs(cycle_space_basis(g))}
+        sets = {frozenset(s.ids()) for s in enumerate_even_subgraphs(g)}
         triangles = {
             frozenset({0, 1, 2}),  # 0-1-2
             frozenset({0, 3, 4}),  # 0-1-3

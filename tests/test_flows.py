@@ -531,7 +531,7 @@ class TestCdcToFlow:
 
     def test_doubled_circuit(self):
         g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        c = EdgeSet.full(g)
+        c = EdgeSet(g, (1 << g.m) - 1)
         flow = cdc_to_flow(g, [c, c])
         assert flow == (1, 1, 1, 1)
 

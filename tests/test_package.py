@@ -11,10 +11,8 @@ SRC = pathlib.Path(cdc5.__file__).parent
 # check, the cover and flow layers they are built on, and the errors.
 PUBLIC_API = [
     "CapacityError",
-    "CdcReport",
     "Certificate",
     "ConditionError",
-    "CycleBasis",
     "EdgeSet",
     "Graph6Error",
     "InvariantViolationError",
@@ -27,9 +25,6 @@ PUBLIC_API = [
     "bridges",
     "build_certificate",
     "canonical_masks",
-    "components",
-    "contains_element_superset",
-    "cycle_space_basis",
     "enumerate_circuits",
     "extend_to_cdc",
     "find_5cdc_containing",
@@ -38,8 +33,8 @@ PUBLIC_API = [
     "is_even_subgraph",
     "is_flow",
     "parse_graph6",
+    "spanning_forest",
     "three_edge_color",
-    "verify_cdc",
     "verify_certificate",
     "write_graph6",
 ]

@@ -18,11 +18,11 @@ from cdc5 import (
     UnsupportedFormatError,
     build_certificate,
     canonical_masks,
-    cycle_space_basis,
     enumerate_circuits,
     extend_to_cdc,
     find_5cdc_containing,
     flow_planes,
+    spanning_forest,
     verify_certificate,
 )
 
@@ -339,16 +339,15 @@ class TestSweepSplit:
 
 def reference_canonical(g):
     """The canonical even-subgraph list as a plain sort on edge-id tuples."""
-    basis = cycle_space_basis(g)
-    return sorted(enumerate_even_subgraphs(basis), key=lambda s: (len(s), s.ids()))
+    return sorted(enumerate_even_subgraphs(g), key=lambda s: (len(s), s.ids()))
 
 
 def reference_c1_list(g, c0, space=None):
     """C1 candidates, the even subgraphs containing c0 filtered out of the
     whole space (every even subgraph of g, in any order), sorted by (edges
     added to c0, edge-id tuple)."""
-    space = space or enumerate_even_subgraphs(cycle_space_basis(g))
-    return sorted((s for s in space if c0 <= s), key=lambda s: (len(s - c0), s.ids()))
+    space = space or enumerate_even_subgraphs(g)
+    return sorted((s for s in space if c0 <= s), key=lambda s: (len(s) - len(c0), s.ids()))
 
 
 def reference_c2_order(c1, canonical):
@@ -414,7 +413,7 @@ class TestCandidateOrder:
         # answers and a pair whose C1 is not c0.
         outcomes = set()
         for g in catalog:
-            prescriptions = list(enumerate_even_subgraphs(cycle_space_basis(g)))
+            prescriptions = list(enumerate_even_subgraphs(g))
             differences, certificates = search_differences(g, prescriptions)
             assert differences == []
             outcomes.update(
@@ -445,12 +444,11 @@ class TestCandidateOrder:
         assert search_differences(g, prescriptions, canonical)[0] == []
 
 
-def mixed_basis(basis):
+def mixed_basis(cycles):
     """Another basis of the same space: the vectors reversed, each XORed
     with the one before it, an invertible GF(2) transform."""
-    masks = [v.mask for v in reversed(basis.vectors)]
-    mixed = [x ^ before for x, before in zip(masks, [0] + masks[:-1])]
-    return dataclasses.replace(basis, vectors=tuple(EdgeSet(basis.host, x) for x in mixed))
+    masks = cycles[::-1]
+    return tuple(x ^ before for x, before in zip(masks, (0,) + masks[:-1]))
 
 
 class TestBasisIndependence:
@@ -460,11 +458,9 @@ class TestBasisIndependence:
 
     def assert_basis_independent(self, g, prescriptions):
         plain, mixed = SearchContext(g), SearchContext(g)
-        mixed.basis = mixed_basis(plain.basis)
-        assert mixed.basis.vectors != plain.basis.vectors
-        assert reduced_echelon(v.mask for v in mixed.basis.vectors) == reduced_echelon(
-            v.mask for v in plain.basis.vectors
-        )
+        mixed.cycles = mixed_basis(plain.cycles)
+        assert mixed.cycles != plain.cycles
+        assert reduced_echelon(mixed.cycles) == reduced_echelon(plain.cycles)
         for c0 in prescriptions:
             texts = []
             for ctx in (plain, mixed):
@@ -497,11 +493,11 @@ class TestOverlapBuckets:
     must equal those of a scan of the whole cycle space."""
 
     def assert_buckets(self, g, c1s):
-        basis = cycle_space_basis(g)
-        whole = canonical_masks([v.mask for v in basis.vectors])
+        cycles = spanning_forest(g).cycles
+        whole = canonical_masks(cycles)
         for c1 in c1s:
-            rows = reduced_echelon(v.mask & c1 for v in basis.vectors)
-            share = 1 << (basis.dim - len(rows))
+            rows = reduced_echelon(v & c1 for v in cycles)
+            share = 1 << (len(cycles) - len(rows))
             got = list(_overlaps(g, c1, rows, lambda: None))
             sizes = [0] * (c1.bit_count() + 1)
             overlaps = [set() for _ in sizes]
@@ -518,8 +514,7 @@ class TestOverlapBuckets:
         # Every even subgraph as C1, so projections of every rank occur,
         # down to those with fewer members than syndromes.
         for g in catalog:
-            basis = cycle_space_basis(g)
-            self.assert_buckets(g, canonical_masks([v.mask for v in basis.vectors]))
+            self.assert_buckets(g, canonical_masks(spanning_forest(g).cycles))
 
     def test_corpus_and_j5(self, snarks):
         for g in snarks[:3] + [flower_snark(5)]:
@@ -529,11 +524,11 @@ class TestOverlapBuckets:
     def test_a_count_asked_for_runs_under_check_time(self, petersen):
         # The counting programme runs only when a count is asked for, and
         # checks the time as it runs.
-        basis = cycle_space_basis(petersen)
+        cycles = spanning_forest(petersen).cycles
         c1 = enumerate_circuits(petersen)[-1].mask
-        rows = reduced_echelon(v.mask & c1 for v in basis.vectors)
-        whole = canonical_masks([v.mask for v in basis.vectors])
-        share = 1 << (basis.dim - len(rows))
+        rows = reduced_echelon(v & c1 for v in cycles)
+        whole = canonical_masks(cycles)
+        share = 1 << (len(cycles) - len(rows))
         armed = []
 
         def check_time():
@@ -557,7 +552,7 @@ class TestShortEnd:
     lists the rest in closed form once growing gets dear."""
 
     def assert_short_end(self, g):
-        whole = canonical_masks([v.mask for v in cycle_space_basis(g).vectors])
+        whole = canonical_masks(spanning_forest(g).cycles)
         layers = EvenLayers(g)
         short = [0]
         for width in range(1, g.m + 1):
@@ -587,7 +582,7 @@ class TestShortEnd:
         # short end to size 9 (58 members) only.  A full walk lists the
         # rest in closed form once the circuit search gets dear.
         g = flower_snark(7)
-        whole = canonical_masks([v.mask for v in cycle_space_basis(g).vectors])
+        whole = canonical_masks(spanning_forest(g).cycles)
         ctx = SearchContext(g)
         first = list(itertools.islice(ctx.canonical_order(), 50))
         assert first == whole[:50]
@@ -600,7 +595,7 @@ class TestShortEnd:
         # The search walks C2 inside its walk of C1.  A walk nested in
         # another grows the short end under it, and the outer walk must
         # still go on from where it stopped.
-        whole = canonical_masks([v.mask for v in cycle_space_basis(g).vectors])
+        whole = canonical_masks(spanning_forest(g).cycles)
         ctx = SearchContext(g)
         outer = []
         for x in ctx.canonical_order():
