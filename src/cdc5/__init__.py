@@ -2,11 +2,9 @@
 cubic graphs containing a prescribed circuit."""
 
 from .certificates import Certificate, build_certificate, verify_certificate
-from .cover import extend_to_cdc
 from .cyclespace import canonical_masks, enumerate_circuits, is_even_subgraph
 from .errors import (
     CapacityError,
-    ConditionError,
     Graph6Error,
     InvariantViolationError,
     PreconditionError,
@@ -28,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "Certificate",
-    "ConditionError",
     "EdgeSet",
     "Graph6Error",
     "InvariantViolationError",
@@ -42,7 +39,6 @@ __all__ = [
     "build_certificate",
     "canonical_masks",
     "enumerate_circuits",
-    "extend_to_cdc",
     "find_5cdc_containing",
     "flow_planes",
     "has_nz4flow",

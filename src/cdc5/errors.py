@@ -23,22 +23,9 @@ class PreconditionError(ValueError):
     """An operation's documented precondition does not hold for the input."""
 
 
-class ConditionError(PreconditionError):
-    """One of the numbered assembly conditions failed.
-
-    ``condition`` is the 1-based condition number and ``edges`` the
-    witnessing edge identifiers.
-    """
-
-    def __init__(self, condition: int, message: str, edges=()):
-        super().__init__(f"condition {condition} violated: {message}")
-        self.condition = condition
-        self.edges = tuple(edges)
-
-
 class CapacityError(RuntimeError):
-    """A configured guard (dimension, candidate count, or time budget) was
-    exceeded before the search could reach a definitive answer."""
+    """A configured guard (the cycle-space dimension or the time budget)
+    was exceeded before the search could reach a definitive answer."""
 
     def __init__(self, message: str, candidates_tried: int = 0):
         super().__init__(message)

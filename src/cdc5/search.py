@@ -60,13 +60,11 @@ from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6, spanning_forest
 @dataclass(frozen=True)
 class SearchOptions:
     """Capacity guards.  dim_guard bounds the cycle-space dimension (an
-    exhaustive search counts 2^dim C2 for each C1); max_candidates and
-    budget_ms bound the number of (C1, C2) pairs examined and the
-    wall-clock time.  Hitting any guard raises CapacityError, which is
+    exhaustive search counts 2^dim C2 for each C1) and budget_ms the
+    wall-clock time.  Hitting either guard raises CapacityError, which is
     never conflated with a negative."""
 
     dim_guard: int = 16
-    max_candidates: Optional[int] = None
     budget_ms: Optional[int] = None
 
 
@@ -150,20 +148,11 @@ class SearchContext:
 
 
 class _Tally:
-    """The (C1, C2) pairs counted so far, against the candidate and time
-    guards."""
+    """The (C1, C2) pairs counted so far, and the time guard."""
 
     def __init__(self, opts: SearchOptions, started: float):
         self.tried = 0
-        self.limit = opts.max_candidates
         self.deadline = None if opts.budget_ms is None else started + opts.budget_ms / 1000.0
-
-    def add(self, count: int) -> None:
-        """Count pairs passed over; raise when the candidate guard falls
-        among them, reporting the pairs tried up to the guard."""
-        if self.limit is not None and self.tried + count > self.limit:
-            raise CapacityError("candidate guard exhausted", candidates_tried=self.limit)
-        self.tried += count
 
     def check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -275,7 +264,7 @@ def _walk_bucket(
         if m.bit_count() != k:
             continue
         tally.check_time()
-        tally.add(1)
+        tally.tried += 1
         if m in pending:
             if ctx.flow_minus(m) is not None:
                 return c2
@@ -295,8 +284,7 @@ def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
         c2 = _walk_bucket(ctx, c1, k, matchings, tally)
         if c2 is not None:
             return c2
-        tally.tried = start
-        tally.add(count() * share)
+        tally.tried = start + count() * share
     return None
 
 
@@ -346,7 +334,7 @@ def find_5cdc_containing(
             continue
         c1_set, c2_set = EdgeSet(g, c1), EdgeSet(g, c2)
         overlap = c1_set & c2_set
-        cdc = extend_to_cdc(g, [c for c in (c1_set, c2_set) if c], ctx.flow_minus(c1 & c2))
+        cdc = extend_to_cdc(g, [c1_set, c2_set], ctx.flow_minus(c1 & c2))
         elapsed_ms = int((time.monotonic() - started) * 1000)
         return build_certificate(
             g, c0, c1_set, c2_set, overlap, cdc, tally.tried, elapsed_ms, frame

@@ -25,10 +25,10 @@ from cdc5 import (
     find_5cdc_containing,
     flow_planes,
     has_nz4flow,
-    extend_to_cdc,
     verify_certificate,
 )
 from cdc5.cli import main
+from cdc5.cover import extend_to_cdc
 
 from .conftest import DATA_DIR, read_graph6_lines, sweep_graph
 from .oracles import (

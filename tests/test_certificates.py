@@ -3,12 +3,14 @@ import dataclasses
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
 
 import cdc5.certificates
 import cdc5.cover
+import cdc5.graphs
 import cdc5.search
 from cdc5 import (
     EdgeSet,
@@ -19,14 +21,13 @@ from cdc5 import (
     UnsupportedFormatError,
     build_certificate,
     enumerate_circuits,
-    extend_to_cdc,
     find_5cdc_containing,
     parse_graph6,
     verify_certificate,
     write_graph6,
 )
 from cdc5.certificates import dump_json, graph_frame
-from cdc5.cover import coverage_masks
+from cdc5.cover import extend_to_cdc
 
 from .conftest import sweep_graph
 from .test_verify_corrupted import DATA as CORRUPTED
@@ -41,6 +42,7 @@ from .oracles import (
     flower_snark,
     loop_verify_cdc,
     petersen_graph,
+    prism_graph,
     random_cubic_multigraph,
 )
 
@@ -122,16 +124,6 @@ def flip_bit_plane(planes, e):
     return s1 ^ 1 << e, s2
 
 
-def unchecked_extend(g, covers, planes):
-    """The cover extend_to_cdc reads off planes in closed form, built here
-    without its check that they are a flow of G - M, so planes that are
-    none still give a cover (test_cover checks that they are refused)."""
-    once = coverage_masks([c.mask for c in covers])[0]
-    s1, s2 = planes
-    lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
-    return tuple(lifted) + tuple(c for c in covers if c)
-
-
 class TestSearchGate:
     """The certificate check is the one gate on a found cover: a corrupted
     cover must stop the search, and the same corruption must fail
@@ -163,7 +155,7 @@ class TestSearchGate:
         def corrupt(host, covers, planes, original):
             kept = [e for e in range(host.m) if (planes[0] | planes[1]) >> e & 1]
             assert len(kept) == 14
-            return unchecked_extend(host, covers, flip_bit_plane(planes, kept[edge]))
+            return original(host, covers, flip_bit_plane(planes, kept[edge]))
 
         self.corrupt_search(monkeypatch, corrupt)
 
@@ -188,7 +180,7 @@ class TestSearchGate:
         g, covers, planes = self.witness(petersen_cert)
         for e in range(g.m):
             if (planes[0] | planes[1]) >> e & 1:
-                cdc = unchecked_extend(g, covers, flip_bit_plane(planes, e))
+                cdc = extend_to_cdc(g, covers, flip_bit_plane(planes, e))
                 assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
 
     def test_intact_cover_passes(self, petersen_cert):
@@ -208,6 +200,32 @@ class TestSearchGate:
         monkeypatch.setattr(cdc5.certificates, "coverage_masks", counting)
         assert sweep_graph(petersen_graph())[1]["counts"]["found"] == 57
         assert len(calls) == 57
+
+    @pytest.mark.parametrize(
+        "g", [petersen_graph(), complete_graph(4), prism_graph()], ids=["petersen", "k4", "prism"]
+    )
+    def test_found_path_checks_the_answer_once(self, monkeypatch, g):
+        # vertex_faults is counted wherever a cdc5 module calls it; of the
+        # calls a search makes, one only may hold the answer's c1 and c2,
+        # the check core's.  A cover assembly that checked its covers too
+        # would make two.  K4 and the prism are coloured, so their answers
+        # take the m-empty path with an empty c2.
+        calls = []
+        original = cdc5.graphs.vertex_faults
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cdc5.") and getattr(module, "vertex_faults", None) is original:
+                def counting(host, masks, caller=name):
+                    calls.append((caller, list(masks)))
+                    return original(host, masks)
+
+                monkeypatch.setattr(module, "vertex_faults", counting)
+        ctx = SearchContext(g)
+        for c0 in enumerate_circuits(g):
+            calls.clear()
+            cert = find_5cdc_containing(g, c0, context=ctx)
+            c1, c2 = EdgeSet.of(g, cert.c1).mask, EdgeSet.of(g, cert.c2).mask
+            on_answer = [caller for caller, masks in calls if c1 in masks and c2 in masks]
+            assert on_answer == ["cdc5.certificates"]
 
 
 def random_json(rng, depth=0):

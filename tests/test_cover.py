@@ -3,17 +3,18 @@ import random
 import pytest
 
 from cdc5 import (
-    ConditionError,
     EdgeSet,
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
+    build_certificate,
     enumerate_circuits,
-    extend_to_cdc,
     flow_planes,
+    verify_certificate,
+    write_graph6,
 )
-from cdc5.certificates import PATH_M_EMPTY, _check
-from cdc5.cover import coverage_masks
+from cdc5.certificates import PATH_M_EMPTY, PATH_THEOREM, Certificate, _check
+from cdc5.cover import coverage_masks, extend_to_cdc
 
 from .oracles import (
     bridged_cubic_graph,
@@ -50,6 +51,29 @@ def core_problems(g, elements, c0=None):
     empty = EdgeSet.empty(g)
     stats = {"candidates_tried": 1, "elapsed_ms": 0}
     return _check(g, c0 or empty, empty, empty, empty, elements, (2,) * g.m, PATH_M_EMPTY, stats)
+
+
+def gate_fields(g, covers, planes):
+    """The edge sets an answer built from covers and planes would carry:
+    the first two covers stand as c1 and c2 (empty when absent), c1 also
+    as c0, their overlap as the matching, and the closed form's cover."""
+    c1, c2 = (list(covers) + [EdgeSet.empty(g)] * 2)[:2]
+    return c1, c1, c2, c1 & c2, extend_to_cdc(g, covers, planes)
+
+
+def gate_problems(g, covers, planes):
+    """The problems build_certificate, the gate on a found cover, raises
+    with the gate_fields of covers and planes."""
+    with pytest.raises(InvariantViolationError) as exc:
+        build_certificate(g, *gate_fields(g, covers, planes), 1, 0)
+    head, _, problems = str(exc.value).partition(": ")
+    assert head == "constructed certificate fails verification"
+    return problems.split("; ")
+
+
+def uncovered(edges, times):
+    """The gate's problems for edges covered `times` times."""
+    return [f"edge {e} is covered {times} times, expected 2" for e in edges]
 
 
 def cover_problems(g, elements):
@@ -273,8 +297,11 @@ class TestFourCdcContaining:
         assert flow_planes(MultiGraph(2, [(0, 1), (0, 0), (1, 1)]), 0) is None
 
     def test_odd_prescription_rejected(self):
-        with pytest.raises(PreconditionError):
-            extend_to_cdc(K4, [EdgeSet.of(K4, [0])], flow_planes(K4))
+        # The closed form reads a cover off an odd c' too; the gate refuses
+        # it and the elements it made uneven.
+        problems = gate_problems(K4, [EdgeSet.of(K4, [0])], flow_planes(K4))
+        assert problems[:2] == ["c0 is not an even subgraph", "c1 is not an even subgraph"]
+        assert "cdc[0] is not an even subgraph" in problems
 
     def test_cover_is_the_closed_form_of_the_flow(self):
         # c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and c', with S1, S2 the bit planes.
@@ -285,8 +312,14 @@ class TestFourCdcContaining:
         assert list(extend_to_cdc(K4, [triangle], planes)) == [x for x in expected if x]
 
     def test_flow_of_another_graph_rejected(self):
+        # K4's planes name 6 of the prism's 9 edges, so the cover misses
+        # the other three.
+        g = prism_graph()
+        problems = gate_problems(g, [EdgeSet.empty(g)], flow_planes(K4))
+        assert uncovered([6, 7, 8], 0) == [p for p in problems if p.startswith("edge ")]
+        # Planes naming edges the host lacks give no edge set at all.
         with pytest.raises(ValueError):
-            extend_to_cdc(K4, [EdgeSet.empty(K4)], flow_planes(prism_graph()))
+            extend_to_cdc(K4, [EdgeSet.empty(K4)], flow_planes(g))
 
 
 class TestExtendToCdc:
@@ -324,22 +357,35 @@ class TestExtendToCdc:
         monkeypatch.setattr("cdc5.flows.three_edge_color", refuse)
         assert loop_verify_cdc(K4, extend_to_cdc(K4, [t1, t2], planes)).valid
         # The pair overlaps in edge 2, so a flow of K4 itself is no flow of
-        # K4 minus the matching.
-        with pytest.raises(ValueError):
-            extend_to_cdc(K4, [t1, t2], whole)
+        # K4 minus the matching: its planes cover edge 2 twice more.
+        assert gate_problems(K4, [t1, t2], whole) == uncovered([2], 4) + [
+            "coverage field does not match the recomputed tally at edges [2]"
+        ]
 
     def test_planes_that_are_no_flow_rejected(self):
         # Every planes bit flipped in turn, on edges of G - M and of M.
         t1 = EdgeSet.of(K4, [0, 1, 2])
         t2 = EdgeSet.of(K4, [2, 4, 5])
+        # A flipped bit makes the two elements holding that plane uneven.
         s1, s2 = flow_planes(K4, (t1 & t2).mask)
         for e in range(K4.m):
             for planes in ((s1 ^ 1 << e, s2), (s1, s2 ^ 1 << e)):
-                with pytest.raises(ValueError):
-                    extend_to_cdc(K4, [t1, t2], planes)
-        # Value 1 on every edge, once accepted for its edge list, is no flow.
-        with pytest.raises(ValueError):
-            extend_to_cdc(K4, [], ((1 << K4.m) - 1, 0))
+                uneven = [p for p in gate_problems(K4, [t1, t2], planes) if p.startswith("cdc[")]
+                assert len(uneven) == 2
+                assert all(p.endswith("is not an even subgraph") for p in uneven)
+        # Value 1 on every edge, once accepted for its edge list, is no flow:
+        # its planes give the full edge set twice, odd at every vertex.
+        assert gate_problems(K4, [], ((1 << K4.m) - 1, 0)) == [
+            "cdc[0] is not an even subgraph", "cdc[1] is not an even subgraph"
+        ]
+
+    def test_empty_covers_are_left_out(self):
+        # The search hands over C2 = ∅ as a cover; it adds no element.
+        triangle = EdgeSet.of(K4, [0, 1, 2])
+        empty = EdgeSet.empty(K4)
+        cdc = extend_to_cdc(K4, [triangle, empty], flow_planes(K4))
+        assert cdc == extend_to_cdc(K4, [triangle], flow_planes(K4))
+        assert empty not in list(cdc)
 
     def test_prism_pair(self):
         g = prism_graph()
@@ -350,39 +396,45 @@ class TestExtendToCdc:
         assert len(cdc) <= 5
 
     def test_condition1_overfull_edge(self):
+        # Condition 1: no edge lies in more than two covers.
         t = EdgeSet.of(K4, [0, 1, 2])
-        with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(K4, [t, t, t], flow_planes(K4))
-        assert exc.value.condition == 1
-        assert exc.value.edges == (0, 1, 2)
+        problems = gate_problems(K4, [t, t, t], flow_planes(K4))
+        assert uncovered([0, 1, 2], 5) == [p for p in problems if p.startswith("edge ")]
+        assert "cover has 6 elements, more than 5" in problems
 
     def test_condition2_adjacent_overlap(self):
+        # Condition 2: the twice-covered edges form a matching.
         quad = EdgeSet.of(K4, [0, 2, 3, 5])  # 0-1-2-3-0
         tri = EdgeSet.of(K4, [0, 1, 2])  # shares edges 0 and 2, meeting at vertex 1
-        with pytest.raises(ConditionError) as exc:
-            extend_to_cdc(K4, [quad, tri], flow_planes(K4))
-        assert exc.value.condition == 2
-        assert 0 in exc.value.edges and 2 in exc.value.edges
+        problems = gate_problems(K4, [quad, tri], flow_planes(K4))
+        assert problems[0] == "matching edges share an endpoint"
+        assert uncovered([0, 2], 4) == [p for p in problems if p.startswith("edge ")]
 
     def test_condition3_flowless_remainder(self, petersen):
-        # The flow condition on G - M is the caller's to decide: the pair
-        # passes conditions 1 and 2, so only the planes are refused, and
-        # the Petersen graph minus their empty overlap has no flow at all.
+        # The pair passes conditions 1 and 2, but the Petersen graph minus
+        # their empty overlap has no flow, so no planes complete the cover:
+        # with none the five spokes stay uncovered and the pentagons are
+        # covered four times.
         outer = EdgeSet.of(petersen, range(5))
         inner = EdgeSet.of(petersen, range(10, 15))
-        with pytest.raises(ValueError) as exc:
-            extend_to_cdc(petersen, [outer, inner], (0, 0))
-        assert not isinstance(exc.value, ConditionError)
         assert flow_planes(petersen, (outer & inner).mask) is None
+        problems = gate_problems(petersen, [outer, inner], (0, 0))
+        assert [p for p in problems if p.startswith("edge ")] == (
+            uncovered(range(5), 4) + uncovered(range(5, 10), 0) + uncovered(range(10, 15), 4)
+        )
+        assert "matching edges share an endpoint" not in problems
 
     def test_non_cubic_rejected(self):
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        with pytest.raises(PreconditionError):
-            extend_to_cdc(g, [full_set(g)], (0, 0))
+        assert gate_problems(g, [full_set(g)], (0, 0))[0] == "graph is not cubic"
 
     def test_odd_cover_rejected(self):
-        with pytest.raises(PreconditionError):
-            extend_to_cdc(K4, [EdgeSet.of(K4, [0])], flow_planes(K4))
+        # An odd C2 beside an even C1: the gate names C2 alone.
+        tri = EdgeSet.of(K4, [0, 1, 2])
+        odd = EdgeSet.of(K4, [5])
+        problems = gate_problems(K4, [tri, odd], flow_planes(K4))
+        assert "c2 is not an even subgraph" in problems
+        assert not any(p.startswith(("c0 ", "c1 ")) for p in problems)
 
     def test_three_disjoint_covers(self):
         # Three pairwise disjoint even subgraphs on the prism: the two
@@ -398,6 +450,37 @@ class TestExtendToCdc:
         assert len(cdc) <= 6
         for c in (t1, t2, square):
             assert c in list(cdc)
+
+
+def refused_inputs():
+    """Inputs of the closed form that the gate refuses, one per kind."""
+    t1, t2 = EdgeSet.of(K4, [0, 1, 2]), EdgeSet.of(K4, [2, 4, 5])
+    quad = EdgeSet.of(K4, [0, 2, 3, 5])
+    g = petersen_graph()
+    cycle = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    return {
+        "not cubic": (cycle, [full_set(cycle)], (0, 0)),
+        "odd cover": (K4, [t1, EdgeSet.of(K4, [5])], flow_planes(K4)),
+        "overfull edge": (K4, [t1, t1, t1], flow_planes(K4)),
+        "overlap no matching": (K4, [quad, t1], flow_planes(K4)),
+        "planes no flow": (K4, [t1, t2], flow_planes(K4)),
+        "flowless remainder": (g, [EdgeSet.of(g, range(5)), EdgeSet.of(g, range(10, 15))], (0, 0)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(refused_inputs()))
+def test_verification_refuses_what_the_build_refuses(kind):
+    # The gate is build_certificate on the search's edge sets and
+    # verify_certificate on a document: both run the check core, so the
+    # document of a refused answer gets the same problems.
+    g, covers, planes = refused_inputs()[kind]
+    c0, c1, c2, matching, cdc = gate_fields(g, covers, planes)
+    cert = Certificate(
+        write_graph6(g), g.n, g.m, g.edges, c0.ids(), c1.ids(), c2.ids(), matching.ids(),
+        tuple(el.ids() for el in cdc), (2,) * g.m,
+        PATH_THEOREM if matching else PATH_M_EMPTY, 1, 0,
+    )
+    assert verify_certificate(cert.to_doc()) == gate_problems(g, covers, planes)
 
 
 class TestExtractWitness:

@@ -12,7 +12,6 @@ SRC = pathlib.Path(cdc5.__file__).parent
 PUBLIC_API = [
     "CapacityError",
     "Certificate",
-    "ConditionError",
     "EdgeSet",
     "Graph6Error",
     "InvariantViolationError",
@@ -26,7 +25,6 @@ PUBLIC_API = [
     "build_certificate",
     "canonical_masks",
     "enumerate_circuits",
-    "extend_to_cdc",
     "find_5cdc_containing",
     "flow_planes",
     "has_nz4flow",

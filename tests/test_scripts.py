@@ -3,6 +3,7 @@ test modules, so a name removed from either breaks them.  Each is imported
 here by path, which runs its imports but not its main."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -27,6 +28,16 @@ def import_script(name):
 @pytest.mark.parametrize("name", ["check_outputs", "check_search_order", "check_colourer"])
 def test_check_script_imports(name):
     assert callable(import_script(name).main)
+
+
+def test_pinned_report_drops_the_input_and_the_run_time(tmp_path):
+    # The report digest must not depend on the path the graph file was
+    # named by nor on the run time; every other field stays.
+    report = {"command": "sweep", "input": "/any/path.g6", "graphs": [], "total_ms": 7}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    pinned = import_script("check_outputs").pinned_report(path)
+    assert json.loads(pinned) == {"command": "sweep", "graphs": []}
 
 
 def test_gen_fixtures_imports():

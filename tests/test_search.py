@@ -19,13 +19,13 @@ from cdc5 import (
     build_certificate,
     canonical_masks,
     enumerate_circuits,
-    extend_to_cdc,
     find_5cdc_containing,
     flow_planes,
     spanning_forest,
     verify_certificate,
 )
 
+from cdc5.cover import extend_to_cdc
 from cdc5.cyclespace import EvenLayers, reduced_echelon
 from cdc5.search import _c1_order, _overlaps, _split, _sweep_range
 
@@ -173,23 +173,6 @@ class TestGuards:
                 petersen, EdgeSet.empty(petersen), SearchOptions(dim_guard=5)
             )
 
-    def test_candidate_guard(self, petersen):
-        # The pentagon search succeeds on its third (C1, C2) pair, so a
-        # budget of two must be reported as exhausted, never as a negative.
-        pentagon = EdgeSet.of(petersen, range(5))
-        assert find_5cdc_containing(petersen, pentagon).candidates_tried == 3
-        with pytest.raises(CapacityError) as exc:
-            find_5cdc_containing(petersen, pentagon, SearchOptions(max_candidates=2))
-        assert exc.value.candidates_tried == 2
-
-    def test_candidate_guard_above_need_is_silent(self, petersen):
-        pentagon = EdgeSet.of(petersen, range(5))
-        baseline = find_5cdc_containing(petersen, pentagon)
-        roomy = find_5cdc_containing(
-            petersen, pentagon, SearchOptions(max_candidates=baseline.candidates_tried)
-        )
-        assert normalized(roomy) == normalized(baseline)
-
     def test_context_checks_the_guard_on_every_call(self, petersen):
         # Petersen has dimension 6: a context used under a roomy guard must
         # not let a search through under a tighter one.
@@ -207,33 +190,6 @@ class TestGuards:
         exact = find_5cdc_containing(petersen, empty, SearchOptions(dim_guard=6), ctx)
         assert normalized(exact) == normalized(want)
 
-    @pytest.mark.parametrize("limit", [1, 63, 64, 65])
-    def test_candidate_guard_inside_a_skipped_bucket(self, petersen, limit):
-        # With C1 = ∅ every one of the 64 even subgraphs lands in the bucket
-        # of M = ∅, which fails on Petersen and is counted in closed form.
-        want = reference_search(petersen, EdgeSet.empty(petersen), SearchContext(petersen))
-        assert want.candidates_tried > 65
-        with pytest.raises(CapacityError) as exc:
-            find_5cdc_containing(
-                petersen, EdgeSet.empty(petersen), SearchOptions(max_candidates=limit)
-            )
-        assert exc.value.candidates_tried == limit
-
-    def test_candidate_guard_one_below_the_winner(self):
-        g = flower_snark(5)
-        circuit = max(enumerate_circuits(g)[:40], key=lambda c: (len(c), c.ids()))
-        want = reference_search(g, circuit, SearchContext(g))
-        assert want.candidates_tried > 2
-        with pytest.raises(CapacityError) as exc:
-            find_5cdc_containing(
-                g, circuit, SearchOptions(max_candidates=want.candidates_tried - 1)
-            )
-        assert exc.value.candidates_tried == want.candidates_tried - 1
-        got = find_5cdc_containing(
-            g, circuit, SearchOptions(max_candidates=want.candidates_tried)
-        )
-        assert normalized(got) == normalized(want)
-
     def test_time_budget_stops_a_search_counted_in_closed_form(self, monkeypatch):
         # On J7 the empty prescription fails with C1 = ∅ after one flow
         # decision, its 2^15 C2 counted at once; the budget must still stop
@@ -245,9 +201,11 @@ class TestGuards:
         monkeypatch.setattr(cdc5.search, "time", clock)
         j7, j6 = flower_snark(7), flower_snark(6)
         ctx = SearchContext(j7)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError) as exc:
             find_5cdc_containing(j7, EdgeSet.empty(j7), SearchOptions(budget_ms=1), ctx)
         assert ctx.known_flowless(0)
+        # The stop reports the pairs counted, the 2^15 of C1 = ∅ among them.
+        assert exc.value.candidates_tried == 1 << 15
         control = find_5cdc_containing(j6, EdgeSet.empty(j6), SearchOptions(budget_ms=1))
         assert control is not None and control.path == "m-empty"
 
@@ -275,8 +233,15 @@ class TestCircuitSweep:
         assert len(entry["circuits"]) == 57
         assert entry["counts"]["found"] == 57
 
-    def test_guard_hits_are_inconclusive_not_negative(self, petersen):
-        _, entry, certificates = sweep_graph(petersen, SearchOptions(max_candidates=1))
+    def test_guard_hits_are_inconclusive_not_negative(self, petersen, monkeypatch):
+        # The search's clock moves 0.1 ms per read, as in
+        # test_time_budget_stops_a_search_counted_in_closed_form, so the
+        # 2 ms budget stops each search that reads it more than twenty
+        # times, whatever the speed of the machine.
+        reads = itertools.count()
+        clock = types.SimpleNamespace(monotonic=lambda: next(reads) / 10_000)
+        monkeypatch.setattr(cdc5.search, "time", clock)
+        _, entry, certificates = sweep_graph(petersen, SearchOptions(budget_ms=2))
         counts = entry["counts"]
         assert counts["none"] == 0
         assert counts["found"] + counts["inconclusive"] == len(entry["circuits"])
