@@ -1,7 +1,7 @@
 """Search and verification engine for 5-element cycle double covers of
 cubic graphs containing a prescribed circuit."""
 
-from .certificates import Certificate, build_certificate, verify_certificate
+from .certificates import Certificate, verify_certificate
 from .cyclespace import canonical_masks, enumerate_circuits, is_even_subgraph
 from .errors import (
     CapacityError,
@@ -36,7 +36,6 @@ __all__ = [
     "Sweep",
     "UnsupportedFormatError",
     "bridges",
-    "build_certificate",
     "canonical_masks",
     "enumerate_circuits",
     "find_5cdc_containing",

@@ -6,7 +6,7 @@ subgraph c0, the witness pair (c1, c2) with their matching intersection,
 the final cover, a per-edge coverage tally, which construction path fired,
 and search statistics.  One check core re-derives everything and trusts
 no stored claim it can recompute: verify_certificate runs it on the graph
-and edge sets a document names, build_certificate on those the search
+and edge masks a document names, build_certificate on those the search
 holds.  The cover is the only witness of the flow condition on G - M: its
 elements must replay a nowhere-zero 4-flow of G - M (cover.replayed_planes),
 and a cover that replays none is rejected, since no flow is decided here.
@@ -26,7 +26,7 @@ from typing import Any, Optional, Sequence
 
 from .cover import coverage_masks, replayed_planes
 from .errors import Graph6Error, InvariantViolationError, UnsupportedFormatError
-from .graphs import EdgeSet, MultiGraph, parse_graph6, vertex_faults, write_graph6
+from .graphs import MultiGraph, mask_ids, parse_graph6, vertex_faults, write_graph6
 
 PATH_THEOREM = "theorem2"
 PATH_M_EMPTY = "m-empty"
@@ -95,21 +95,20 @@ class Certificate:
 
 
 class CertificateFrame:
-    """The text that the certificates of one graph share: the JSON of
-    graph6, n, m, edges and coverage, and of each edge id, rendered once.
-    render puts in the fields of one certificate over that graph, so a
-    sweep renders a graph's constant fields and ids once, not per circuit."""
+    """The text that the certificates of graph g share: the JSON of graph6,
+    n, m, edges and the coverage build_certificate claims, all twos, and of
+    each edge id, rendered once.  render puts in the fields of one
+    certificate over g, so a sweep renders a graph's constant fields and
+    ids once, not per circuit.  Raises UnsupportedFormatError when graph6
+    cannot encode g."""
 
-    def __init__(
-        self, graph6: str, n: int, m: int,
-        edges: Sequence[tuple[int, int]], coverage: Sequence[int],
-    ):
-        self.graph = (graph6, n, m, tuple(edges))
-        self.coverage = tuple(coverage)
-        head = dump_json({"graph6": graph6, "n": n, "m": m, "edges": self.graph[3]})
+    def __init__(self, g: MultiGraph):
+        self.graph = (write_graph6(g), g.n, g.m, g.edges)
+        self.coverage = (2,) * g.m
+        head = dump_json({"graph6": self.graph[0], "n": g.n, "m": g.m, "edges": g.edges})
         self._head = head[:-2] + ',\n  "c0": '  # without its closing "\n}"
         self._coverage = _dump(self.coverage, _FIELD)
-        self._ids = {e: str(e) for e in range(len(self.graph[3]))}
+        self._ids = {e: str(e) for e in range(g.m)}
 
     def _id_lists(self, value: Any, newline: str) -> str:
         """_dump(value, newline) for a list of int ids (no bools) or of such
@@ -144,29 +143,26 @@ class CertificateFrame:
         ))
 
 
-def graph_frame(g: MultiGraph) -> CertificateFrame:
-    """The frame of the certificates build_certificate makes over g, whose
-    coverage is all twos; raises UnsupportedFormatError when graph6 cannot
-    encode g."""
-    return CertificateFrame(write_graph6(g), g.n, g.m, g.edges, (2,) * g.m)
-
-
 def build_certificate(
     g: MultiGraph,
-    c0: EdgeSet,
-    c1: EdgeSet,
-    c2: EdgeSet,
-    matching: EdgeSet,
-    elements: tuple[EdgeSet, ...],
+    c0: int,
+    c1: int,
+    c2: int,
+    matching: int,
+    elements: Sequence[int],
     candidates_tried: int,
     elapsed_ms: int,
     frame: Optional[CertificateFrame] = None,
 ) -> Certificate:
     """Assemble a certificate after running the full check on the graph and
-    edge sets given, claiming every edge covered twice; a failed check here
-    means the search produced inconsistent data.  frame, g's graph_frame,
-    saves writing g's graph6 again."""
-    frame = frame or graph_frame(g)
+    edge masks given, claiming every edge covered twice; a failed check here
+    means the search produced inconsistent data, and a mask with a bit at
+    or above g.m raises ValueError.  frame, g's CertificateFrame, saves
+    writing g's graph6 again."""
+    masks = (c0, c1, c2, matching, *elements)
+    if any(x >> g.m for x in masks):  # a negative mask too
+        raise ValueError(f"edge mask outside the graph's edge range (m={g.m})")
+    frame = frame or CertificateFrame(g)
     path = PATH_M_EMPTY if not matching else PATH_THEOREM
     stats = {"candidates_tried": candidates_tried, "elapsed_ms": elapsed_ms}
     graph6, n, m, edges = frame.graph
@@ -178,19 +174,17 @@ def build_certificate(
         raise InvariantViolationError(
             "constructed certificate fails verification: " + "; ".join(problems)
         )
-    ids = {}  # by mask: c0 is often c1, and c1 and c2 are elements
-    for s in (c0, c1, c2, matching, *elements):
-        ids[s.mask] = ids.get(s.mask) or s.ids()
+    ids = {x: mask_ids(x) for x in set(masks)}  # c0 is often c1, and c1 and c2 are elements
     return Certificate(
         graph6=graph6,
         n=n,
         m=m,
         edges=edges,
-        c0=ids[c0.mask],
-        c1=ids[c1.mask],
-        c2=ids[c2.mask],
-        matching=ids[matching.mask],
-        cdc=tuple(ids[el.mask] for el in elements),
+        c0=ids[c0],
+        c1=ids[c1],
+        c2=ids[c2],
+        matching=ids[matching],
+        cdc=tuple(ids[x] for x in elements),
         coverage=coverage,
         path=path,
         candidates_tried=candidates_tried,
@@ -291,37 +285,37 @@ def verify_certificate(doc: dict[str, Any]) -> list[str]:
     if normalize(g.edges) != normalize(parsed.edges):
         return ["edges field does not describe the graph6 graph"]
 
+    names = ("c0", "c1", "c2", "matching")
     ok = True
-    for name in ("c0", "c1", "c2", "matching"):
+    for name in names:
         ok &= _ordered_ids(name, doc[name], g.m, problems)
     for i, el in enumerate(doc["cdc"]):
         ok &= _ordered_ids(f"cdc[{i}]", el, g.m, problems)
     if not ok:
         return problems
-    c0, c1, c2, matching = (EdgeSet.of(g, doc[name]) for name in ("c0", "c1", "c2", "matching"))
-    elements = [EdgeSet.of(g, el) for el in doc["cdc"]]
+    # The ids are checked distinct, so their bits sum to the mask.
+    c0, c1, c2, matching = (sum(1 << e for e in doc[name]) for name in names)
+    elements = [sum(1 << e for e in el) for el in doc["cdc"]]
     return _check(g, c0, c1, c2, matching, elements, doc["coverage"], doc["path"], doc["stats"])
 
 
 def _check(
-    g: MultiGraph, c0: EdgeSet, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet,
-    elements: Sequence[EdgeSet], coverage: Sequence[int], path: str, stats: dict[str, int],
+    g: MultiGraph, c0: int, c1: int, c2: int, matching: int,
+    elements: Sequence[int], coverage: Sequence[int], path: str, stats: dict[str, int],
 ) -> list[str]:
     """The check core: every problem of a certificate over g whose fields
-    are given as edge sets, in time linear in its size."""
-    if any(s.host is not g for s in (c0, c1, c2, matching, *elements)):
-        raise ValueError("EdgeSet does not belong to the given graph")
+    are given as edge masks, in time linear in its size."""
     problems = []
     if not g.is_cubic():
         problems.append("graph is not cubic")
-    masks = [c0.mask, c1.mask, c2.mask, matching.mask, *(el.mask for el in elements)]
+    masks = [c0, c1, c2, matching, *elements]
     # Replayed planes hold E - M by their shape, so is_flow asks only their parity.
     planes = replayed_planes(g, c1, c2, matching, elements)
     odd, shared, crowded = vertex_faults(g, masks + list(planes or ()))
     for i, name in enumerate(("c0", "c1", "c2")):
         if (odd | crowded) >> i & 1:
             problems.append(f"{name} is not an even subgraph")
-    if not c0 <= c1:
+    if c0 & ~c1:
         problems.append("c0 is not a subset of c1")
     if (c1 & c2) != matching:
         problems.append("matching is not the intersection of c1 and c2")
@@ -330,18 +324,17 @@ def _check(
 
     if len(elements) > 5:
         problems.append(f"cover has {len(elements)} elements, more than 5")
-    cover = masks[4:]
     uneven = (odd | crowded) >> 4
-    for i, x in enumerate(cover):
+    for i, x in enumerate(elements):
         if not x:
             problems.append(f"cdc[{i}] is empty")
-    for i in range(len(cover)):
+    for i in range(len(elements)):
         if uneven >> i & 1:
             problems.append(f"cdc[{i}] is not an even subgraph")
     # The tally is counted edge by edge only for a failed cover.
     tally = (2,) * g.m
-    if coverage_masks(cover)[1] != (1 << g.m) - 1:
-        tally = tuple(sum(x >> e & 1 for x in cover) for e in range(g.m))
+    if coverage_masks(elements)[1] != (1 << g.m) - 1:
+        tally = tuple(sum(x >> e & 1 for x in elements) for e in range(g.m))
         problems += [
             f"edge {e} is covered {k} times, expected 2" for e, k in enumerate(tally) if k != 2
         ]
@@ -353,7 +346,7 @@ def _check(
         problems.append("c1 is not an element of the cover")
     if c2 and c2 not in elements:
         problems.append("c2 is not an element of the cover")
-    if not any(c0 <= el for el in elements):
+    if not any(c0 & ~x == 0 for x in elements):
         problems.append("no cover element contains c0")
 
     if path not in (PATH_THEOREM, PATH_M_EMPTY):

@@ -214,7 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _Fail(EXIT_USAGE, f"cannot read {args.certificate}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _Fail(EXIT_USAGE, f"{args.certificate} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, or an integer or a nesting past json's limits
         raise _Fail(EXIT_USAGE, f"{args.certificate} is not valid JSON: {exc}") from exc
     problems = verify_certificate(doc)
     if problems:

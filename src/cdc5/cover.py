@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .flows import Planes
-from .graphs import EdgeSet, MultiGraph
+from .graphs import MultiGraph
 
 
 def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
@@ -34,10 +34,10 @@ def coverage_masks(masks: Sequence[int]) -> tuple[int, int, int]:
     return once, twice, more
 
 
-def extend_to_cdc(g: MultiGraph, covers: Sequence[EdgeSet], planes: Planes) -> tuple[EdgeSet, ...]:
+def extend_to_cdc(covers: Sequence[int], planes: Planes) -> tuple[int, ...]:
     """The closed-form double cover of at most k+3 elements that keeps even
-    subgraphs C1..Ck as elements, given the bit planes (S1, S2) of a
-    nowhere-zero 4-flow of G - M, M the edges lying in two of the Ci.
+    subgraphs C1..Ck (masks) as elements, given the bit planes (S1, S2) of
+    a nowhere-zero 4-flow of G - M, M the edges lying in two of the Ci.
 
     With c' the once-covered edges (the symmetric difference of the Ci),
     the cover is c' ^ S1, c' ^ S2, c' ^ S1 ^ S2 and C1..Ck, empty members
@@ -48,14 +48,13 @@ def extend_to_cdc(g: MultiGraph, covers: Sequence[EdgeSet], planes: Planes) -> t
     cubic, an odd Ci, an edge in more than two, an overlap that is not a
     matching, and planes that are no flow of G - M.
     """
-    once = coverage_masks([c.mask for c in covers])[0]
+    once = coverage_masks(covers)[0]
     s1, s2 = planes
-    lifted = (EdgeSet(g, x) for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2) if x)
-    return tuple(lifted) + tuple(c for c in covers if c)
+    return tuple(x for x in (once ^ s1, once ^ s2, once ^ s1 ^ s2, *covers) if x)
 
 
 def replayed_planes(
-    g: MultiGraph, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet, elements: Sequence[EdgeSet]
+    g: MultiGraph, c1: int, c2: int, matching: int, elements: Sequence[int]
 ) -> Optional[Planes]:
     """The bit planes of the flow on G - M that a cover replays, by which it
     witnesses the flow condition itself when they are even (is_flow): the
@@ -67,16 +66,16 @@ def replayed_planes(
     a cover is rejected (certificates._check)."""
     if c1 & c2 != matching:
         return None
-    rest = [el.mask for el in elements]
-    for c in (c1.mask, c2.mask):
+    rest = list(elements)
+    for c in (c1, c2):
         if c:
             if c not in rest:
                 return None
             rest.remove(c)
     if c1 ^ c2:
-        rest.append((c1 ^ c2).mask)
+        rest.append(c1 ^ c2)
     once, twice, more = coverage_masks(rest)
-    if len(rest) > 4 or once or more or twice != (1 << g.m) - 1 ^ matching.mask:
+    if len(rest) > 4 or once or more or twice != (1 << g.m) - 1 ^ matching:
         return None
     _, r1, r2, r3 = rest + [0] * (4 - len(rest))
     return r1 ^ r3, r2 ^ r3

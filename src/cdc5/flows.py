@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvariantViolationError, PreconditionError
-from .graphs import MultiGraph, bridges, spanning_forest, vertex_faults
+from .graphs import MultiGraph, spanning_forest, vertex_faults
 
 EdgeColoring3 = tuple[int, ...]  # edge id -> color in {0, 1, 2}
 Planes = tuple[int, int]  # the bit planes (S1, S2) of a flow, as edge masks
@@ -209,7 +209,7 @@ def _planes(g: MultiGraph, drop: int, host: MultiGraph, chains: list[int]) -> Op
     its edge's chain the value c + 1: color 0 puts the chain in S1, color 1
     in S2 and color 2 in both.  The edges on no chain get the value 1, in
     S1.  The planes are checked with is_flow before they are returned."""
-    if bridges(host):
+    if spanning_forest(host).bridges:
         return None
     s1 = s2 = 0
     for sub, edge_ids in _component_subgraphs(host):

@@ -4,10 +4,11 @@ components and the fundamental cycles of a graph.
 
 Vertices are 0..n-1.  Edges carry dense identifiers 0..m-1 in construction
 order and are unordered pairs; loops and parallel edges are allowed
-everywhere except graph6 output.  Every set-like result is an EdgeSet (an
-integer bit mask over edge identifiers), so the GF(2) algebra downstream is
-plain integer XOR.  Edge ids are never renumbered: a subgraph such as
-G - M is a mask over G's own edges.
+everywhere except graph6 output.  An edge set is an integer bit mask over
+edge identifiers, so the GF(2) algebra of the engine is plain integer XOR;
+an EdgeSet wraps one mask with its host for the public entry points only.
+Edge ids are never renumbered: a subgraph such as G - M is a mask over G's
+own edges.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class MultiGraph:
 
 
 class EdgeSet:
-    """Subset of a host graph's edges, stored as an integer bit mask."""
+    """Subset of a host graph's edges, stored as an integer bit mask: the
+    edge-set type of the public entry points, which the engine unwraps."""
 
     __slots__ = ("host", "mask")
 
@@ -136,22 +138,6 @@ class EdgeSet:
     def empty(cls, host: MultiGraph) -> "EdgeSet":
         return cls(host, 0)
 
-    def _check_host(self, other: "EdgeSet") -> None:
-        if self.host is not other.host:
-            raise ValueError("EdgeSet operands belong to different host graphs")
-
-    def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.host, self.mask & other.mask)
-
-    def __xor__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.host, self.mask ^ other.mask)
-
-    def __le__(self, other: "EdgeSet") -> bool:
-        self._check_host(other)
-        return self.mask & ~other.mask == 0
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -170,16 +156,20 @@ class EdgeSet:
 
     def ids(self) -> tuple[int, ...]:
         """The member edge ids in ascending order."""
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return mask_ids(self.mask)
 
     def __repr__(self) -> str:
         return f"EdgeSet({list(self.ids())})"
+
+
+def mask_ids(mask: int) -> tuple[int, ...]:
+    """The edge ids of a mask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def vertex_faults(g: MultiGraph, masks: Sequence[int]) -> tuple[int, int, int]:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .certificates import Certificate, CertificateFrame, build_certificate, graph_frame
+from .certificates import Certificate, CertificateFrame, build_certificate
 from .cover import extend_to_cdc
 from .cyclespace import (
     EvenLayers,
@@ -73,7 +73,7 @@ def _check_search_host(g: MultiGraph) -> None:
         raise PreconditionError("graph must be cubic")
     if not g.m:
         raise PreconditionError("graph has no edges, so no cover element can contain c0")
-    if bridges(g):
+    if spanning_forest(g).bridges:
         raise PreconditionError("graph has a bridge, so it has no cycle double cover")
 
 
@@ -106,9 +106,9 @@ class SearchContext:
 
     @cached_property
     def frame(self) -> CertificateFrame:
-        """The certificate frame of the graph, with its graph6 text, made on
-        first use; UnsupportedFormatError when graph6 cannot encode it."""
-        return graph_frame(self.g)
+        """The CertificateFrame of the graph, made on first use;
+        UnsupportedFormatError when graph6 cannot encode it."""
+        return CertificateFrame(self.g)
 
     def canonical_order(self, check_time: Callable[[], None] = lambda: None) -> Iterator[int]:
         """Masks of every even subgraph in canonical order, empty set first,
@@ -319,9 +319,7 @@ def find_5cdc_containing(
     ctx = context or SearchContext(g)
     if ctx.g is not g:
         raise ValueError("search context belongs to a different graph")
-    if c0.host is not g:
-        raise ValueError("c0 does not belong to the given graph")
-    if not is_even_subgraph(g, c0):
+    if not is_even_subgraph(g, c0):  # ValueError when c0 is an edge set of another graph
         raise PreconditionError("c0 is not an even subgraph")
     frame = ctx.frame  # the certificate names the graph in graph6
 
@@ -332,13 +330,10 @@ def find_5cdc_containing(
         c2 = _first_partner(ctx, c1, tally)
         if c2 is None:
             continue
-        c1_set, c2_set = EdgeSet(g, c1), EdgeSet(g, c2)
-        overlap = c1_set & c2_set
-        cdc = extend_to_cdc(g, [c1_set, c2_set], ctx.flow_minus(c1 & c2))
+        overlap = c1 & c2
+        cdc = extend_to_cdc([c1, c2], ctx.flow_minus(overlap))
         elapsed_ms = int((time.monotonic() - started) * 1000)
-        return build_certificate(
-            g, c0, c1_set, c2_set, overlap, cdc, tally.tried, elapsed_ms, frame
-        )
+        return build_certificate(g, c0.mask, c1, c2, overlap, cdc, tally.tried, elapsed_ms, frame)
     return None
 
 

@@ -23,7 +23,7 @@ and scripts, so they live here, not in cdc5.
 import random
 from bisect import insort
 from itertools import product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from cdc5 import (
     CapacityError,
@@ -39,6 +39,14 @@ from cdc5 import (
 from cdc5.cover import replayed_planes
 from cdc5.cyclespace import check_guard
 from cdc5.flows import _dead_key
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """The edge mask holding the given ids."""
+    mask = 0
+    for e in ids:
+        mask |= 1 << e
+    return mask
 
 
 def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -223,13 +231,13 @@ def loop_is_flow(g: MultiGraph, drop: int, s1: int, s2: int) -> bool:
 
 
 def replays_as_flow(
-    g: MultiGraph, c1: EdgeSet, c2: EdgeSet, matching: EdgeSet, elements: Sequence[EdgeSet]
+    g: MultiGraph, c1: int, c2: int, matching: int, elements: Sequence[int]
 ) -> bool:
-    """Whether a cover is its own witness for the flow condition on G - M,
-    as the certificate check decides it: the planes replayed_planes reads
-    off it are a flow of G - M."""
+    """Whether a cover (edge masks) is its own witness for the flow
+    condition on G - M, as the certificate check decides it: the planes
+    replayed_planes reads off it are a flow of G - M."""
     planes = replayed_planes(g, c1, c2, matching, elements)
-    return planes is not None and is_flow(g, matching.mask, *planes)
+    return planes is not None and is_flow(g, matching, *planes)
 
 
 class CoverReport(NamedTuple):
@@ -242,21 +250,19 @@ class CoverReport(NamedTuple):
     coverage_errors: tuple[int, ...]  # edge ids covered other than twice
 
 
-def loop_verify_cdc(g: MultiGraph, elements: Sequence[EdgeSet]) -> CoverReport:
-    """Check the double-cover property edge by edge and vertex by vertex:
-    every element a nonempty even subgraph, every edge covered exactly
-    twice (repeats count).  The reference for the bit-parallel tally of the
-    certificate check."""
-    if any(el.host is not g for el in elements):
-        raise ValueError("element does not belong to the given graph")
+def loop_verify_cdc(g: MultiGraph, elements: Sequence[int]) -> CoverReport:
+    """Check the double-cover property of edge masks edge by edge and vertex
+    by vertex: every element a nonempty even subgraph, every edge covered
+    exactly twice (repeats count).  The reference for the bit-parallel
+    tally of the certificate check."""
+    if any(el < 0 or el >> g.m for el in elements):
+        raise ValueError("element names an edge the graph lacks")
     counts = [0] * g.m
     for el in elements:
-        for e in el.ids():
-            counts[e] += 1
+        for e in range(g.m):
+            counts[e] += el >> e & 1
     empty = tuple(i for i, el in enumerate(elements) if not el)
-    non_even = tuple(
-        i for i, el in enumerate(elements) if not loop_is_even_subgraph(g, el.mask)
-    )
+    non_even = tuple(i for i, el in enumerate(elements) if not loop_is_even_subgraph(g, el))
     errors = tuple(e for e, c in enumerate(counts) if c != 2)
     valid = not empty and not non_even and not errors
     return CoverReport(valid, empty, non_even, tuple(counts), errors)
@@ -268,9 +274,9 @@ def plane_values(g: MultiGraph, planes: tuple[int, int]) -> tuple[int, ...]:
     return tuple((s1 >> e & 1) | (s2 >> e & 1) << 1 for e in range(g.m))
 
 
-def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> tuple[int, ...]:
-    """Turn a CDC with at most 4 elements into the values of a nowhere-zero
-    4-flow.
+def cdc_to_flow(g: MultiGraph, elements: Sequence[int]) -> tuple[int, ...]:
+    """Turn a CDC with at most 4 elements (edge masks) into the values of a
+    nowhere-zero 4-flow.
 
     The elements are padded to four with empty sets and assigned the Klein
     values 0, 1, 2, 3 in order; each edge lies in exactly two elements and
@@ -279,30 +285,23 @@ def cdc_to_flow(g: MultiGraph, elements: Sequence[EdgeSet]) -> tuple[int, ...]:
     """
     if len(elements) > 4:
         raise PreconditionError(f"need at most 4 elements, got {len(elements)}")
-    counts = [0] * g.m
-    for s in elements:
-        if s.host is not g:
-            raise ValueError("CDC element does not belong to the given graph")
-        for e in s.ids():
-            counts[e] += 1
+    counts = loop_verify_cdc(g, elements).coverage
     bad = [e for e, c in enumerate(counts) if c != 2]
     if bad:
         raise PreconditionError(f"not a double cover: edges {bad} have wrong coverage")
     values = [0] * g.m
     for value, s in enumerate(elements):
-        for e in s.ids():
-            values[e] ^= value
+        for e in range(g.m):
+            values[e] ^= value * (s >> e & 1)
     if not verify_flow(g, values):
         raise InvariantViolationError("flow derived from a CDC fails verification")
     return tuple(values)
 
 
-def extract_witness(
-    g: MultiGraph, elements: Sequence[EdgeSet], c0: EdgeSet
-) -> tuple[EdgeSet, EdgeSet, EdgeSet]:
-    """From a ≤5-element CDC with an element containing c0, recover the
-    triple (M, C1, C2): C1 the containing element, C2 the first other
-    element (empty if there is none), M their intersection.
+def extract_witness(g: MultiGraph, elements: Sequence[int], c0: int) -> tuple[int, int, int]:
+    """From a ≤5-element CDC with an element containing c0, all edge masks,
+    recover the triple (M, C1, C2): C1 the containing element, C2 the first
+    other element (empty if there is none), M their intersection.
 
     In a valid CDC of a cubic graph two elements always intersect in a
     matching (a second shared edge at a vertex would leave the third edge
@@ -319,14 +318,14 @@ def extract_witness(
         raise PreconditionError(f"need at most 5 elements, got {len(elements)}")
     if not loop_verify_cdc(g, elements).valid:
         raise PreconditionError("not a valid cycle double cover")
-    idx = next((i for i, el in enumerate(elements) if c0 <= el), None)
+    idx = next((i for i, el in enumerate(elements) if c0 & ~el == 0), None)
     if idx is None:
         raise PreconditionError("no element contains the prescribed subgraph")
     c1 = elements[idx]
     rest = [el for i, el in enumerate(elements) if i != idx]
-    c2 = rest[0] if rest else EdgeSet.empty(g)
+    c2 = rest[0] if rest else 0
     m_set = c1 & c2
-    if not loop_is_matching(g, m_set.mask):
+    if not loop_is_matching(g, m_set):
         raise InvariantViolationError("element intersection is not a matching")
 
     if not replays_as_flow(g, c1, c2, m_set, elements):
@@ -336,9 +335,10 @@ def extract_witness(
 
 def brute_force_cdc(
     g: MultiGraph, c0: EdgeSet, max_elements: int = 5, guard: int = 7
-) -> Optional[tuple[EdgeSet, ...]]:
+) -> Optional[tuple[int, ...]]:
     """Exhaustively search for a CDC of at most max_elements nonempty even
-    subgraphs, at least one containing c0; its elements, or None.
+    subgraphs, at least one containing c0; its elements as edge masks, or
+    None.
 
     Candidates are all nonempty even subgraphs ordered by (size, edge ids);
     covers are multisets explored as nondecreasing index tuples in
@@ -422,7 +422,7 @@ def brute_force_cdc(
     if full == 0 and trivially_contained:
         return ()
     if search(0, 0, 0, trivially_contained):
-        return tuple(candidates[j] for j in chosen)
+        return tuple(masks[j] for j in chosen)
     return None
 
 

@@ -39,6 +39,7 @@ from .oracles import (
     extract_witness,
     loop_is_matching,
     loop_verify_cdc,
+    mask_of,
     petersen_graph,
     plane_values,
     subdivide,
@@ -246,14 +247,14 @@ def test_criterion_4_snark_sweep(snark_sweep_cli):
 
 def _witness_roundtrip_ok(doc: dict) -> bool:
     g = MultiGraph(doc["n"], [tuple(e) for e in doc["edges"]])
-    elements = [EdgeSet.of(g, ids) for ids in doc["cdc"]]
-    c0 = EdgeSet.of(g, doc["c0"])
+    elements = [mask_of(ids) for ids in doc["cdc"]]
+    c0 = mask_of(doc["c0"])
     m, c1, c2 = extract_witness(g, elements, c0)
-    if c0.ids() and not set(c0.ids()) <= set(c1.ids()):
+    if c0 & ~c1:
         return False
-    if m.ids() != (c1 & c2).ids() or not loop_is_matching(g, m.mask):
+    if m != c1 & c2 or not loop_is_matching(g, m):
         return False
-    return flow_planes(g, m.mask) is not None
+    return flow_planes(g, m) is not None
 
 
 def test_criterion_5_property_suites(
@@ -271,7 +272,7 @@ def test_criterion_5_property_suites(
         for c_prime in enumerate_even_subgraphs(g, guard=16):
             if len(c_prime) % 2:
                 continue
-            extended = extend_to_cdc(g, [c_prime] if len(c_prime) else [], planes)
+            extended = extend_to_cdc([c_prime.mask] if c_prime else [], planes)
             if not loop_verify_cdc(g, extended).valid:
                 problems.append(f"extend_to_cdc broke on {g!r}")
                 break

@@ -19,15 +19,15 @@ from cdc5 import (
     SearchOptions,
     Sweep,
     UnsupportedFormatError,
-    build_certificate,
     enumerate_circuits,
     find_5cdc_containing,
     parse_graph6,
     verify_certificate,
     write_graph6,
 )
-from cdc5.certificates import dump_json, graph_frame
+from cdc5.certificates import CertificateFrame, build_certificate, dump_json
 from cdc5.cover import extend_to_cdc
+from cdc5.graphs import mask_ids
 
 from .conftest import sweep_graph
 from .test_verify_corrupted import DATA as CORRUPTED
@@ -41,6 +41,7 @@ from .oracles import (
     complete_graph,
     flower_snark,
     loop_verify_cdc,
+    mask_of,
     petersen_graph,
     prism_graph,
     random_cubic_multigraph,
@@ -84,7 +85,7 @@ class TestDocumentShape:
         assert list(doc["stats"]) == ["candidates_tried", "elapsed_ms"]
 
     def test_json_roundtrip(self, petersen_cert):
-        doc = json.loads(graph_frame(petersen_graph()).render(petersen_cert))
+        doc = json.loads(CertificateFrame(petersen_graph()).render(petersen_cert))
         assert doc == petersen_cert.to_doc()
         assert verify_certificate(doc) == []
 
@@ -103,18 +104,17 @@ class TestDocumentShape:
 class TestBuildGate:
     def test_inconsistent_matching_rejected(self, petersen_cert):
         g = petersen_graph()
-        c0 = EdgeSet.of(g, petersen_cert.c0)
-        c1 = EdgeSet.of(g, petersen_cert.c1)
-        c2 = EdgeSet.of(g, petersen_cert.c2)
-        elements = tuple(EdgeSet.of(g, ids) for ids in petersen_cert.cdc)
+        cert = petersen_cert
+        c0, c1, c2 = (mask_of(ids) for ids in (cert.c0, cert.c1, cert.c2))
+        elements = [mask_of(ids) for ids in cert.cdc]
         with pytest.raises(InvariantViolationError):
-            build_certificate(g, c0, c1, c2, EdgeSet.empty(g), elements, 1, 0)
+            build_certificate(g, c0, c1, c2, 0, elements, 1, 0)
 
 
 def replace_one_element(g, cdc):
-    """The cover with its first element swapped for an even subgraph that
-    is not in it."""
-    other = next(c for c in enumerate_circuits(g) if c not in cdc)
+    """The cover (edge masks) with its first element swapped for an even
+    subgraph that is not in it."""
+    other = next(c.mask for c in enumerate_circuits(g) if c.mask not in cdc)
     return (other,) + cdc[1:]
 
 
@@ -135,8 +135,8 @@ class TestSearchGate:
         g = petersen_graph()
         original = cdc5.search.extend_to_cdc
 
-        def corrupted(host, covers, planes):
-            return corrupt(host, covers, planes, original)
+        def corrupted(covers, planes):
+            return corrupt(g, covers, planes, original)
 
         monkeypatch.setattr(cdc5.search, "extend_to_cdc", corrupted)
         with pytest.raises(InvariantViolationError):
@@ -144,7 +144,7 @@ class TestSearchGate:
 
     def test_replaced_element_stops_the_search(self, monkeypatch):
         def corrupt(host, covers, planes, original):
-            return replace_one_element(host, original(host, covers, planes))
+            return replace_one_element(host, original(covers, planes))
 
         self.corrupt_search(monkeypatch, corrupt)
 
@@ -155,37 +155,37 @@ class TestSearchGate:
         def corrupt(host, covers, planes, original):
             kept = [e for e in range(host.m) if (planes[0] | planes[1]) >> e & 1]
             assert len(kept) == 14
-            return original(host, covers, flip_bit_plane(planes, kept[edge]))
+            return original(covers, flip_bit_plane(planes, kept[edge]))
 
         self.corrupt_search(monkeypatch, corrupt)
 
     def corrupted_doc(self, petersen_cert, cdc):
         doc = copy.deepcopy(petersen_cert.to_doc())
-        doc["cdc"] = [list(el.ids()) for el in cdc]
+        doc["cdc"] = [list(mask_ids(x)) for x in cdc]
         # A consistent stored tally, so only the cover itself can fail.
-        doc["coverage"] = list(loop_verify_cdc(cdc[0].host, cdc).coverage)
+        doc["coverage"] = list(loop_verify_cdc(petersen_graph(), cdc).coverage)
         return doc
 
     def witness(self, petersen_cert):
         g = petersen_graph()
-        covers = [EdgeSet.of(g, petersen_cert.c1), EdgeSet.of(g, petersen_cert.c2)]
-        return g, covers, cdc5.search.SearchContext(g).flow_minus((covers[0] & covers[1]).mask)
+        covers = [mask_of(petersen_cert.c1), mask_of(petersen_cert.c2)]
+        return g, covers, cdc5.search.SearchContext(g).flow_minus(covers[0] & covers[1])
 
     def test_replaced_element_fails_verification(self, petersen_cert):
         g, covers, planes = self.witness(petersen_cert)
-        cdc = replace_one_element(g, extend_to_cdc(g, covers, planes))
+        cdc = replace_one_element(g, extend_to_cdc(covers, planes))
         assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
 
     def test_flipped_bit_plane_fails_verification(self, petersen_cert):
         g, covers, planes = self.witness(petersen_cert)
         for e in range(g.m):
             if (planes[0] | planes[1]) >> e & 1:
-                cdc = extend_to_cdc(g, covers, flip_bit_plane(planes, e))
+                cdc = extend_to_cdc(covers, flip_bit_plane(planes, e))
                 assert verify_certificate(self.corrupted_doc(petersen_cert, cdc)) != []
 
     def test_intact_cover_passes(self, petersen_cert):
         g, covers, planes = self.witness(petersen_cert)
-        doc = self.corrupted_doc(petersen_cert, extend_to_cdc(g, covers, planes))
+        doc = self.corrupted_doc(petersen_cert, extend_to_cdc(covers, planes))
         assert doc == petersen_cert.to_doc()
         assert verify_certificate(doc) == []
 
@@ -226,6 +226,30 @@ class TestSearchGate:
             c1, c2 = EdgeSet.of(g, cert.c1).mask, EdgeSet.of(g, cert.c2).mask
             on_answer = [caller for caller, masks in calls if c1 in masks and c2 in masks]
             assert on_answer == ["cdc5.certificates"]
+
+
+@pytest.mark.parametrize(
+    "g", [petersen_graph(), complete_graph(4), prism_graph()], ids=["petersen", "k4", "prism"]
+)
+def test_found_path_and_verification_build_no_edge_set(monkeypatch, g):
+    # The engine runs on masks, and EdgeSet is the type of the public
+    # entry points only: a search handed c0, the certificate it builds and
+    # the check of that certificate's document wrap no mask in an EdgeSet.
+    circuits = enumerate_circuits(g)
+    made = []
+    init = EdgeSet.__init__
+
+    def counting(edge_set, host, mask=0):
+        made.append(mask)
+        init(edge_set, host, mask)
+
+    monkeypatch.setattr(EdgeSet, "__init__", counting)
+    ctx = None  # the first search builds its own context
+    for c0 in circuits:
+        cert = find_5cdc_containing(g, c0, context=ctx)
+        assert verify_certificate(cert.to_doc()) == []
+        ctx = ctx or SearchContext(g)
+    assert made == []
 
 
 def random_json(rng, depth=0):
@@ -269,7 +293,7 @@ class TestDumpJson:
 
     def test_certificate_text(self, petersen_cert, k4_cert):
         for g, cert in ((petersen_graph(), petersen_cert), (complete_graph(4), k4_cert)):
-            assert graph_frame(g).render(cert) == json.dumps(cert.to_doc(), indent=2) + "\n"
+            assert CertificateFrame(g).render(cert) == json.dumps(cert.to_doc(), indent=2) + "\n"
 
 
 def untimed(text):
@@ -297,7 +321,7 @@ class TestCertificateFrame:
         coverage[7] = 3
         cert = dataclasses.replace(petersen_cert, coverage=tuple(coverage))
         text = dump_json(cert.to_doc()) + "\n"
-        assert graph_frame(petersen_graph()).render(cert) == text
+        assert CertificateFrame(petersen_graph()).render(cert) == text
         assert json.loads(text)["coverage"] == coverage
 
     def test_two_digit_ids_of_j15(self):
@@ -329,11 +353,11 @@ class TestCertificateFrame:
         # all come out as dump_json writes them.
         cert = dataclasses.replace(petersen_cert, **fields)
         text = dump_json(cert.to_doc()) + "\n"
-        assert graph_frame(petersen_graph()).render(cert) == text
+        assert CertificateFrame(petersen_graph()).render(cert) == text
 
     def test_certificate_of_another_graph_is_refused(self, k4_cert):
         with pytest.raises(ValueError):
-            graph_frame(petersen_graph()).render(k4_cert)
+            CertificateFrame(petersen_graph()).render(k4_cert)
 
     def test_multigraph_is_refused_before_the_search(self):
         # graph6 cannot name a multigraph, so its context has no frame, and

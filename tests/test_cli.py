@@ -312,6 +312,19 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert "not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000, '{"n": ' + "9" * 5000 + "}"],
+        ids=["deep-array", "long-integer"],
+    )
+    def test_json_past_the_loader_limits_is_usage_error(self, tmp_path, capsys, text):
+        # json.load raises RecursionError and ValueError on these, not
+        # JSONDecodeError; either way there is no document to check.
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
 
 class TestStats:
     def test_table_lists_every_graph(self, small_batch_file, capsys):

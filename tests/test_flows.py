@@ -27,6 +27,7 @@ from .oracles import (
     flower_snark,
     is_circuit,
     loop_is_matching,
+    mask_of,
     minus,
     petersen_graph,
     plane_values,
@@ -523,26 +524,24 @@ class TestFlowPlanes:
 class TestCdcToFlow:
     def test_k4_hamiltonian_cdc(self):
         g = complete_graph(4)
-        h1 = EdgeSet.of(g, [0, 2, 3, 5])
-        h2 = EdgeSet.of(g, [1, 2, 3, 4])
-        h3 = EdgeSet.of(g, [0, 1, 4, 5])
+        h1, h2, h3 = mask_of([0, 2, 3, 5]), mask_of([1, 2, 3, 4]), mask_of([0, 1, 4, 5])
         flow = cdc_to_flow(g, [h1, h2, h3])
         assert verify_flow(g, flow)
 
     def test_doubled_circuit(self):
         g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        c = EdgeSet(g, (1 << g.m) - 1)
+        c = (1 << g.m) - 1
         flow = cdc_to_flow(g, [c, c])
         assert flow == (1, 1, 1, 1)
 
     def test_too_many_elements_rejected(self):
         g = complete_graph(4)
         with pytest.raises(PreconditionError):
-            cdc_to_flow(g, [EdgeSet.empty(g)] * 5)
+            cdc_to_flow(g, [0] * 5)
 
     def test_wrong_coverage_names_edges(self):
         g = complete_graph(4)
-        h1 = EdgeSet.of(g, [0, 2, 3, 5])
+        h1 = mask_of([0, 2, 3, 5])
         with pytest.raises(PreconditionError) as exc:
             cdc_to_flow(g, [h1, h1])
         assert "[1, 4]" in str(exc.value)

@@ -22,7 +22,6 @@ PUBLIC_API = [
     "Sweep",
     "UnsupportedFormatError",
     "bridges",
-    "build_certificate",
     "canonical_masks",
     "enumerate_circuits",
     "find_5cdc_containing",

@@ -16,7 +16,6 @@ from cdc5 import (
     SearchContext,
     SearchOptions,
     UnsupportedFormatError,
-    build_certificate,
     canonical_masks,
     enumerate_circuits,
     find_5cdc_containing,
@@ -25,6 +24,7 @@ from cdc5 import (
     verify_certificate,
 )
 
+from cdc5.certificates import build_certificate
 from cdc5.cover import extend_to_cdc
 from cdc5.cyclespace import EvenLayers, reduced_echelon
 from cdc5.search import _c1_order, _overlaps, _split, _sweep_range
@@ -97,7 +97,7 @@ class TestFindOnPetersen:
         c1 = EdgeSet.of(petersen, cert.c1)
         c2 = EdgeSet.of(petersen, cert.c2)
         m_set = EdgeSet.of(petersen, cert.matching)
-        assert c1 & c2 == m_set
+        assert c1.mask & c2.mask == m_set.mask
         assert loop_is_matching(petersen, m_set.mask)
         assert flow_planes(petersen, m_set.mask) is not None
 
@@ -312,7 +312,8 @@ def reference_c1_list(g, c0, space=None):
     whole space (every even subgraph of g, in any order), sorted by (edges
     added to c0, edge-id tuple)."""
     space = space or enumerate_even_subgraphs(g)
-    return sorted((s for s in space if c0 <= s), key=lambda s: (len(s) - len(c0), s.ids()))
+    contain = (s for s in space if c0.mask & ~s.mask == 0)
+    return sorted(contain, key=lambda s: (len(s) - len(c0), s.ids()))
 
 
 def reference_c2_order(c1, canonical):
@@ -330,14 +331,14 @@ def reference_search(g, c0, context, canonical=None):
     for c1 in reference_c1_list(g, c0, canonical):
         for c2 in reference_c2_order(c1, canonical):
             tried += 1
-            overlap = c1 & c2
-            if len(overlap) * 2 > g.n or not loop_is_matching(g, overlap.mask):
+            overlap = c1.mask & c2.mask
+            if overlap.bit_count() * 2 > g.n or not loop_is_matching(g, overlap):
                 continue
-            planes = context.flow_minus(overlap.mask)
+            planes = context.flow_minus(overlap)
             if planes is None:
                 continue
-            cdc = extend_to_cdc(g, [c for c in (c1, c2) if c], planes)
-            return build_certificate(g, c0, c1, c2, overlap, cdc, tried, 0)
+            cdc = extend_to_cdc([c1.mask, c2.mask], planes)
+            return build_certificate(g, c0.mask, c1.mask, c2.mask, overlap, cdc, tried, 0)
     return None
 
 
