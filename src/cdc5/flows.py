@@ -8,8 +8,8 @@ themselves.  A flow is kept as its two bit planes, the edge masks S1 (values
 are even subgraphs, and nowhere zero when S1 | S2 is every edge.  For
 3-regular graphs a nowhere-zero 4-flow is the same thing as a proper
 3-edge-coloring, and the flows of G - drop, with every degree 2 or 3, are
-found on the 3-regular graph that suppressing its degree-2 vertices leaves.
-The planes are masks over G's own edge ids; G - drop is never built.
+found on the 3-regular graph that suppressing its degree-2 vertices leaves,
+the one graph built.  The planes are masks over G's own edge ids.
 """
 
 from __future__ import annotations
@@ -40,14 +40,17 @@ def _dead_key(unc: int, b0: int, b1: int, b2: int) -> tuple[int, int, int, int]:
 def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     """First proper 3-edge-coloring in backtracking order, or None.
 
-    Color permutations map proper colorings to proper colorings, so the
-    three edges at g.edges[0][0] are fixed to colors 0, 1, 2 in identifier
-    order before the search.  Each step then colors the uncolored edge
-    with the fewest free colors, ties going to the lowest identifier,
-    trying its free colors in ascending order.  The first coloring this
-    depth-first search completes is returned, so the answer is
-    deterministic.  A loop makes a proper coloring impossible.  Parallel
-    edges are fine.
+    Each component of g, in spanning_forest(g).components order, is
+    colored in place on g's edge ids by a search of its own.  Color
+    permutations map proper colorings to proper colorings, so the three
+    edges at the first endpoint of the component's lowest edge are fixed
+    to colors 0, 1, 2 in identifier order.  Each step then colors the
+    uncolored edge with the fewest free colors, ties going to the lowest
+    identifier, trying its free colors in ascending order.  The first
+    coloring this depth-first search completes is kept, so the answer is
+    deterministic; a dead end never backs up into a component already
+    colored, so each gets the coloring a copy of it alone would get.  A
+    loop makes a proper coloring impossible.  Parallel edges are fine.
 
     The state is four edge masks: U, the uncolored edges, and Bc, the
     edges sharing an endpoint with an edge of color c (c is free at e in U
@@ -67,15 +70,16 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
     can complete.
 
     The search remembers the branch states it has proved dead, keyed by
-    _dead_key: U and the sorted masks B0 & U, B1 & U, B2 & U.  The key is
-    sound: the selection and every later step read the masks only inside
-    U, so whether a completion exists depends on U and the masks
-    restricted to it alone; and a color permutation permutes the three
-    masks and keeps whether a completion exists.  Once every color of a
-    branch has been tried its key joins the failed set, and a later
-    branch state with the same key is a dead end at once.  Only states
-    without a completion are cut and the order is untouched, so the first
-    coloring found is the one the search without the set would find.
+    _dead_key: U, inside one component, and the sorted masks B0 & U,
+    B1 & U, B2 & U.  The key is sound: the selection and every later step
+    read the masks only inside U, so whether a completion exists depends
+    on U and the masks restricted to it alone; and a color permutation
+    permutes the three masks and keeps whether a completion exists.  Once
+    every color of a branch has been tried its key joins the failed set,
+    and a later branch state with the same key is a dead end at once.
+    Only states without a completion are cut and the order is untouched,
+    so the first coloring found is the one the search without the set
+    would find.
     """
     if not g.is_cubic():
         v = next(v for v in range(g.n) if g.degree(v) != 3)
@@ -84,83 +88,67 @@ def three_edge_color(g: MultiGraph) -> Optional[EdgeColoring3]:
         )
     if g.loop_mask():
         return None
-    if not g.m:
-        return ()
     vm = g.vertex_masks
     near = [vm[u] | vm[v] for u, v in g.edges]
-    e0, e1, e2 = g.incident(g.edges[0][0])
     colors = [0] * g.m
-    colors[e1], colors[e2] = 1, 2
-    unc = (1 << g.m) - 1 ^ (1 << e0 | 1 << e1 | 1 << e2)
-    b0, b1, b2 = near[e0], near[e1], near[e2]
     failed: set[tuple[int, int, int, int]] = set()
-    # (edge, colors not tried yet, branch key, U, B0, B1, B2 before)
-    trail: list[tuple[int, int, tuple[int, int, int, int], int, int, int, int]] = []
-    while True:
-        tight = unc & (b0 & b1 | (b0 | b1) & b2)
-        if tight:  # a forced move, or a dead end if no color is free
-            bit = tight & -tight
-            e = bit.bit_length() - 1
-            unc ^= bit
-            if not b0 & bit:
-                b0 |= near[e]
-                colors[e] = 0
-                continue
-            if not b1 & bit:
-                b1 |= near[e]
-                colors[e] = 1
-                continue
-            if not b2 & bit:
-                b2 |= near[e]
-                colors[e] = 2
-                continue
-            rest = 0
-        elif not unc:
-            return tuple(colors)
-        else:  # a branch state: two free colors, or three if nothing is blocked
-            pick = unc & (b0 | b1 | b2) or unc
-            bit = pick & -pick
-            e = bit.bit_length() - 1
-            rest = 6 if b0 & bit else 5 if b1 & bit else 3 if b2 & bit else 7
-            key = _dead_key(unc, b0, b1, b2)
-            if key in failed:
+    for component in spanning_forest(g).components:
+        unc = 0
+        for v in component:
+            unc |= vm[v]
+        e0, e1, e2 = g.incident(g.edges[(unc & -unc).bit_length() - 1][0])
+        colors[e1], colors[e2] = 1, 2
+        unc ^= 1 << e0 | 1 << e1 | 1 << e2
+        b0, b1, b2 = near[e0], near[e1], near[e2]
+        # (edge, colors not tried yet, branch key, U, B0, B1, B2 before)
+        trail: list[tuple[int, int, tuple[int, int, int, int], int, int, int, int]] = []
+        while True:
+            tight = unc & (b0 & b1 | (b0 | b1) & b2)
+            if tight:  # a forced move, or a dead end if no color is free
+                bit = tight & -tight
+                e = bit.bit_length() - 1
+                unc ^= bit
+                if not b0 & bit:
+                    b0 |= near[e]
+                    colors[e] = 0
+                    continue
+                if not b1 & bit:
+                    b1 |= near[e]
+                    colors[e] = 1
+                    continue
+                if not b2 & bit:
+                    b2 |= near[e]
+                    colors[e] = 2
+                    continue
                 rest = 0
-        # Back up to the last branch state with a color left to try.
-        while not rest:
-            if not trail:
-                return None
-            e, rest, key, unc, b0, b1, b2 = trail.pop()
-            if not rest:
-                failed.add(key)
-        low = rest & -rest
-        trail.append((e, rest ^ low, key, unc, b0, b1, b2))
-        unc ^= 1 << e
-        colors[e] = low >> 1
-        if low == 1:
-            b0 |= near[e]
-        elif low == 2:
-            b1 |= near[e]
-        else:
-            b2 |= near[e]
-
-
-def _component_subgraphs(g: MultiGraph):
-    """Yield (subgraph, edge id map back to g) per component, its vertices
-    numbered in the order the spanning forest reached them, or g if it has
-    at most one."""
-    comps = spanning_forest(g).components
-    if len(comps) <= 1:
-        yield g, range(g.m)
-        return
-    for comp in comps:
-        vmap = {v: i for i, v in enumerate(comp)}
-        edge_ids = []
-        edges = []
-        for e, (u, v) in enumerate(g.edges):
-            if u in vmap:
-                edge_ids.append(e)
-                edges.append((vmap[u], vmap[v]))
-        yield MultiGraph(len(comp), edges), edge_ids
+            elif not unc:
+                break
+            else:  # a branch state: two free colors, or three if nothing is blocked
+                pick = unc & (b0 | b1 | b2) or unc
+                bit = pick & -pick
+                e = bit.bit_length() - 1
+                rest = 6 if b0 & bit else 5 if b1 & bit else 3 if b2 & bit else 7
+                key = _dead_key(unc, b0, b1, b2)
+                if key in failed:
+                    rest = 0
+            # Back up to the last branch state with a color left to try.
+            while not rest:
+                if not trail:
+                    return None
+                e, rest, key, unc, b0, b1, b2 = trail.pop()
+                if not rest:
+                    failed.add(key)
+            low = rest & -rest
+            trail.append((e, rest ^ low, key, unc, b0, b1, b2))
+            unc ^= 1 << e
+            colors[e] = low >> 1
+            if low == 1:
+                b0 |= near[e]
+            elif low == 2:
+                b1 |= near[e]
+            else:
+                b2 |= near[e]
+    return tuple(colors)
 
 
 def _suppress(g: MultiGraph, drop: int) -> tuple[MultiGraph, list[int]]:
@@ -205,22 +193,19 @@ def _suppress(g: MultiGraph, drop: int) -> tuple[MultiGraph, list[int]]:
 def _planes(g: MultiGraph, drop: int, host: MultiGraph, chains: list[int]) -> Optional[Planes]:
     """flow_planes decided on host, a 3-regular graph whose edge e stands
     for the chain of g's edges chains[e].  A bridge rules a flow out.
-    Otherwise each component of host is 3-edge-colored, and color c gives
-    its edge's chain the value c + 1: color 0 puts the chain in S1, color 1
-    in S2 and color 2 in both.  The edges on no chain get the value 1, in
+    Otherwise host is 3-edge-colored in one call, and color c gives its
+    edge's chain the value c + 1: color 0 puts the chain in S1, color 1 in
+    S2 and color 2 in both.  The edges on no chain get the value 1, in
     S1.  The planes are checked with is_flow before they are returned."""
-    if spanning_forest(host).bridges:
+    colors = None if spanning_forest(host).bridges else three_edge_color(host)
+    if colors is None:
         return None
     s1 = s2 = 0
-    for sub, edge_ids in _component_subgraphs(host):
-        colors = three_edge_color(sub)
-        if colors is None:
-            return None
-        for e, c in zip(edge_ids, colors):
-            if c != 1:
-                s1 |= chains[e]
-            if c:
-                s2 |= chains[e]
+    for chain, c in zip(chains, colors):
+        if c != 1:
+            s1 |= chain
+        if c:
+            s2 |= chain
     s1 |= (1 << g.m) - 1 & ~(drop | s1 | s2)
     if not is_flow(g, drop, s1, s2):
         raise InvariantViolationError("flow planes fail verification")

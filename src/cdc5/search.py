@@ -31,6 +31,7 @@ whose buckets all fail costs about what a walk of the 2^dim order would.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -150,12 +151,12 @@ class SearchContext:
 class _Tally:
     """The (C1, C2) pairs counted so far, and the time guard."""
 
-    def __init__(self, opts: SearchOptions, started: float):
+    def __init__(self, opts: SearchOptions, started_ns: int):
         self.tried = 0
-        self.deadline = None if opts.budget_ms is None else started + opts.budget_ms / 1000.0
+        self.deadline = None if opts.budget_ms is None else started_ns + opts.budget_ms * 1_000_000
 
     def check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic_ns() > self.deadline:
             raise CapacityError("time budget exhausted", candidates_tried=self.tried)
 
 
@@ -323,16 +324,16 @@ def find_5cdc_containing(
         raise PreconditionError("c0 is not an even subgraph")
     frame = ctx.frame  # the certificate names the graph in graph6
 
-    started = time.monotonic()
+    started_ns = time.monotonic_ns()
     check_guard(len(ctx.cycles), opts.dim_guard)
-    tally = _Tally(opts, started)
+    tally = _Tally(opts, started_ns)
     for c1 in _c1_order(ctx, c0.mask, tally.check_time):
         c2 = _first_partner(ctx, c1, tally)
         if c2 is None:
             continue
         overlap = c1 & c2
         cdc = extend_to_cdc([c1, c2], ctx.flow_minus(overlap))
-        elapsed_ms = int((time.monotonic() - started) * 1000)
+        elapsed_ms = (time.monotonic_ns() - started_ns) // 1_000_000
         return build_certificate(g, c0.mask, c1, c2, overlap, cdc, tally.tried, elapsed_ms, frame)
     return None
 
@@ -352,8 +353,9 @@ class Sweep:
     A graph's circuits are split into min(workers, circuits) contiguous
     ranges, and each range is searched in order with one search context,
     so its circuits share one flow memo.  One worker maps the ranges in
-    process; more map them over a pool made once per sweep.  Either way
-    the entries and the certificates are the same, up to elapsed_ms."""
+    process; more map them over a pool made once per sweep, of at most one
+    process per CPU.  Either way the entries and the certificates are the
+    same, up to elapsed_ms."""
 
     def __init__(
         self,
@@ -372,7 +374,8 @@ class Sweep:
         self.aborted = False
 
     def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, str]]]:
-        pool = multiprocessing.Pool(self.workers) if self.workers > 1 else None
+        processes = min(self.workers, os.cpu_count() or 1)
+        pool = multiprocessing.Pool(processes) if self.workers > 1 else None
         mapper = map if pool is None else pool.imap
         try:
             for gi, line in enumerate(self.lines):

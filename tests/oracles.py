@@ -14,7 +14,9 @@ references for graphs.vertex_faults, and the edge-by-edge cover check
 (loop_verify_cdc) for the cover tally of the certificate check.
 trail_three_edge_color is the 3-edge-colorer as it was when it pushed a
 trail entry per colored edge; reference_three_edge_color is the one
-before it, without a memo.  The exhaustive double-cover search
+before it, without a memo.  Both color a graph as one search; the engine
+colors each component on its own, and component_subgraphs gives the
+copies of the components whose colorings it must reproduce.  The exhaustive double-cover search
 (brute_force_cdc), the Gray-code listing of the cycle space
 (enumerate_even_subgraphs) and petersen_graph are used only by the tests
 and scripts, so they live here, not in cdc5.
@@ -605,6 +607,20 @@ def trail_three_edge_color(g: MultiGraph) -> Optional[tuple[int, ...]]:
         else:
             b2 |= near[e]
     return tuple(colors)
+
+
+def component_subgraphs(g: MultiGraph) -> list[tuple[MultiGraph, list[int]]]:
+    """Each component of g as a graph of its own, with the ids in g of its
+    edges: its vertices numbered in the order spanning_forest(g) reached
+    them, its edges kept in g's order.  Colored alone, a copy must get the
+    coloring three_edge_color(g) gives its component."""
+    parts = []
+    for component in spanning_forest(g).components:
+        new_id = {v: i for i, v in enumerate(component)}
+        ids = [e for e, (u, _) in enumerate(g.edges) if u in new_id]
+        edges = [(new_id[u], new_id[v]) for u, v in map(g.endpoints, ids)]
+        parts.append((MultiGraph(len(component), edges), ids))
+    return parts
 
 
 def subdivide(g: MultiGraph, e: int, times: int = 1) -> MultiGraph:

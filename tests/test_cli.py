@@ -195,6 +195,13 @@ class TestFind:
         assert verify_certificate(json.loads(text)) == []
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
+    def test_budget_past_the_float_range_never_runs_out(self, petersen_file, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        budget = str(10**400)
+        assert main(["find", "--graph", petersen_file, "--out", out, "--budget-ms", budget]) == 0
+        assert capsys.readouterr().out.startswith("found:")
+        assert verify_certificate(read_json(os.path.join(out, "certificate.json"))) == []
+
     def test_dim_guard_is_inconclusive(self, petersen_file, capsys):
         code = main(["find", "--graph", petersen_file, "--dim-guard", "5"])
         assert code == 3
@@ -392,7 +399,7 @@ class TestStats:
     @pytest.mark.parametrize("connected", [True, False], ids=["j9", "k4-and-petersen"])
     def test_a_row_walks_one_forest(self, connected, tmp_path, monkeypatch, capsys):
         # One breadth-first forest per row serves the bridges, the dimension
-        # and the flow decision; a connected row never copies its components.
+        # and the flow decision, and no row copies its components.
         if connected:
             g = flower_snark(9)
         else:
@@ -404,11 +411,11 @@ class TestStats:
         walked = []
         walk = cdc5.graphs._walk_forest
         monkeypatch.setattr(cdc5.graphs, "_walk_forest", lambda h: walked.append(h) or walk(h))
-        if connected:
-            def refuse(*args):
-                raise AssertionError("a connected graph's components were copied")
 
-            monkeypatch.setattr(cdc5.flows, "MultiGraph", refuse)
+        def refuse(*args):
+            raise AssertionError("a graph's components were copied")
+
+        monkeypatch.setattr(cdc5.flows, "MultiGraph", refuse)
         assert main(["stats", "--graph", str(path), "--format", "json"]) == 0
         (row,) = json.loads(capsys.readouterr().out)["graphs"]
         assert walked == [parse_graph6(line)]
@@ -494,6 +501,17 @@ class TestSweep:
         assert code == 3
         report = read_json(os.path.join(out, "report.json"))
         assert report["graphs"][0]["status"] == "inconclusive"
+
+    def test_budget_past_the_float_range_never_runs_out(self, petersen_file, tmp_path):
+        out = str(tmp_path / "sweep")
+        code = main(
+            ["sweep", "--graph", petersen_file, "--out", out, "--workers", "1",
+             "--budget-ms", str(10**400)]
+        )
+        assert code == 0
+        report = read_json(os.path.join(out, "report.json"))
+        assert report["options"]["budget_ms"] == 10**400
+        assert report["graphs"][0]["counts"] == {"found": 57, "none": 0, "inconclusive": 0}
 
     def test_files_and_stdout_are_json_dumps_text(self, petersen_file, tmp_path, capsys):
         # Every indented JSON output must be json.dumps(..., indent=2) to

@@ -2,8 +2,8 @@
 
 About 300 calls of cli.main over find, stats, sweep and verify, on random
 graph6 bytes, random cubic graphs with circuits, unions of two circuits
-and random vertex walks as prescriptions, tiny budgets and guards, JSON
-past the loader's limits and mutated certificates.  Every exit code must
+and random vertex walks as prescriptions, tiny budgets, budgets past the
+float range and guards, JSON past the loader's limits and mutated certificates.  Every exit code must
 be an answer (0 or 1), a usage error (2) or a guard hit (3); 4, an
 internal fault, is never right for any input.  Sweeps run with one
 worker, so no process pool is started.
@@ -131,7 +131,8 @@ def test_no_input_gives_an_internal_fault(tmp_path, monkeypatch, capsys):
         g = MultiGraph(n, pairs)
         graph.write_text(write_graph6(g) + "\n", encoding="ascii")
         guard = ["--dim-guard", rng.randrange(3, 17)]
-        budget = ["--budget-ms", rng.randrange(1, 20)] if rng.random() < 0.5 else []
+        # A tiny budget stops a search; one past the float range never does.
+        budget = rng.choice([[], ["--budget-ms", rng.randrange(1, 20)], ["--budget-ms", 10**400]])
         for prescription in prescriptions(rng, g, pairs):
             run("find", "--graph", graph, "--out", out, *prescription, *guard, *budget)
         run("stats", "--graph", graph, *guard)

@@ -16,7 +16,7 @@ from cdc5 import (
 )
 from cdc5 import flows
 from cdc5.cyclespace import EvenLayers
-from cdc5.flows import _component_subgraphs, _dead_key, _suppress
+from cdc5.flows import _dead_key, _suppress
 
 from .oracles import (
     breadth_first,
@@ -24,6 +24,7 @@ from .oracles import (
     bridged_cubic_multigraph,
     cdc_to_flow,
     complete_graph,
+    component_subgraphs,
     flower_snark,
     is_circuit,
     loop_is_matching,
@@ -194,9 +195,9 @@ class TestFailedStateMemo:
         assert any(a is None for a in answers[:-1]) and any(answers)
 
     def test_same_first_coloring_on_search_hosts(self, snarks):
-        # The hosts a search hands the colorer: the cubic components of the
-        # suppressed, bridgeless G - M for the 1- and 2-edge matchings M
-        # inside every sixth circuit of length at most 9.
+        # The hosts a search hands the colorer: the suppressed, bridgeless
+        # G - M for the 1- and 2-edge matchings M inside every sixth
+        # circuit of length at most 9, each colored whole.
         hosts = {}
         for g in [snarks[0], snarks[1], snarks[2], flower_snark(5), shuffled(flower_snark(7), 1)]:
             layers, circuits = EvenLayers(g), []
@@ -209,10 +210,8 @@ class TestFailedStateMemo:
                         if not loop_is_matching(g, drop):
                             continue
                         h, _ = _suppress(g, drop)
-                        if bridges(h):
-                            continue
-                        for sub, _ in _component_subgraphs(h):
-                            hosts.setdefault(sub.edges, sub)
+                        if not bridges(h):
+                            hosts.setdefault(h.edges, h)
         assert len(hosts) > 500
         assert [three_edge_color(h) for h in hosts.values()] == [
             reference_three_edge_color(h) for h in hosts.values()
@@ -357,6 +356,70 @@ class TestCubicDecision:
             has_nz4flow(complete_graph(4))
         with pytest.raises(InvariantViolationError):
             has_nz4flow(subdivide(complete_graph(4), 0))
+
+
+class TestComponentsColoredInPlace:
+    """three_edge_color colors each component of a graph in place on the
+    graph's own edge ids, as a copy of the component alone is colored, and
+    a flow decision builds no graph but the suppressed host."""
+
+    @staticmethod
+    def unions() -> list[MultiGraph]:
+        k4, prism, petersen = complete_graph(4), prism_graph(), petersen_graph()
+        j3, j4, j5, j6, j7 = (shuffled(flower_snark(k), k) for k in range(3, 8))
+        unions = [
+            disjoint_union(k4, prism),
+            disjoint_union(prism, j4, k4, j6),
+            disjoint_union(k4, petersen),
+            disjoint_union(j6, j5, prism),
+            disjoint_union(j3, j4, j5, j6, j7),
+            disjoint_union(petersen, j7),
+        ]
+        # Relabelled, the components' edge ids interleave.
+        return unions + [shuffled(g, seed) for seed, g in enumerate(unions)]
+
+    def test_each_component_gets_the_coloring_of_its_copy(self):
+        answers = []
+        for g in self.unions():
+            coloring = three_edge_color(g)
+            parts = [(three_edge_color(sub), ids) for sub, ids in component_subgraphs(g)]
+            assert len(parts) > 1
+            answers.append(coloring is not None)
+            if any(part is None for part, _ in parts):
+                assert coloring is None
+                continue
+            assert_proper(g, coloring)
+            for part, ids in parts:
+                assert tuple(coloring[e] for e in ids) == part
+        assert True in answers and False in answers
+
+    def test_decision_is_the_and_over_the_components(self):
+        for g in self.unions():
+            parts = [sub for sub, _ in component_subgraphs(g)]
+            assert has_nz4flow(g) == all(has_nz4flow(sub) for sub in parts)
+            assert (flow_planes(g) is not None) == has_nz4flow(g)
+
+    def test_flow_planes_builds_only_the_suppressed_host(self, monkeypatch):
+        # Two copies of K4 - e, their degree-2 vertices joined by the
+        # matching M = {10, 11}; G - M suppresses to two theta graphs.
+        half = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+        g = MultiGraph(8, half + [(u + 4, v + 4) for u, v in half] + [(2, 6), (3, 7)])
+        drop = 1 << 10 | 1 << 11
+        host, chains = _suppress(g, drop)
+        values = [0] * g.m
+        for sub, ids in component_subgraphs(host):
+            for e, c in zip(ids, three_edge_color(sub)):
+                for x in range(g.m):
+                    if chains[e] >> x & 1:
+                        values[x] = c + 1
+        built = []
+        build = MultiGraph.__init__
+        monkeypatch.setattr(
+            MultiGraph, "__init__", lambda self, n, edges: built.append(n) or build(self, n, edges)
+        )
+        planes = flow_planes(g, drop)
+        assert built == [host.n] == [4]
+        assert plane_values(g, planes) == tuple(values)
 
 
 class TestFindNz4Flow:

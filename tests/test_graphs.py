@@ -16,7 +16,7 @@ from cdc5 import (
     write_graph6,
 )
 from cdc5 import graphs
-from cdc5.flows import _component_subgraphs, _suppress
+from cdc5.flows import _suppress
 from cdc5.graphs import mask_ids, spanning_forest, vertex_faults
 
 from .oracles import (
@@ -497,8 +497,8 @@ class TestKernelsOnRandomMultigraphs:
 
     def test_forest_is_walked_once_and_bridges_stay_fresh(self, monkeypatch):
         # New copies, so that no test before this one has walked them.  The
-        # one walk per copy serves the cycles, the bridges, the components
-        # and the per-component subgraphs of the flow decision.
+        # one walk per copy serves the cycles, the bridges and the
+        # components.
         walked = []
         walk = graphs._walk_forest
         monkeypatch.setattr(graphs, "_walk_forest", lambda g: walked.append(g) or walk(g))
@@ -512,8 +512,6 @@ class TestKernelsOnRandomMultigraphs:
             assert spanning_forest(g) is forest
             assert forest.bridges == first.mask
             assert components(g) == flood_fill_components(g)
-            subgraphs = list(_component_subgraphs(g))
-            assert sum(sub.n for sub, _ in subgraphs) == g.n
         assert len(walked) == len(copies)
         assert all(a is b for a, b in zip(walked, copies))
 

@@ -1,6 +1,8 @@
 """The scripts under scripts/ import what they use from cdc5 and from the
 test modules, so a name removed from either breaks them.  Each is imported
-here by path, which runs its imports but not its main."""
+here by path, which runs its imports but not its main.  The output check
+(byte digests of the sweeps' files) and the colorer check run whole, in
+process, and must exit 0; the search-order check is too slow to run here."""
 
 import importlib.util
 import json
@@ -28,6 +30,12 @@ def import_script(name):
 @pytest.mark.parametrize("name", ["check_outputs", "check_search_order", "check_colourer"])
 def test_check_script_imports(name):
     assert callable(import_script(name).main)
+
+
+@pytest.mark.parametrize("name", ["check_outputs", "check_colourer"])
+def test_check_script_passes(name, capsys):
+    code = import_script(name).main()
+    assert code == 0, capsys.readouterr().out
 
 
 def test_pinned_report_drops_the_input_and_the_run_time(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
 import random
 import types
 
@@ -15,6 +17,7 @@ from cdc5 import (
     PreconditionError,
     SearchContext,
     SearchOptions,
+    Sweep,
     UnsupportedFormatError,
     canonical_masks,
     enumerate_circuits,
@@ -22,6 +25,7 @@ from cdc5 import (
     flow_planes,
     spanning_forest,
     verify_certificate,
+    write_graph6,
 )
 
 from cdc5.certificates import build_certificate
@@ -197,7 +201,7 @@ class TestGuards:
         # 0.1 ms per read, so the 1 ms budget runs out after ten reads
         # whatever the speed of the machine.
         reads = itertools.count()
-        clock = types.SimpleNamespace(monotonic=lambda: next(reads) / 10_000)
+        clock = types.SimpleNamespace(monotonic_ns=lambda: next(reads) * 100_000)
         monkeypatch.setattr(cdc5.search, "time", clock)
         j7, j6 = flower_snark(7), flower_snark(6)
         ctx = SearchContext(j7)
@@ -239,7 +243,7 @@ class TestCircuitSweep:
         # 2 ms budget stops each search that reads it more than twenty
         # times, whatever the speed of the machine.
         reads = itertools.count()
-        clock = types.SimpleNamespace(monotonic=lambda: next(reads) / 10_000)
+        clock = types.SimpleNamespace(monotonic_ns=lambda: next(reads) * 100_000)
         monkeypatch.setattr(cdc5.search, "time", clock)
         _, entry, certificates = sweep_graph(petersen, SearchOptions(budget_ms=2))
         counts = entry["counts"]
@@ -300,6 +304,38 @@ class TestSweepSplit:
             for ranges, colourings in work.values():
                 assert colourings <= ranges * serial
             assert outcomes[2] == outcomes[1] and outcomes[8] == outcomes[1]
+
+
+    def test_pool_has_at_most_one_process_per_cpu(self, petersen, monkeypatch):
+        # A million workers still split Petersen's 57 circuits into 57
+        # ranges, but the pool gets no more processes than there are CPUs.
+        # The stand-in pool maps in process and starts none.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            imap = staticmethod(map)
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        def run(workers):
+            [(entry, certificates)] = Sweep([write_graph6(petersen)], workers=workers)
+            docs = {name: json.loads(text) for name, text in certificates.items()}
+            for doc in docs.values():
+                doc["stats"].pop("elapsed_ms")
+            return entry, docs
+
+        serial = run(1)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        assert run(10**6) == serial
+        assert sizes == [os.cpu_count() or 1]
+        assert len(serial[1]) == 57
 
 
 def reference_canonical(g):
