@@ -11,9 +11,9 @@ holds.  The cover is the only witness of the flow condition on G - M: its
 elements must replay a nowhere-zero 4-flow of G - M (cover.replayed_planes),
 and a cover that replays none is rejected, since no flow is decided here.
 So checking a certificate takes linear time whatever graph it names, and
-one vertex_faults call checks all of its masks.  A certificate's text is
-rendered in the frame of its graph, which holds the fields that depend on
-the graph alone and the text of each edge id, rendered once.
+one vertex_faults call checks all of its masks.  A certificate is built
+and its text rendered in the frame of its graph, which holds the graph,
+the fields that depend on it alone and the text of each edge id.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .cover import coverage_masks, replayed_planes
 from .errors import Graph6Error, InvariantViolationError, UnsupportedFormatError
@@ -95,14 +95,15 @@ class Certificate:
 
 
 class CertificateFrame:
-    """The text that the certificates of graph g share: the JSON of graph6,
-    n, m, edges and the coverage build_certificate claims, all twos, and of
-    each edge id, rendered once.  render puts in the fields of one
-    certificate over g, so a sweep renders a graph's constant fields and
-    ids once, not per circuit.  Raises UnsupportedFormatError when graph6
-    cannot encode g."""
+    """Graph g, which build_certificate reads from here, and the text that
+    the certificates of g share: the JSON of graph6, n, m, edges and the
+    coverage build_certificate claims, all twos, and of each edge id,
+    rendered once.  render puts in the fields of one certificate over g, so
+    a sweep renders a graph's constant fields and ids once, not per
+    circuit.  Raises UnsupportedFormatError when graph6 cannot encode g."""
 
     def __init__(self, g: MultiGraph):
+        self.g = g
         self.graph = (write_graph6(g), g.n, g.m, g.edges)
         self.coverage = (2,) * g.m
         head = dump_json({"graph6": self.graph[0], "n": g.n, "m": g.m, "edges": g.edges})
@@ -111,13 +112,16 @@ class CertificateFrame:
         self._ids = {e: str(e) for e in range(g.m)}
 
     def _id_lists(self, value: Any, newline: str) -> str:
-        """_dump(value, newline) for a list of int ids (no bools) or of such
-        lists, read from the id table; else, or for an id not in it, _dump."""
+        """_dump(value, newline) for a list of ids of type int (True and 1.0
+        would find 1) or a tuple of such lists, read from the id table;
+        else, or for an id not in it, _dump."""
         inner = newline + "  "
         text = self._ids.__getitem__
         try:
             if type(value[0]) is tuple:
                 text = partial(self._id_lists, newline=inner)
+            elif set(map(type, value)) != {int}:
+                return _dump(value, newline)
             return "[" + inner + ("," + inner).join(map(text, value)) + newline + "]"
         except (IndexError, KeyError, TypeError):
             return _dump(value, newline)
@@ -144,7 +148,7 @@ class CertificateFrame:
 
 
 def build_certificate(
-    g: MultiGraph,
+    frame: CertificateFrame,
     c0: int,
     c1: int,
     c2: int,
@@ -152,40 +156,31 @@ def build_certificate(
     elements: Sequence[int],
     candidates_tried: int,
     elapsed_ms: int,
-    frame: Optional[CertificateFrame] = None,
 ) -> Certificate:
-    """Assemble a certificate after running the full check on the graph and
-    edge masks given, claiming every edge covered twice; a failed check here
-    means the search produced inconsistent data, and a mask with a bit at
-    or above g.m raises ValueError.  frame, g's CertificateFrame, saves
-    writing g's graph6 again."""
+    """Assemble a certificate over the frame's graph after running the full
+    check on it and the edge masks given, claiming every edge covered
+    twice; a failed check here means the search produced inconsistent
+    data, and a mask with a bit at or above frame.g.m raises ValueError."""
+    g = frame.g
     masks = (c0, c1, c2, matching, *elements)
     if any(x >> g.m for x in masks):  # a negative mask too
         raise ValueError(f"edge mask outside the graph's edge range (m={g.m})")
-    frame = frame or CertificateFrame(g)
     path = PATH_M_EMPTY if not matching else PATH_THEOREM
     stats = {"candidates_tried": candidates_tried, "elapsed_ms": elapsed_ms}
-    graph6, n, m, edges = frame.graph
-    if (n, edges) != (g.n, g.edges):
-        raise ValueError("certificate frame belongs to another graph")
-    coverage = frame.coverage
-    problems = _check(g, c0, c1, c2, matching, elements, coverage, path, stats)
+    problems = _check(g, c0, c1, c2, matching, elements, frame.coverage, path, stats)
     if problems:
         raise InvariantViolationError(
             "constructed certificate fails verification: " + "; ".join(problems)
         )
     ids = {x: mask_ids(x) for x in set(masks)}  # c0 is often c1, and c1 and c2 are elements
     return Certificate(
-        graph6=graph6,
-        n=n,
-        m=m,
-        edges=edges,
+        *frame.graph,  # graph6, n, m and edges
         c0=ids[c0],
         c1=ids[c1],
         c2=ids[c2],
         matching=ids[matching],
         cdc=tuple(ids[x] for x in elements),
-        coverage=coverage,
+        coverage=frame.coverage,
         path=path,
         candidates_tried=candidates_tried,
         elapsed_ms=elapsed_ms,

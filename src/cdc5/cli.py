@@ -24,8 +24,6 @@ from .flows import has_nz4flow
 from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6, spanning_forest
 from .search import SearchContext, SearchOptions, Sweep, find_5cdc_containing
 
-WORKERS_ENV = "CDC5_WORKERS"
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
@@ -46,16 +44,6 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return _positive_int(env)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise _Fail(EXIT_USAGE, f"{WORKERS_ENV}={env!r} is not a positive integer") from exc
 
 
 @functools.cache
@@ -87,20 +75,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "(any even subgraph; exact for multigraphs)",
     )
     p_find.add_argument("--out", default=".", help="output directory (default .)")
-    p_find.add_argument("--dim-guard", type=_positive_int, default=16)
-    p_find.add_argument("--budget-ms", type=_positive_int, default=None)
+    p_find.add_argument("--dim-guard", type=_positive_int, default=SearchOptions.dim_guard)
+    p_find.add_argument("--budget-ms", type=_positive_int, default=SearchOptions.budget_ms)
     p_find.add_argument("--format", choices=("json", "table"), default="table")
 
     p_sweep = sub.add_parser("sweep", help="run every circuit of every graph in a file")
     p_sweep.add_argument("--graph", required=True, help="graph6 file, one graph per line")
     p_sweep.add_argument("--out", default=".", help="output directory (default .)")
-    p_sweep.add_argument("--dim-guard", type=_positive_int, default=16)
-    p_sweep.add_argument("--budget-ms", type=_positive_int, default=None)
+    p_sweep.add_argument("--dim-guard", type=_positive_int, default=SearchOptions.dim_guard)
+    p_sweep.add_argument("--budget-ms", type=_positive_int, default=SearchOptions.budget_ms)
     p_sweep.add_argument(
         "--workers",
         type=_positive_int,
-        default=None,
-        help=f"worker processes (default: ${WORKERS_ENV} or the core count)",
+        default=os.cpu_count() or 1,
+        help="worker processes (default: the core count)",
     )
     p_sweep.add_argument(
         "--keep-going",
@@ -111,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="summarize the graphs in a file")
     p_stats.add_argument("--graph", required=True, help="graph6 file")
-    p_stats.add_argument("--dim-guard", type=_positive_int, default=16)
+    p_stats.add_argument("--dim-guard", type=_positive_int, default=SearchOptions.dim_guard)
     p_stats.add_argument("--format", choices=("json", "table"), default="table")
     return parser
 
@@ -293,11 +281,10 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    workers = args.workers if args.workers is not None else _default_workers()
     lines = _graph_lines(args.graph)
     _make_out(args.out)
     options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
-    run = Sweep(lines, options, workers, args.keep_going)
+    run = Sweep(lines, options, args.workers, args.keep_going)
     graph_reports: list[dict[str, Any]] = []
     for entry, certificates in run:
         for name, text in certificates.items():

@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import CapacityError
 from .graphs import EdgeSet, MultiGraph, spanning_forest, vertex_faults
 
+DIM_GUARD = 16  # the default bound on the cycle-space dimension, for every caller
+
 
 def check_guard(dim: int, guard: int) -> None:
     """Raise CapacityError when the cycle-space dimension dim exceeds guard:
@@ -168,8 +170,9 @@ class EvenLayers:
         return dist
 
 
-def enumerate_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
-    """All circuits of g, sorted by cardinality then ascending edge-id tuple.
+def enumerate_circuits(g: MultiGraph, guard: int = DIM_GUARD) -> list[EdgeSet]:
+    """All circuits of g, sorted by cardinality then ascending edge-id tuple;
+    CapacityError when the cycle-space dimension exceeds guard.
 
     The even subgraphs are listed in that order, and one is kept when a
     walk along it closes a circuit through all its edges: the walk leaves

@@ -40,6 +40,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from .certificates import Certificate, CertificateFrame, build_certificate
 from .cover import extend_to_cdc
 from .cyclespace import (
+    DIM_GUARD,
     EvenLayers,
     canonical_masks,
     check_guard,
@@ -65,7 +66,7 @@ class SearchOptions:
     wall-clock time.  Hitting either guard raises CapacityError, which is
     never conflated with a negative."""
 
-    dim_guard: int = 16
+    dim_guard: int = DIM_GUARD
     budget_ms: Optional[int] = None
 
 
@@ -107,8 +108,9 @@ class SearchContext:
 
     @cached_property
     def frame(self) -> CertificateFrame:
-        """The CertificateFrame of the graph, made on first use;
-        UnsupportedFormatError when graph6 cannot encode it."""
+        """The graph's CertificateFrame, from which build_certificate reads
+        it, made on first use; UnsupportedFormatError when graph6 cannot
+        encode it."""
         return CertificateFrame(self.g)
 
     def canonical_order(self, check_time: Callable[[], None] = lambda: None) -> Iterator[int]:
@@ -322,7 +324,7 @@ def find_5cdc_containing(
         raise ValueError("search context belongs to a different graph")
     if not is_even_subgraph(g, c0):  # ValueError when c0 is an edge set of another graph
         raise PreconditionError("c0 is not an even subgraph")
-    frame = ctx.frame  # the certificate names the graph in graph6
+    frame = ctx.frame  # UnsupportedFormatError before the search, not after it
 
     started_ns = time.monotonic_ns()
     check_guard(len(ctx.cycles), opts.dim_guard)
@@ -334,7 +336,7 @@ def find_5cdc_containing(
         overlap = c1 & c2
         cdc = extend_to_cdc([c1, c2], ctx.flow_minus(overlap))
         elapsed_ms = (time.monotonic_ns() - started_ns) // 1_000_000
-        return build_certificate(g, c0.mask, c1, c2, overlap, cdc, tally.tried, elapsed_ms, frame)
+        return build_certificate(frame, c0.mask, c1, c2, overlap, cdc, tally.tried, elapsed_ms)
     return None
 
 
@@ -350,12 +352,12 @@ class Sweep:
     graph and the graphs left are reported skipped.  "inconclusive" records
     a guard hit, never a negative.
 
-    A graph's circuits are split into min(workers, circuits) contiguous
-    ranges, and each range is searched in order with one search context,
-    so its circuits share one flow memo.  One worker maps the ranges in
-    process; more map them over a pool made once per sweep, of at most one
-    process per CPU.  Either way the entries and the certificates are the
-    same, up to elapsed_ms."""
+    The sweep runs min(workers, CPUs) processes: one maps in process, more
+    make a pool once per sweep.  A graph's circuits are split into
+    min(processes, circuits) contiguous ranges, and each range is searched
+    in order with one search context, so its circuits share one flow memo.
+    However they are split, the entries and the certificates are the same,
+    up to elapsed_ms."""
 
     def __init__(
         self,
@@ -368,14 +370,13 @@ class Sweep:
             raise ValueError("a sweep needs at least one worker")
         self.lines = lines
         self.options = options or SearchOptions()
-        self.workers = workers
+        self.processes = min(workers, os.cpu_count() or 1)
         self.keep_going = keep_going
         self.counts = {"found": 0, "none": 0, "inconclusive": 0}
         self.aborted = False
 
     def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, str]]]:
-        processes = min(self.workers, os.cpu_count() or 1)
-        pool = multiprocessing.Pool(processes) if self.workers > 1 else None
+        pool = multiprocessing.Pool(self.processes) if self.processes > 1 else None
         mapper = map if pool is None else pool.imap
         try:
             for gi, line in enumerate(self.lines):
@@ -408,7 +409,7 @@ class Sweep:
             self.counts["inconclusive"] += 1
             return entry, {}
 
-        tasks = _split(g, circuits, self.options, self.workers)
+        tasks = _split(g, circuits, self.options, self.processes)
         results = [result for part in mapper(_sweep_range, tasks) for result in part]
         rows, certificates = [], {}
         local = {"found": 0, "none": 0, "inconclusive": 0}
@@ -431,11 +432,11 @@ class Sweep:
 
 
 def _split(
-    g: MultiGraph, circuits: list[EdgeSet], options: SearchOptions, workers: int
+    g: MultiGraph, circuits: list[EdgeSet], options: SearchOptions, processes: int
 ) -> list[tuple[MultiGraph, list[EdgeSet], SearchOptions]]:
-    """Tasks for _sweep_range: the circuits in min(workers, len(circuits))
+    """Tasks for _sweep_range: the circuits in min(processes, len(circuits))
     contiguous ranges, in order, none empty, their sizes at most one apart."""
-    parts = min(workers, len(circuits))
+    parts = min(processes, len(circuits))
     cuts = [len(circuits) * i // parts for i in range(1, parts + 1)]
     return [(g, circuits[a:b], options) for a, b in zip([0] + cuts, cuts)]
 

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import types
 
 import pytest
 
@@ -53,3 +55,29 @@ def snarks(snark_lines):
 @pytest.fixture()
 def petersen():
     return petersen_graph()
+
+
+@pytest.fixture()
+def in_process_pool(monkeypatch):
+    """multiprocessing.Pool replaced by a stand-in that maps in process and
+    starts no process; the record returned lists the size of each pool
+    made and the number of tasks each imap is given."""
+    made = types.SimpleNamespace(sizes=[], ranges=[])
+
+    class InProcessPool:
+        def __init__(self, processes):
+            made.sizes.append(processes)
+
+        @staticmethod
+        def imap(function, tasks):
+            made.ranges.append(len(tasks))
+            return map(function, tasks)
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return made

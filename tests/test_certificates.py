@@ -108,7 +108,7 @@ class TestBuildGate:
         c0, c1, c2 = (mask_of(ids) for ids in (cert.c0, cert.c1, cert.c2))
         elements = [mask_of(ids) for ids in cert.cdc]
         with pytest.raises(InvariantViolationError):
-            build_certificate(g, c0, c1, c2, 0, elements, 1, 0)
+            build_certificate(CertificateFrame(g), c0, c1, c2, 0, elements, 1, 0)
 
 
 def replace_one_element(g, cdc):
@@ -346,11 +346,15 @@ class TestCertificateFrame:
             {"c0": (15,), "matching": (-1, 3), "cdc": ((99,), (1, 2))},
             {"c2": [4, 5], "cdc": [[1, 2], (3, 4)]},
             {"cdc": ((1, 2), (3, (4,)), ())},
+            {"c0": (True,)},
+            {"cdc": ((True, 2),)},
+            {"matching": (1.0,)},
         ],
     )
     def test_any_id_lists_render_as_dump_json(self, petersen_cert, fields):
-        # Ids outside the frame's table, empty lists, lists and odd nesting
-        # all come out as dump_json writes them.
+        # Ids outside the frame's table, ids that equal one in it but are
+        # not ints (True and 1.0 equal 1), empty lists, lists and odd
+        # nesting all come out as dump_json writes them.
         cert = dataclasses.replace(petersen_cert, **fields)
         text = dump_json(cert.to_doc()) + "\n"
         assert CertificateFrame(petersen_graph()).render(cert) == text

@@ -1,6 +1,5 @@
 import importlib.metadata
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -75,14 +74,6 @@ def undecodable_file(tmp_path):
     path = tmp_path / "binary.g6"
     path.write_bytes(b"C~\xff\n")
     return str(path)
-
-
-@pytest.fixture()
-def no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
 
 
 def read_json(path):
@@ -580,20 +571,18 @@ class TestSweep:
             work.append(len(calls))
         assert work[0] > 0 and work[0] == work[1]
 
-    def test_workers_env_variable(self, k4_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("CDC5_WORKERS", "2")
+    def test_workers_default_to_the_core_count_whatever_the_environment(
+        self, k4_file, tmp_path, monkeypatch, in_process_pool, capsys
+    ):
+        # Only --workers sets the process count: a CDC5_WORKERS variable in
+        # the environment neither sets nor breaks it.
+        monkeypatch.setenv("CDC5_WORKERS", "abc")
         out = str(tmp_path / "sweep")
         assert main(["sweep", "--graph", k4_file, "--out", out]) == 0
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_invalid_workers_env_variable_is_usage_error(
-        self, value, k4_file, tmp_path, monkeypatch, no_pool, capsys
-    ):
-        monkeypatch.setenv("CDC5_WORKERS", value)
-        out = tmp_path / "sweep"
-        assert main(["sweep", "--graph", k4_file, "--out", str(out)]) == 2
-        assert "CDC5_WORKERS" in capsys.readouterr().err
-        assert not out.exists()
+        capsys.readouterr()
+        cpus = os.cpu_count() or 1
+        assert in_process_pool.sizes == ([cpus] if cpus > 1 else [])
+        assert cdc5.cli._build_parser().parse_args(["sweep", "--graph", k4_file]).workers == cpus
 
     def test_undecodable_file_is_usage_error(self, undecodable_file, tmp_path, capsys):
         out = str(tmp_path / "sweep")
@@ -645,6 +634,13 @@ class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["find", "sweep", "stats"])
+    def test_guard_defaults_are_the_searchs(self, command):
+        args = cdc5.cli._build_parser().parse_args([command, "--graph", "g.g6"])
+        defaults = cdc5.search.SearchOptions()
+        assert args.dim_guard == defaults.dim_guard
+        assert getattr(args, "budget_ms", None) == defaults.budget_ms
 
     def test_nonpositive_workers_rejected(self, k4_file, capsys):
         assert main(["sweep", "--graph", k4_file, "--workers", "0"]) == 2

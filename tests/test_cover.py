@@ -15,6 +15,7 @@ from cdc5.certificates import (
     PATH_M_EMPTY,
     PATH_THEOREM,
     Certificate,
+    CertificateFrame,
     _check,
     build_certificate,
 )
@@ -71,7 +72,7 @@ def gate_problems(g, covers, planes):
     """The problems build_certificate, the gate on a found cover, raises
     with the gate_fields of covers and planes."""
     with pytest.raises(InvariantViolationError) as exc:
-        build_certificate(g, *gate_fields(covers, planes), 1, 0)
+        build_certificate(CertificateFrame(g), *gate_fields(covers, planes), 1, 0)
     head, _, problems = str(exc.value).partition(": ")
     assert head == "constructed certificate fails verification"
     return problems.split("; ")
@@ -138,7 +139,7 @@ class TestVerifyCdc:
     def test_wrong_host_rejected(self):
         # A mask of the prism names edges 6..8, which K4 lacks.
         with pytest.raises(ValueError):
-            build_certificate(K4, 0, 0, 0, 0, [full_set(prism_graph())], 1, 0)
+            build_certificate(CertificateFrame(K4), 0, 0, 0, 0, [full_set(prism_graph())], 1, 0)
         with pytest.raises(ValueError):
             loop_verify_cdc(K4, [full_set(prism_graph())])
 
@@ -329,7 +330,7 @@ class TestFourCdcContaining:
         cdc = extend_to_cdc([0], flow_planes(prism_graph()))
         assert any(x >> K4.m for x in cdc)
         with pytest.raises(ValueError):
-            build_certificate(K4, 0, 0, 0, 0, cdc, 1, 0)
+            build_certificate(CertificateFrame(K4), 0, 0, 0, 0, cdc, 1, 0)
 
 
 class TestExtendToCdc:

@@ -6,6 +6,7 @@ from cdc5 import (
     CapacityError,
     EdgeSet,
     MultiGraph,
+    SearchOptions,
     canonical_masks,
     enumerate_circuits,
     is_even_subgraph,
@@ -24,6 +25,7 @@ from .oracles import (
     enumerate_even_subgraphs,
     even_subsets,
     filtered_circuits,
+    flower_snark,
     is_circuit,
     petersen_graph,
     prism_graph,
@@ -223,6 +225,13 @@ class TestEnumerateCircuits:
     def test_guard(self, petersen):
         with pytest.raises(CapacityError):
             enumerate_circuits(petersen, guard=5)
+
+    def test_default_guard_is_the_searchs(self):
+        # J8 has cycle-space dimension 17, one past the default guard that
+        # the search and the CLI stop at too.
+        assert SearchOptions().dim_guard == 16
+        with pytest.raises(CapacityError, match="dimension 17"):
+            enumerate_circuits(flower_snark(8))
 
     def test_walk_matches_the_filter_on_catalog_and_corpus(self, catalog, snarks):
         for g in catalog + snarks:

@@ -68,3 +68,21 @@ def test_no_engine_module_imports_the_tests():
             else:
                 continue
             assert not any(n == "tests" or n.startswith("tests.") for n in names), path
+
+
+# The names through which a module reads or writes the process environment.
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def test_no_engine_module_reads_the_environment():
+    # Every setting comes from a flag or a parameter, so none hides in the
+    # environment of the process that runs the engine.
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not ENVIRONMENT.intersection(names), path

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import types
@@ -258,7 +257,7 @@ class TestCircuitSweep:
 
 
 class TestSweepSplit:
-    """A graph's circuits go to min(workers, circuits) contiguous ranges,
+    """A graph's circuits go to min(processes, circuits) contiguous ranges,
     each searched with one search context."""
 
     def test_ranges_are_contiguous_balanced_and_never_empty(self):
@@ -306,24 +305,12 @@ class TestSweepSplit:
             assert outcomes[2] == outcomes[1] and outcomes[8] == outcomes[1]
 
 
-    def test_pool_has_at_most_one_process_per_cpu(self, petersen, monkeypatch):
-        # A million workers still split Petersen's 57 circuits into 57
-        # ranges, but the pool gets no more processes than there are CPUs.
-        # The stand-in pool maps in process and starts none.
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            imap = staticmethod(map)
-
-            def close(self):
-                pass
-
-            def join(self):
-                pass
-
+    def test_pool_has_at_most_one_process_per_cpu(
+        self, petersen, monkeypatch, in_process_pool
+    ):
+        # A million workers on three CPUs make a pool of three processes,
+        # and Petersen's 57 circuits go to three ranges, one per process;
+        # two workers on one CPU make no pool.
         def run(workers):
             [(entry, certificates)] = Sweep([write_graph6(petersen)], workers=workers)
             docs = {name: json.loads(text) for name, text in certificates.items()}
@@ -332,9 +319,12 @@ class TestSweepSplit:
             return entry, docs
 
         serial = run(1)
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert run(10**6) == serial
-        assert sizes == [os.cpu_count() or 1]
+        assert in_process_pool.sizes == [3] and in_process_pool.ranges == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run(2) == serial
+        assert in_process_pool.sizes == [3] and in_process_pool.ranges == [3]
         assert len(serial[1]) == 57
 
 
@@ -374,7 +364,9 @@ def reference_search(g, c0, context, canonical=None):
             if planes is None:
                 continue
             cdc = extend_to_cdc([c1.mask, c2.mask], planes)
-            return build_certificate(g, c0.mask, c1.mask, c2.mask, overlap, cdc, tried, 0)
+            return build_certificate(
+                context.frame, c0.mask, c1.mask, c2.mask, overlap, cdc, tried, 0
+            )
     return None
 
 
