@@ -81,60 +81,37 @@ def canonical_masks(vectors: Sequence[int]) -> list[int]:
 
 
 class EvenLayers:
-    """The even subgraphs of a bridgeless cubic graph one size at a time,
-    smallest first, each size in canonical order (ascending edge-id tuple).
+    """The circuits of a graph one length at a time, shortest first, each
+    length in canonical order (ascending edge-id tuple): the short end of
+    the canonical order of its even subgraphs.
 
-    On a cubic host an even subgraph is a vertex-disjoint union of
-    circuits.  So each size is built from the circuits of that length (a
-    depth-first search from each circuit's lowest vertex, pruned by the
-    distance back to it; parallel edges give 2-circuits) and the disjoint
-    unions of shorter circuits with smaller even subgraphs.  `paths` counts
-    the paths the last circuit search visited, the measure of what the
-    next size will cost at least."""
+    Every even subgraph is an edge-disjoint union of circuits (Veblen),
+    and each circuit has at least girth edges, so an even subgraph with
+    fewer edges than twice the girth is a single circuit.  Below that
+    size a layer is therefore every even subgraph of its size; the girth
+    is the size of the first nonempty layer (m + 1 until one is found).
+    A layer is found by a depth-first search from each circuit's lowest
+    vertex, pruned by the distance back to it; parallel edges give
+    2-circuits.  `paths` counts the paths the last search visited, the
+    measure of what the next length will cost at least."""
 
     def __init__(self, g: MultiGraph):
         self.g = g
-        self.size = 0  # the size of the last layer built
+        self.size = 0  # the length of the last layer built
+        self.girth = g.m + 1
         self.paths = 0
-        self._layers: list[list[tuple[int, int]]] = [[(0, 0)]]  # (edges, vertices) by size
-        self._circuits: list[list[tuple[int, int]]] = [[]]  # (edges, vertices) by length
         self._adjacent = [[(e, g.other_end(e, v)) for e in g.incident(v)] for v in range(g.n)]
         self._distances = [self._distances_from(s) for s in range(g.n)]
 
     def next_layer(self, check_time: Callable[[], None] = lambda: None) -> list[int]:
-        """Masks of the even subgraphs of size self.size + 1, in canonical
-        order.  Each is its circuit through its lowest edge joined with the
-        vertex-disjoint rest, whose lowest edge is then higher, so every
-        union is built once.  check_time is called as the layer is built
-        and may raise to stop; a stopped layer leaves the state as it was."""
+        """Masks of the circuits with self.size + 1 edges, in canonical
+        order.  A circuit is found from its lowest vertex s, through
+        vertices above s only, leaving s by the lower of its two edges at
+        s.  check_time is called as the layer is built and may raise to
+        stop; a stopped layer leaves the state as it was."""
         size = self.size + 1
-        circuits, paths = self._circuits_of_length(size, check_time)
-        layer = list(circuits)
-        for length in range(2, size - 1):
-            check_time()
-            for c, c_verts in self._circuits[length]:
-                low = c & -c
-                for rest, rest_verts in self._layers[size - length]:
-                    if not c_verts & rest_verts and rest & -rest > low:
-                        layer.append((c | rest, c_verts | rest_verts))
-        # Among sets of one size, the one holding the lowest edge where two
-        # differ comes first: the larger of the masks written lowest bit first.
-        digits = f"0{self.g.m}b"
-        layer.sort(key=lambda item: format(item[0], digits)[::-1], reverse=True)
-        self._circuits.append(circuits)
-        self._layers.append(layer)
-        self.size, self.paths = size, paths
-        return [x for x, _ in layer]
-
-    def _circuits_of_length(
-        self, length: int, check_time: Callable[[], None]
-    ) -> tuple[list[tuple[int, int]], int]:
-        """Every circuit with `length` edges as (edge mask, vertex mask), and
-        the number of paths searched.  A circuit is found from its lowest
-        vertex s, through vertices above s only, leaving s by the lower of
-        its two edges at s."""
         adjacent = self._adjacent
-        found: list[tuple[int, int]] = []
+        layer: list[int] = []
         paths = 0
 
         def extend(s, dist, first, v, depth, edges, verts):
@@ -142,18 +119,25 @@ class EvenLayers:
             paths += 1
             for e, w in adjacent[v]:
                 if w == s:
-                    if depth + 1 == length and e > first and not edges >> e & 1:
-                        found.append((edges | 1 << e, verts))
-                elif w > s and not verts >> w & 1 and depth + 1 + dist[w] <= length:
+                    if depth + 1 == size and e > first and not edges >> e & 1:
+                        layer.append(edges | 1 << e)
+                elif w > s and not verts >> w & 1 and depth + 1 + dist[w] <= size:
                     extend(s, dist, first, w, depth + 1, edges | 1 << e, verts | 1 << w)
 
         for s in range(self.g.n):
             check_time()
             dist = self._distances[s]
             for e, w in adjacent[s]:
-                if w > s and 1 + dist[w] <= length:
+                if w > s and 1 + dist[w] <= size:
                     extend(s, dist, e, w, 1, 1 << e, 1 << s | 1 << w)
-        return found, paths
+        # Among sets of one size, the one holding the lowest edge where two
+        # differ comes first: the larger of the masks written lowest bit first.
+        digits = f"0{self.g.m}b"
+        layer.sort(key=lambda x: format(x, digits)[::-1], reverse=True)
+        if layer:
+            self.girth = min(self.girth, size)
+        self.size, self.paths = size, paths
+        return layer
 
     def _distances_from(self, s: int) -> list[int]:
         """Breadth-first distances from s through vertices s and above; the

@@ -19,13 +19,15 @@ cycle space projected onto C1's edges.  So a bucket of C2 with no
 acceptable M is skipped by adding its size in closed form, counted only
 then, and the canonical order is walked only inside the first bucket
 that holds a winner.  The walk reads the short end of the order, every
-even subgraph up to some size, which the context generates from the
-short circuits of the host and grows one size at a time.  Both parts
-fall back to closed-form lists when a search must go far: the overlaps
-of a C1 are read from a list of the projection once finding them one
-size at a time has cost more than its 2^r members, and the rest of the
-canonical order is listed once growing its short end gets dear.  So a C1
-whose buckets all fail costs about what a walk of the 2^dim order would.
+even subgraph up to some size, which the context grows one size at a
+time from the circuits of the host: below twice the girth an even
+subgraph is a single circuit.  Both parts fall back to closed-form
+lists when a search must go far: the overlaps of a C1 are read from a
+list of the projection once finding them one size at a time has cost
+more than its 2^r members, and the rest of the canonical order is
+listed once the short end reaches twice the girth or growing it gets
+dear.  So a C1 whose buckets all fail costs about what a walk of the
+2^dim order would.
 """
 
 from __future__ import annotations
@@ -92,11 +94,12 @@ class SearchContext:
     The short end starts at the empty set and grows by one size whenever a
     walk of the order passes it, so its cost follows the searches made,
     not 2^dim.  Walks may nest: each resumes after what it has yielded.
-    A size is built from the short circuits of the host and their disjoint
-    unions (cyclespace.EvenLayers) while that stays cheap: once the circuit
-    search for one size visits more than 2^dim / 8 paths, the rest of the
-    order is listed in closed form by cyclespace.canonical_masks instead
-    (a path of the search costs about eight times a member of that list)."""
+    Below twice the girth every even subgraph is a circuit, so a size is
+    the circuits of that length (cyclespace.EvenLayers).  The rest of the
+    order is listed in closed form by cyclespace.canonical_masks once the
+    next size reaches twice the girth, or once the circuit search for one
+    size has visited more than 2^dim / 8 paths (a path of the search costs
+    about eight times a member of that list)."""
 
     def __init__(self, g: MultiGraph):
         _check_search_host(g)
@@ -132,10 +135,11 @@ class SearchContext:
             return False
         if self._layers is None:
             self._layers = EvenLayers(self.g)
-        if self._layers.paths * 8 > total:
+        layers = self._layers
+        if layers.size + 1 >= 2 * layers.girth or layers.paths * 8 > total:
             self._order = canonical_masks(self.cycles)
         else:
-            self._order.extend(self._layers.next_layer(check_time))
+            self._order.extend(layers.next_layer(check_time))
         return True
 
     def flow_minus(self, drop: int) -> Optional[Planes]:

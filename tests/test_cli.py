@@ -29,6 +29,7 @@ from .oracles import (
     flower_snark,
     petersen_graph,
     prism_graph,
+    subdivide,
 )
 from .test_verify_corrupted import WITNESSLESS, witnessless_prism
 
@@ -369,6 +370,29 @@ class TestStats:
         ) == 0
         (row,) = json.loads(capsys.readouterr().out)["graphs"]
         assert row["circuits"] is None
+
+    def test_rows_outside_the_flow_domain(self, tmp_path, capsys):
+        # The engine's own errors give the nulls: K5 (degree 4) and the
+        # claw K1,3 (degree 1) have no flow answer, and a K4 with one edge
+        # subdivided (degrees 2 and 3) has one.
+        claw = MultiGraph(4, [(0, 1), (0, 2), (0, 3)])
+        graphs = [complete_graph(5), subdivide(complete_graph(4), 0), claw]
+        path = tmp_path / "mixed.g6"
+        path.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
+        assert main(["stats", "--graph", str(path), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["graphs"]
+        assert [(row["circuits"], row["nz4flow"]) for row in rows] == [
+            (37, None),
+            (7, True),
+            (0, None),
+        ]
+        assert main(["stats", "--graph", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("circuits=")[1] for line in lines] == [
+            "37 nz4flow=n/a",
+            "7 nz4flow=yes",
+            "0 nz4flow=n/a",
+        ]
 
     def test_unreadable_line_flags_the_run(self, tmp_path, capsys):
         path = tmp_path / "mixed.g6"

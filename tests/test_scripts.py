@@ -1,8 +1,9 @@
 """The scripts under scripts/ import what they use from cdc5 and from the
 test modules, so a name removed from either breaks them.  Each is imported
 here by path, which runs its imports but not its main.  The output check
-(byte digests of the sweeps' files) and the colorer check run whole, in
-process, and must exit 0; the search-order check is too slow to run here."""
+(byte digests of the sweeps' files), the search-order check (the engine
+against the exhaustive reference search) and the colorer check run
+whole, in process, and must exit 0."""
 
 import importlib.util
 import json
@@ -32,7 +33,7 @@ def test_check_script_imports(name):
     assert callable(import_script(name).main)
 
 
-@pytest.mark.parametrize("name", ["check_outputs", "check_colourer"])
+@pytest.mark.parametrize("name", ["check_outputs", "check_search_order", "check_colourer"])
 def test_check_script_passes(name, capsys):
     code = import_script(name).main()
     assert code == 0, capsys.readouterr().out

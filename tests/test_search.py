@@ -540,20 +540,30 @@ class TestOverlapBuckets:
 
 
 class TestShortEnd:
-    """The short end of the canonical order, built from short circuits and
-    their disjoint unions, against a filter of the whole order; and the
+    """The short end of the canonical order, the circuits of each length,
+    against the circuit list and a filter of the whole order; and the
     context's walk of the order, which grows its short end as it goes and
-    lists the rest in closed form once growing gets dear."""
+    lists the rest in closed form at twice the girth or once growing gets
+    dear."""
 
     def assert_short_end(self, g):
+        # At every width a layer is the circuits of that length; below
+        # twice the girth these are all the even subgraphs of that size.
         whole = canonical_masks(spanning_forest(g).cycles)
+        circuits = {}
+        for c in enumerate_circuits(g):
+            circuits.setdefault(c.mask.bit_count(), []).append(c.mask)
+        girth = min(circuits, default=g.m + 1)
         layers = EvenLayers(g)
-        short = [0]
         for width in range(1, g.m + 1):
-            short += layers.next_layer()
+            layer = layers.next_layer()
             assert layers.size == width
-            assert short == [x for x in whole if x.bit_count() <= width]
-        assert list(SearchContext(g).canonical_order()) == whole
+            assert layer == circuits.get(width, [])
+            if width < 2 * girth:
+                assert layer == [x for x in whole if x.bit_count() == width]
+        assert layers.girth == girth
+        if g.is_cubic():
+            assert list(SearchContext(g).canonical_order()) == whole
 
     def test_catalog(self, catalog):
         for g in catalog:
@@ -570,11 +580,18 @@ class TestShortEnd:
         g = random_cubic_multigraph(12, 5)
         assert not g.is_simple()
         self.assert_short_end(g)
+        assert min(map(len, enumerate_circuits(g))) == 2  # the girth
+
+    def test_k33(self):
+        self.assert_short_end(MultiGraph(6, [(u, v) for u in range(3) for v in range(3, 6)]))
+
+    def test_k5_of_degree_four(self):
+        self.assert_short_end(complete_graph(5))
 
     def test_walk_grows_the_short_end_only_as_far_as_it_goes(self):
         # A walk of the first 50 of J7's 2^15 even subgraphs builds the
         # short end to size 9 (58 members) only.  A full walk lists the
-        # rest in closed form once the circuit search gets dear.
+        # rest in closed form.
         g = flower_snark(7)
         whole = canonical_masks(spanning_forest(g).cycles)
         ctx = SearchContext(g)
@@ -583,6 +600,19 @@ class TestShortEnd:
         assert len(ctx._order) == 58
         assert list(ctx.canonical_order()) == whole
         assert ctx._layers.size < g.m
+
+    def test_walk_lists_the_rest_in_closed_form_at_twice_the_girth(self):
+        # J7 has girth 6, so its even subgraphs of size 11 or less are
+        # circuits and the first that is not has 12 edges.  A walk one
+        # member past size 11 lists the whole order without a layer 12.
+        g = flower_snark(7)
+        whole = canonical_masks(spanning_forest(g).cycles)
+        short = sum(x.bit_count() <= 11 for x in whole)
+        ctx = SearchContext(g)
+        assert list(itertools.islice(ctx.canonical_order(), short + 1)) == whole[: short + 1]
+        assert ctx._layers.size == 11
+        assert len(ctx._order) == 2**15
+        assert ctx._layers.girth == 6
 
     @pytest.mark.parametrize("g", [flower_snark(5), petersen_graph()], ids=["j5", "petersen"])
     def test_a_nested_walk_does_not_cut_the_outer_one(self, g):
