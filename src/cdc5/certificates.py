@@ -11,16 +11,16 @@ holds.  The cover is the only witness of the flow condition on G - M: its
 elements must replay a nowhere-zero 4-flow of G - M (cover.replayed_planes),
 and a cover that replays none is rejected, since no flow is decided here.
 So checking a certificate takes linear time whatever graph it names, and
-one vertex_faults call checks all of its masks.  A certificate is built
-and its text rendered in the frame of its graph, which holds the graph,
-the fields that depend on it alone and the text of each edge id.
+one vertex_faults call checks all of its masks.  A Certificate is the
+frame of its graph, which holds the graph, the fields that depend on it
+alone and the text of each edge id, and the search's edge masks; they
+become id lists only when it is rendered or made a document.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
@@ -41,6 +41,15 @@ def dump_json(value: Any) -> str:
 _FIELD = "\n  "  # the line break and indent of a top-level field, as _dump takes it
 
 
+def _list(parts: list[str], newline: str) -> str:
+    """The text _dump writes at newline for a list whose members it writes
+    as parts, at newline + "  "."""
+    if not parts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+
+
 def _dump(value: Any, newline: str) -> str:
     kind = type(value)
     if kind is int:
@@ -48,100 +57,88 @@ def _dump(value: Any, newline: str) -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     inner = newline + "  "
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, (list, tuple)):
         parts = [int.__repr__(x) if type(x) is int else _dump(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+        return _list(parts, newline)
     if isinstance(value, dict) and value:
         parts = [encode_basestring_ascii(k) + ": " + _dump(x, inner) for k, x in value.items()]
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     return json.dumps(value)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    graph6: str
-    n: int
-    m: int
-    edges: tuple[tuple[int, int], ...]
-    c0: tuple[int, ...]
-    c1: tuple[int, ...]
-    c2: tuple[int, ...]
-    matching: tuple[int, ...]
-    cdc: tuple[tuple[int, ...], ...]
-    coverage: tuple[int, ...]
-    path: str
-    candidates_tried: int
-    elapsed_ms: int
-
-    def to_doc(self) -> dict[str, Any]:
-        """Plain-data document; key order is part of the format."""
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "edges": [list(pair) for pair in self.edges],
-            "c0": list(self.c0),
-            "c1": list(self.c1),
-            "c2": list(self.c2),
-            "matching": list(self.matching),
-            "cdc": [list(el) for el in self.cdc],
-            "coverage": list(self.coverage),
-            "path": self.path,
-            "stats": {
-                "candidates_tried": self.candidates_tried,
-                "elapsed_ms": self.elapsed_ms,
-            },
-        }
-
-
 class CertificateFrame:
     """Graph g, which build_certificate reads from here, and the text that
     the certificates of g share: the JSON of graph6, n, m, edges and the
-    coverage build_certificate claims, all twos, and of each edge id,
-    rendered once.  render puts in the fields of one certificate over g, so
-    a sweep renders a graph's constant fields and ids once, not per
-    circuit.  Raises UnsupportedFormatError when graph6 cannot encode g."""
+    coverage every certificate claims, all twos, and of each edge id,
+    rendered once, so a sweep renders a graph's constant fields and ids
+    once, not per circuit.  Raises UnsupportedFormatError when graph6
+    cannot encode g."""
 
     def __init__(self, g: MultiGraph):
         self.g = g
-        self.graph = (write_graph6(g), g.n, g.m, g.edges)
+        self.graph6 = write_graph6(g)
         self.coverage = (2,) * g.m
-        head = dump_json({"graph6": self.graph[0], "n": g.n, "m": g.m, "edges": g.edges})
+        head = dump_json({"graph6": self.graph6, "n": g.n, "m": g.m, "edges": g.edges})
         self._head = head[:-2] + ',\n  "c0": '  # without its closing "\n}"
         self._coverage = _dump(self.coverage, _FIELD)
-        self._ids = {e: str(e) for e in range(g.m)}
+        self._ids = [str(e) for e in range(g.m)]
 
-    def _id_lists(self, value: Any, newline: str) -> str:
-        """_dump(value, newline) for a list of ids of type int (True and 1.0
-        would find 1) or a tuple of such lists, read from the id table;
-        else, or for an id not in it, _dump."""
-        inner = newline + "  "
-        text = self._ids.__getitem__
-        try:
-            if type(value[0]) is tuple:
-                text = partial(self._id_lists, newline=inner)
-            elif set(map(type, value)) != {int}:
-                return _dump(value, newline)
-            return "[" + inner + ("," + inner).join(map(text, value)) + newline + "]"
-        except (IndexError, KeyError, TypeError):
-            return _dump(value, newline)
 
-    def render(self, cert: Certificate) -> str:
-        """dump_json(cert.to_doc()) + "\n", byte for byte; a coverage other
-        than the frame's is rendered for this certificate alone."""
-        if (cert.graph6, cert.n, cert.m, cert.edges) != self.graph:
-            raise ValueError("certificate belongs to another graph than its frame")
-        coverage = self._coverage if cert.coverage == self.coverage else _dump(cert.coverage, _FIELD)
-        stats = {"candidates_tried": cert.candidates_tried, "elapsed_ms": cert.elapsed_ms}
-        ids = self._id_lists
+@dataclass(frozen=True)
+class Certificate:
+    """A found cover in the frame of its graph, its fields edge masks as the
+    search holds them (cdc the cover's elements); the path is read off the
+    matching, and ids are listed only by to_doc and render."""
+
+    frame: CertificateFrame
+    c0: int
+    c1: int
+    c2: int
+    matching: int
+    cdc: tuple[int, ...]
+    candidates_tried: int
+    elapsed_ms: int
+
+    @property
+    def path(self) -> str:
+        return PATH_THEOREM if self.matching else PATH_M_EMPTY
+
+    def to_doc(self) -> dict[str, Any]:
+        """Plain-data document; key order is part of the format."""
+        g = self.frame.g
+        return {
+            "graph6": self.frame.graph6,
+            "n": g.n,
+            "m": g.m,
+            "edges": [list(pair) for pair in g.edges],
+            "c0": list(mask_ids(self.c0)),
+            "c1": list(mask_ids(self.c1)),
+            "c2": list(mask_ids(self.c2)),
+            "matching": list(mask_ids(self.matching)),
+            "cdc": [list(mask_ids(x)) for x in self.cdc],
+            "coverage": list(self.frame.coverage),
+            "path": self.path,
+            "stats": {"candidates_tried": self.candidates_tried, "elapsed_ms": self.elapsed_ms},
+        }
+
+    def render(self) -> str:
+        """dump_json(self.to_doc()) + "\n", byte for byte, from the frame's
+        text and each mask's ids."""
+        frame, text = self.frame, self.frame._ids
+
+        def ids(mask: int, newline: str = _FIELD) -> str:
+            return _list([text[e] for e in mask_ids(mask)], newline)
+
+        cdc = _list([ids(x, _FIELD + "  ") for x in self.cdc], _FIELD)
+        stats = {"candidates_tried": self.candidates_tried, "elapsed_ms": self.elapsed_ms}
         return "".join((
-            self._head, ids(cert.c0, _FIELD),
-            ',\n  "c1": ', ids(cert.c1, _FIELD),
-            ',\n  "c2": ', ids(cert.c2, _FIELD),
-            ',\n  "matching": ', ids(cert.matching, _FIELD),
-            ',\n  "cdc": ', ids(cert.cdc, _FIELD),
-            ',\n  "coverage": ', coverage,
-            ',\n  "path": ', _dump(cert.path, _FIELD),
+            frame._head, ids(self.c0),
+            ',\n  "c1": ', ids(self.c1),
+            ',\n  "c2": ', ids(self.c2),
+            ',\n  "matching": ', ids(self.matching),
+            ',\n  "cdc": ', cdc,
+            ',\n  "coverage": ', frame._coverage,
+            ',\n  "path": ', _dump(self.path, _FIELD),
             ',\n  "stats": ', _dump(stats, _FIELD),
             "\n}\n",
         ))
@@ -162,29 +159,16 @@ def build_certificate(
     twice; a failed check here means the search produced inconsistent
     data, and a mask with a bit at or above frame.g.m raises ValueError."""
     g = frame.g
-    masks = (c0, c1, c2, matching, *elements)
-    if any(x >> g.m for x in masks):  # a negative mask too
+    if any(x >> g.m for x in (c0, c1, c2, matching, *elements)):  # a negative mask too
         raise ValueError(f"edge mask outside the graph's edge range (m={g.m})")
-    path = PATH_M_EMPTY if not matching else PATH_THEOREM
+    cert = Certificate(frame, c0, c1, c2, matching, tuple(elements), candidates_tried, elapsed_ms)
     stats = {"candidates_tried": candidates_tried, "elapsed_ms": elapsed_ms}
-    problems = _check(g, c0, c1, c2, matching, elements, frame.coverage, path, stats)
+    problems = _check(g, c0, c1, c2, matching, elements, frame.coverage, cert.path, stats)
     if problems:
         raise InvariantViolationError(
             "constructed certificate fails verification: " + "; ".join(problems)
         )
-    ids = {x: mask_ids(x) for x in set(masks)}  # c0 is often c1, and c1 and c2 are elements
-    return Certificate(
-        *frame.graph,  # graph6, n, m and edges
-        c0=ids[c0],
-        c1=ids[c1],
-        c2=ids[c2],
-        matching=ids[matching],
-        cdc=tuple(ids[x] for x in elements),
-        coverage=frame.coverage,
-        path=path,
-        candidates_tried=candidates_tried,
-        elapsed_ms=elapsed_ms,
-    )
+    return cert
 
 
 def _is_id_array(value: Any) -> bool:

@@ -21,8 +21,8 @@ from .certificates import dump_json, verify_certificate
 from .cyclespace import enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, PreconditionError, UnsupportedFormatError
 from .flows import has_nz4flow
-from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6, spanning_forest
-from .search import SearchContext, SearchOptions, Sweep, find_5cdc_containing
+from .graphs import EdgeSet, MultiGraph, bridges, mask_ids, parse_graph6, spanning_forest
+from .search import SearchOptions, Sweep, find_5cdc_containing
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -238,8 +238,7 @@ def cmd_find(args: argparse.Namespace) -> int:
     _make_out(args.out)
     options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
     try:
-        ctx = SearchContext(g)
-        cert = find_5cdc_containing(g, c0, options, ctx)
+        cert = find_5cdc_containing(g, c0, options)
     except CapacityError as exc:
         _no_cover(args, "inconclusive", str(exc), candidates_tried=exc.candidates_tried)
         return EXIT_INCONCLUSIVE
@@ -250,7 +249,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
 
     path = os.path.join(args.out, "certificate.json")
-    _write(path, ctx.frame.render(cert))
+    _write(path, cert.render())
     if args.format == "json":
         print(
             json.dumps(
@@ -258,7 +257,7 @@ def cmd_find(args: argparse.Namespace) -> int:
                     "outcome": "found",
                     "certificate": path,
                     "elements": len(cert.cdc),
-                    "matching": list(cert.matching),
+                    "matching": list(mask_ids(cert.matching)),
                     "path": cert.path,
                     "candidates_tried": cert.candidates_tried,
                     "elapsed_ms": cert.elapsed_ms,
@@ -267,7 +266,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         )
     else:
         print(
-            f"found: {len(cert.cdc)}-element cover, matching {list(cert.matching)}, "
+            f"found: {len(cert.cdc)}-element cover, matching {list(mask_ids(cert.matching))}, "
             f"{cert.candidates_tried} candidates, certificate {path}"
         )
     return EXIT_OK

@@ -111,9 +111,9 @@ class SearchContext:
 
     @cached_property
     def frame(self) -> CertificateFrame:
-        """The graph's CertificateFrame, from which build_certificate reads
-        it, made on first use; UnsupportedFormatError when graph6 cannot
-        encode it."""
+        """The graph's CertificateFrame, which every certificate found in
+        this context holds, made on first use; UnsupportedFormatError when
+        graph6 cannot encode the graph."""
         return CertificateFrame(self.g)
 
     def canonical_order(self, check_time: Callable[[], None] = lambda: None) -> Iterator[int]:
@@ -348,13 +348,13 @@ class Sweep:
     """A sweep of the conjecture over a catalog: find_5cdc_containing for
     every circuit of every graph in a list of graph6 lines.  Iterating runs
     it and yields, per graph, its report entry and the certificate texts
-    of its found circuits (rendered by ctx.frame.render, in the frame of
-    the range's search context), keyed by file name; counts and aborted
-    hold the totals so far.  A "none" would be a counterexample to the
-    conjecture that every circuit of a bridgeless cubic graph lies in some
-    5-element cover; unless keep_going is set, it stops the sweep after its
-    graph and the graphs left are reported skipped.  "inconclusive" records
-    a guard hit, never a negative.
+    of its found circuits (cert.render, in the frame of the range's search
+    context), keyed by file name; counts and aborted hold the totals so
+    far.  A "none" would be a counterexample to the conjecture that every
+    circuit of a bridgeless cubic graph lies in some 5-element cover;
+    unless keep_going is set, it stops the sweep after its graph and the
+    graphs left are reported skipped.  "inconclusive" records a guard hit,
+    never a negative.
 
     The sweep runs min(workers, CPUs) processes: one maps in process, more
     make a pool once per sweep.  A graph's circuits are split into
@@ -463,5 +463,5 @@ def _sweep_range(
         if cert is None:
             results.append(("none", None, "search space exhausted"))
         else:
-            results.append(("found", ctx.frame.render(cert), ""))
+            results.append(("found", cert.render(), ""))
     return results

@@ -113,6 +113,28 @@ class TestFind:
         doc = read_json(os.path.join(out, "certificate.json"))
         assert doc["c0"] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_printed_matching_is_the_certificates(self, petersen_file, tmp_path, capsys, fmt):
+        # The outer pentagon takes the theorem2 path, so its matching is
+        # nonempty; what find prints must agree with the file it writes.
+        out = str(tmp_path / "out")
+        code = main(
+            ["find", "--graph", petersen_file, "--circuit", "0,1,2,3,4",
+             "--edge-ids", "--out", out, "--format", fmt]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        doc = read_json(os.path.join(out, "certificate.json"))
+        assert doc["path"] == "theorem2" and doc["matching"]
+        if fmt == "json":
+            payload = json.loads(printed)
+            assert payload["path"] == doc["path"]
+            assert payload["matching"] == doc["matching"]
+            assert payload["elements"] == len(doc["cdc"])
+            assert payload["candidates_tried"] == doc["stats"]["candidates_tried"]
+        else:
+            assert f"matching {doc['matching']}," in printed
+
     def test_no_prescription(self, k4_file, tmp_path):
         assert main(["find", "--graph", k4_file, "--out", str(tmp_path / "o")]) == 0
 

@@ -9,18 +9,15 @@ from cdc5 import (
     PreconditionError,
     flow_planes,
     verify_certificate,
-    write_graph6,
 )
 from cdc5.certificates import (
     PATH_M_EMPTY,
-    PATH_THEOREM,
     Certificate,
     CertificateFrame,
     _check,
     build_certificate,
 )
 from cdc5.cover import coverage_masks, extend_to_cdc
-from cdc5.graphs import mask_ids
 
 from .oracles import (
     bridged_cubic_graph,
@@ -485,11 +482,7 @@ def test_verification_refuses_what_the_build_refuses(kind):
     # document of a refused answer gets the same problems.
     g, covers, planes = refused_inputs()[kind]
     c0, c1, c2, matching, cdc = gate_fields(covers, planes)
-    cert = Certificate(
-        write_graph6(g), g.n, g.m, g.edges, *map(mask_ids, (c0, c1, c2, matching)),
-        tuple(map(mask_ids, cdc)), (2,) * g.m,
-        PATH_THEOREM if matching else PATH_M_EMPTY, 1, 0,
-    )
+    cert = Certificate(CertificateFrame(g), c0, c1, c2, matching, tuple(cdc), 1, 0)
     assert verify_certificate(cert.to_doc()) == gate_problems(g, covers, planes)
 
 
@@ -521,7 +514,7 @@ class TestExtractWitness:
 
         pentagon = EdgeSet.of(petersen, range(5))
         cert = find_5cdc_containing(petersen, pentagon)
-        elements = [mask_of(ids) for ids in cert.cdc]
+        elements = list(cert.cdc)
         m_set, c1, c2 = extract_witness(petersen, elements, pentagon.mask)
         assert pentagon.mask & ~c1 == 0
         assert m_set == c1 & c2
