@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from cdc5 import EdgeSet, enumerate_circuits, parse_graph6  # noqa: E402
+from cdc5 import enumerate_circuits, parse_graph6  # noqa: E402
 from tests.oracles import flower_snark, is_circuit, shuffled  # noqa: E402
 from tests.test_search import reference_canonical, search_differences  # noqa: E402
 
@@ -54,7 +54,7 @@ def main() -> int:
         circuit = rng.choice(canonical)
         while not is_circuit(g, circuit):
             circuit = rng.choice(canonical)
-        found, _ = search_differences(g, [circuit, EdgeSet.empty(g)], canonical)
+        found, _ = search_differences(g, [circuit, 0], canonical)
         checked += 1
         differences += [f"J7 relabelling {seed}, prescription {ids}" for ids in found]
     elapsed = time.monotonic() - started

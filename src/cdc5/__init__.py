@@ -11,14 +11,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .flows import flow_planes, has_nz4flow, is_flow, three_edge_color
-from .graphs import (
-    EdgeSet,
-    MultiGraph,
-    bridges,
-    parse_graph6,
-    spanning_forest,
-    write_graph6,
-)
+from .graphs import MultiGraph, parse_graph6, spanning_forest, write_graph6
 from .search import SearchContext, SearchOptions, Sweep, find_5cdc_containing
 
 __version__ = "0.1.0"
@@ -26,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "Certificate",
-    "EdgeSet",
     "Graph6Error",
     "InvariantViolationError",
     "MultiGraph",
@@ -35,7 +27,6 @@ __all__ = [
     "SearchOptions",
     "Sweep",
     "UnsupportedFormatError",
-    "bridges",
     "canonical_masks",
     "enumerate_circuits",
     "find_5cdc_containing",

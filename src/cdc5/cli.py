@@ -21,7 +21,7 @@ from .certificates import dump_json, verify_certificate
 from .cyclespace import enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, PreconditionError, UnsupportedFormatError
 from .flows import has_nz4flow
-from .graphs import EdgeSet, MultiGraph, bridges, mask_ids, parse_graph6, spanning_forest
+from .graphs import MultiGraph, mask_ids, parse_graph6, spanning_forest
 from .search import SearchOptions, Sweep, find_5cdc_containing
 
 EXIT_OK = 0
@@ -124,7 +124,7 @@ def _graph_lines(path: str) -> list[str]:
     return lines
 
 
-def _parse_vertex_circuit(g: MultiGraph, spec: str) -> EdgeSet:
+def _parse_vertex_circuit(g: MultiGraph, spec: str) -> int:
     try:
         verts = [int(part) for part in spec.split(",")]
     except ValueError as exc:
@@ -136,16 +136,16 @@ def _parse_vertex_circuit(g: MultiGraph, spec: str) -> EdgeSet:
     for v in verts:
         if not 0 <= v < g.n:
             raise _Fail(EXIT_USAGE, f"vertex {v} out of range (graph has {g.n} vertices)")
-    ids = []
+    mask = 0
     for u, v in zip(verts, verts[1:] + verts[:1]):
         here = [e for e in g.incident(u) if g.other_end(e, u) == v]
         if not here:
             raise _Fail(EXIT_USAGE, f"no edge between {u} and {v}")
-        ids.append(here[0])
-    return EdgeSet.of(g, ids)
+        mask |= 1 << here[0]
+    return mask
 
 
-def _parse_edge_ids(g: MultiGraph, spec: str) -> EdgeSet:
+def _parse_edge_ids(g: MultiGraph, spec: str) -> int:
     try:
         ids = [int(part) for part in spec.split(",")] if spec else []
     except ValueError as exc:
@@ -155,10 +155,10 @@ def _parse_edge_ids(g: MultiGraph, spec: str) -> EdgeSet:
             raise _Fail(EXIT_USAGE, f"edge id {e} out of range (graph has {g.m} edges)")
     if len(set(ids)) != len(ids):
         raise _Fail(EXIT_USAGE, "edge ids must be distinct")
-    s = EdgeSet.of(g, ids)
-    if not is_even_subgraph(g, s):
+    mask = sum(1 << e for e in ids)
+    if not is_even_subgraph(g, mask):
         raise _Fail(EXIT_USAGE, "edge ids do not form an even subgraph")
-    return s
+    return mask
 
 
 def _load_graph(path: str, index: int) -> MultiGraph:
@@ -226,12 +226,12 @@ def cmd_find(args: argparse.Namespace) -> int:
     if not g.is_cubic():
         raise _Fail(EXIT_USAGE, "graph is not cubic")
     if args.circuit is None:
-        c0 = EdgeSet.empty(g)
+        c0 = 0
     elif args.edge_ids:
         c0 = _parse_edge_ids(g, args.circuit)
     else:
         c0 = _parse_vertex_circuit(g, args.circuit)
-    if bridges(g):
+    if spanning_forest(g).bridges:
         _no_cover(args, "none", "the graph has a bridge, so it has no cycle double cover")
         return EXIT_NEGATIVE
 
@@ -353,7 +353,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             m=g.m,
             simple=g.is_simple(),
             cubic=g.is_cubic(),
-            bridges=len(bridges(g)),
+            bridges=spanning_forest(g).bridges.bit_count(),
             cyclespace_dim=dim,
             even_subgraphs=1 << dim,
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError
-from .graphs import EdgeSet, MultiGraph, spanning_forest, vertex_faults
+from .graphs import MultiGraph, mask_ids, spanning_forest, vertex_faults
 
 DIM_GUARD = 16  # the default bound on the cycle-space dimension, for every caller
 
@@ -28,11 +28,12 @@ def check_guard(dim: int, guard: int) -> None:
         raise CapacityError(f"cycle-space dimension {dim} exceeds enumeration guard {guard}")
 
 
-def is_even_subgraph(g: MultiGraph, s: EdgeSet) -> bool:
-    """True iff s has no loop and every vertex meets 0 or 2 of its edges."""
-    if s.host is not g:
-        raise ValueError("EdgeSet does not belong to the given graph")
-    odd, _, crowded = vertex_faults(g, [s.mask])
+def is_even_subgraph(g: MultiGraph, mask: int) -> bool:
+    """True iff the edge mask has no loop and every vertex meets 0 or 2 of
+    its edges; ValueError when it is not a mask over g's edges."""
+    if mask < 0 or mask >> g.m:
+        raise ValueError(f"mask {mask:#x} outside the graph's edge range (m={g.m})")
+    odd, _, crowded = vertex_faults(g, [mask])
     return not odd | crowded
 
 
@@ -154,9 +155,20 @@ class EvenLayers:
         return dist
 
 
-def enumerate_circuits(g: MultiGraph, guard: int = DIM_GUARD) -> list[EdgeSet]:
-    """All circuits of g, sorted by cardinality then ascending edge-id tuple;
-    CapacityError when the cycle-space dimension exceeds guard.
+class Circuit(int):
+    """A circuit's edge mask, as enumerate_circuits lists it; ids() gives
+    its edge ids in ascending order."""
+
+    __slots__ = ()
+
+    def ids(self) -> tuple[int, ...]:
+        return mask_ids(self)
+
+
+def enumerate_circuits(g: MultiGraph, guard: int = DIM_GUARD) -> list[Circuit]:
+    """The edge masks of all circuits of g, sorted by cardinality then
+    ascending edge-id tuple; CapacityError when the cycle-space dimension
+    exceeds guard.
 
     The even subgraphs are listed in that order, and one is kept when a
     walk along it closes a circuit through all its edges: the walk leaves
@@ -182,5 +194,5 @@ def enumerate_circuits(g: MultiGraph, guard: int = DIM_GUARD) -> list[EdgeSet]:
             steps += 1
         else:  # the walk met start only at its ends, so no other edge is there
             if steps == mask.bit_count():
-                out.append(EdgeSet(g, mask))
+                out.append(Circuit(mask))
     return out

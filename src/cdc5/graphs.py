@@ -5,10 +5,9 @@ components and the fundamental cycles of a graph.
 Vertices are 0..n-1.  Edges carry dense identifiers 0..m-1 in construction
 order and are unordered pairs; loops and parallel edges are allowed
 everywhere except graph6 output.  An edge set is an integer bit mask over
-edge identifiers, so the GF(2) algebra of the engine is plain integer XOR;
-an EdgeSet wraps one mask with its host for the public entry points only.
-Edge ids are never renumbered: a subgraph such as G - M is a mask over G's
-own edges.
+edge identifiers, at the public entry points as inside the engine, so the
+GF(2) algebra is plain integer XOR.  Edge ids are never renumbered: a
+subgraph such as G - M is a mask over G's own edges.
 """
 
 from __future__ import annotations
@@ -111,55 +110,6 @@ class MultiGraph:
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
-
-
-class EdgeSet:
-    """Subset of a host graph's edges, stored as an integer bit mask: the
-    edge-set type of the public entry points, which the engine unwraps."""
-
-    __slots__ = ("host", "mask")
-
-    def __init__(self, host: MultiGraph, mask: int = 0):
-        if mask < 0 or mask >> host.m:
-            raise ValueError(f"mask {mask:#x} outside host edge range (m={host.m})")
-        self.host = host
-        self.mask = mask
-
-    @classmethod
-    def of(cls, host: MultiGraph, ids: Iterable[int]) -> "EdgeSet":
-        mask = 0
-        for e in ids:
-            if not 0 <= e < host.m:
-                raise ValueError(f"edge id {e} out of range (m={host.m})")
-            mask |= 1 << e
-        return cls(host, mask)
-
-    @classmethod
-    def empty(cls, host: MultiGraph) -> "EdgeSet":
-        return cls(host, 0)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EdgeSet)
-            and self.host is other.host
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.host), self.mask))
-
-    def ids(self) -> tuple[int, ...]:
-        """The member edge ids in ascending order."""
-        return mask_ids(self.mask)
-
-    def __repr__(self) -> str:
-        return f"EdgeSet({list(self.ids())})"
 
 
 def mask_ids(mask: int) -> tuple[int, ...]:
@@ -298,11 +248,6 @@ def check_graph6_writable(g: MultiGraph) -> None:
 
 # ---------------------------------------------------------------------------
 # structural operations
-
-
-def bridges(g: MultiGraph) -> EdgeSet:
-    """All bridges of g, read off its spanning forest."""
-    return EdgeSet(g, spanning_forest(g).bridges)
 
 
 class Forest(NamedTuple):

@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .flows import Planes, flow_planes
-from .graphs import EdgeSet, MultiGraph, bridges, parse_graph6, spanning_forest
+from .graphs import MultiGraph, mask_ids, parse_graph6, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -307,11 +307,12 @@ def _c1_order(ctx: SearchContext, c0: int, check_time: Callable[[], None]) -> It
 
 def find_5cdc_containing(
     g: MultiGraph,
-    c0: EdgeSet,
+    c0: int,
     options: Optional[SearchOptions] = None,
     context: Optional[SearchContext] = None,
 ) -> Optional[Certificate]:
-    """First witness pair in canonical order, assembled and certified.
+    """First witness pair in canonical order for c0, an edge mask of g,
+    assembled and certified.
 
     C1 candidates are ordered by how much they add to c0, then by edge ids;
     C2 candidates by the size of their intersection with C1 (the empty set
@@ -326,21 +327,21 @@ def find_5cdc_containing(
     ctx = context or SearchContext(g)
     if ctx.g is not g:
         raise ValueError("search context belongs to a different graph")
-    if not is_even_subgraph(g, c0):  # ValueError when c0 is an edge set of another graph
+    if not is_even_subgraph(g, c0):  # ValueError when c0 is no mask over g's edges
         raise PreconditionError("c0 is not an even subgraph")
     frame = ctx.frame  # UnsupportedFormatError before the search, not after it
 
     started_ns = time.monotonic_ns()
     check_guard(len(ctx.cycles), opts.dim_guard)
     tally = _Tally(opts, started_ns)
-    for c1 in _c1_order(ctx, c0.mask, tally.check_time):
+    for c1 in _c1_order(ctx, c0, tally.check_time):
         c2 = _first_partner(ctx, c1, tally)
         if c2 is None:
             continue
         overlap = c1 & c2
         cdc = extend_to_cdc([c1, c2], ctx.flow_minus(overlap))
         elapsed_ms = (time.monotonic_ns() - started_ns) // 1_000_000
-        return build_certificate(frame, c0.mask, c1, c2, overlap, cdc, tally.tried, elapsed_ms)
+        return build_certificate(frame, c0, c1, c2, overlap, cdc, tally.tried, elapsed_ms)
     return None
 
 
@@ -402,7 +403,7 @@ class Sweep:
         except (Graph6Error, UnsupportedFormatError) as exc:
             entry.update(status="error", reason=str(exc))
             return entry, {}
-        if not g.is_cubic() or bridges(g):
+        if not g.is_cubic() or spanning_forest(g).bridges:
             reason = "graph has a bridge" if g.is_cubic() else "graph is not cubic"
             entry.update(status="rejected", reason=reason)
             return entry, {}
@@ -418,7 +419,8 @@ class Sweep:
         rows, certificates = [], {}
         local = {"found": 0, "none": 0, "inconclusive": 0}
         for ci, (circuit, (outcome, text, detail)) in enumerate(zip(circuits, results)):
-            row: dict[str, Any] = {"index": ci, "edges": list(circuit.ids()), "outcome": outcome}
+            edges = list(mask_ids(circuit))
+            row: dict[str, Any] = {"index": ci, "edges": edges, "outcome": outcome}
             if outcome == "found":
                 name = f"cert_g{gi:03d}_c{ci:03d}.json"
                 certificates[name] = text
@@ -436,8 +438,8 @@ class Sweep:
 
 
 def _split(
-    g: MultiGraph, circuits: list[EdgeSet], options: SearchOptions, processes: int
-) -> list[tuple[MultiGraph, list[EdgeSet], SearchOptions]]:
+    g: MultiGraph, circuits: list[int], options: SearchOptions, processes: int
+) -> list[tuple[MultiGraph, list[int], SearchOptions]]:
     """Tasks for _sweep_range: the circuits in min(processes, len(circuits))
     contiguous ranges, in order, none empty, their sizes at most one apart."""
     parts = min(processes, len(circuits))
@@ -446,7 +448,7 @@ def _split(
 
 
 def _sweep_range(
-    task: tuple[MultiGraph, list[EdgeSet], SearchOptions]
+    task: tuple[MultiGraph, list[int], SearchOptions]
 ) -> list[tuple[str, Optional[str], str]]:
     """(outcome, certificate text, detail) for each circuit of one range,
     searched in order with one search context of its own, so no search

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from cdc5 import (
     CapacityError,
-    EdgeSet,
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
@@ -41,6 +40,7 @@ from cdc5 import (
 from cdc5.cover import replayed_planes
 from cdc5.cyclespace import check_guard
 from cdc5.flows import _dead_key
+from cdc5.graphs import mask_ids
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -49,6 +49,16 @@ def mask_of(ids: Iterable[int]) -> int:
     for e in ids:
         mask |= 1 << e
     return mask
+
+
+def edge_mask(g: MultiGraph, ids: Iterable[int]) -> int:
+    """The mask of the given edge ids of g; ValueError for an id outside
+    0..m-1."""
+    ids = list(ids)
+    for e in ids:
+        if not 0 <= e < g.m:
+            raise ValueError(f"edge id {e} out of range (m={g.m})")
+    return mask_of(ids)
 
 
 def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -67,8 +77,8 @@ def even_subsets(g: MultiGraph) -> set[frozenset[int]]:
     return out
 
 
-def enumerate_even_subgraphs(g: MultiGraph, guard: int = 24) -> Iterator[EdgeSet]:
-    """Yield all 2^dim cycle-space elements of g.
+def enumerate_even_subgraphs(g: MultiGraph, guard: int = 24) -> Iterator[int]:
+    """Yield all 2^dim cycle-space elements of g, as edge masks.
 
     Order is deterministic: Gray-code over the coefficients of the basis
     spanning_forest(g).cycles, so element k differs from element k-1 by the
@@ -78,10 +88,10 @@ def enumerate_even_subgraphs(g: MultiGraph, guard: int = 24) -> Iterator[EdgeSet
     masks = spanning_forest(g).cycles
     check_guard(len(masks), guard)
     cur = 0
-    yield EdgeSet(g, 0)
+    yield 0
     for k in range(1, 1 << len(masks)):
         cur ^= masks[(k & -k).bit_length() - 1]
-        yield EdgeSet(g, cur)
+        yield cur
 
 
 def circuit_subsets(g: MultiGraph) -> set[frozenset[int]]:
@@ -143,12 +153,12 @@ def brute_bridges(g: MultiGraph) -> list[int]:
     ]
 
 
-def edge_set_connected(g: MultiGraph, s: EdgeSet) -> bool:
-    """True iff the member edges induce a connected subgraph (vacuously for ∅),
-    by a breadth-first search from the lowest edge's first endpoint."""
-    if not s.mask:
+def edge_set_connected(g: MultiGraph, s: int) -> bool:
+    """True iff the edges of mask s induce a connected subgraph (vacuously
+    for ∅), by a breadth-first search from the lowest edge's first endpoint."""
+    if not s:
         return True
-    first = (s.mask & -s.mask).bit_length() - 1
+    first = (s & -s).bit_length() - 1
     root = g.endpoints(first)[0]
     seen_edges = 0
     seen_vertices = {root}
@@ -156,29 +166,29 @@ def edge_set_connected(g: MultiGraph, s: EdgeSet) -> bool:
     while queue:
         v = queue.pop()
         for e in g.incident(v):
-            if not s.mask >> e & 1:
+            if not s >> e & 1:
                 continue
             seen_edges |= 1 << e
             w = g.other_end(e, v)
             if w not in seen_vertices:
                 seen_vertices.add(w)
                 queue.append(w)
-    return seen_edges == s.mask
+    return seen_edges == s
 
 
-def is_circuit(g: MultiGraph, s: EdgeSet) -> bool:
-    """True iff s is a nonempty connected even subgraph."""
-    return bool(s.mask) and is_even_subgraph(g, s) and edge_set_connected(g, s)
+def is_circuit(g: MultiGraph, s: int) -> bool:
+    """True iff mask s is a nonempty connected even subgraph."""
+    return bool(s) and is_even_subgraph(g, s) and edge_set_connected(g, s)
 
 
-def filtered_circuits(g: MultiGraph, guard: int = 24) -> list[EdgeSet]:
+def filtered_circuits(g: MultiGraph, guard: int = 24) -> list[int]:
     """The circuits of g in enumerate_circuits' order, by testing every
     member of the canonical order with is_circuit (a breadth-first search
     per member)."""
     cycles = spanning_forest(g).cycles
     check_guard(len(cycles), guard)
     masks = canonical_masks(cycles)
-    return [s for s in (EdgeSet(g, mask) for mask in masks) if is_circuit(g, s)]
+    return [s for s in masks if is_circuit(g, s)]
 
 
 def minus(g: MultiGraph, drop: int) -> tuple[MultiGraph, tuple[int, ...]]:
@@ -336,7 +346,7 @@ def extract_witness(g: MultiGraph, elements: Sequence[int], c0: int) -> tuple[in
 
 
 def brute_force_cdc(
-    g: MultiGraph, c0: EdgeSet, max_elements: int = 5, guard: int = 7
+    g: MultiGraph, c0: int, max_elements: int = 5, guard: int = 7
 ) -> Optional[tuple[int, ...]]:
     """Exhaustively search for a CDC of at most max_elements nonempty even
     subgraphs, at least one containing c0; its elements as edge masks, or
@@ -352,13 +362,10 @@ def brute_force_cdc(
     dim = len(spanning_forest(g).cycles)
     if dim > guard:
         raise CapacityError(f"cycle-space dimension {dim} exceeds guard {guard}")
-    if c0.host is not g:
-        raise ValueError("c0 does not belong to the given graph")
-    candidates = sorted(
+    masks = sorted(
         (s for s in enumerate_even_subgraphs(g, guard) if s),
-        key=lambda s: (len(s), s.ids()),
+        key=lambda s: (s.bit_count(), mask_ids(s)),
     )
-    masks = [s.mask for s in candidates]
     full = (1 << g.m) - 1
 
     # Highest candidate index covering each edge: once the search position
@@ -372,7 +379,7 @@ def brute_force_cdc(
             last_cover[low.bit_length() - 1] = i
     last_superset = -1
     for i, mask in enumerate(masks):
-        if mask & c0.mask == c0.mask:
+        if mask & c0 == c0:
             last_superset = i
 
     chosen: list[int] = []
@@ -408,19 +415,19 @@ def brute_force_cdc(
             mask = masks[j]
             if mask & twice:
                 continue
-            if not have_superset and slots == 1 and mask & c0.mask != c0.mask:
+            if not have_superset and slots == 1 and mask & c0 != c0:
                 continue
             new_twice = twice | (once & mask)
             new_once = (once | mask) & ~new_twice
             chosen.append(j)
             if search(
-                j, new_once, new_twice, have_superset or mask & c0.mask == c0.mask
+                j, new_once, new_twice, have_superset or mask & c0 == c0
             ):
                 return True
             chosen.pop()
         return False
 
-    trivially_contained = c0.mask == 0
+    trivially_contained = c0 == 0
     if full == 0 and trivially_contained:
         return ()
     if search(0, 0, 0, trivially_contained):

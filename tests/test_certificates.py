@@ -12,7 +12,6 @@ import cdc5.cover
 import cdc5.graphs
 import cdc5.search
 from cdc5 import (
-    EdgeSet,
     InvariantViolationError,
     SearchContext,
     SearchOptions,
@@ -38,6 +37,7 @@ from .test_verify_corrupted import (
 )
 from .oracles import (
     complete_graph,
+    edge_mask,
     flower_snark,
     loop_verify_cdc,
     petersen_graph,
@@ -49,13 +49,13 @@ from .oracles import (
 @pytest.fixture(scope="module")
 def petersen_cert():
     g = petersen_graph()
-    return find_5cdc_containing(g, EdgeSet.of(g, range(5)))
+    return find_5cdc_containing(g, edge_mask(g, range(5)))
 
 
 @pytest.fixture(scope="module")
 def k4_cert():
     g = complete_graph(4)
-    return find_5cdc_containing(g, EdgeSet.of(g, [0, 1, 2]))
+    return find_5cdc_containing(g, edge_mask(g, [0, 1, 2]))
 
 
 @pytest.fixture()
@@ -111,7 +111,7 @@ class TestBuildGate:
 def replace_one_element(g, cdc):
     """The cover (edge masks) with its first element swapped for an even
     subgraph that is not in it."""
-    other = next(c.mask for c in enumerate_circuits(g) if c.mask not in cdc)
+    other = next(c for c in enumerate_circuits(g) if c not in cdc)
     return (other,) + cdc[1:]
 
 
@@ -137,7 +137,7 @@ class TestSearchGate:
 
         monkeypatch.setattr(cdc5.search, "extend_to_cdc", corrupted)
         with pytest.raises(InvariantViolationError):
-            find_5cdc_containing(g, EdgeSet.of(g, self.PENTAGON))
+            find_5cdc_containing(g, edge_mask(g, self.PENTAGON))
 
     def test_replaced_element_stops_the_search(self, monkeypatch):
         def corrupt(host, covers, planes, original):
@@ -229,25 +229,16 @@ class TestSearchGate:
 @pytest.mark.parametrize(
     "g", [petersen_graph(), complete_graph(4), prism_graph()], ids=["petersen", "k4", "prism"]
 )
-def test_found_path_and_verification_build_no_edge_set(monkeypatch, g):
-    # The engine runs on masks, and EdgeSet is the type of the public
-    # entry points only: a search handed c0, the certificate it builds and
-    # the check of that certificate's document wrap no mask in an EdgeSet.
-    circuits = enumerate_circuits(g)
-    made = []
-    init = EdgeSet.__init__
-
-    def counting(edge_set, host, mask=0):
-        made.append(mask)
-        init(edge_set, host, mask)
-
-    monkeypatch.setattr(EdgeSet, "__init__", counting)
+def test_found_path_and_verification_build_no_edge_set(g):
+    # Edge sets are plain masks at the entry points as in the engine: cdc5
+    # has no edge-set type, and a search handed a circuit as an int
+    # certifies it with a document the check accepts.
+    assert not hasattr(cdc5.graphs, "EdgeSet")
     ctx = None  # the first search builds its own context
-    for c0 in circuits:
-        cert = find_5cdc_containing(g, c0, context=ctx)
-        assert verify_certificate(cert.to_doc()) == []
+    for c0 in enumerate_circuits(g):
+        cert = find_5cdc_containing(g, int(c0), context=ctx)
+        assert cert.c0 == c0 and verify_certificate(cert.to_doc()) == []
         ctx = ctx or SearchContext(g)
-    assert made == []
 
 
 def test_found_path_lists_no_ids(monkeypatch):
@@ -342,7 +333,7 @@ class TestCertificateFrame:
         # default guard certifies a circuit of it in milliseconds.
         g = flower_snark(15)
         ctx = SearchContext(g)
-        circuit = EdgeSet(g, ctx.cycles[0])
+        circuit = ctx.cycles[0]
         cert = find_5cdc_containing(g, circuit, SearchOptions(dim_guard=31), ctx)
         assert g.m == 90 and max(mask_ids(cert.cdc[-1])) >= 10
         text = dump_json(cert.to_doc()) + "\n"
@@ -356,7 +347,7 @@ class TestCertificateFrame:
         ctx = SearchContext(g)
         for _ in range(2):
             with pytest.raises(UnsupportedFormatError):
-                find_5cdc_containing(g, EdgeSet.empty(g), context=ctx)
+                find_5cdc_containing(g, 0, context=ctx)
         assert ctx._flows == {}
 
     def test_serial_and_parallel_sweeps_render_the_same_text(self, catalog_lines):
@@ -536,7 +527,7 @@ class TestFlowWitness:
 
     def test_flower_snark_j5(self, no_decider):
         g = flower_snark(5)
-        inner = EdgeSet.of(g, [e for e, (u, v) in enumerate(g.edges) if u % 4 == v % 4 == 1])
+        inner = edge_mask(g, [e for e, (u, v) in enumerate(g.edges) if u % 4 == v % 4 == 1])
         cert = find_5cdc_containing(g, inner)
         assert cert.path == "theorem2"
         no_decider()

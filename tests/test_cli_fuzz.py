@@ -15,6 +15,7 @@ import random
 
 from cdc5 import MultiGraph, enumerate_circuits, write_graph6
 from cdc5.cli import main
+from cdc5.graphs import mask_ids
 
 from .oracles import complete_graph, petersen_graph, prism_graph
 
@@ -65,10 +66,10 @@ def prescriptions(rng, g, pairs):
     circuits (even or not) and a vertex walk."""
     circuits = enumerate_circuits(g)
     one, two = rng.choice(circuits), rng.choice(circuits)
-    union = sorted(set(one.ids()) | set(two.ids()))
+    union = mask_ids(one | two)
     return [
         [],
-        ["--edge-ids", "--circuit", ",".join(map(str, one.ids()))],
+        ["--edge-ids", "--circuit", ",".join(map(str, mask_ids(one)))],
         ["--edge-ids", "--circuit", ",".join(map(str, union))],
         ["--circuit", random_walk(rng, g.n, pairs)],
     ]

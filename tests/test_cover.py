@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cdc5 import (
-    EdgeSet,
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
@@ -23,6 +22,7 @@ from .oracles import (
     bridged_cubic_graph,
     cdc_to_flow,
     complete_graph,
+    edge_mask,
     enumerate_even_subgraphs,
     extract_witness,
     loop_is_matching,
@@ -175,7 +175,7 @@ def random_covers(g, rng, count):
     also with one element swapped, dropped or doubled, random families of
     even and odd edge sets, and double covers by odd sets: (c1, c2,
     elements) triples."""
-    evens = [s.mask for s in enumerate_even_subgraphs(g)]
+    evens = list(enumerate_even_subgraphs(g))
     out = []
     while len(out) < count:
         c1, c2 = rng.choice(evens), rng.choice(evens)
@@ -275,10 +275,10 @@ class TestFourCdcContaining:
     def test_every_k4_even_subgraph_works(self):
         planes = flow_planes(K4)
         for c in enumerate_even_subgraphs(K4):
-            cdc = extend_to_cdc([c.mask], planes)
+            cdc = extend_to_cdc([c], planes)
             assert loop_verify_cdc(K4, cdc).valid
             if c:
-                assert c.mask in cdc
+                assert c in cdc
 
     def test_deterministic(self):
         triangle = mask_of([0, 1, 2])
@@ -512,11 +512,11 @@ class TestExtractWitness:
         # in element order), but it must be a witness in its own right.
         from cdc5 import find_5cdc_containing
 
-        pentagon = EdgeSet.of(petersen, range(5))
+        pentagon = edge_mask(petersen, range(5))
         cert = find_5cdc_containing(petersen, pentagon)
         elements = list(cert.cdc)
-        m_set, c1, c2 = extract_witness(petersen, elements, pentagon.mask)
-        assert pentagon.mask & ~c1 == 0
+        m_set, c1, c2 = extract_witness(petersen, elements, pentagon)
+        assert pentagon & ~c1 == 0
         assert m_set == c1 & c2
         assert loop_is_matching(petersen, m_set)
         assert flow_planes(petersen, m_set) is not None

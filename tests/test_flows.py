@@ -7,10 +7,10 @@ from cdc5 import (
     InvariantViolationError,
     MultiGraph,
     PreconditionError,
-    bridges,
     flow_planes,
     has_nz4flow,
     is_flow,
+    spanning_forest,
     three_edge_color,
 )
 from cdc5 import flows
@@ -208,7 +208,7 @@ class TestFailedStateMemo:
                         if not loop_is_matching(g, drop):
                             continue
                         h, _ = _suppress(g, drop)
-                        if not bridges(h):
+                        if not spanning_forest(h).bridges:
                             hosts.setdefault(h.edges, h)
         assert len(hosts) > 500
         assert [three_edge_color(h) for h in hosts.values()] == [
@@ -539,7 +539,7 @@ class TestFlowPlanes:
         bridged = [
             drop
             for drop in range(1 << g.m)
-            if loop_is_matching(g, drop) and bridges(minus(g, drop)[0])
+            if loop_is_matching(g, drop) and spanning_forest(minus(g, drop)[0]).bridges
         ]
         assert bridged == [1 << 6 | 1 << 7, 1 << 6 | 1 << 8, 1 << 7 | 1 << 8]
         for drop in range(1 << g.m):

@@ -3,12 +3,10 @@ import random
 import pytest
 
 from cdc5 import (
-    EdgeSet,
     Graph6Error,
     MultiGraph,
     PreconditionError,
     UnsupportedFormatError,
-    bridges,
     flow_planes,
     is_even_subgraph,
     is_flow,
@@ -24,6 +22,7 @@ from .oracles import (
     bridged_cubic_multigraph,
     brute_bridges,
     complete_graph,
+    edge_mask,
     graph6_edges,
     loop_is_even_subgraph,
     loop_is_flow,
@@ -79,40 +78,10 @@ class TestMultiGraph:
         assert not MultiGraph(1, [(0, 0)]).is_simple()
 
 
-class TestEdgeSet:
-    def test_constructors_and_algebra(self):
-        g = complete_graph(4)
-        assert EdgeSet.of(g, [0, 2, 5]).mask == 0b100101
-        assert EdgeSet.of(g, [5, 0, 2]) == EdgeSet.of(g, [0, 2, 5])
-        assert EdgeSet.empty(g).mask == 0
-        assert EdgeSet(g, (1 << g.m) - 1).ids() == (0, 1, 2, 3, 4, 5)
-
-    def test_predicates_and_iteration(self):
-        g = complete_graph(4)
-        a = EdgeSet.of(g, [1, 4])
-        full = EdgeSet(g, (1 << g.m) - 1)
-        assert a.ids() == (1, 4)
-        assert len(a) == 2
-        assert bool(a) and not bool(EdgeSet.empty(g))
-        assert len(full) == 6
-        assert repr(a) == "EdgeSet([1, 4])"
-
-    def test_mask_ids_lists_the_set_bits(self):
-        assert mask_ids(0) == ()
-        assert mask_ids(0b100101) == (0, 2, 5)
-        assert mask_ids(1 << 90 | 1 << 61) == (61, 90)
-
-    def test_host_identity_enforced(self):
-        g1 = complete_graph(4)
-        g2 = complete_graph(4)
-        assert EdgeSet.of(g1, [0]) != EdgeSet.of(g2, [0])
-
-    def test_range_checked(self):
-        g = complete_graph(4)
-        with pytest.raises(ValueError):
-            EdgeSet.of(g, [6])
-        with pytest.raises(ValueError):
-            EdgeSet(g, 1 << 6)
+def test_mask_ids_lists_the_set_bits():
+    assert mask_ids(0) == ()
+    assert mask_ids(0b100101) == (0, 2, 5)
+    assert mask_ids(1 << 90 | 1 << 61) == (61, 90)
 
 
 class TestIsMatching:
@@ -121,18 +90,18 @@ class TestIsMatching:
     def test_disjoint_pair_is_matching(self):
         g = complete_graph(4)
         # ids: (0,1)=0 (0,2)=1 (1,2)=2 (0,3)=3 (1,3)=4 (2,3)=5
-        assert not vertex_faults(g, [EdgeSet.of(g, [0, 5]).mask])[1]
+        assert not vertex_faults(g, [edge_mask(g, [0, 5])])[1]
 
     def test_shared_endpoint_is_not(self):
         g = complete_graph(4)
-        assert vertex_faults(g, [EdgeSet.of(g, [0, 2]).mask])[1]
+        assert vertex_faults(g, [edge_mask(g, [0, 2])])[1]
 
     def test_empty_is_vacuously_matching(self):
         assert not vertex_faults(complete_graph(4), [0])[1]
 
     def test_loops_never_match(self):
         g = MultiGraph(2, [(0, 1), (1, 1)])
-        assert vertex_faults(g, [EdgeSet.of(g, [1]).mask])[1]
+        assert vertex_faults(g, [edge_mask(g, [1])])[1]
 
 
 def random_pairing(degrees: list[int], seed: int) -> MultiGraph:
@@ -197,7 +166,7 @@ class TestVertexFaults:
             even, matching = loop_is_even_subgraph(g, x), loop_is_matching(g, x)
             assert (not (odd | crowded) >> i & 1) == even
             assert (not shared >> i & 1) == matching
-            assert is_even_subgraph(g, EdgeSet(g, x)) == even
+            assert is_even_subgraph(g, x) == even
             counts = [(x & ~g.loop_mask() & vm).bit_count() for vm in g.vertex_masks]
             if not x & g.loop_mask():
                 assert bool(odd >> i & 1) == any(c & 1 for c in counts)
@@ -342,28 +311,28 @@ class TestGraph6:
 
 class TestBridges:
     def test_k4_has_none(self):
-        assert bridges(complete_graph(4)).mask == 0
+        assert spanning_forest(complete_graph(4)).bridges == 0
 
     def test_two_triangles_joined_by_one_edge(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         g = MultiGraph(6, edges)
-        assert bridges(g).ids() == (6,)
+        assert mask_ids(spanning_forest(g).bridges) == (6,)
 
     def test_circuit_has_none(self):
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert bridges(g).mask == 0
+        assert spanning_forest(g).bridges == 0
 
     def test_parallel_pair_is_no_bridge(self):
         g = MultiGraph(2, [(0, 1), (0, 1)])
-        assert bridges(g).mask == 0
+        assert spanning_forest(g).bridges == 0
 
     def test_loop_is_no_bridge(self):
         g = MultiGraph(2, [(0, 1), (1, 1), (0, 0)])
-        assert bridges(g).ids() == (0,)
+        assert mask_ids(spanning_forest(g).bridges) == (0,)
 
     def test_tree_is_all_bridges(self):
         g = MultiGraph(4, [(0, 1), (1, 2), (1, 3)])
-        assert bridges(g).ids() == (0, 1, 2)
+        assert mask_ids(spanning_forest(g).bridges) == (0, 1, 2)
 
     @pytest.mark.parametrize(
         "builder",
@@ -378,16 +347,16 @@ class TestBridges:
     )
     def test_agrees_with_removal_oracle(self, builder):
         g = builder()
-        assert sorted(bridges(g).ids()) == brute_bridges(g)
+        assert sorted(mask_ids(spanning_forest(g).bridges)) == brute_bridges(g)
 
     def test_agrees_with_removal_oracle_on_catalog(self, catalog):
         for g in catalog:
-            assert bridges(g).mask == 0
+            assert spanning_forest(g).bridges == 0
             assert brute_bridges(g) == []
 
     def test_subdivision_turns_no_edge_into_bridge(self):
         g = subdivide(complete_graph(4), 2, times=2)
-        assert sorted(bridges(g).ids()) == brute_bridges(g) == []
+        assert sorted(mask_ids(spanning_forest(g).bridges)) == brute_bridges(g) == []
 
 
 def components(g: MultiGraph) -> list[list[int]]:
@@ -479,7 +448,7 @@ class TestKernelsOnRandomMultigraphs:
 
     def test_bridges_agree_with_removal_oracle(self):
         for g in self.GRAPHS:
-            assert list(bridges(g).ids()) == brute_bridges(g)
+            assert list(mask_ids(spanning_forest(g).bridges)) == brute_bridges(g)
 
     def test_components_agree_with_flood_fill(self):
         for g in self.GRAPHS:
@@ -506,11 +475,8 @@ class TestKernelsOnRandomMultigraphs:
         for g in copies:
             forest = spanning_forest(g)
             assert walked[-1] is g
-            first, second = bridges(g), bridges(g)
-            assert list(first.ids()) == list(second.ids()) == brute_bridges(g)
-            assert first is not second and first.host is g
+            assert list(mask_ids(forest.bridges)) == brute_bridges(g)
             assert spanning_forest(g) is forest
-            assert forest.bridges == first.mask
             assert components(g) == flood_fill_components(g)
         assert len(walked) == len(copies)
         assert all(a is b for a, b in zip(walked, copies))
@@ -522,8 +488,8 @@ class TestKernelsOnRandomMultigraphs:
         g = bridged_cubic_graph()
         h = MultiGraph(g.n, g.edges)
         assert g == h and g is not h
-        assert bridges(g).host is g and bridges(h).host is h
-        assert bridges(g).mask == bridges(h).mask != 0
+        assert spanning_forest(g) is not spanning_forest(h)
+        assert spanning_forest(g).bridges == spanning_forest(h).bridges != 0
         assert len(walked) == 2 and walked[0] is g and walked[1] is h
 
 

@@ -12,7 +12,6 @@ SRC = pathlib.Path(cdc5.__file__).parent
 PUBLIC_API = [
     "CapacityError",
     "Certificate",
-    "EdgeSet",
     "Graph6Error",
     "InvariantViolationError",
     "MultiGraph",
@@ -21,7 +20,6 @@ PUBLIC_API = [
     "SearchOptions",
     "Sweep",
     "UnsupportedFormatError",
-    "bridges",
     "canonical_masks",
     "enumerate_circuits",
     "find_5cdc_containing",

@@ -11,7 +11,6 @@ import cdc5.flows
 import cdc5.search
 from cdc5 import (
     CapacityError,
-    EdgeSet,
     MultiGraph,
     PreconditionError,
     SearchContext,
@@ -22,6 +21,7 @@ from cdc5 import (
     enumerate_circuits,
     find_5cdc_containing,
     flow_planes,
+    is_even_subgraph,
     spanning_forest,
     verify_certificate,
     write_graph6,
@@ -30,12 +30,14 @@ from cdc5 import (
 from cdc5.certificates import build_certificate
 from cdc5.cover import extend_to_cdc
 from cdc5.cyclespace import EvenLayers, reduced_echelon
+from cdc5.graphs import mask_ids
 from cdc5.search import _c1_order, _overlaps, _split, _sweep_range
 
 from .conftest import sweep_graph
 from .oracles import (
     bridged_cubic_graph,
     complete_graph,
+    edge_mask,
     enumerate_even_subgraphs,
     flower_snark,
     is_circuit,
@@ -57,7 +59,7 @@ def normalized(cert):
 class TestFindOnK4:
     def test_triangle_takes_the_first_candidate(self):
         g = complete_graph(4)
-        triangle = EdgeSet.of(g, [0, 1, 2])
+        triangle = edge_mask(g, [0, 1, 2])
         cert = find_5cdc_containing(g, triangle)
         assert cert is not None
         assert cert.candidates_tried == 1
@@ -70,7 +72,7 @@ class TestFindOnK4:
 
     def test_empty_prescription(self):
         g = complete_graph(4)
-        cert = find_5cdc_containing(g, EdgeSet.empty(g))
+        cert = find_5cdc_containing(g, 0)
         assert cert is not None
         assert cert.c0 == 0
         assert cert.path == "m-empty"
@@ -78,7 +80,7 @@ class TestFindOnK4:
 
 class TestFindOnPetersen:
     def test_outer_pentagon(self, petersen):
-        pentagon = EdgeSet.of(petersen, range(5))
+        pentagon = edge_mask(petersen, range(5))
         cert = find_5cdc_containing(petersen, pentagon)
         assert cert is not None
         assert cert.path == "theorem2"
@@ -90,25 +92,25 @@ class TestFindOnPetersen:
     def test_c1_is_the_pentagon_itself(self, petersen):
         # C1 candidates are ordered by how little they add to c0, so the
         # successful C1 for a pentagon is the pentagon.
-        pentagon = EdgeSet.of(petersen, range(5))
+        pentagon = edge_mask(petersen, range(5))
         cert = find_5cdc_containing(petersen, pentagon)
-        assert cert.c1 == pentagon.mask
+        assert cert.c1 == pentagon
 
     def test_matching_condition_holds(self, petersen):
-        pentagon = EdgeSet.of(petersen, range(5))
+        pentagon = edge_mask(petersen, range(5))
         cert = find_5cdc_containing(petersen, pentagon)
         assert cert.c1 & cert.c2 == cert.matching
         assert loop_is_matching(petersen, cert.matching)
         assert flow_planes(petersen, cert.matching) is not None
 
     def test_deterministic_across_runs(self, petersen):
-        pentagon = EdgeSet.of(petersen, range(5))
+        pentagon = edge_mask(petersen, range(5))
         a = find_5cdc_containing(petersen, pentagon)
         b = find_5cdc_containing(petersen, pentagon)
         assert normalized(a) == normalized(b)
 
     def test_shared_cache_does_not_change_the_answer(self, petersen):
-        pentagon = EdgeSet.of(petersen, range(5))
+        pentagon = edge_mask(petersen, range(5))
         a = find_5cdc_containing(petersen, pentagon)
         b = find_5cdc_containing(petersen, pentagon, context=SearchContext(petersen))
         assert normalized(a) == normalized(b)
@@ -118,33 +120,39 @@ class TestFindPreconditions:
     def test_bridged_host_rejected(self):
         g = bridged_cubic_graph()
         with pytest.raises(PreconditionError):
-            find_5cdc_containing(g, EdgeSet.empty(g))
+            find_5cdc_containing(g, 0)
 
     def test_non_cubic_host_rejected(self):
         g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
         with pytest.raises(PreconditionError):
-            find_5cdc_containing(g, EdgeSet.empty(g))
+            find_5cdc_containing(g, 0)
 
     def test_edgeless_host_rejected(self):
         # The graph with no vertices is cubic, but no cover element of it
         # can contain c0, so it is refused before the search.
         g = MultiGraph(0, [])
         with pytest.raises(PreconditionError):
-            find_5cdc_containing(g, EdgeSet.empty(g))
+            find_5cdc_containing(g, 0)
         with pytest.raises(PreconditionError):
             SearchContext(g)
 
     def test_odd_prescription_rejected(self, petersen):
         g = complete_graph(4)
         with pytest.raises(PreconditionError):
-            find_5cdc_containing(g, EdgeSet.of(g, [0]))
-        path = EdgeSet.of(petersen, [0, 1, 2])  # 0-1-2-3 on the outer 5-cycle
+            find_5cdc_containing(g, edge_mask(g, [0]))
+        path = edge_mask(petersen, [0, 1, 2])  # 0-1-2-3 on the outer 5-cycle
         with pytest.raises(PreconditionError):
             find_5cdc_containing(petersen, path)
 
-    def test_wrong_host_prescription_rejected(self, petersen):
+    @pytest.mark.parametrize("g", [petersen_graph(), flower_snark(5)], ids=["petersen", "j5"])
+    def test_mask_outside_the_edge_range_rejected(self, g):
+        # A mask names no host, so the range of g's edge ids is all there
+        # is to check; a mask past it is refused, not searched.
+        for mask in (-1, 1 << g.m):
+            with pytest.raises(ValueError):
+                is_even_subgraph(g, mask)
         with pytest.raises(ValueError):
-            find_5cdc_containing(petersen, EdgeSet.empty(complete_graph(4)))
+            find_5cdc_containing(g, 1 << g.m)
 
     @pytest.mark.parametrize("g", [theta_multigraph(), random_cubic_multigraph(12, 5)])
     def test_multigraph_rejected_before_the_search(self, g, monkeypatch):
@@ -155,29 +163,25 @@ class TestFindPreconditions:
 
         monkeypatch.setattr("cdc5.search._first_partner", no_search)
         with pytest.raises(UnsupportedFormatError):
-            find_5cdc_containing(g, EdgeSet.empty(g))
+            find_5cdc_containing(g, 0)
         with pytest.raises(UnsupportedFormatError):
-            find_5cdc_containing(g, EdgeSet.empty(g), context=SearchContext(g))
+            find_5cdc_containing(g, 0, context=SearchContext(g))
 
     def test_wrong_cache_rejected(self, petersen):
         with pytest.raises(ValueError):
-            find_5cdc_containing(
-                petersen, EdgeSet.empty(petersen), context=SearchContext(complete_graph(4))
-            )
+            find_5cdc_containing(petersen, 0, context=SearchContext(complete_graph(4)))
 
 
 class TestGuards:
     def test_dimension_guard(self, petersen):
         with pytest.raises(CapacityError):
-            find_5cdc_containing(
-                petersen, EdgeSet.empty(petersen), SearchOptions(dim_guard=5)
-            )
+            find_5cdc_containing(petersen, 0, SearchOptions(dim_guard=5))
 
     def test_context_checks_the_guard_on_every_call(self, petersen):
         # Petersen has dimension 6: a context used under a roomy guard must
         # not let a search through under a tighter one.
         ctx = SearchContext(petersen)
-        empty = EdgeSet.empty(petersen)
+        empty = 0
         roomy = find_5cdc_containing(petersen, empty, SearchOptions(dim_guard=16), ctx)
         want = reference_search(petersen, empty, SearchContext(petersen))
         assert normalized(roomy) == normalized(want)
@@ -202,11 +206,11 @@ class TestGuards:
         j7, j6 = flower_snark(7), flower_snark(6)
         ctx = SearchContext(j7)
         with pytest.raises(CapacityError) as exc:
-            find_5cdc_containing(j7, EdgeSet.empty(j7), SearchOptions(budget_ms=1), ctx)
+            find_5cdc_containing(j7, 0, SearchOptions(budget_ms=1), ctx)
         assert ctx.known_flowless(0)
         # The stop reports the pairs counted, the 2^15 of C1 = ∅ among them.
         assert exc.value.candidates_tried == 1 << 15
-        control = find_5cdc_containing(j6, EdgeSet.empty(j6), SearchOptions(budget_ms=1))
+        control = find_5cdc_containing(j6, 0, SearchOptions(budget_ms=1))
         assert control is not None and control.path == "m-empty"
 
 
@@ -217,7 +221,7 @@ class TestCircuitSweep:
         assert len(rows) == 7
         assert counts["found"] == 7
         assert counts["none"] == 0 and counts["inconclusive"] == 0
-        assert [row["edges"] for row in rows] == [list(c.ids()) for c in enumerate_circuits(g)]
+        assert [row["edges"] for row in rows] == [list(mask_ids(c)) for c in enumerate_circuits(g)]
         for row in rows:
             assert row["certificate"] in certificates
             assert row["edges"] == certificates[row["certificate"]]["c0"]
@@ -327,7 +331,7 @@ class TestSweepSplit:
 
 def reference_canonical(g):
     """The canonical even-subgraph list as a plain sort on edge-id tuples."""
-    return sorted(enumerate_even_subgraphs(g), key=lambda s: (len(s), s.ids()))
+    return sorted(enumerate_even_subgraphs(g), key=lambda s: (s.bit_count(), mask_ids(s)))
 
 
 def reference_c1_list(g, c0, space=None):
@@ -335,14 +339,14 @@ def reference_c1_list(g, c0, space=None):
     whole space (every even subgraph of g, in any order), sorted by (edges
     added to c0, edge-id tuple)."""
     space = space or enumerate_even_subgraphs(g)
-    contain = (s for s in space if c0.mask & ~s.mask == 0)
-    return sorted(contain, key=lambda s: (len(s) - len(c0), s.ids()))
+    contain = (s for s in space if c0 & ~s == 0)
+    return sorted(contain, key=lambda s: ((s & ~c0).bit_count(), mask_ids(s)))
 
 
 def reference_c2_order(c1, canonical):
     """C2 candidates sorted by (intersection with c1, canonical position),
     the latter kept by the stable sort."""
-    return sorted(canonical, key=lambda s: (c1.mask & s.mask).bit_count())
+    return sorted(canonical, key=lambda s: (c1 & s).bit_count())
 
 
 def reference_search(g, c0, context, canonical=None):
@@ -354,16 +358,14 @@ def reference_search(g, c0, context, canonical=None):
     for c1 in reference_c1_list(g, c0, canonical):
         for c2 in reference_c2_order(c1, canonical):
             tried += 1
-            overlap = c1.mask & c2.mask
+            overlap = c1 & c2
             if overlap.bit_count() * 2 > g.n or not loop_is_matching(g, overlap):
                 continue
             planes = context.flow_minus(overlap)
             if planes is None:
                 continue
-            cdc = extend_to_cdc([c1.mask, c2.mask], planes)
-            return build_certificate(
-                context.frame, c0.mask, c1.mask, c2.mask, overlap, cdc, tried, 0
-            )
+            cdc = extend_to_cdc([c1, c2], planes)
+            return build_certificate(context.frame, c0, c1, c2, overlap, cdc, tried, 0)
     return None
 
 
@@ -383,14 +385,14 @@ def search_differences(g, prescriptions, canonical=None):
         got = find_5cdc_containing(g, c0, context=engine)
         certificates.append(got)
         want = reference_search(g, c0, reference, canonical)
-        c1_order = list(_c1_order(orders, c0.mask, lambda: None))
-        same = c1_order == [s.mask for s in reference_c1_list(g, c0, canonical)]
+        c1_order = list(_c1_order(orders, c0, lambda: None))
+        same = c1_order == reference_c1_list(g, c0, canonical)
         same = same and (got is None) == (want is None)
         if same and got is not None:
             same = normalized(got) == normalized(want)
         # Both sides memoize exactly the overlaps whose flow they decided.
         if not same or engine._flows.keys() != reference._flows.keys():
-            differences.append(c0.ids())
+            differences.append(mask_ids(c0))
     return differences, certificates
 
 
@@ -416,12 +418,12 @@ class TestCandidateOrder:
     def test_petersen_and_blanusa_snarks(self, snarks):
         # snarks.g6 holds Petersen, then the two Blanusa snarks.
         for g in snarks[:3]:
-            prescriptions = [EdgeSet.empty(g)] + enumerate_circuits(g)
+            prescriptions = [0] + enumerate_circuits(g)
             assert search_differences(g, prescriptions)[0] == []
 
     def test_flower_snark_j5(self):
         g = flower_snark(5)
-        assert search_differences(g, [EdgeSet.empty(g)] + enumerate_circuits(g))[0] == []
+        assert search_differences(g, [0] + enumerate_circuits(g))[0] == []
 
     def test_shuffled_flower_snark_j7(self):
         # Dimension 15, the size of a find on J7.  The empty prescription
@@ -431,7 +433,7 @@ class TestCandidateOrder:
         rng = random.Random(7)
         circuits = [s for s in rng.sample(canonical, 300) if is_circuit(g, s)]
         assert len(circuits) >= 3
-        prescriptions = [EdgeSet.empty(g)] + circuits[:3]
+        prescriptions = [0] + circuits[:3]
         assert search_differences(g, prescriptions, canonical)[0] == []
 
 
@@ -462,7 +464,7 @@ class TestBasisIndependence:
         assert list(mixed.canonical_order()) == list(plain.canonical_order())
         # Walked last, so the searches above grew both orders lazily.
         for c0 in prescriptions:
-            c1_orders = [list(_c1_order(ctx, c0.mask, lambda: None)) for ctx in (plain, mixed)]
+            c1_orders = [list(_c1_order(ctx, c0, lambda: None)) for ctx in (plain, mixed)]
             assert c1_orders[0] == c1_orders[1]
 
     def test_petersen_every_circuit(self, snarks):
@@ -497,9 +499,8 @@ class TestOverlapBuckets:
                 overlaps[(x & c1).bit_count()].add(x & c1)
             assert [count() * share for count, _ in got] == sizes
             for k, (_, matchings) in enumerate(got):
-                want = [EdgeSet(g, m) for m in overlaps[k]]
-                want = sorted((m for m in want if loop_is_matching(g, m.mask)), key=EdgeSet.ids)
-                assert matchings == [m.mask for m in want]
+                want = sorted((m for m in overlaps[k] if loop_is_matching(g, m)), key=mask_ids)
+                assert matchings == want
 
     def test_catalog(self, catalog):
         # Every even subgraph as C1, so projections of every rank occur,
@@ -510,13 +511,13 @@ class TestOverlapBuckets:
     def test_corpus_and_j5(self, snarks):
         for g in snarks[:3] + [flower_snark(5)]:
             circuits = enumerate_circuits(g)
-            self.assert_buckets(g, [c.mask for c in circuits[:: max(1, len(circuits) // 60)]])
+            self.assert_buckets(g, circuits[:: max(1, len(circuits) // 60)])
 
     def test_a_count_asked_for_runs_under_check_time(self, petersen):
         # The counting programme runs only when a count is asked for, and
         # checks the time as it runs.
         cycles = spanning_forest(petersen).cycles
-        c1 = enumerate_circuits(petersen)[-1].mask
+        c1 = enumerate_circuits(petersen)[-1]
         rows = reduced_echelon(v & c1 for v in cycles)
         whole = canonical_masks(cycles)
         share = 1 << (len(cycles) - len(rows))
@@ -549,7 +550,7 @@ class TestShortEnd:
         whole = canonical_masks(spanning_forest(g).cycles)
         circuits = {}
         for c in enumerate_circuits(g):
-            circuits.setdefault(c.mask.bit_count(), []).append(c.mask)
+            circuits.setdefault(c.bit_count(), []).append(c)
         girth = min(circuits, default=g.m + 1)
         layers = EvenLayers(g)
         for width in range(1, g.m + 1):
@@ -577,7 +578,7 @@ class TestShortEnd:
         g = random_cubic_multigraph(12, 5)
         assert not g.is_simple()
         self.assert_short_end(g)
-        assert min(map(len, enumerate_circuits(g))) == 2  # the girth
+        assert min(c.bit_count() for c in enumerate_circuits(g)) == 2  # the girth
 
     def test_k33(self):
         self.assert_short_end(MultiGraph(6, [(u, v) for u in range(3) for v in range(3, 6)]))

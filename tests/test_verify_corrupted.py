@@ -15,7 +15,7 @@ import copy
 import json
 import os
 
-from cdc5 import EdgeSet, enumerate_circuits, find_5cdc_containing, parse_graph6, verify_certificate
+from cdc5 import enumerate_circuits, find_5cdc_containing, parse_graph6, verify_certificate
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "corrupted_problems.json")
 
@@ -50,7 +50,7 @@ def base_certificates() -> dict[str, dict]:
     out = {}
     for name, g in (("petersen", petersen), ("blanusa", blanusa), ("k4", k4)):
         circuit = enumerate_circuits(g)[len(g.edges) % 7]
-        out[name] = find_5cdc_containing(g, EdgeSet(g, circuit.mask)).to_doc()
+        out[name] = find_5cdc_containing(g, circuit).to_doc()
         out[name]["stats"]["elapsed_ms"] = 0
     # K5 is 4-regular, so its every edge meets four edges at each end: a
     # document over it, with the whole edge set for c0, c1 and both
