@@ -20,11 +20,14 @@ digests recorded in DIGESTS: one over its certificate files, in name
 order (each file's name, a newline, then its text with the elapsed_ms
 values removed), and one over its report.json without its "input" and
 "total_ms" fields (the path as given and the run time), which pins every
-outcome and detail. It prints the counts, the flow decisions made while
-verifying, whether the digests match and the run time, and exits with
-status 1 on any mismatch, flow decision or digest that differs. A change
-that alters the outputs on purpose records the new digest, which the
-failing run prints.
+outcome and detail. It also runs `cdc5 stats --format json` over the
+corpus and over the catalog, in process: stdout must equal
+json.dumps(json.loads(stdout), indent=2) + "\n" byte for byte, and a
+digest in DIGESTS pins it without its "input" field. It prints the counts,
+the flow decisions made while verifying, whether the digests match and the
+run time, and exits with status 1 on any mismatch, flow decision or digest
+that differs. A change that alters the outputs on purpose records the new
+digest, which the failing run prints.
 
 Run it from the root of a source checkout:
 
@@ -62,6 +65,8 @@ SWEEPS = {
     "catalog": (CATALOG, [], 0),
     "guarded corpus": (CORPUS, ["--dim-guard", "10", "--keep-going"], 3),
 }
+# Per stats run: the graph file; `cdc5 stats --format json` must exit 0.
+STATS = {"corpus stats": CORPUS, "catalog stats": CATALOG}
 DIGESTS = {
     "corpus": "2639df6b7e804e5f05949a07162e5c27a8f17ec1a62e94d04af392b5dbbc222b",
     "corpus report": "060cf4a3e6350f31f5ab7ea771e47cfcd965ac32fbf2c936bd79a3b0ce9aff25",
@@ -69,6 +74,8 @@ DIGESTS = {
     "catalog report": "78e03d80b2db37afd89a4a022f7a56ab8d1b7991c6fe4b078fbf47bc52243876",
     "guarded corpus": "cecc05840ceba74aba6bf7ab46203fac258752255e97bd4ba7cf6376a8ebadb3",
     "guarded corpus report": "c1c759fb7d0870c07d0dc15bf28a3ff77b49a56128e062c6b49348636a93df90",
+    "corpus stats": "74f46813b769eda37ea9020365a390a3073146907984dd2555f7c7fb36f10e68",
+    "catalog stats": "3534e1feff813598d5d158328fe3a06eb010f024d0ae82ce63ac8fbec5945350",
 }
 
 
@@ -88,6 +95,21 @@ def pinned_report(path: Path) -> str:
     doc = json.loads(path.read_text(encoding="utf-8"))
     del doc["input"], doc["total_ms"]
     return json.dumps(doc, indent=2)
+
+
+def stats(graph: str) -> tuple[list[str], str]:
+    """Run `cdc5 stats --format json` over graph: (problems, the digest of
+    its stdout without the "input" field)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cdc5_main(["stats", "--graph", graph, "--format", "json"])
+    text = out.getvalue()
+    doc = json.loads(text)
+    problems = [] if code == 0 else [f"stats exited with status {code}, not 0"]
+    if text != json.dumps(doc, indent=2) + "\n":
+        problems.append("stdout: not the json.dumps(..., indent=2) text")
+    del doc["input"]
+    return problems, hashlib.sha256(json.dumps(doc, indent=2).encode("utf-8")).hexdigest()
 
 
 def verify(doc: dict) -> tuple[list[str], int]:
@@ -161,6 +183,9 @@ def main() -> int:
         digests.update({name: digest, f"{name} report": report})
         if not certificates:
             empty.append(name)
+    for name, graph in STATS.items():
+        found, digests[name] = stats(graph)
+        problems += [f"{name}: {line}" for line in found]
     differ = [f"{name} ({digests[name]})" for name in DIGESTS if digests[name] != DIGESTS[name]]
     elapsed = time.monotonic() - started
     print(f"flow decisions while verifying: {decisions}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .cover import coverage_masks, replayed_planes
@@ -32,38 +31,16 @@ PATH_THEOREM = "theorem2"
 PATH_M_EMPTY = "m-empty"
 
 
-def dump_json(value: Any) -> str:
-    """The text of json.dumps(value, indent=2), byte for byte, joined from
-    leaves the C encoder writes (object keys must be strings)."""
-    return _dump(value, "\n")
-
-
-_FIELD = "\n  "  # the line break and indent of a top-level field, as _dump takes it
+_FIELD = "\n  "  # the line break and indent of a top-level field in json.dumps(..., indent=2)
 
 
 def _list(parts: list[str], newline: str) -> str:
-    """The text _dump writes at newline for a list whose members it writes
-    as parts, at newline + "  "."""
+    """The text json.dumps(..., indent=2) writes at newline for a list whose
+    members it writes as parts, at newline + "  "."""
     if not parts:
         return "[]"
     inner = newline + "  "
     return "[" + inner + ("," + inner).join(parts) + newline + "]"
-
-
-def _dump(value: Any, newline: str) -> str:
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        parts = [int.__repr__(x) if type(x) is int else _dump(x, inner) for x in value]
-        return _list(parts, newline)
-    if isinstance(value, dict) and value:
-        parts = [encode_basestring_ascii(k) + ": " + _dump(x, inner) for k, x in value.items()]
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    return json.dumps(value)
 
 
 class CertificateFrame:
@@ -78,9 +55,9 @@ class CertificateFrame:
         self.g = g
         self.graph6 = write_graph6(g)
         self.coverage = (2,) * g.m
-        head = dump_json({"graph6": self.graph6, "n": g.n, "m": g.m, "edges": g.edges})
-        self._head = head[:-2] + ',\n  "c0": '  # without its closing "\n}"
-        self._coverage = _dump(self.coverage, _FIELD)
+        head = {"graph6": self.graph6, "n": g.n, "m": g.m, "edges": g.edges}
+        self._head = json.dumps(head, indent=2)[:-2] + ',\n  "c0": '  # without its closing "\n}"
+        self._coverage = _list(["2"] * g.m, _FIELD)
         self._ids = [str(e) for e in range(g.m)]
 
 
@@ -122,15 +99,14 @@ class Certificate:
         }
 
     def render(self) -> str:
-        """dump_json(self.to_doc()) + "\n", byte for byte, from the frame's
-        text and each mask's ids."""
+        """json.dumps(self.to_doc(), indent=2) + "\n", byte for byte, from
+        the frame's text and each mask's ids."""
         frame, text = self.frame, self.frame._ids
 
         def ids(mask: int, newline: str = _FIELD) -> str:
             return _list([text[e] for e in mask_ids(mask)], newline)
 
         cdc = _list([ids(x, _FIELD + "  ") for x in self.cdc], _FIELD)
-        stats = {"candidates_tried": self.candidates_tried, "elapsed_ms": self.elapsed_ms}
         return "".join((
             frame._head, ids(self.c0),
             ',\n  "c1": ', ids(self.c1),
@@ -138,9 +114,10 @@ class Certificate:
             ',\n  "matching": ', ids(self.matching),
             ',\n  "cdc": ', cdc,
             ',\n  "coverage": ', frame._coverage,
-            ',\n  "path": ', _dump(self.path, _FIELD),
-            ',\n  "stats": ', _dump(stats, _FIELD),
-            "\n}\n",
+            ',\n  "path": "', self.path,
+            '",\n  "stats": {\n    "candidates_tried": ', str(self.candidates_tried),
+            ',\n    "elapsed_ms": ', str(self.elapsed_ms),
+            "\n  }\n}\n",
         ))
 
 

@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Any, Optional
 
-from .certificates import dump_json, verify_certificate
+from .certificates import verify_certificate
 from .cyclespace import enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, PreconditionError, UnsupportedFormatError
 from .flows import has_nz4flow
@@ -294,10 +294,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "aborted": run.aborted,
         "total_ms": int((time.monotonic() - started) * 1000),
     }
-    _write(os.path.join(args.out, "report.json"), dump_json(report) + "\n")
+    text = json.dumps(report, indent=2) + "\n"
+    _write(os.path.join(args.out, "report.json"), text)
 
     if args.format == "json":
-        print(dump_json(report))
+        sys.stdout.write(text)
     else:
         for entry in graph_reports:
             if entry["status"] == "ok":
@@ -368,7 +369,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         rows.append(row)
 
     if args.format == "json":
-        print(dump_json({"command": "stats", "input": args.graph, "graphs": rows}))
+        print(json.dumps({"command": "stats", "input": args.graph, "graphs": rows}, indent=2))
     else:
         for row in rows:
             if "error" in row:

@@ -19,7 +19,10 @@ colors each component on its own, and component_subgraphs gives the
 copies of the components whose colorings it must reproduce.  The exhaustive double-cover search
 (brute_force_cdc), the Gray-code listing of the cycle space
 (enumerate_even_subgraphs) and petersen_graph are used only by the tests
-and scripts, so they live here, not in cdc5.
+and scripts, so they live here, not in cdc5.  isaacs_dot builds snark
+products, and two_factor_cover decides whether a 2-factor lies in a
+5-cycle double cover by labelling the matching it leaves, with no code of
+the cycle space, flow, cover or search layers.
 """
 
 import random
@@ -433,6 +436,130 @@ def brute_force_cdc(
     if search(0, 0, 0, trivially_contained):
         return tuple(masks[j] for j in chosen)
     return None
+
+
+def two_factor_cover(g: MultiGraph, factor: int) -> bool:
+    """Whether the 2-factor `factor` of a simple cubic graph g lies in a
+    cycle double cover of at most five elements, decided by labelling edges
+    and sharing no code with the engine; ValueError when factor is not a
+    2-factor of a cubic g.
+
+    An element containing a 2-factor F is F itself, so the other elements,
+    at most four, cover each edge of F once and each edge of the perfect
+    matching E - F twice.  Label each matching edge with the 2-subset of
+    {1..4} of the elements that hold it, and each edge of F with the one
+    element that holds it.  Every element is even exactly when, along each
+    cycle v_0 ... v_{k-1} of F, with x_i the label of v_i v_{i+1}, the
+    labels {x_{i-1}, x_i} at v_i are the pair of v_i's matching edge.  The
+    search walks the cycles of F one after another.  It picks x_{-1} at the
+    start of each cycle, a pair for each matching edge where the walk first
+    meets it, and checks that pair where the walk meets the edge's other
+    end.  The four labels are interchangeable, so a label not used before
+    is always the least unused one (order of first use).
+    """
+    cycle_nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    matched: list[list[int]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        if factor >> e & 1:
+            cycle_nbrs[u].append(v)
+            cycle_nbrs[v].append(u)
+        else:
+            matched[u].append(e)
+            matched[v].append(e)
+    if any(len(cycle_nbrs[v]) != 2 or len(matched[v]) != 1 for v in range(g.n)):
+        raise ValueError("not a 2-factor of a cubic graph")
+    matching_edge = [es[0] for es in matched]
+    partner = [sum(g.edges[e]) - v for v, e in enumerate(matching_edge)]
+    cycles = []
+    seen: set[int] = set()
+    for start in range(g.n):
+        prev, v, cycle = -1, start, []
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            a, b = cycle_nbrs[v]
+            prev, v = v, (b if a == prev else a)
+        if cycle:
+            cycles.append(cycle)
+
+    def cost(order: list[int]) -> int:
+        """3 to the number of matching edges met once, summed over order:
+        the work the search below takes, as it branches where it meets a
+        matching edge first and prunes where it meets its other end."""
+        met: set[int] = set()
+        total = opened = 0
+        for v in order:
+            met.add(v)
+            opened += -1 if partner[v] in met else 1
+            total += 3**opened
+        return total
+
+    # Any walk order is exact; short cycles first, each turned to keep few
+    # matching edges open, only make it fast.
+    walk: list[int] = []  # the vertices of F, cycle after cycle
+    starts: set[int] = set()  # the positions in walk where a cycle starts
+    for cycle in sorted(cycles, key=len):
+        turns = [c[r:] + c[:r] for c in (cycle, cycle[::-1]) for r in range(len(c))]
+        starts.add(len(walk))
+        walk += min(turns, key=lambda turn: cost(walk + turn))
+    ends = {i - 1 for i in starts if i} | {len(walk) - 1}
+    pair: dict[int, tuple[int, int]] = {}  # matching edge -> its two labels
+
+    def labels(used: int) -> range:
+        """The labels a choice may take when labels 1..used are in use."""
+        return range(1, min(used + 1, 4) + 1)
+
+    def enter(i: int, y: int, start: int, used: int) -> bool:
+        """Extend the labelling at walk[i], entered by an edge labelled y."""
+        e = matching_edge[walk[i]]
+        if e in pair:
+            a, b = pair[e]
+            return y in (a, b) and leave(i, b if a == y else a, start, used)
+        for z in labels(used):
+            if z != y:
+                pair[e] = (y, z)
+                if leave(i, z, start, max(used, z)):
+                    return True
+                del pair[e]
+        return False
+
+    def leave(i: int, x: int, start: int, used: int) -> bool:
+        """Go on from walk[i], left by an edge labelled x."""
+        if i in ends and x != start:
+            return False
+        i += 1
+        if i == len(walk):
+            return True
+        if i in starts:
+            return any(enter(i, s, s, max(used, s)) for s in labels(used))
+        return enter(i, x, start, used)
+
+    return not walk or enter(0, 1, 1, 1)
+
+
+def isaacs_dot(g: MultiGraph, h: MultiGraph) -> MultiGraph:
+    """The Isaacs dot product g . h of two simple cubic graphs.  Let xy be
+    g's first edge, ab h's first edge, and cd h's first edge that has no end
+    in a, b or their neighbours.  Delete x and y from g, and the edges ab
+    and cd from h.  Then join x's other two neighbours, in the order of
+    their edges' ids, to a and to b, and y's to c and to d.  The vertices of
+    g other than x and y keep their order and come first, then h's.  The
+    edges are g's that miss x and y, then h's other than ab and cd, each in
+    their order, and then the four joins.  The product of two snarks is a
+    snark."""
+    x, y = g.edges[0]
+    a, b = h.edges[0]
+    near = {a, b} | {w for u, v in h.edges if {u, v} & {a, b} for w in (u, v)}
+    cd = next(e for e, (u, v) in enumerate(h.edges) if not {u, v} & near)
+    c, d = h.edges[cd]
+    keep = [v for v in range(g.n) if v not in (x, y)]
+    new = {v: i for i, v in enumerate(keep)}
+    shift = len(keep)
+    edges = [(new[u], new[v]) for u, v in g.edges if not {u, v} & {x, y}]
+    edges += [(u + shift, v + shift) for e, (u, v) in enumerate(h.edges) if e not in (0, cd)]
+    joins = [new[u if v == z else v] for z in (x, y) for u, v in g.edges[1:] if z in (u, v)]
+    edges += [(w, end + shift) for w, end in zip(joins, (a, b, c, d))]
+    return MultiGraph(shift + h.n, edges)
 
 
 def graph6_edges(line: str) -> list[tuple[int, int]]:

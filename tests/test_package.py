@@ -84,3 +84,38 @@ def test_no_engine_module_reads_the_environment():
             else:
                 continue
             assert not ENVIRONMENT.intersection(names), path
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind that it never reads.  Naming one
+    in __all__ counts as a use, as the package's __init__ imports names to
+    export them."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(bound - used)
+
+
+def test_no_engine_module_imports_a_name_it_never_uses():
+    for path in sorted(SRC.glob("*.py")):
+        assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == [], path
+
+
+def test_unused_imports_are_found():
+    module = ast.parse(
+        "from json.encoder import encode_basestring_ascii\n"
+        "import os.path, sys as system\n"
+        "from .graphs import MultiGraph, parse_graph6\n"
+        "__all__ = ['parse_graph6']\n"
+        "print(os.sep)\n"
+    )
+    assert unused_imports(module) == ["MultiGraph", "encode_basestring_ascii", "system"]
