@@ -8,7 +8,12 @@ order.  This script runs both on every circuit of tests/data/snarks.g6
 and, on each of 16 seeded relabellings of the flower snark J7
 (tests/oracles.py), on one circuit and on the empty prescription.  J7
 is a snark, so the empty prescription fails with C1 = ∅ and its search
-walks the C1 order past c0.  The script compares the C1 order, c1, c2,
+walks the C1 order past c0.  It also runs both on every 2-factor of the
+Isaacs products P·P and P·B1 of the first two corpus snarks
+(tests/test_snark_products.py): 77 searches, 12 of them "none", whose
+c1 is spanning with |c1| > r, so the engine reads the overlaps of the
+larger sizes from its list of the projection and counts the failing
+buckets there.  The script compares the C1 order, c1, c2,
 candidates_tried, the certificate bytes with elapsed_ms removed, and the
 set of flows each side decided.  It prints the counts and the run time,
 and exits with status 1 when any search differs.
@@ -31,8 +36,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from cdc5 import enumerate_circuits, parse_graph6  # noqa: E402
 from tests.oracles import flower_snark, is_circuit, shuffled  # noqa: E402
 from tests.test_search import reference_canonical, search_differences  # noqa: E402
+from tests.test_snark_products import product, two_factors  # noqa: E402
 
 J7_RELABELLINGS = 16
+# (left, right, name): the Isaacs products of snarks.g6 entries to check
+PRODUCTS = [(0, 0, "P·P"), (0, 1, "P·B1")]
 
 
 def main() -> int:
@@ -40,8 +48,8 @@ def main() -> int:
     checked = 0
     differences = []
     lines = (ROOT / "tests" / "data" / "snarks.g6").read_text(encoding="ascii").split()
-    for index, line in enumerate(lines):
-        g = parse_graph6(line)
+    snarks = [parse_graph6(line) for line in lines]
+    for index, g in enumerate(snarks):
         circuits = enumerate_circuits(g)
         found, _ = search_differences(g, circuits)
         checked += len(circuits)
@@ -57,9 +65,18 @@ def main() -> int:
         found, _ = search_differences(g, [circuit, 0], canonical)
         checked += 1
         differences += [f"J7 relabelling {seed}, prescription {ids}" for ids in found]
+    factors = nones = 0
+    for left, right, name in PRODUCTS:
+        g = product(snarks, left, right)
+        prescriptions = two_factors(g)
+        found, certificates = search_differences(g, prescriptions)
+        factors += len(prescriptions)
+        nones += certificates.count(None)
+        differences += [f"{name} 2-factor {ids}" for ids in found]
     elapsed = time.monotonic() - started
     j7 = checked - corpus
     print(f"corpus circuits: {corpus}, J7 circuits: {j7}, J7 empty prescriptions: {j7}")
+    print(f"product 2-factors: {factors}, of them none: {nones}")
     print(f"differences: {len(differences)}, time: {elapsed:.1f} s")
     for line in differences:
         print(f"  differs: {line}")

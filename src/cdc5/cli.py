@@ -235,7 +235,8 @@ def cmd_find(args: argparse.Namespace) -> int:
         _no_cover(args, "none", "the graph has a bridge, so it has no cycle double cover")
         return EXIT_NEGATIVE
 
-    _make_out(args.out)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise _Fail(EXIT_USAGE, f"cannot use {args.out} as the output directory: not a directory")
     options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
     try:
         cert = find_5cdc_containing(g, c0, options)
@@ -248,6 +249,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         _no_cover(args, "none", "the search space was exhausted without a cover")
         return EXIT_NEGATIVE
 
+    _make_out(args.out)
     path = os.path.join(args.out, "certificate.json")
     _write(path, cert.render())
     if args.format == "json":

@@ -9,25 +9,25 @@ cover then follows in closed form from that flow on G - M (see cover.py).
 Success is therefore always certified, and a None return means the whole
 space was exhausted, a definitive negative.
 
-The pairs are tried in a fixed order (see find_5cdc_containing), but most
-of them are counted rather than listed.  C1 is c0, then c0 joined with
-each even subgraph disjoint from it, read off the canonical order of the
-context, and the C2 walks of that order nest inside this walk.  Whether a
-pair is accepted depends only on M, and for a fixed C1 the C2 sharing one
-overlap M form a coset of 2^(dim - r) members, r being the rank of the
-cycle space projected onto C1's edges.  So a bucket of C2 with no
-acceptable M is skipped by adding its size in closed form, counted only
-then, and the canonical order is walked only inside the first bucket
-that holds a winner.  The walk reads the short end of the order, every
-even subgraph up to some size, which the context grows one size at a
-time from the circuits of the host: below twice the girth an even
-subgraph is a single circuit.  Both parts fall back to closed-form
-lists when a search must go far: the overlaps of a C1 are read from a
-list of the projection once finding them one size at a time has cost
-more than its 2^r members, and the rest of the canonical order is
-listed once the short end reaches twice the girth or growing it gets
-dear.  So a C1 whose buckets all fail costs about what a walk of the
-2^dim order would.
+The pairs are tried in a fixed order (see find_5cdc_containing), but
+most of them are counted rather than listed.  C1 is c0, then c0 joined
+with each even subgraph disjoint from it, read off the canonical order
+of the context, and the C2 walks of that order nest inside this
+walk.  Whether a pair is accepted depends only on M, and for a fixed C1
+the C2 sharing one overlap M form a coset of 2^(dim - r) members, r
+being the rank of the cycle space projected onto C1's edges.  So a bucket
+of C2 with no acceptable M is skipped by adding its size in closed form,
+the number of its overlaps times the coset size, and the canonical order
+is walked only inside the first bucket that holds a winner.  The walk
+reads the short end of the order, every even subgraph up to some size,
+which the context grows one size at a time from the circuits of the
+host: below twice the girth an even subgraph is a single circuit.  Both
+parts fall back to closed-form lists when a search must go far: the
+overlaps of a C1 are read from a list of the projection once listing
+C1's edge subsets one size at a time would cost more than its 2^r
+members, and the rest of the canonical order is listed once the short
+end reaches twice the girth or growing it gets dear.  So a C1 whose
+buckets all fail costs about what a walk of the 2^dim order would.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from math import comb
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .certificates import Certificate, CertificateFrame, build_certificate
@@ -168,67 +169,44 @@ class _Tally:
 
 def _overlaps(
     g: MultiGraph, c1: int, rows: dict[int, int], check_time: Callable[[], None]
-) -> Iterator[tuple[Callable[[], int], list[int]]]:
-    """For k = 0, 1, ..., |c1|: a function that counts the k-edge subsets M
-    of c1 that are the overlap c1 ∩ C2 of some even subgraph C2, and those
-    M that are matchings with 2k <= n, in canonical order.
+) -> Iterator[tuple[int, list[int]]]:
+    """For k = 0, 1, ..., |c1|: the number of k-edge subsets M of c1 that
+    are the overlap c1 ∩ C2 of some even subgraph C2, and those M that are
+    matchings, in canonical order.
 
     rows is the reduced echelon form of the cycle space projected onto c1,
     and M is an overlap exactly when it lies in that projection: when the
     syndromes of its edges sum to zero, a pivot edge's syndrome being the
-    rest of its row and any other edge's the edge itself.  The counts come
-    from a dynamic programme over c1's edges that keeps, per syndrome, how
-    many k-subsets of the edges so far sum to it, one k at a time; at full
-    rank every syndrome is zero and the counts are binomials.  It runs only
-    as far as a count is asked for, and a search asks for a bucket's count
-    only when the bucket fails; counts must be asked for in increasing k.
-    The k-edge matchings are the (k - 1)-edge ones extended by a higher
-    edge, kept when their syndromes sum to zero.  Both are built one k at
-    a time, so a search that wins at a small k pays for small k only.
-    Once their work (sums held, partial matchings built) exceeds the 2^r
-    members of the projection, the projection is listed instead and the
-    remaining sizes are read from it."""
+    rest of its row and any other edge's the edge itself.  The k-subsets
+    of c1 are the (k - 1)-subsets extended by a higher edge, each carrying
+    its syndrome sum and its vertices (-1 once two of its edges meet), so
+    one list per k gives both the count and the matchings, and a search
+    that wins at a small k lists small k only.  Size k holds C(|c1|, k)
+    subsets; once the sizes listed would hold more than the 2^r members of
+    the projection, the projection is listed instead and the remaining
+    sizes are read from it."""
     edges = [e for e in range(g.m) if c1 >> e & 1]
     pivots = sum(1 << p for p in rows)
     syndrome = [rows[e] & ~pivots if e in rows else 1 << e for e in edges]
     ends = [1 << u | 1 << v for u, v in map(g.endpoints, edges)]
     size = len(edges)
     work, projection = 0, 1 << len(rows)
-    # sums[i]: syndrome -> number of level-subsets of edges[:i] with that sum
-    level, sums = 0, [{0: 1}] * (size + 1)
-
-    def count(k: int) -> int:
-        nonlocal work, level, sums
-        while level < k:
-            check_time()
-            below, sums = sums, [{}]
-            for i in range(size):
-                counts = dict(sums[i])
-                for x, c in below[i].items():
-                    y = x ^ syndrome[i]
-                    counts[y] = counts.get(y, 0) + c
-                sums.append(counts)
-            level += 1
-            work += sum(map(len, sums))
-        return sums[size].get(0, 0)
-
-    # (mask, vertices, syndrome sum, next edge index) of the k-edge matchings
-    matchings = [(0, 0, 0, 0)]
+    # (mask, vertices or -1, syndrome sum, next edge index) of the k-subsets
+    subsets = [(0, 0, 0, 0)]
     for k in range(size + 1):
         check_time()
+        work += comb(size, k)
+        if work > projection:
+            break
         if k:
-            shorter, matchings = matchings if 2 * k <= g.n else [], []
+            shorter, subsets = subsets, []
             for mask, verts, total, start in shorter:
                 check_time()
                 for i in range(start, size):
-                    if not verts & ends[i]:
-                        matchings.append(
-                            (mask | 1 << edges[i], verts | ends[i], total ^ syndrome[i], i + 1)
-                        )
-            work += len(matchings)
-            if work > projection:
-                break
-        yield partial(count, k), [mask for mask, _, total, _ in matchings if not total]
+                    covered = -1 if verts & ends[i] else verts | ends[i]
+                    subsets.append((mask | 1 << edges[i], covered, total ^ syndrome[i], i + 1))
+        overlaps = [(mask, verts) for mask, verts, total, _ in subsets if not total]
+        yield len(overlaps), [mask for mask, verts in overlaps if verts >= 0]
     else:
         return
     members: list[list[int]] = [[] for _ in range(size + 1)]
@@ -248,7 +226,7 @@ def _overlaps(
 
     for k in range(k, size + 1):
         check_time()
-        yield partial(len, members[k]), [x for x in members[k] if 2 * k <= g.n and matching(x)]
+        yield len(members[k]), [x for x in members[k] if 2 * k <= g.n and matching(x)]
 
 
 def _walk_bucket(
@@ -291,7 +269,7 @@ def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
         c2 = _walk_bucket(ctx, c1, k, matchings, tally)
         if c2 is not None:
             return c2
-        tally.tried = start + count() * share
+        tally.tried = start + count * share
     return None
 
 

@@ -286,6 +286,17 @@ class TestFind:
         assert code == 2
         assert "output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, code",
+        [(["--edge-ids", "--circuit", "1,3,4,5,6,7,9,10,13,14"], 1), (["--dim-guard", "1"], 3)],
+        ids=["none", "inconclusive"],
+    )
+    def test_answer_without_certificate_makes_no_out(self, petersen_file, tmp_path, extra, code):
+        # A 2-factor of Petersen has no cover; dimension 6 passes guard 1.
+        out = tmp_path / "out"
+        assert main(["find", "--graph", petersen_file, "--out", str(out), *extra]) == code
+        assert not out.exists()
+
 
 class TestVerify:
     def test_roundtrip(self, k4_file, tmp_path, capsys):
