@@ -9,8 +9,8 @@ and, on each of 16 seeded relabellings of the flower snark J7
 (tests/oracles.py), on one circuit and on the empty prescription.  J7
 is a snark, so the empty prescription fails with C1 = ∅ and its search
 walks the C1 order past c0.  It also runs both on every 2-factor of the
-Isaacs products P·P and P·B1 of the first two corpus snarks
-(tests/test_snark_products.py): 77 searches, 12 of them "none", whose
+Isaacs products P·P, P·B1 and P·B2 of the first three corpus snarks
+(tests/test_snark_products.py): 136 searches, 16 of them "none", whose
 c1 is spanning with |c1| > r, so the engine reads the overlaps of the
 larger sizes from its list of the projection and counts the failing
 buckets there.  The script compares the C1 order, c1, c2,
@@ -40,7 +40,7 @@ from tests.test_snark_products import product, two_factors  # noqa: E402
 
 J7_RELABELLINGS = 16
 # (left, right, name): the Isaacs products of snarks.g6 entries to check
-PRODUCTS = [(0, 0, "P·P"), (0, 1, "P·B1")]
+PRODUCTS = [(0, 0, "P·P"), (0, 1, "P·B1"), (0, 2, "P·B2")]
 
 
 def main() -> int:
@@ -68,7 +68,7 @@ def main() -> int:
     factors = nones = 0
     for left, right, name in PRODUCTS:
         g = product(snarks, left, right)
-        prescriptions = two_factors(g)
+        prescriptions = list(two_factors(g))
         found, certificates = search_differences(g, prescriptions)
         factors += len(prescriptions)
         nones += certificates.count(None)

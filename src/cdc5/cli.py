@@ -10,6 +10,7 @@ guard stopped the search before an answer was reached), 4 internal fault
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -59,9 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="re-verify a certificate file")
     p_verify.add_argument("certificate", help="certificate JSON file")
-
+    p_verify.set_defaults(run=cmd_verify)
     p_find = sub.add_parser("find", help="search one graph for one prescribed subgraph")
-    p_find.add_argument("--graph", required=True, help="graph6 file")
+    p_find.set_defaults(run=cmd_find)
+    p_sweep = sub.add_parser("sweep", help="run every circuit of every graph in a file")
+    p_sweep.set_defaults(run=cmd_sweep)
+    p_stats = sub.add_parser("stats", help="summarize the graphs in a file")
+    p_stats.set_defaults(run=cmd_stats)
+    for p in (p_find, p_sweep, p_stats):  # shared flags keep their places in --help
+        p.add_argument("--graph", required=True, help="graph6 file, one graph per line")
     p_find.add_argument("--index", type=int, default=0, help="graph line index (default 0)")
     p_find.add_argument(
         "--circuit",
@@ -73,16 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="interpret --circuit as comma-separated edge identifiers (any even subgraph)",
     )
-    p_find.add_argument("--out", default=".", help="output directory (default .)")
-    p_find.add_argument("--dim-guard", type=_positive_int, default=SearchOptions.dim_guard)
-    p_find.add_argument("--budget-ms", type=_positive_int, default=SearchOptions.budget_ms)
-    p_find.add_argument("--format", choices=("json", "table"), default="table")
-
-    p_sweep = sub.add_parser("sweep", help="run every circuit of every graph in a file")
-    p_sweep.add_argument("--graph", required=True, help="graph6 file, one graph per line")
-    p_sweep.add_argument("--out", default=".", help="output directory (default .)")
-    p_sweep.add_argument("--dim-guard", type=_positive_int, default=SearchOptions.dim_guard)
-    p_sweep.add_argument("--budget-ms", type=_positive_int, default=SearchOptions.budget_ms)
+    for p in (p_find, p_sweep):
+        p.add_argument("--out", default=".", help="output directory (default .)")
+    for p in (p_find, p_sweep, p_stats):
+        p.add_argument("--dim-guard", type=_positive_int, default=SearchOptions.dim_guard)
+    for p in (p_find, p_sweep):
+        p.add_argument("--budget-ms", type=_positive_int, default=SearchOptions.budget_ms)
     p_sweep.add_argument(
         "--workers",
         type=_positive_int,
@@ -94,12 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not stop at the first graph with a definitive negative",
     )
-    p_sweep.add_argument("--format", choices=("json", "table"), default="table")
-
-    p_stats = sub.add_parser("stats", help="summarize the graphs in a file")
-    p_stats.add_argument("--graph", required=True, help="graph6 file")
-    p_stats.add_argument("--dim-guard", type=_positive_int, default=SearchOptions.dim_guard)
-    p_stats.add_argument("--format", choices=("json", "table"), default="table")
+    for p in (p_find, p_sweep, p_stats):
+        p.add_argument("--format", choices=("json", "table"), default="table")
     return parser
 
 
@@ -235,7 +234,10 @@ def cmd_find(args: argparse.Namespace) -> int:
         _no_cover(args, "none", "the graph has a bridge, so it has no cycle double cover")
         return EXIT_NEGATIVE
 
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
+    near = args.out  # refuse before the search an --out that cannot be made
+    while near and not os.path.lexists(near):
+        near = os.path.dirname(near)
+    if not args.out or not os.path.isdir(near or "."):
         raise _Fail(EXIT_USAGE, f"cannot use {args.out} as the output directory: not a directory")
     options = SearchOptions(dim_guard=args.dim_guard, budget_ms=args.budget_ms)
     try:
@@ -282,15 +284,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run = Sweep(lines, options, args.workers, args.keep_going)
     graph_reports: list[dict[str, Any]] = []
     for entry, certificates in run:
-        for name, text in certificates.items():
-            _write(os.path.join(args.out, name), text)
+        for name, cert in certificates.items():
+            _write(os.path.join(args.out, name), cert.render())
         graph_reports.append(entry)
     counts = run.counts
 
     report = {
         "command": "sweep",
         "input": args.graph,
-        "options": {"dim_guard": args.dim_guard, "budget_ms": args.budget_ms},
+        "options": dataclasses.asdict(options),
         "graphs": graph_reports,
         "counts": counts,
         "aborted": run.aborted,
@@ -393,14 +395,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    handlers = {
-        "verify": cmd_verify,
-        "find": cmd_find,
-        "sweep": cmd_sweep,
-        "stats": cmd_stats,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except _Fail as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

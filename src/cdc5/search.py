@@ -326,10 +326,9 @@ def find_5cdc_containing(
 class Sweep:
     """A sweep of the conjecture over a catalog: find_5cdc_containing for
     every circuit of every graph in a list of graph6 lines.  Iterating runs
-    it and yields, per graph, its report entry and the certificate texts
-    of its found circuits (cert.render, in the frame of the range's search
-    context), keyed by file name; counts and aborted hold the totals so
-    far.  A "none" would be a counterexample to the conjecture that every
+    it and yields, per graph, its report entry and the Certificate of each
+    found circuit, keyed by file name; counts and aborted hold the totals
+    so far.  A "none" would be a counterexample to the conjecture that every
     circuit of a bridgeless cubic graph lies in some 5-element cover;
     unless keep_going is set, it stops the sweep after its graph and the
     graphs left are reported skipped.  "inconclusive" records a guard hit,
@@ -358,7 +357,7 @@ class Sweep:
         self.counts = {"found": 0, "none": 0, "inconclusive": 0}
         self.aborted = False
 
-    def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, str]]]:
+    def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, Certificate]]]:
         pool = multiprocessing.Pool(self.processes) if self.processes > 1 else None
         mapper = map if pool is None else pool.imap
         try:
@@ -371,7 +370,7 @@ class Sweep:
 
     def _graph(
         self, gi: int, line: str, mapper: Callable
-    ) -> tuple[dict[str, Any], dict[str, str]]:
+    ) -> tuple[dict[str, Any], dict[str, Certificate]]:
         entry: dict[str, Any] = {"index": gi, "graph6": line}
         if self.aborted:
             entry["status"] = "skipped"
@@ -396,12 +395,11 @@ class Sweep:
         results = [result for part in mapper(_sweep_range, tasks) for result in part]
         rows, certificates = [], {}
         local = {"found": 0, "none": 0, "inconclusive": 0}
-        for ci, (circuit, (outcome, text, detail)) in enumerate(zip(circuits, results)):
-            edges = list(mask_ids(circuit))
-            row: dict[str, Any] = {"index": ci, "edges": edges, "outcome": outcome}
+        for ci, (circuit, (outcome, cert, detail)) in enumerate(zip(circuits, results)):
+            row = {"index": ci, "edges": list(mask_ids(circuit)), "outcome": outcome}
             if outcome == "found":
                 name = f"cert_g{gi:03d}_c{ci:03d}.json"
-                certificates[name] = text
+                certificates[name] = cert
                 row["certificate"] = name
             elif detail:
                 row["detail"] = detail
@@ -427,13 +425,13 @@ def _split(
 
 def _sweep_range(
     task: tuple[MultiGraph, list[int], SearchOptions]
-) -> list[tuple[str, Optional[str], str]]:
-    """(outcome, certificate text, detail) for each circuit of one range,
+) -> list[tuple[str, Optional[Certificate], str]]:
+    """(outcome, certificate, detail) for each circuit of one range,
     searched in order with one search context of its own, so no search
     state outlives the call."""
     g, circuits, options = task
     ctx = SearchContext(g)
-    results: list[tuple[str, Optional[str], str]] = []
+    results: list[tuple[str, Optional[Certificate], str]] = []
     for circuit in circuits:
         try:
             cert = find_5cdc_containing(g, circuit, options, ctx)
@@ -443,5 +441,5 @@ def _sweep_range(
         if cert is None:
             results.append(("none", None, "search space exhausted"))
         else:
-            results.append(("found", cert.render(), ""))
+            results.append(("found", cert, ""))
     return results

@@ -1,4 +1,3 @@
-import json
 import multiprocessing
 import os
 import types
@@ -19,11 +18,11 @@ def read_graph6_lines(name: str) -> list[str]:
 
 def sweep_graph(g, options=None):
     """A sweep of g alone: the graph read back from its graph6 line, whose
-    edge ids the report uses, the report entry and the certificates, parsed
-    from the texts the sweep hands back."""
+    edge ids the report uses, the report entry and the documents of the
+    certificates the sweep hands back."""
     line = write_graph6(g)
     [(entry, certificates)] = Sweep([line], options)
-    docs = {name: json.loads(text) for name, text in certificates.items()}
+    docs = {name: cert.to_doc() for name, cert in certificates.items()}
     return parse_graph6(line), entry, docs
 
 

@@ -482,26 +482,32 @@ def two_factor_cover(g: MultiGraph, factor: int) -> bool:
         if cycle:
             cycles.append(cycle)
 
-    def cost(order: list[int]) -> int:
-        """3 to the number of matching edges met once, summed over order:
-        the work the search below takes, as it branches where it meets a
-        matching edge first and prunes where it meets its other end."""
+    def cost(order: list[int]) -> tuple[int, int]:
+        """The most matching edges met once at any point of order, then 3 to
+        their number summed over order: the work the search below takes, as
+        it branches where it meets a matching edge first and prunes where it
+        meets its other end."""
         met: set[int] = set()
-        total = opened = 0
+        most = total = opened = 0
         for v in order:
             met.add(v)
             opened += -1 if partner[v] in met else 1
-            total += 3**opened
-        return total
+            most, total = max(most, opened), total + 3**opened
+        return most, total
 
-    # Any walk order is exact; short cycles first, each turned to keep few
-    # matching edges open, only make it fast.
+    # Any walk order is exact; taking next the cycle and the turn of it that
+    # keep the fewest matching edges open only makes it fast.
     walk: list[int] = []  # the vertices of F, cycle after cycle
     starts: set[int] = set()  # the positions in walk where a cycle starts
-    for cycle in sorted(cycles, key=len):
-        turns = [c[r:] + c[:r] for c in (cycle, cycle[::-1]) for r in range(len(c))]
+    while cycles:
+        turns = [
+            (c[r:] + c[:r], cycle) for cycle in cycles for c in (cycle, cycle[::-1])
+            for r in range(len(c))
+        ]
+        turn, cycle = min(turns, key=lambda pick: cost(walk + pick[0]))
         starts.add(len(walk))
-        walk += min(turns, key=lambda turn: cost(walk + turn))
+        walk += turn
+        cycles.remove(cycle)
     ends = {i - 1 for i in starts if i} | {len(walk) - 1}
     pair: dict[int, tuple[int, int]] = {}  # matching edge -> its two labels
 

@@ -311,13 +311,16 @@ class TestCertificateFrame:
         assert ctx._flows == {}
 
     def test_serial_and_parallel_sweeps_render_the_same_text(self, catalog_lines):
+        # A parallel sweep's certificates come back through the pool as
+        # objects; rendered, they are the serial sweep's text.
         serial = [certs for _, certs in Sweep(catalog_lines)]
         parallel = [certs for _, certs in Sweep(catalog_lines, workers=2)]
         assert [list(certs) for certs in serial] == [list(certs) for certs in parallel]
         for certs, other in zip(serial, parallel):
-            for name, text in certs.items():
-                assert text == json.dumps(json.loads(text), indent=2) + "\n"
-                assert untimed(text) == untimed(other[name])
+            for name, cert in certs.items():
+                text = cert.render()
+                assert text == json.dumps(cert.to_doc(), indent=2) + "\n"
+                assert untimed(text) == untimed(other[name].render())
 
 
 class TestVerifyCertificate:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import json
 import os
@@ -285,6 +286,24 @@ class TestFind:
         code = main(["find", "--graph", k4_file, "--circuit", "0,1,2", "--out", str(taken)])
         assert code == 2
         assert "output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken/x", "taken/x/y", ""])
+    def test_out_below_a_file_is_refused_before_the_search(
+        self, k4_file, tmp_path, monkeypatch, capsys, out
+    ):
+        # An --out below a plain file, or an empty one, can never be made,
+        # so it is refused before the search, not after it, and nothing is
+        # created.
+        def no_search(*args):
+            raise RuntimeError("the search ran before --out was checked")
+
+        monkeypatch.setattr(cdc5.cli, "find_5cdc_containing", no_search)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("", encoding="ascii")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["find", "--graph", k4_file, "--circuit", "0,1,2", "--out", out]) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "extra, code",
@@ -652,6 +671,26 @@ class TestSweep:
         assert main(["sweep", "--graph", k4_file, "--out", str(taken), "--workers", "1"]) == 2
         assert "output directory" in capsys.readouterr().err
 
+    def test_only_the_command_line_renders(self, petersen_file, tmp_path, monkeypatch, capsys):
+        # A sweep hands back certificates, and cdc5 sweep renders each one
+        # once, as it writes the file.
+        renders = []
+        render = cdc5.certificates.Certificate.render
+
+        def counting(cert):
+            renders.append(cert)
+            return render(cert)
+
+        monkeypatch.setattr(cdc5.certificates.Certificate, "render", counting)
+        [(entry, certificates)] = cdc5.search.Sweep([write_graph6(petersen_graph())])
+        assert len(certificates) == entry["counts"]["found"] == 57
+        assert renders == []
+        out = tmp_path / "out"
+        assert main(["sweep", "--graph", petersen_file, "--out", str(out), "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert len(renders) == 57
+        assert len(list(out.glob("cert_*.json"))) == 57
+
     def test_counterexample_exits_1_and_stops_unless_keep_going(
         self, small_batch_file, tmp_path, monkeypatch, capsys
     ):
@@ -698,6 +737,37 @@ class TestArgumentHandling:
         defaults = cdc5.search.SearchOptions()
         assert args.dim_guard == defaults.dim_guard
         assert getattr(args, "budget_ms", None) == defaults.budget_ms
+        # Each subcommand's whole flag table, in the order --help lists it:
+        # option strings, dest, default, required, choices and type.
+        [subparsers] = [
+            action for action in cdc5.cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        table = [
+            (action.option_strings, action.dest, action.default, action.required,
+             action.choices, getattr(action.type, "__name__", None))
+            for action in subparsers.choices[command]._actions
+        ]
+        positive = "_positive_int"
+        flags = {
+            "help": (["-h", "--help"], "help", argparse.SUPPRESS, False, None, None),
+            "graph": (["--graph"], "graph", None, True, None, None),
+            "index": (["--index"], "index", 0, False, None, "int"),
+            "circuit": (["--circuit"], "circuit", None, False, None, None),
+            "edge-ids": (["--edge-ids"], "edge_ids", False, False, None, None),
+            "out": (["--out"], "out", ".", False, None, None),
+            "dim-guard": (["--dim-guard"], "dim_guard", 16, False, None, positive),
+            "budget-ms": (["--budget-ms"], "budget_ms", None, False, None, positive),
+            "workers": (["--workers"], "workers", os.cpu_count() or 1, False, None, positive),
+            "keep-going": (["--keep-going"], "keep_going", False, False, None, None),
+            "format": (["--format"], "format", "table", False, ("json", "table"), None),
+        }
+        names = {
+            "find": "help graph index circuit edge-ids out dim-guard budget-ms format",
+            "sweep": "help graph out dim-guard budget-ms workers keep-going format",
+            "stats": "help graph dim-guard format",
+        }
+        assert table == [flags[name] for name in names[command].split()]
 
     def test_nonpositive_workers_rejected(self, k4_file, capsys):
         assert main(["sweep", "--graph", k4_file, "--workers", "0"]) == 2

@@ -3,7 +3,9 @@ test modules, so a name removed from either breaks them.  Each is imported
 here by path, which runs its imports but not its main.  The output check
 (byte digests of the sweeps' files), the search-order check (the engine
 against the exhaustive reference search) and the colorer check run
-whole, in process, and must exit 0."""
+whole, in process, and must exit 0.  The product check (the engine
+against the labelling oracle on snark products) takes over a minute, so
+it is imported only."""
 
 import importlib.util
 import json
@@ -28,7 +30,9 @@ def import_script(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["check_outputs", "check_search_order", "check_colourer"])
+@pytest.mark.parametrize(
+    "name", ["check_outputs", "check_search_order", "check_colourer", "check_products"]
+)
 def test_check_script_imports(name):
     assert callable(import_script(name).main)
 

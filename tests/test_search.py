@@ -296,10 +296,9 @@ class TestSweepSplit:
                 tasks = _split(g, circuits, SearchOptions(), workers)
                 results = [result for part in map(_sweep_range, tasks) for result in part]
                 work[workers] = (len(tasks), len(calls))
-                results = [(outcome, json.loads(text), d) for outcome, text, d in results]
-                for _, doc, _ in results:
-                    doc["stats"].pop("elapsed_ms")
-                outcomes[workers] = results
+                outcomes[workers] = [
+                    (outcome, cert and normalized(cert), d) for outcome, cert, d in results
+                ]
             serial = work[1][1]
             assert serial > 0
             for ranges, colourings in work.values():
@@ -315,10 +314,7 @@ class TestSweepSplit:
         # two workers on one CPU make no pool.
         def run(workers):
             [(entry, certificates)] = Sweep([write_graph6(petersen)], workers=workers)
-            docs = {name: json.loads(text) for name, text in certificates.items()}
-            for doc in docs.values():
-                doc["stats"].pop("elapsed_ms")
-            return entry, docs
+            return entry, {name: normalized(cert) for name, cert in certificates.items()}
 
         serial = run(1)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -520,7 +516,7 @@ class TestOverlapBuckets:
         # members of the projection, so sizes 4 to 18 are read from it.
         g = product(snarks, 0, 0)
         cycles = spanning_forest(g).cycles
-        factors = two_factors(g)
+        factors = list(two_factors(g))
         ranks = {(c1.bit_count(), len(reduced_echelon(v & c1 for v in cycles))) for c1 in factors}
         assert ranks == {(18, 10)}
         self.assert_buckets(g, factors)

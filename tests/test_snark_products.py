@@ -38,20 +38,18 @@ def product(snarks, left, right):
 
 def two_factors(g):
     """The complements of g's perfect matchings, each matching grown at the
-    lowest vertex it does not cover yet."""
-    found = []
+    lowest vertex it does not cover yet, generated in that order."""
 
     def grow(covered, matching):
         if covered == (1 << g.n) - 1:
-            found.append(((1 << g.m) - 1) & ~matching)
+            yield ((1 << g.m) - 1) & ~matching
             return
         v = (~covered & (covered + 1)).bit_length() - 1
         for e, (a, b) in enumerate(g.edges):
             if v in (a, b) and not covered >> a & 1 and not covered >> b & 1:
-                grow(covered | 1 << a | 1 << b, matching | 1 << e)
+                yield from grow(covered | 1 << a | 1 << b, matching | 1 << e)
 
-    grow(0, 0)
-    return found
+    return grow(0, 0)
 
 
 def test_oracle_agrees_with_the_exhaustive_search(catalog):
@@ -65,9 +63,12 @@ def test_oracle_agrees_with_the_exhaustive_search(catalog):
     assert (len(answers), answers.count(False)) == (51, 6)
 
 
-# snarks.g6 holds Petersen (P), then the Blanusa snarks (B1 at index 1).
+# snarks.g6 holds Petersen (P), then the Blanusa snarks (B1 and B2 at
+# indices 1 and 2).
 @pytest.mark.parametrize(
-    "left, right, dim, factors, nones", [(0, 0, 10, 20, 4), (0, 1, 14, 57, 8)], ids=["P.P", "P.B1"]
+    "left, right, dim, factors, nones",
+    [(0, 0, 10, 20, 4), (0, 1, 14, 57, 8), (0, 2, 14, 59, 4)],
+    ids=["P.P", "P.B1", "P.B2"],
 )
 def test_every_two_factor_agrees_with_the_labelling_oracle(snarks, left, right, dim, factors, nones):
     g = product(snarks, left, right)
