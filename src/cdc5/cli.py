@@ -22,7 +22,7 @@ from .certificates import verify_certificate
 from .cyclespace import enumerate_circuits, is_even_subgraph
 from .errors import CapacityError, Graph6Error, PreconditionError, UnsupportedFormatError
 from .flows import has_nz4flow
-from .graphs import MultiGraph, mask_ids, parse_graph6, spanning_forest
+from .graphs import GRAPH6_HEADER, MultiGraph, mask_ids, parse_graph6, spanning_forest
 from .search import SearchOptions, Sweep, find_5cdc_containing
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def _graph_lines(path: str) -> list[str]:
         line = line.strip()
         if not line:
             continue
-        if line.startswith(">") and not line.startswith(">>graph6<<"):
+        if line.startswith(">") and not line.startswith(GRAPH6_HEADER):
             continue
         lines.append(line)
     return lines

@@ -12,8 +12,6 @@ subgraph such as G - M is a mask over G's own edges.
 
 from __future__ import annotations
 
-from binascii import a2b_base64
-from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Graph6Error, UnsupportedFormatError
@@ -158,26 +156,27 @@ def vertex_faults(g: MultiGraph, masks: Sequence[int]) -> tuple[int, int, int]:
 
 # ---------------------------------------------------------------------------
 # graph6 (short form, n <= 62)
+#
+# A line is the byte 63 + n and then the payload.  Pair (u, v), u < v, is
+# bit i = v(v-1)/2 + u, in payload byte i // 6 under weight 32 >> i % 6,
+# and each payload byte is 63 plus its six bits.  The bits past the last
+# pair, the low bits of the last byte, are 0.
 
-_G6_HEADER = ">>graph6<<"
-# Each payload byte 63..126 holds six bits, as a base64 digit does.
-_G6_DIGITS = bytes(range(63, 127))
-_G6_AS_BASE64 = bytes.maketrans(
-    _G6_DIGITS, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-)
+GRAPH6_HEADER = ">>graph6<<"
+_G6_SET_BITS = tuple(tuple(j for j in range(6) if x & 32 >> j) for x in range(64))
 
 
 def parse_graph6(text: str) -> MultiGraph:
-    """Parse one graph6 line into a MultiGraph.
+    """Parse one graph6 line, laid out as the comment above says, into a
+    MultiGraph.
 
-    Edge identifiers follow the column-major upper-triangle order of the
-    encoding: (0,1), (0,2), (1,2), (0,3), ...  Only the short form is
-    accepted (n <= 62); malformed input raises Graph6Error with the byte
-    offset of the problem.
+    Edge identifiers follow the order of the bits: (0,1), (0,2), (1,2),
+    (0,3), ...  Only the short form is accepted (n <= 62); malformed input
+    raises Graph6Error with the byte offset of the problem.
     """
     s = text.strip()
-    if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):]
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -197,53 +196,43 @@ def parse_graph6(text: str) -> MultiGraph:
             f"expected {need} payload bytes for n={n}, got {len(data) - 1}",
             offset=min(len(data), need + 1),
         )
-    payload = data[1:]
-    bad = payload.translate(None, _G6_DIGITS)
-    if bad:
-        i = payload.index(bad[0]) + 1
-        raise Graph6Error(f"payload byte {data[i]} outside graph6 range", offset=i)
-    fill = -need % 4  # base64 decodes whole groups of four digits
-    digits = payload.translate(_G6_AS_BASE64) + b"A" * fill
-    stream = int.from_bytes(a2b_base64(digits), "big") >> 6 * fill
+    edges = []
+    v = 1
+    first = 0  # column v's pairs are bits first .. first + v - 1
+    for k in range(need):
+        bits = data[k + 1] - 63
+        if not 0 <= bits < 64:
+            raise Graph6Error(f"payload byte {data[k + 1]} outside graph6 range", offset=k + 1)
+        for j in _G6_SET_BITS[bits]:
+            i = 6 * k + j
+            while i >= first + v:
+                first += v
+                v += 1
+            edges.append((i - first, v))
     pad = 6 * need - nbits
-    if pad and stream & ((1 << pad) - 1):
+    if data[-1] - 63 & (1 << pad) - 1:
         raise Graph6Error("nonzero padding bits", offset=len(data) - 1)
-    edges = []  # set bits, highest first; pair (u, v) is bit v(v-1)/2 + u from the top
-    while stream:
-        p = stream.bit_length() - 1
-        stream ^= 1 << p
-        i = 6 * need - 1 - p
-        v = (1 + isqrt(1 + 8 * i)) // 2
-        edges.append((i - v * (v - 1) // 2, v))
     return MultiGraph(n, edges)
 
 
 def write_graph6(g: MultiGraph) -> str:
-    """Encode a simple graph with n <= 62 as a graph6 line.
+    """Encode a simple graph with n <= 62 as a graph6 line, laid out as the
+    comment above says.
 
     parse_graph6(write_graph6(g)) recovers g up to edge-id order, and
     write_graph6(parse_graph6(s)) == s byte for byte.
     """
-    check_graph6_writable(g)
-    nbits = g.n * (g.n - 1) // 2
-    need = (nbits + 5) // 6
-    stream = 0  # pair (u, v), u < v, is bit v(v-1)/2 + u from the top
-    for u, v in g.edges:
-        if u > v:
-            u, v = v, u
-        stream |= 1 << (6 * need - 1 - v * (v - 1) // 2 - u)
-    out = [g.n + 63]
-    for k in range(need - 1, -1, -1):
-        out.append((stream >> 6 * k & 63) + 63)
-    return bytes(out).decode("ascii")
-
-
-def check_graph6_writable(g: MultiGraph) -> None:
-    """Raise UnsupportedFormatError unless write_graph6 can encode g."""
     if g.n > 62:
         raise UnsupportedFormatError(f"graph6 short form needs n <= 62, got {g.n}")
     if not g.is_simple():
         raise UnsupportedFormatError("graph6 cannot represent loops or parallel edges")
+    groups = [0] * ((g.n * (g.n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        if u > v:
+            u, v = v, u
+        i = v * (v - 1) // 2 + u
+        groups[i // 6] |= 32 >> i % 6
+    return bytes([x + 63 for x in [g.n, *groups]]).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,15 @@ def graph6_edges(line: str) -> list[tuple[int, int]]:
     return [pair for pair, bit in zip(pairs, bits) if bit == "1"]
 
 
+def graph6_line(n: int, pairs: set[tuple[int, int]]) -> str:
+    """The short-form graph6 line of the pairs (u, v), u < v, on n
+    vertices: one bit per vertex pair in column-major upper-triangle order,
+    padded with zeros to whole six-bit characters."""
+    bits = "".join("1" if (u, v) in pairs else "0" for v in range(1, n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + n) + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
+
+
 def three_colorable(g: MultiGraph) -> bool:
     """Whether a proper 3-edge-coloring exists, by trying all 3^m
     assignments.  The host must be loop-free (a loop meets its vertex

@@ -24,6 +24,7 @@ from .oracles import (
     complete_graph,
     edge_mask,
     graph6_edges,
+    graph6_line,
     loop_is_even_subgraph,
     loop_is_flow,
     loop_is_matching,
@@ -214,6 +215,15 @@ class TestVertexFaults:
         assert is_flow(g, 0, 0b100001, 0b011110) == loop_is_flow(g, 0, 0b100001, 0b011110)
 
 
+def random_pair_sets(rng: random.Random, count: int):
+    """count random vertex-pair sets (u < v) on n = 0..62 vertices, each
+    pair kept with probability 1/2 to 1/32, so sparser graphs come too."""
+    for _ in range(count):
+        n = rng.randint(0, 62)
+        keep = 0.5 ** rng.randint(1, 5)
+        yield n, {(u, v) for v in range(1, n) for u in range(v) if rng.random() < keep}
+
+
 class TestGraph6:
     def test_k4_parses_from_c_tilde(self):
         g = parse_graph6("C~")
@@ -248,21 +258,18 @@ class TestGraph6:
         )
 
     def test_edges_match_the_per_pair_reading(self):
-        rng = random.Random(6)
-        for _ in range(3000):
-            n = rng.randint(0, 62)
-            nbits = n * (n - 1) // 2
-            stream = rng.getrandbits(nbits)
-            for _ in range(rng.randint(0, 4)):  # sparser graphs too
-                stream &= rng.getrandbits(nbits)
-            need = (nbits + 5) // 6
-            stream <<= 6 * need - nbits
-            line = chr(63 + n) + "".join(
-                chr(63 + (stream >> 6 * (need - 1 - i) & 63)) for i in range(need)
-            )
+        for n, pairs in random_pair_sets(random.Random(6), 3000):
+            line = graph6_line(n, pairs)
             g = parse_graph6(line)
             assert g.n == n
             assert list(g.edges) == graph6_edges(line)
+
+    def test_write_matches_the_per_pair_encoding(self):
+        rng = random.Random(7)
+        for n, pairs in random_pair_sets(rng, 3000):
+            edges = [p if rng.random() < 0.5 else p[::-1] for p in sorted(pairs)]
+            rng.shuffle(edges)
+            assert write_graph6(MultiGraph(n, edges)) == graph6_line(n, pairs)
 
     def test_empty_input_rejected(self):
         with pytest.raises(Graph6Error) as exc:
@@ -274,29 +281,33 @@ class TestGraph6:
             parse_graph6("~??~?????")
 
     def test_bad_header_byte(self):
-        with pytest.raises(Graph6Error) as exc:
-            parse_graph6("\x1e")
-        assert exc.value.offset == 0
+        for line in ("!", "\x7f"):
+            with pytest.raises(Graph6Error, match="header byte .* outside graph6 range") as exc:
+                parse_graph6(line)
+            assert exc.value.offset == 0
 
     def test_truncated_payload(self):
-        with pytest.raises(Graph6Error):
-            parse_graph6("C")
-        with pytest.raises(Graph6Error):
-            parse_graph6("C~~")
+        for line, offset in (("C", 1), ("C~~", 2)):
+            with pytest.raises(Graph6Error, match="expected 1 payload bytes") as exc:
+                parse_graph6(line)
+            assert exc.value.offset == offset
 
     def test_payload_byte_out_of_range(self):
-        with pytest.raises(Graph6Error) as exc:
-            parse_graph6("C\x1e")
-        assert exc.value.offset == 1
+        for line in ("C!", "C\x7f"):
+            with pytest.raises(Graph6Error, match="payload byte .* outside graph6 range") as exc:
+                parse_graph6(line)
+            assert exc.value.offset == 1
 
     def test_nonzero_padding_rejected(self):
         # n=3 uses 3 bits plus 3 padding bits; 'F' = 63 + 0b000111.
-        with pytest.raises(Graph6Error):
+        with pytest.raises(Graph6Error, match="nonzero padding bits") as exc:
             parse_graph6("BF")
+        assert exc.value.offset == 1
 
     def test_non_ascii_rejected(self):
-        with pytest.raises(Graph6Error):
+        with pytest.raises(Graph6Error, match="non-ASCII") as exc:
             parse_graph6("Bé")
+        assert exc.value.offset == 1
 
     def test_multigraph_not_writable(self):
         with pytest.raises(UnsupportedFormatError):
