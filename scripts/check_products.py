@@ -91,7 +91,7 @@ def main() -> int:
     differences = []
     high = 0
     for name, g, limit, dim_guard in runs:
-        dim = len(spanning_forest(g).chords)
+        dim = len(spanning_forest(g).cycles)
         factors = itertools.islice(two_factors(g), limit)
         count, nones, engine, oracle, problems = check(g, factors, dim_guard)
         high += nones if dim >= 11 else 0

@@ -352,7 +352,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             rows.append(row)
             had_error = True
             continue
-        dim = len(spanning_forest(g).chords)
+        dim = len(spanning_forest(g).cycles)
         row.update(
             n=g.n,
             m=g.m,

@@ -244,8 +244,7 @@ class Forest(NamedTuple):
 
     bridges: int  # the bridge mask
     components: tuple[tuple[int, ...], ...]  # each root's vertices, in the order reached
-    chords: tuple[int, ...]  # the non-loop edges outside the forest, ascending
-    cycles: tuple[int, ...]  # the mask of each chord's fundamental cycle
+    cycles: tuple[int, ...]  # the fundamental cycle of each chord, in ascending chord order
 
 
 def spanning_forest(g: MultiGraph) -> Forest:
@@ -281,12 +280,11 @@ def _walk_forest(g: MultiGraph) -> Forest:
                     tree |= 1 << e
                     queue.append(x)
         components.append(tuple(queue))
-    chords, cycles = [], []
+    cycles = []
     covered = 0
     for e, (u, w) in enumerate(edges):
         if u != w and not tree >> e & 1:
             cycle = path[u] ^ path[w] | 1 << e
-            chords.append(e)
             cycles.append(cycle)
             covered |= cycle
-    return Forest(tree & ~covered, tuple(components), tuple(chords), tuple(cycles))
+    return Forest(tree & ~covered, tuple(components), tuple(cycles))

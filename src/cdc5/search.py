@@ -10,29 +10,33 @@ Success is therefore always certified, and a None return means the whole
 space was exhausted, a definitive negative.
 
 The pairs are tried in a fixed order (see find_5cdc_containing), but
-most of them are counted rather than listed.  C1 is c0, then c0 joined
-with each even subgraph disjoint from it, read off the canonical order
-of the context, and the C2 walks of that order nest inside this
-walk.  Whether a pair is accepted depends only on M, and for a fixed C1
-the C2 sharing one overlap M form a coset of 2^(dim - r) members, r
-being the rank of the cycle space projected onto C1's edges.  So a bucket
-of C2 with no acceptable M is skipped by adding its size in closed form,
-the number of its overlaps times the coset size, and the canonical order
-is walked only inside the first bucket that holds a winner.  The walk
-reads the short end of the order, every even subgraph up to some size,
-which the context grows one size at a time from the circuits of the
-host: below twice the girth an even subgraph is a single circuit.  Both
-parts fall back to closed-form lists when a search must go far: the
-overlaps of a C1 are read from a list of the projection once listing
-C1's edge subsets one size at a time would cost more than its 2^r
-members, and the rest of the canonical order is listed once the short
-end reaches twice the girth or growing it gets dear.  So a C1 whose
-buckets all fail costs about what a walk of the 2^dim order would.
+most of them are counted rather than listed.  Whether a pair is accepted
+depends only on M, and for a fixed C1 the C2 sharing one overlap M form
+a coset of 2^(dim - r) members, r being the rank of the cycle space
+projected onto C1's edges.  So a bucket of C2 with no acceptable M is
+skipped by adding its size in closed form, the number of its overlaps
+times the coset size, and the canonical order of the context is walked
+only inside the first bucket that holds a winner.  The walk reads the
+short end of the order, every even subgraph up to some size, which the
+context grows one size at a time from the circuits of the host: below
+twice the girth an even subgraph is a single circuit.  Both parts fall
+back to closed-form lists when a search must go far: the overlaps of a
+C1 are read from a list of the projection once listing C1's edge subsets
+one size at a time would cost more than its 2^r members, and the rest of
+the canonical order is listed once the short end reaches twice the girth
+or growing it gets dear.  So a C1 whose buckets all fail costs about
+what a walk of the 2^dim order would.
+
+C1 is c0, then c0 joined with each nonempty even subgraph disjoint from
+it, read off the same order, and the C2 walks nest inside this walk.
+Those subgraphs are the ones projected to zero on c0's edges, 2^(dim - r)
+with the empty one for r the rank at c0, so the C1 walk stops once c0's
+own space is used up: a 2-factor (r = dim) is its only C1, and its C1
+walk reads nothing of the order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -94,13 +98,14 @@ class SearchContext:
 
     The short end starts at the empty set and grows by one size whenever a
     walk of the order passes it, so its cost follows the searches made,
-    not 2^dim.  Walks may nest: each resumes after what it has yielded.
-    Below twice the girth every even subgraph is a circuit, so a size is
-    the circuits of that length (cyclespace.EvenLayers).  The rest of the
-    order is listed in closed form by cyclespace.canonical_masks once the
-    next size reaches twice the girth, or once the circuit search for one
-    size has visited more than 2^dim / 8 paths (a path of the search costs
-    about eight times a member of that list)."""
+    not 2^dim.  Walks may nest, as a search's C2 walks nest in its C1 walk
+    until that walk stops at c0's own space: each resumes after what it
+    has yielded.  Below twice the girth every even subgraph is a circuit,
+    so a size is the circuits of that length (cyclespace.EvenLayers).  The
+    rest of the order is listed in closed form by cyclespace.canonical_masks
+    once the next size reaches twice the girth, or once the circuit search
+    for one size has visited more than 2^dim / 8 paths (a path of the
+    search costs about eight times a member of that list)."""
 
     def __init__(self, g: MultiGraph):
         _check_search_host(g)
@@ -149,10 +154,6 @@ class SearchContext:
         if drop not in self._flows:
             self._flows[drop] = flow_planes(self.g, drop)
         return self._flows[drop]
-
-    def known_flowless(self, drop: int) -> bool:
-        """Whether G - drop (a mask) is already known to have no flow."""
-        return drop in self._flows and self._flows[drop] is None
 
 
 class _Tally:
@@ -229,46 +230,36 @@ def _overlaps(
         yield len(members[k]), [x for x in members[k] if 2 * k <= g.n and matching(x)]
 
 
-def _walk_bucket(
-    ctx: SearchContext, c1: int, k: int, matchings: list[int], tally: _Tally
-) -> Optional[int]:
-    """The first C2 in canonical order with |c1 ∩ C2| = k whose overlap is
-    a matching with a flow, counting the bucket's members up to it; None
-    when the bucket holds no such C2.
-
-    Flows are decided in the order the walk meets the overlaps, as an
-    exhaustive walk would decide them, and the walk goes on until it meets
-    a winner or has met every matching whose flow is not known to be
-    missing.  So it decides exactly the flows the exhaustive order decides,
-    and a bucket whose matchings are all known to fail is not walked."""
-    pending = {m for m in matchings if not ctx.known_flowless(m)}
-    if not pending:
-        return None
-    for c2 in ctx.canonical_order(tally.check_time):
-        m = c1 & c2
-        if m.bit_count() != k:
-            continue
-        tally.check_time()
-        tally.tried += 1
-        if m in pending:
-            if ctx.flow_minus(m) is not None:
-                return c2
-            pending.discard(m)
-            if not pending:
-                return None
-    raise InvariantViolationError("an overlap of the cycle space was never met")
-
-
 def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
     """The first C2 accepted with c1, in the engine's order, with every pair
-    passed over counted in tally; None after all 2^dim of them."""
+    passed over counted in tally; None after all 2^dim of them.
+
+    Bucket k, the C2 with |c1 ∩ C2| = k, is walked in canonical order, each
+    member counted, and its flows are decided as the walk meets the
+    overlaps, until it meets a winner or every matching whose flow is not
+    known to be missing: exactly the flows an exhaustive walk decides.  A
+    bucket without a winner counts as its count × share members, and one
+    whose matchings are all known to fail is not walked."""
     rows = reduced_echelon(v & c1 for v in ctx.cycles)
     share = 1 << (len(ctx.cycles) - len(rows))
     for k, (count, matchings) in enumerate(_overlaps(ctx.g, c1, rows, tally.check_time)):
         start = tally.tried
-        c2 = _walk_bucket(ctx, c1, k, matchings, tally)
-        if c2 is not None:
-            return c2
+        pending = {m for m in matchings if m not in ctx._flows or ctx._flows[m] is not None}
+        if pending:
+            for c2 in ctx.canonical_order(tally.check_time):
+                m = c1 & c2
+                if m.bit_count() != k:
+                    continue
+                tally.check_time()
+                tally.tried += 1
+                if m in pending:
+                    if ctx.flow_minus(m) is not None:
+                        return c2
+                    pending.discard(m)
+                    if not pending:
+                        break
+            else:
+                raise InvariantViolationError("an overlap of the cycle space was never met")
         tally.tried = start + count * share
     return None
 
@@ -276,11 +267,17 @@ def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
 def _c1_order(ctx: SearchContext, c0: int, check_time: Callable[[], None]) -> Iterator[int]:
     """The even subgraphs containing c0 in canonical order: c0, then, once
     c0 has failed, c0 | d for each nonempty even d disjoint from c0 in the
-    order of d, which is theirs since c0 is common to all of them."""
+    order of d, which is theirs since c0 is common to all of them.  The
+    filter stops after the 2^(dim - r) - 1 such d, r being the rank of the
+    projection onto c0, so a 2-factor (r = dim) reads nothing of the order."""
     yield c0
-    for d in ctx.canonical_order(check_time):
+    left = (1 << (len(ctx.cycles) - len(reduced_echelon(v & c0 for v in ctx.cycles)))) - 1
+    order = ctx.canonical_order(check_time)
+    while left:
+        d = next(order)
         if d and not d & c0:
             yield c0 | d
+            left -= 1
 
 
 def find_5cdc_containing(
@@ -358,6 +355,7 @@ class Sweep:
         self.aborted = False
 
     def __iter__(self) -> Iterator[tuple[dict[str, Any], dict[str, Certificate]]]:
+        import multiprocessing  # only a sweep of more than one process needs it
         pool = multiprocessing.Pool(self.processes) if self.processes > 1 else None
         mapper = map if pool is None else pool.imap
         try:

@@ -47,12 +47,15 @@ def test_public_api_is_pinned():
 
 def test_import_loads_no_oracle():
     # A fresh interpreter, so no test module has imported anything yet.
+    # Only a sweep of more than one process needs multiprocessing, so the
+    # CLI does not load it on import either.
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, cdc5; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", "import sys, cdc5.cli; print(*sorted(sys.modules))"],
         cwd=SRC.parent, check=True, capture_output=True, text=True,
     ).stdout
     modules = out.split()
     assert "cdc5.search" in modules and "cdc5.oracle" not in modules
+    assert "multiprocessing" not in modules
     assert not (SRC / "oracle.py").exists()
 
 
@@ -111,6 +114,50 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def test_no_engine_module_imports_a_name_it_never_uses():
     for path in sorted(SRC.glob("*.py")):
         assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == [], path
+
+
+def unreferenced_private_names(trees: list[ast.Module]) -> list[str]:
+    """The private names (one leading underscore) that the modules define
+    at module level, as functions, classes or constants, and that no
+    module reads, by name or as an attribute."""
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - used)
+
+
+def test_no_engine_module_defines_a_private_name_it_never_uses():
+    # A helper left behind when its callers are folded away fails here.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_names(trees) == []
+
+
+def test_unreferenced_private_names_are_found():
+    modules = [
+        ast.parse(
+            "_LIMIT = 3\n"
+            "_table: dict = {}\n"
+            "def _helper(): return _LIMIT\n"
+            "def _orphan(): pass\n"
+            "class _Gone: pass\n"
+            "__all__ = []\n"
+        ),
+        ast.parse("from . import a\nprint(a._helper())\n"),
+    ]
+    assert unreferenced_private_names(modules) == ["_Gone", "_orphan", "_table"]
 
 
 def test_unused_imports_are_found():

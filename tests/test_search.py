@@ -208,7 +208,7 @@ class TestGuards:
         ctx = SearchContext(j7)
         with pytest.raises(CapacityError) as exc:
             find_5cdc_containing(j7, 0, SearchOptions(budget_ms=1), ctx)
-        assert ctx.known_flowless(0)
+        assert 0 in ctx._flows and ctx._flows[0] is None
         # The stop reports the pairs counted, the 2^15 of C1 = ∅ among them.
         assert exc.value.candidates_tried == 1 << 15
         control = find_5cdc_containing(j6, 0, SearchOptions(budget_ms=1))
@@ -413,14 +413,18 @@ class TestCandidateOrder:
         assert outcomes == {"none", "c0", "other"}
 
     def test_petersen_and_blanusa_snarks(self, snarks):
-        # snarks.g6 holds Petersen, then the two Blanusa snarks.
+        # snarks.g6 holds Petersen, then the two Blanusa snarks.  Every even
+        # c0, so the C1 order is compared for every rank of c0's projection.
         for g in snarks[:3]:
-            prescriptions = [0] + enumerate_circuits(g)
-            assert search_differences(g, prescriptions)[0] == []
+            canonical = reference_canonical(g)
+            assert search_differences(g, canonical, canonical)[0] == []
 
     def test_flower_snark_j5(self):
         g = flower_snark(5)
-        assert search_differences(g, [0] + enumerate_circuits(g))[0] == []
+        canonical = reference_canonical(g)
+        evens = random.Random(5).sample(canonical, 8)
+        prescriptions = [0] + enumerate_circuits(g) + evens
+        assert search_differences(g, prescriptions, canonical)[0] == []
 
     def test_shuffled_flower_snark_j7(self):
         # Dimension 15, the size of a find on J7.  The empty prescription
@@ -430,8 +434,17 @@ class TestCandidateOrder:
         rng = random.Random(7)
         circuits = [s for s in rng.sample(canonical, 300) if is_circuit(g, s)]
         assert len(circuits) >= 3
-        prescriptions = [0] + circuits[:3]
+        prescriptions = [0] + circuits[:3] + rng.sample(canonical, 3)
         assert search_differences(g, prescriptions, canonical)[0] == []
+
+    def test_two_factor_c1_order_reads_nothing_of_the_order(self, snarks):
+        # A 2-factor's projection has rank dim, so no nonempty even subgraph
+        # misses it: the C1 order is c0 alone and grows no order.
+        g = product(snarks, 0, 0)
+        for c0 in two_factors(g):
+            ctx = SearchContext(g)
+            assert list(_c1_order(ctx, c0, lambda: None)) == [c0]
+            assert ctx._order == [0]
 
 
 def mixed_basis(cycles):

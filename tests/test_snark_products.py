@@ -72,16 +72,23 @@ def test_oracle_agrees_with_the_exhaustive_search(catalog):
 )
 def test_every_two_factor_agrees_with_the_labelling_oracle(snarks, left, right, dim, factors, nones):
     g = product(snarks, left, right)
-    assert g.is_cubic() and len(spanning_forest(g).chords) == dim
+    assert g.is_cubic() and len(spanning_forest(g).cycles) == dim
     assert not spanning_forest(g).bridges and not brute_bridges(g)
     assert not has_nz4flow(g) and reference_three_edge_color(g) is None
-    ctx = SearchContext(g)
+    factors_of_g = list(two_factors(g))
     answers = []
-    for factor in two_factors(g):
+    for factor in factors_of_g:
+        # A fresh context, so its memo holds the flows this search decided:
+        # the overlaps c0 - F over the 2-factors F, every one for a "none".
+        ctx = SearchContext(g)
         cert = find_5cdc_containing(g, factor, context=ctx)
         assert (cert is not None) == two_factor_cover(g, factor), list(mask_ids(factor))
+        candidates = {factor & ~other for other in factors_of_g}
         if cert is not None:
             assert verify_certificate(cert.to_doc()) == []
+            assert ctx._flows.keys() <= candidates
+        else:
+            assert ctx._flows.keys() == candidates
         answers.append(cert is not None)
     assert (len(answers), answers.count(False)) == (factors, nones)
 
