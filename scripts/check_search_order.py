@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
 """Check the search engine against the exhaustive reference search.
 
-The engine counts the C2 buckets it skips in closed form and walks only
-the short end of the canonical order.  The reference search in
-tests/test_search.py lists and tests every (C1, C2) pair in the pinned
-order.  This script runs both on every circuit of tests/data/snarks.g6
-and, on each of 16 seeded relabellings of the flower snark J7
-(tests/oracles.py), on one circuit and on the empty prescription.  J7
-is a snark, so the empty prescription fails with C1 = ∅ and its search
-walks the C1 order past c0.  It also runs both on every 2-factor of the
-Isaacs products P·P, P·B1 and P·B2 of the first three corpus snarks
-(tests/test_snark_products.py): 136 searches, 16 of them "none", whose
-c1 is spanning with |c1| > r, so the engine reads the overlaps of the
-larger sizes from its list of the projection and counts the failing
-buckets there.  The script compares the C1 order, c1, c2,
-candidates_tried, the certificate bytes with elapsed_ms removed, and the
-set of flows each side decided.  It prints the counts and the run time,
-and exits with status 1 when any search differs.
+The engine counts most C2 buckets in closed form and walks the canonical
+order once per C1.  The reference search in tests/test_search.py lists
+and tests every (C1, C2) pair in the pinned order.  This script runs both
+on every circuit of tests/data/snarks.g6 and, on each of 16 seeded
+relabellings of the flower snark J7 (tests/oracles.py), on one circuit
+and on the empty prescription.  J7 is a snark, so the empty prescription
+fails with C1 = ∅ and its search walks the C1 order past c0.  It also
+runs both on every 2-factor of the Isaacs products P·P, P·B1 and P·B2 of
+the first three corpus snarks (tests/test_snark_products.py): 136
+searches, 16 of them "none", whose c1 is spanning with |c1| > r, so the
+engine's walk passes the switch and counts the larger buckets itself.
+The script compares the C1 order, c1, c2, candidates_tried, the
+certificate bytes with elapsed_ms removed, and the set of flows each
+side decided.  It prints the counts and the run time, and exits with
+status 1 when any search differs.
 
 Run it from the root of a source checkout:
 

@@ -13,19 +13,16 @@ The pairs are tried in a fixed order (see find_5cdc_containing), but
 most of them are counted rather than listed.  Whether a pair is accepted
 depends only on M, and for a fixed C1 the C2 sharing one overlap M form
 a coset of 2^(dim - r) members, r being the rank of the cycle space
-projected onto C1's edges.  So a bucket of C2 with no acceptable M is
-skipped by adding its size in closed form, the number of its overlaps
-times the coset size, and the canonical order of the context is walked
-only inside the first bucket that holds a winner.  The walk reads the
-short end of the order, every even subgraph up to some size, which the
-context grows one size at a time from the circuits of the host: below
-twice the girth an even subgraph is a single circuit.  Both parts fall
-back to closed-form lists when a search must go far: the overlaps of a
-C1 are read from a list of the projection once listing C1's edge subsets
-one size at a time would cost more than its 2^r members, and the rest of
-the canonical order is listed once the short end reaches twice the girth
-or growing it gets dear.  So a C1 whose buckets all fail costs about
-what a walk of the 2^dim order would.
+projected onto C1's edges.  The C2 of one C1 fall into buckets by the
+size of M, and the buckets share one walk of the canonical order (see
+_first_partner).  A failing bucket is counted from a list of C1's edge
+subsets of its size, or, past the switch where those lists would outgrow
+the projection, by the walk, so a C1 whose buckets all fail costs at most
+one walk of the 2^dim order.  The walk reads the short end of the order,
+every even subgraph up to some size, which the context grows one size at
+a time from the host's circuits (below twice the girth an even subgraph
+is a single circuit); the rest is listed in closed form once the short
+end reaches twice the girth or growing it gets dear.
 
 C1 is c0, then c0 joined with each nonempty even subgraph disjoint from
 it, read off the same order, and the C2 walks nest inside this walk.
@@ -112,6 +109,7 @@ class SearchContext:
         self.g = g
         self.cycles = spanning_forest(g).cycles
         self._flows: dict[int, Optional[Planes]] = {}
+        self._ends = [1 << u | 1 << v for u, v in g.edges]  # each edge's vertices, as a mask
         self._order: list[int] = [0]  # the short end, in canonical order
         self._layers: Optional[EvenLayers] = None  # built on the first growth
 
@@ -168,99 +166,101 @@ class _Tally:
             raise CapacityError("time budget exhausted", candidates_tried=self.tried)
 
 
-def _overlaps(
-    g: MultiGraph, c1: int, rows: dict[int, int], check_time: Callable[[], None]
-) -> Iterator[tuple[int, list[int]]]:
-    """For k = 0, 1, ..., |c1|: the number of k-edge subsets M of c1 that
-    are the overlap c1 ∩ C2 of some even subgraph C2, and those M that are
-    matchings, in canonical order.
+def _is_matching(ends: list[int], x: int) -> bool:
+    """Whether no two edges of the mask x meet; ends[e] is edge e's vertex mask."""
+    verts = 0
+    while x:
+        end = ends[(x & -x).bit_length() - 1]
+        if verts & end:
+            return False
+        verts |= end
+        x &= x - 1
+    return True
 
-    rows is the reduced echelon form of the cycle space projected onto c1,
-    and M is an overlap exactly when it lies in that projection: when the
-    syndromes of its edges sum to zero, a pivot edge's syndrome being the
-    rest of its row and any other edge's the edge itself.  The k-subsets
-    of c1 are the (k - 1)-subsets extended by a higher edge, each carrying
-    its syndrome sum and its vertices (-1 once two of its edges meet), so
-    one list per k gives both the count and the matchings, and a search
-    that wins at a small k lists small k only.  Size k holds C(|c1|, k)
-    subsets; once the sizes listed would hold more than the 2^r members of
-    the projection, the projection is listed instead and the remaining
-    sizes are read from it."""
-    edges = [e for e in range(g.m) if c1 >> e & 1]
+
+def _overlaps(
+    c1: int, rows: dict[int, int], ends: list[int], check_time: Callable[[], None]
+) -> Iterator[tuple[int, list[int]]]:
+    """For k = 0, 1, ... below the switch: the number of k-edge subsets M of
+    c1 that are the overlap c1 ∩ C2 of some even subgraph C2, and those M
+    that are matchings, in canonical order.  rows is the reduced echelon
+    form of the cycle space projected onto c1, and M is an overlap exactly
+    when it lies in that projection: when the syndromes of its edges sum
+    to zero, a pivot edge's syndrome being the rest of its row and any
+    other edge's the edge itself.  The k-subsets are the (k - 1)-subsets
+    extended by a higher edge.  The switch is the first k at which the
+    sizes listed would hold more than the 2^r members of the projection."""
+    edges = [e for e in range(len(ends)) if c1 >> e & 1]
     pivots = sum(1 << p for p in rows)
     syndrome = [rows[e] & ~pivots if e in rows else 1 << e for e in edges]
-    ends = [1 << u | 1 << v for u, v in map(g.endpoints, edges)]
     size = len(edges)
     work, projection = 0, 1 << len(rows)
-    # (mask, vertices or -1, syndrome sum, next edge index) of the k-subsets
-    subsets = [(0, 0, 0, 0)]
+    subsets = [(0, 0, 0)]  # (mask, syndrome sum, next edge index) of the k-subsets
     for k in range(size + 1):
         check_time()
         work += comb(size, k)
         if work > projection:
-            break
+            return
         if k:
             shorter, subsets = subsets, []
-            for mask, verts, total, start in shorter:
+            for mask, total, start in shorter:
                 check_time()
                 for i in range(start, size):
-                    covered = -1 if verts & ends[i] else verts | ends[i]
-                    subsets.append((mask | 1 << edges[i], covered, total ^ syndrome[i], i + 1))
-        overlaps = [(mask, verts) for mask, verts, total, _ in subsets if not total]
-        yield len(overlaps), [mask for mask, verts in overlaps if verts >= 0]
-    else:
-        return
-    members: list[list[int]] = [[] for _ in range(size + 1)]
-    for x in canonical_masks(list(rows.values())):
-        members[x.bit_count()].append(x)
-    ends_of = {1 << e: end for e, end in zip(edges, ends)}
-
-    def matching(x: int) -> bool:
-        verts = 0
-        while x:
-            end = ends_of[x & -x]
-            if verts & end:
-                return False
-            verts |= end
-            x &= x - 1
-        return True
-
-    for k in range(k, size + 1):
-        check_time()
-        yield len(members[k]), [x for x in members[k] if 2 * k <= g.n and matching(x)]
+                    subsets.append((mask | 1 << edges[i], total ^ syndrome[i], i + 1))
+        overlaps = [mask for mask, total, _ in subsets if not total]
+        yield len(overlaps), [m for m in overlaps if _is_matching(ends, m)]
 
 
 def _first_partner(ctx: SearchContext, c1: int, tally: _Tally) -> Optional[int]:
     """The first C2 accepted with c1, in the engine's order, with every pair
     passed over counted in tally; None after all 2^dim of them.
 
-    Bucket k, the C2 with |c1 ∩ C2| = k, is walked in canonical order, each
-    member counted, and its flows are decided as the walk meets the
-    overlaps, until it meets a winner or every matching whose flow is not
-    known to be missing: exactly the flows an exhaustive walk decides.  A
-    bucket without a winner counts as its count × share members, and one
-    whose matchings are all known to fail is not walked."""
+    Bucket k, the C2 with |c1 ∩ C2| = k, resumes the one walk of the order
+    where bucket k - 1 left it.  The walk counts bucket k and every later
+    one, recording where it first meets each of their matchings; bucket k
+    decides the flows of its recorded matchings, then of new ones as it
+    meets them, in the order an exhaustive walk would, up to the first
+    flow.  Below the switch the walk stops once it has met each matching
+    of _overlaps not known to fail, and a failing bucket counts count ×
+    share members; past it, the walk reads the rest of the order."""
     rows = reduced_echelon(v & c1 for v in ctx.cycles)
     share = 1 << (len(ctx.cycles) - len(rows))
-    for k, (count, matchings) in enumerate(_overlaps(ctx.g, c1, rows, tally.check_time)):
+    size = c1.bit_count()
+    met = [0] * (size + 1)  # the members of each bucket walked so far
+    firsts: dict[int, tuple[int, int]] = {}  # M -> (place in its bucket, C2), in walk order
+    ends, check_time = ctx._ends, tally.check_time
+    listed = _overlaps(c1, rows, ends, check_time)
+    walk = ctx.canonical_order(check_time)
+    for k in range(size + 1):
         start = tally.tried
-        pending = {m for m in matchings if m not in ctx._flows or ctx._flows[m] is not None}
-        if pending:
-            for c2 in ctx.canonical_order(tally.check_time):
-                m = c1 & c2
-                if m.bit_count() != k:
-                    continue
-                tally.check_time()
+        for m, (place, c2) in firsts.items():
+            if m.bit_count() == k and ctx.flow_minus(m) is not None:
+                tally.tried = start + place
+                return c2
+        tally.tried = start + met[k]
+        count, matchings = next(listed, (None, ()))  # None past the switch
+        pending = {m for m in matchings if m not in firsts and ctx._flows.get(m, 0) is not None}
+        for c2 in walk if count is None or pending else ():
+            m = c1 & c2
+            j = m.bit_count()
+            if j < k:
+                continue
+            check_time()
+            met[j] += 1
+            if j == k:
                 tally.tried += 1
-                if m in pending:
-                    if ctx.flow_minus(m) is not None:
-                        return c2
-                    pending.discard(m)
-                    if not pending:
-                        break
-            else:
-                raise InvariantViolationError("an overlap of the cycle space was never met")
-        tally.tried = start + count * share
+            if 2 * j > size or m in firsts or not _is_matching(ends, m):
+                continue
+            firsts[m] = (met[j], c2)
+            if j == k:
+                if ctx.flow_minus(m) is not None:
+                    return c2
+                pending.discard(m)
+                if count is not None and not pending:
+                    break
+        if pending:  # the walk ended before meeting them
+            raise InvariantViolationError("an overlap of the cycle space was never met")
+        tally.tried = start + (met[k] if count is None else count * share)
     return None
 
 

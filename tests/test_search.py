@@ -4,6 +4,7 @@ import json
 import os
 import random
 import types
+from math import comb
 
 import pytest
 
@@ -31,7 +32,7 @@ from cdc5.certificates import build_certificate
 from cdc5.cover import extend_to_cdc
 from cdc5.cyclespace import EvenLayers, reduced_echelon
 from cdc5.graphs import mask_ids
-from cdc5.search import _c1_order, _overlaps, _split, _sweep_range
+from cdc5.search import _c1_order, _first_partner, _overlaps, _split, _sweep_range, _Tally
 
 from .conftest import sweep_graph
 from .oracles import (
@@ -47,6 +48,7 @@ from .oracles import (
     random_cubic_multigraph,
     shuffled,
     theta_multigraph,
+    two_factor_cover,
 )
 from .test_snark_products import product, two_factors
 
@@ -213,6 +215,31 @@ class TestGuards:
         assert exc.value.candidates_tried == 1 << 15
         control = find_5cdc_containing(j6, 0, SearchOptions(budget_ms=1))
         assert control is not None and control.path == "m-empty"
+
+    def test_time_budget_stops_inside_a_walked_bucket(self, snarks, monkeypatch):
+        # A "none" 2-factor of P·P lists buckets 0 to 3, then walks the order
+        # for bucket 4 and counts each of its members as it passes.  The
+        # clock jumps past the 1 ms budget once the walk has yielded half of
+        # bucket 4, so the stop reports buckets 0 to 3 and the members of
+        # bucket 4 passed before the one being checked.
+        g = product(snarks, 0, 0)
+        c0 = next(f for f in two_factors(g) if not two_factor_cover(g, f))
+        whole = canonical_masks(spanning_forest(g).cycles)
+        sizes = [sum((c0 & x).bit_count() == k for x in whole) for k in range(5)]
+        half, passed = sizes[4] // 2, []
+        order = SearchContext.canonical_order
+
+        def walk(self, *args):
+            for x in order(self, *args):
+                passed.append((c0 & x).bit_count() == 4)
+                yield x
+
+        clock = types.SimpleNamespace(monotonic_ns=lambda: 0 if sum(passed) < half else 1 << 62)
+        monkeypatch.setattr(SearchContext, "canonical_order", walk)
+        monkeypatch.setattr(cdc5.search, "time", clock)
+        with pytest.raises(CapacityError) as exc:
+            find_5cdc_containing(g, c0, SearchOptions(budget_ms=1))
+        assert exc.value.candidates_tried == sum(sizes[:4]) + half - 1
 
 
 class TestCircuitSweep:
@@ -490,27 +517,40 @@ class TestBasisIndependence:
         self.assert_basis_independent(g, random.Random(7).sample(enumerate_circuits(g), 2))
 
 
+def edge_ends(g):
+    return [1 << u | 1 << v for u, v in g.edges]
+
+
 class TestOverlapBuckets:
-    """The bucket of C2 with |C1 ∩ C2| = k holds (overlaps of size k) times
-    2^(dim - r) members; the counts and the matchings among the overlaps
-    must equal those of a scan of the whole cycle space."""
+    """Below the switch, the bucket of C2 with |C1 ∩ C2| = k holds (overlaps
+    of size k) times 2^(dim - r) members; the counts and the matchings among
+    the overlaps must equal those of a scan of the whole cycle space, and
+    the sizes listed must stop at the first one whose subsets, with those
+    of the sizes below it, outnumber the 2^r members of the projection."""
 
     def assert_buckets(self, g, c1s):
+        """The number of sizes listed for each c1."""
         cycles = spanning_forest(g).cycles
         whole = canonical_masks(cycles)
+        listed = []
         for c1 in c1s:
             rows = reduced_echelon(v & c1 for v in cycles)
             share = 1 << (len(cycles) - len(rows))
-            got = list(_overlaps(g, c1, rows, lambda: None))
-            sizes = [0] * (c1.bit_count() + 1)
+            got = list(_overlaps(c1, rows, edge_ends(g), lambda: None))
+            size = c1.bit_count()
+            work = itertools.accumulate(comb(size, k) for k in range(size + 1))
+            assert len(got) == sum(w <= 1 << len(rows) for w in work)
+            sizes = [0] * (size + 1)
             overlaps = [set() for _ in sizes]
             for x in whole:
                 sizes[(x & c1).bit_count()] += 1
                 overlaps[(x & c1).bit_count()].add(x & c1)
-            assert [count * share for count, _ in got] == sizes
+            assert [count * share for count, _ in got] == sizes[: len(got)]
             for k, (_, matchings) in enumerate(got):
                 want = sorted((m for m in overlaps[k] if loop_is_matching(g, m)), key=mask_ids)
                 assert matchings == want
+            listed.append(len(got))
+        return listed
 
     def test_catalog(self, catalog):
         # Every even subgraph as C1, so projections of every rank occur,
@@ -526,13 +566,14 @@ class TestOverlapBuckets:
     def test_product_two_factors_past_the_switch(self, snarks):
         # A 2-factor of P·P is spanning, so |c1| = 18 and r = dim = 10:
         # sizes 0 to 3 hold 988 subsets, size 4 would pass the 1024
-        # members of the projection, so sizes 4 to 18 are read from it.
+        # members of the projection, so sizes 0 to 3 are listed and the
+        # walk of the order gives the rest.
         g = product(snarks, 0, 0)
         cycles = spanning_forest(g).cycles
         factors = list(two_factors(g))
         ranks = {(c1.bit_count(), len(reduced_echelon(v & c1 for v in cycles))) for c1 in factors}
         assert ranks == {(18, 10)}
-        self.assert_buckets(g, factors)
+        assert set(self.assert_buckets(g, factors)) == {4}
 
     def test_each_size_is_listed_under_check_time(self, petersen):
         cycles = spanning_forest(petersen).cycles
@@ -544,11 +585,58 @@ class TestOverlapBuckets:
             if armed:
                 raise CapacityError("time budget exhausted")
 
-        levels = _overlaps(petersen, c1, rows, check_time)
+        levels = _overlaps(c1, rows, edge_ends(petersen), check_time)
         assert next(levels) == (1, [0])
         armed.append(True)
         with pytest.raises(CapacityError):
             next(levels)
+
+
+class TestFirstPartner:
+    """One walk of the canonical order per C1 counts every bucket and asks
+    for the flow of each matching overlap once, past the switch too."""
+
+    def test_a_failing_c1_counts_every_pair_and_asks_each_matching_once(
+        self, catalog, snarks, monkeypatch
+    ):
+        asked = []
+        monkeypatch.setattr(SearchContext, "flow_minus", lambda self, drop: asked.append(drop))
+        pp = product(snarks, 0, 0)
+        cases = [(g, canonical_masks(spanning_forest(g).cycles)) for g in catalog]
+        for g, c1s in cases + [(pp, list(two_factors(pp)))]:
+            ctx = SearchContext(g)
+            whole = canonical_masks(ctx.cycles)
+            for c1 in c1s:
+                asked.clear()
+                tally = _Tally(SearchOptions(), 0)
+                assert _first_partner(ctx, c1, tally) is None
+                assert tally.tried == len(whole)
+                matchings = {c1 & x for x in whole if loop_is_matching(g, c1 & x)}
+                assert len(asked) == len(matchings) and set(asked) == matchings
+
+    def test_each_call_opens_at_most_one_walk(self, snarks, monkeypatch):
+        opened, walks = [], []
+        order, first = SearchContext.canonical_order, cdc5.search._first_partner
+
+        def counted_order(self, *args):
+            opened.append(1)
+            return order(self, *args)
+
+        def counted_first(ctx, c1, tally):
+            before = len(opened)
+            try:
+                return first(ctx, c1, tally)
+            finally:
+                walks.append(len(opened) - before)
+
+        monkeypatch.setattr(SearchContext, "canonical_order", counted_order)
+        monkeypatch.setattr(cdc5.search, "_first_partner", counted_first)
+        pp, b1 = product(snarks, 0, 0), snarks[1]
+        for g, prescriptions in [(pp, list(two_factors(pp))), (b1, enumerate_circuits(b1))]:
+            ctx = SearchContext(g)
+            for c0 in prescriptions:
+                find_5cdc_containing(g, c0, context=ctx)
+        assert len(walks) >= 20 + 688 and max(walks) == 1
 
 
 class TestShortEnd:

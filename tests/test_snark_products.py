@@ -10,6 +10,7 @@ import pytest
 
 from cdc5 import (
     SearchContext,
+    SearchOptions,
     find_5cdc_containing,
     has_nz4flow,
     parse_graph6,
@@ -91,6 +92,19 @@ def test_every_two_factor_agrees_with_the_labelling_oracle(snarks, left, right, 
             assert ctx._flows.keys() == candidates
         answers.append(cert is not None)
     assert (len(answers), answers.count(False)) == (factors, nones)
+
+
+def test_a_dimension_18_none_past_the_switch(snarks):
+    # B1·B1's first 2-factor is a "none" of dimension 18: its buckets past
+    # the switch are counted by one walk of the 2^18 order, and it decides
+    # the flow of every overlap c0 - F over the 2-factors F.
+    g = product(snarks, 1, 1)
+    factors = list(two_factors(g))
+    factor = factors[0]
+    assert len(spanning_forest(g).cycles) == 18 and not two_factor_cover(g, factor)
+    ctx = SearchContext(g)
+    assert find_5cdc_containing(g, factor, SearchOptions(dim_guard=18), ctx) is None
+    assert ctx._flows.keys() == {factor & ~other for other in factors}
 
 
 def test_cli_answers_none_on_a_two_factor(snarks, tmp_path, capsys):
